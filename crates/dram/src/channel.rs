@@ -13,7 +13,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use sdimm_telemetry::{recorder::FlightEventKind, FlightRecorder, TraceSink};
 
 use crate::address::{AddressMapper, Coords, Interleave};
-use crate::bank::{RowOutcome, RowState};
+use crate::bank::{Bank, RowOutcome, RowState};
 use crate::cmdlog::{CmdLog, DdrCmd};
 use crate::config::{ChannelConfig, Cycle, PowerPolicy, SchedulerPolicy};
 use crate::power::{compute_energy, EnergyBreakdown, EnergyCounters};
@@ -27,39 +27,75 @@ const BUS_TURNAROUND: Cycle = 2;
 
 /// Age (cycles) past which the oldest request is scheduled before row hits,
 /// preventing FR-FCFS starvation.
-const STARVATION_LIMIT: Cycle = 2000;
+pub const STARVATION_LIMIT: Cycle = 2000;
 
+#[cfg(debug_assertions)]
+mod reference;
+
+/// A queued request; its rank and bank are implied by the bank list
+/// holding it.
 #[derive(Debug, Clone, Copy)]
 struct QEntry {
     req: Request,
-    coords: Coords,
-    /// Flat bank index (`rank * banks + bank`), precomputed at enqueue so
-    /// the scheduler scan walks one flat cache array instead of chasing
-    /// `Vec<Rank> → Vec<Bank>` pointers per entry.
-    bidx: u32,
-    /// Bank group (`bank / banks_per_group`), precomputed at enqueue so
-    /// the scan's tRRD_L/tCCD_L lookups are one array index, no division.
-    group: u16,
+    row: usize,
 }
 
-/// Sentinel for [`BankCache::open_row`]: the bank is precharged.
-const NO_ROW: usize = usize::MAX;
-
-/// Flat per-bank mirror of the timing state the scheduler scan reads
-/// every invocation. Kept in sync with [`crate::bank::Bank`] at every
-/// mutation site (ACT/PRE/CAS/refresh); `debug_validate_caches`
-/// cross-checks the mirror against the banks in debug builds.
-#[derive(Debug, Clone, Copy)]
-struct BankCache {
-    /// Open row, or [`NO_ROW`] when precharged.
-    open_row: usize,
-    /// Earliest legal CAS (tRCD after ACT, tCCD after a burst).
-    next_cas: Cycle,
-    /// Earliest legal ACT (tRP after PRE, tRC after the previous ACT).
-    next_act: Cycle,
-    /// Earliest legal PRE (tRAS after ACT, tRTP/tWR after a burst).
-    next_pre: Cycle,
+/// One request queue (reads or writes), indexed by flat bank
+/// (`rank * banks + bank`): each bank's entries in arrival order, plus a
+/// bitset of the banks holding work, so a scheduler pass visits each busy
+/// bank once instead of every queued line.
+#[derive(Debug)]
+struct BankQueue {
+    banks: Vec<Vec<QEntry>>,
+    /// Bit `b % 64` of word `b / 64` is set while `banks[b]` is non-empty.
+    busy: Vec<u64>,
+    len: usize,
 }
+
+impl BankQueue {
+    fn new(banks: usize) -> Self {
+        BankQueue { banks: vec![Vec::new(); banks], busy: vec![0; banks.div_ceil(64)], len: 0 }
+    }
+
+    fn push(&mut self, bidx: usize, e: QEntry) {
+        self.banks[bidx].push(e);
+        self.busy[bidx / 64] |= 1 << (bidx % 64);
+        self.len += 1;
+    }
+
+    fn remove(&mut self, bidx: usize, pos: usize) -> QEntry {
+        let list = &mut self.banks[bidx];
+        let e = list.remove(pos);
+        if list.is_empty() {
+            self.busy[bidx / 64] &= !(1 << (bidx % 64));
+        }
+        self.len -= 1;
+        e
+    }
+
+    /// Flat indices of the banks holding work, ascending.
+    fn busy_banks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.busy.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits.wrapping_sub(1);
+                (b < 64).then_some(w * 64 + b)
+            })
+        })
+    }
+
+    /// The oldest entry of the whole queue and its bank (request ids
+    /// are issued in arrival order).
+    fn oldest(&self) -> Option<(usize, &QEntry)> {
+        self.busy_banks().map(|b| (b, &self.banks[b][0])).min_by_key(|(_, e)| e.req.id)
+    }
+}
+
+/// The oldest ready candidate of each command class found by a scheduler
+/// pass, in FR-FCFS priority order — CAS, ACT, PRE — keyed by request id
+/// so the pass may visit banks in any order.
+type Picks = [Option<(RequestId, Decision)>; 3];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pending {
@@ -81,25 +117,26 @@ impl PartialOrd for Pending {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decision {
+    /// Column command for entry `pos` of flat bank `bidx`'s list.
     Cas {
         write: bool,
-        idx: usize,
+        bidx: usize,
+        pos: usize,
     },
     Act {
-        write: bool,
-        idx: usize,
-    },
-    Pre {
-        write: bool,
-        idx: usize,
-    },
-    /// Precharge issued for maintenance: ahead of a refresh, or to close
-    /// an idle rank's banks so it can enter power-down.
-    MaintenancePre {
         rank: usize,
         bank: usize,
+        row: usize,
+    },
+    /// Precharge: for a queued request whose row conflicts with the open
+    /// one (`conflict`), or for maintenance — ahead of a refresh, or to
+    /// close an idle rank's banks so it can enter power-down.
+    Pre {
+        rank: usize,
+        bank: usize,
+        conflict: bool,
     },
     Refresh {
         rank: usize,
@@ -128,8 +165,8 @@ pub struct DramChannel {
     mapper: AddressMapper,
     now: Cycle,
     next_id: u64,
-    read_q: VecDeque<QEntry>,
-    write_q: VecDeque<QEntry>,
+    read_q: BankQueue,
+    write_q: BankQueue,
     draining: bool,
     ranks: Vec<Rank>,
     /// Per-rank earliest read CAS (tWTR after a write burst).
@@ -151,8 +188,8 @@ pub struct DramChannel {
     /// Per-rank count of banks with an open row — incremental mirror of
     /// [`Rank::all_banks_idle`].
     rank_open_banks: Vec<u32>,
-    /// Flat per-bank earliest-legal-issue cache (rank-major order).
-    bank_cache: Vec<BankCache>,
+    /// `(rank, bank, bank group)` of each flat bank index.
+    bank_of: Vec<(usize, usize, usize)>,
     /// Start of the current blocked-with-queued-work interval, if any.
     /// Stall cycles accrue lazily as time actually elapses, so the total
     /// is independent of how callers split their `tick` calls.
@@ -200,16 +237,15 @@ impl DramChannel {
             bg_mark: vec![0; n],
             rank_queued: vec![0; n],
             rank_open_banks: vec![0; n],
-            bank_cache: vec![
-                BankCache { open_row: NO_ROW, next_cas: 0, next_act: 0, next_pre: 0 };
-                n * banks
-            ],
+            bank_of: (0..n * banks)
+                .map(|b| (b / banks, b % banks, b % banks / cfg.topology.banks_per_group()))
+                .collect(),
             stall_since: None,
             cfg,
             now: 0,
             next_id: 0,
-            read_q: VecDeque::new(),
-            write_q: VecDeque::new(),
+            read_q: BankQueue::new(n * banks),
+            write_q: BankQueue::new(n * banks),
             draining: false,
             bus_free_at: 0,
             bus_last_rank: None,
@@ -316,17 +352,17 @@ impl DramChannel {
 
     /// Read-queue occupancy.
     pub fn read_queue_len(&self) -> usize {
-        self.read_q.len()
+        self.read_q.len
     }
 
     /// Write-queue occupancy.
     pub fn write_queue_len(&self) -> usize {
-        self.write_q.len()
+        self.write_q.len
     }
 
     /// True when no requests are queued or in flight.
     pub fn is_idle(&self) -> bool {
-        self.read_q.is_empty() && self.write_q.is_empty() && self.pending.is_empty()
+        self.read_q.len + self.write_q.len == 0 && self.pending.is_empty()
     }
 
     /// Performance statistics so far.
@@ -351,14 +387,15 @@ impl DramChannel {
     /// Enqueues a cache-line read. Returns `None` when the read queue is
     /// full (the caller must retry after ticking).
     pub fn enqueue_read(&mut self, addr: u64) -> Option<RequestId> {
-        if self.read_q.len() >= self.cfg.read_queue_capacity {
+        if self.read_q.len >= self.cfg.read_queue_capacity {
             return None;
         }
         let id = RequestId(self.next_id);
+        self.next_id += 1;
+        let coords = self.mapper.decode(addr);
         // Write-to-read forwarding: a queued write to the same line
         // services the read without touching DRAM.
-        if self.write_q.iter().any(|e| e.req.addr == addr) {
-            self.next_id += 1;
+        if self.write_q.banks[self.flat_bank(&coords)].iter().any(|e| e.req.addr == addr) {
             self.pending.push(Pending {
                 finish: self.now.saturating_add(1),
                 id,
@@ -367,31 +404,30 @@ impl DramChannel {
             });
             return Some(id);
         }
-        self.next_id += 1;
-        let req = Request { id, addr, kind: RequestKind::Read, arrival: self.now };
-        let coords = self.mapper.decode(addr);
-        self.rank_queued[coords.rank] += 1;
-        let (bidx, group) = (self.flat_bank(&coords), self.bank_group(&coords));
-        self.read_q.push_back(QEntry { req, coords, bidx, group });
-        self.next_wake = self.now;
+        self.push(Request { id, addr, kind: RequestKind::Read, arrival: self.now }, coords);
         Some(id)
     }
 
     /// Enqueues a cache-line write. Returns `None` when the write queue is
     /// full.
     pub fn enqueue_write(&mut self, addr: u64) -> Option<RequestId> {
-        if self.write_q.len() >= self.cfg.write_drain.capacity {
+        if self.write_q.len >= self.cfg.write_drain.capacity {
             return None;
         }
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        let req = Request { id, addr, kind: RequestKind::Write, arrival: self.now };
         let coords = self.mapper.decode(addr);
-        self.rank_queued[coords.rank] += 1;
-        let (bidx, group) = (self.flat_bank(&coords), self.bank_group(&coords));
-        self.write_q.push_back(QEntry { req, coords, bidx, group });
-        self.next_wake = self.now;
+        self.push(Request { id, addr, kind: RequestKind::Write, arrival: self.now }, coords);
         Some(id)
+    }
+
+    /// Queues `req` at its bank and wakes the scheduler.
+    fn push(&mut self, req: Request, coords: Coords) {
+        self.rank_queued[coords.rank] += 1;
+        let bidx = self.flat_bank(&coords);
+        let q = if req.kind == RequestKind::Write { &mut self.write_q } else { &mut self.read_q };
+        q.push(bidx, QEntry { req, row: coords.row });
+        self.next_wake = self.now;
     }
 
     /// Pins `rank` in precharge power-down (the SDIMM low-power scheme).
@@ -539,7 +575,7 @@ impl DramChannel {
     /// channel holds no work at all.
     pub fn completion_horizon(&self) -> Cycle {
         let mut h = self.next_completion().unwrap_or(Cycle::MAX);
-        if !self.read_q.is_empty() || !self.write_q.is_empty() {
+        if self.read_q.len + self.write_q.len > 0 {
             let t = &self.cfg.timing;
             h = h.min(self.next_wake.saturating_add(t.cl.min(t.cwl)).saturating_add(t.t_burst));
         }
@@ -578,66 +614,29 @@ impl DramChannel {
 
     // ----- internals -------------------------------------------------
 
-    /// Flat bank-cache index for `coords`.
-    fn flat_bank(&self, coords: &Coords) -> u32 {
-        debug_assert!(coords.row != NO_ROW, "row index collides with the idle sentinel");
-        (coords.rank * self.cfg.topology.banks + coords.bank) as u32
+    /// Flat bank index (`rank * banks + bank`) of `coords`.
+    fn flat_bank(&self, coords: &Coords) -> usize {
+        coords.rank * self.cfg.topology.banks + coords.bank
     }
 
-    /// Bank group for `coords` (0 on group-less standards).
-    fn bank_group(&self, coords: &Coords) -> u16 {
-        (coords.bank / self.cfg.topology.banks_per_group()) as u16
-    }
-
-    /// Re-mirrors one bank's timing state into the flat cache. Must be
-    /// called after every mutation of that bank.
-    fn sync_bank_cache(&mut self, rank: usize, bank: usize) {
-        let b = self.ranks[rank].bank(bank);
-        self.bank_cache[rank * self.cfg.topology.banks + bank] = BankCache {
-            open_row: match b.state() {
-                RowState::Open(r) => r,
-                RowState::Idle => NO_ROW,
-            },
-            next_cas: b.next_cas(),
-            next_act: b.next_act(),
-            next_pre: b.next_pre(),
-        };
-    }
-
-    /// Cross-checks every incremental mirror (queued-work counters,
-    /// open-bank counters, flat bank cache) against the authoritative
-    /// structures. Debug builds run this each scheduler invocation; in
-    /// release the mirrors are trusted and the `sdimm-audit` replay
-    /// checker re-validates the resulting command stream independently.
+    /// Cross-checks the incremental counters (per-rank queued work and open
+    /// banks, queue lengths, busy bits) each debug scheduler invocation.
     #[cfg(debug_assertions)]
-    fn debug_validate_caches(&self) {
+    fn debug_validate_counters(&self) {
+        let mut queued = vec![0; self.ranks.len()];
+        for q in [&self.read_q, &self.write_q] {
+            for (b, list) in q.banks.iter().enumerate() {
+                assert_eq!(q.busy[b / 64] >> (b % 64) & 1 == 1, !list.is_empty(), "bank {b} bit");
+                queued[self.bank_of[b].0] += list.len();
+            }
+            assert_eq!(q.banks.iter().map(Vec::len).sum::<usize>(), q.len, "queue length");
+        }
         for (r, rank) in self.ranks.iter().enumerate() {
-            let queued = self
-                .read_q
-                .iter()
-                .chain(self.write_q.iter())
-                .filter(|e| e.coords.rank == r)
-                .count();
-            assert_eq!(queued, self.rank_queued[r] as usize, "rank {r} queued-work counter");
+            assert_eq!(queued[r], self.rank_queued[r] as usize, "rank {r} queued-work counter");
             let open = (0..rank.bank_count())
                 .filter(|&b| matches!(rank.bank(b).state(), RowState::Open(_)))
                 .count();
             assert_eq!(open, self.rank_open_banks[r] as usize, "rank {r} open-bank counter");
-            for b in 0..rank.bank_count() {
-                let bc = &self.bank_cache[r * self.cfg.topology.banks + b];
-                let bank = rank.bank(b);
-                let row = match bank.state() {
-                    RowState::Open(row) => row,
-                    RowState::Idle => NO_ROW,
-                };
-                assert!(
-                    bc.open_row == row
-                        && bc.next_cas == bank.next_cas()
-                        && bc.next_act == bank.next_act()
-                        && bc.next_pre == bank.next_pre(),
-                    "bank cache stale for rank {r} bank {b}"
-                );
-            }
         }
     }
 
@@ -665,23 +664,20 @@ impl DramChannel {
         self.bg_mark[rank] = self.now;
     }
 
-    /// Whether `rank` should be heading toward power-down right now.
+    /// Whether `rank` should be heading toward power-down right now. The
+    /// policy is tested first: it rules out every rank of an always-on
+    /// channel, and this runs for every rank at every invocation.
     fn wants_sleep(&self, rank: usize) -> bool {
-        if self.rank_queued[rank] > 0 || self.refresh_pending[rank] {
-            return false;
-        }
-        if !matches!(self.ranks[rank].power_state(), PowerState::Active) {
-            return false;
-        }
-        if self.forced_down[rank] {
-            return true;
-        }
-        match self.cfg.power_policy {
-            PowerPolicy::AlwaysOn => false,
-            PowerPolicy::PowerDown { idle_cycles } => {
+        let idle = match (self.forced_down[rank], self.cfg.power_policy) {
+            (true, _) => true,
+            (false, PowerPolicy::AlwaysOn) => false,
+            (false, PowerPolicy::PowerDown { idle_cycles }) => {
                 self.now.saturating_sub(self.ranks[rank].last_activity()) >= idle_cycles
             }
-        }
+        };
+        idle && self.rank_queued[rank] == 0
+            && !self.refresh_pending[rank]
+            && matches!(self.ranks[rank].power_state(), PowerState::Active)
     }
 
     /// Applies the idle-rank power policy and wakes ranks with work.
@@ -709,21 +705,8 @@ impl DramChannel {
                     }
                 }
                 PowerState::Active => {
-                    let should_sleep = if self.forced_down[i] {
-                        !has_work
-                    } else {
-                        match self.cfg.power_policy {
-                            PowerPolicy::AlwaysOn => false,
-                            PowerPolicy::PowerDown { idle_cycles } => {
-                                !has_work
-                                    && self.now.saturating_sub(self.ranks[i].last_activity())
-                                        >= idle_cycles
-                            }
-                        }
-                    };
-                    if should_sleep
+                    if self.wants_sleep(i)
                         && self.rank_open_banks[i] == 0
-                        && !self.refresh_pending[i]
                         && self.now >= self.ranks[i].ready_at()
                     {
                         self.account_bg(i);
@@ -760,168 +743,161 @@ impl DramChannel {
         free
     }
 
-    /// Picks the best action over one queue under FR-FCFS (or FCFS).
-    fn scan_queue(&self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
-        let q = if write { &self.write_q } else { &self.read_q };
-        if q.is_empty() {
-            return None;
+    /// Earliest cycle a CAS to `bank` (of `rank`, in bank group `group`)
+    /// may issue: bank tRCD, rank readiness, tCCD_S rank-wide and tCCD_L
+    /// within the group, tWTR before a read, and the shared data bus.
+    fn cas_ready(&self, write: bool, rank: usize, group: usize, bank: &Bank) -> Cycle {
+        let r = &self.ranks[rank];
+        let mut ready = bank
+            .next_cas()
+            .max(r.ready_at())
+            .max(r.cas_allowed_rank())
+            .max(r.cas_group_bound(group));
+        if !write {
+            ready = ready.max(self.rank_next_read[rank]);
         }
-        let limit = match self.cfg.scheduler {
-            SchedulerPolicy::FrFcfs => q.len(),
-            SchedulerPolicy::Fcfs => 1,
-        };
+        // A CAS at cycle `c` occupies the bus over [c + data_latency, c +
+        // data_latency + tBURST). Early in a run `bus_free` can be below
+        // the data latency and the bus imposes nothing — an explicit
+        // branch, not an unsigned clamp to cycle 0. The `sdimm-audit`
+        // replay checker re-validates the no-overlap invariant.
+        let t = &self.cfg.timing;
+        let data_latency = if write { t.cwl } else { t.cl };
+        let bus_free = self.bus_ready_for(rank, write);
+        if bus_free > data_latency {
+            ready = ready.max(bus_free - data_latency);
+        }
+        ready
+    }
 
-        // Anti-starvation: an over-age head-of-queue is served ahead of
+    /// Earliest cycle an ACT to `bank` may issue: tRC/tRP, tRRD_S and
+    /// tFAW rank-wide, tRRD_L within `group`.
+    fn act_ready(&self, rank: usize, group: usize, bank: &Bank) -> Cycle {
+        let r = &self.ranks[rank];
+        bank.next_act().max(r.next_act_allowed()).max(r.act_group_bound(group))
+    }
+
+    /// Earliest cycle a PRE to `bank` may issue: tRAS, tRTP/tWR.
+    fn pre_ready(&self, rank: usize, bank: &Bank) -> Cycle {
+        bank.next_pre().max(self.ranks[rank].ready_at())
+    }
+
+    /// Picks the best action over one queue under FR-FCFS (or FCFS);
+    /// blocked candidates lower `best_retry`. Debug builds check every
+    /// verdict against the linear scan this pass replaced (`reference`).
+    fn scan_queue(&self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
+        #[cfg(debug_assertions)]
+        let (reference, reference_retry) = {
+            let mut retry = *best_retry;
+            (self.linear_scan_queue(write, &mut retry), retry)
+        };
+        let decision = self.pick(write, best_retry);
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(decision, reference, "diverged from the linear scan at {}", self.now);
+            if decision.is_none() {
+                assert_eq!(*best_retry, reference_retry, "retry diverged at {}", self.now);
+            }
+        }
+        decision
+    }
+
+    /// The per-bank FR-FCFS pass. Within one pass every entry of a bank
+    /// sees the same bank, rank, group and bus timing, so a scan over
+    /// every queued line reaches a verdict that depends on two entries
+    /// per bank: its oldest (an ACT candidate on an idle bank, a PRE
+    /// candidate when it conflicts with the open row) and its oldest
+    /// open-row hit (a CAS candidate). Each busy bank is evaluated once;
+    /// the oldest ready CAS wins, else the oldest ready ACT, else the
+    /// oldest ready PRE.
+    fn pick(&self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
+        let q = if write { &self.write_q } else { &self.read_q };
+        let (head_bank, head) = q.oldest()?;
+        // Anti-starvation: an over-age head of queue is served ahead of
         // younger row hits — but only when one of its commands can
         // actually issue. A head that is stuck for reasons no scheduling
         // order can fix (owed refresh, a long tRAS before its precharge,
         // the tFAW window) must not idle the whole channel, so when the
-        // head-only scan yields nothing the scan falls back to plain
-        // FR-FCFS over the rest of the queue.
-        let head_age = self.now.saturating_sub(q[0].req.arrival);
-        if head_age > STARVATION_LIMIT {
-            if let Some(d) = self.scan_entries(q, write, 1, best_retry) {
-                return Some(d);
+        // head alone yields nothing the pass falls back to plain FR-FCFS.
+        // FCFS always judges the head alone.
+        let fcfs = self.cfg.scheduler == SchedulerPolicy::Fcfs;
+        if fcfs || self.now.saturating_sub(head.req.arrival) > STARVATION_LIMIT {
+            let mut picks = Picks::default();
+            self.scan_bank(write, head_bank, true, &mut picks, best_retry);
+            let decision = picks.into_iter().flatten().next().map(|(_, d)| d);
+            if fcfs || decision.is_some() {
+                return decision;
             }
         }
-        self.scan_entries(q, write, limit, best_retry)
+        let mut picks = Picks::default();
+        for bidx in q.busy_banks() {
+            self.scan_bank(write, bidx, false, &mut picks, best_retry);
+        }
+        picks.into_iter().flatten().next().map(|(_, d)| d)
     }
 
-    /// FR-FCFS scan over the first `limit` entries of `q`: an issuable
-    /// CAS wins immediately; otherwise the oldest issuable ACT, then the
-    /// oldest issuable PRE (suppressed while an older entry still wants
-    /// the open row). Blocked entries lower `best_retry`.
-    ///
-    /// This is the scheduler's innermost loop: each entry reads its
-    /// bank's earliest-legal-issue times from the flat [`BankCache`]
-    /// (one indexed load via the precomputed `bidx`), and "does an older
-    /// entry want this bank" is answered by a bitmask of banks already
-    /// visited this scan instead of re-walking the queue prefix.
-    fn scan_entries(
+    /// Evaluates one busy bank for [`pick`](Self::pick): its oldest
+    /// open-row hit as a CAS, and its oldest entry as an ACT (idle bank,
+    /// unless the rank owes a refresh) or a PRE (row conflict; an older
+    /// entry still wanting the open row holds the PRE off). With
+    /// `head_only` the bank's oldest entry alone is judged.
+    fn scan_bank(
         &self,
-        q: &VecDeque<QEntry>,
         write: bool,
-        limit: usize,
+        bidx: usize,
+        head_only: bool,
+        picks: &mut Picks,
         best_retry: &mut Cycle,
-    ) -> Option<Decision> {
-        let mut act_choice: Option<usize> = None;
-        let mut pre_choice: Option<usize> = None;
-        let t = &self.cfg.timing;
-        let data_latency = if write { t.cwl } else { t.cl };
-        // Rank-level readiness is constant for the duration of one scan
-        // (issues mutate it, but a scan only reads): memoize it the
-        // first time an entry touches each rank, so deep queues pay the
-        // rank-state walk (tFAW ring, bus turnaround) once per rank
-        // instead of once per entry, and shallow queues pay nothing
-        // extra. Topologies beyond the array bound fall back to querying
-        // the rank directly.
-        const MAX_RANKS: usize = 8;
-        let mut rank_filled: u8 = 0;
-        let mut rank_ready = [0 as Cycle; MAX_RANKS];
-        let mut rank_act_allowed = [0 as Cycle; MAX_RANKS];
-        let mut rank_cas_allowed = [0 as Cycle; MAX_RANKS];
-        let mut rank_bus = [0 as Cycle; MAX_RANKS];
-        // Banks touched by entries older than the current one. Every
-        // supported topology fits rank×bank into 128 bits; the fallback
-        // prefix walk keeps exotic configs correct.
-        let mut seen: u128 = 0;
-        for (idx, e) in q.iter().enumerate().take(limit) {
-            let bc = &self.bank_cache[e.bidx as usize];
-            let bit = if (e.bidx as usize) < 128 { 1u128 << e.bidx } else { 0 };
-            let r = e.coords.rank;
-            let (r_ready, r_act_allowed, r_cas_allowed, r_bus) = if r < MAX_RANKS {
-                if rank_filled & (1 << r) == 0 {
-                    rank_ready[r] = self.ranks[r].ready_at();
-                    rank_act_allowed[r] = self.ranks[r].next_act_allowed();
-                    rank_cas_allowed[r] = self.ranks[r].cas_allowed_rank();
-                    rank_bus[r] = self.bus_ready_for(r, write);
-                    rank_filled |= 1 << r;
+    ) {
+        let list = if write { &self.write_q.banks[bidx] } else { &self.read_q.banks[bidx] };
+        let head = &list[0];
+        let (rank, bank, group) = self.bank_of[bidx];
+        let b = self.ranks[rank].bank(bank);
+        let mut offer = |slot: &mut Option<(RequestId, Decision)>, ready: Cycle, id, d| {
+            if ready > self.now {
+                *best_retry = (*best_retry).min(ready);
+            } else if slot.is_none_or(|(old, _)| id < old) {
+                *slot = Some((id, d));
+            }
+        };
+        match b.state() {
+            RowState::Open(open) => {
+                let judged = if head_only { &list[..1] } else { &list[..] };
+                let hit = judged.iter().position(|e| e.row == open);
+                if let Some(pos) = hit {
+                    let ready = self.cas_ready(write, rank, group, b);
+                    offer(
+                        &mut picks[0],
+                        ready,
+                        list[pos].req.id,
+                        Decision::Cas { write, bidx, pos },
+                    );
                 }
-                (rank_ready[r], rank_act_allowed[r], rank_cas_allowed[r], rank_bus[r])
-            } else {
-                (
-                    self.ranks[r].ready_at(),
-                    self.ranks[r].next_act_allowed(),
-                    self.ranks[r].cas_allowed_rank(),
-                    self.bus_ready_for(r, write),
-                )
-            };
-            if bc.open_row == e.coords.row {
-                // tCCD_S rank-wide plus tCCD_L within the bank group; the
-                // group bound is a single array load off the rank.
-                let mut ready = bc
-                    .next_cas
-                    .max(r_ready)
-                    .max(r_cas_allowed)
-                    .max(self.ranks[r].cas_group_bound(e.group as usize));
-                if !write {
-                    ready = ready.max(self.rank_next_read[e.coords.rank]);
+                if head.row != open {
+                    let d = Decision::Pre { rank, bank, conflict: true };
+                    offer(&mut picks[2], self.pre_ready(rank, b), head.req.id, d);
                 }
-                // The CAS must be timed so its burst clears the shared
-                // bus: a CAS at cycle `c` occupies the bus over
-                // [c + data_latency, c + data_latency + tBURST). In the
-                // first cycles of a run `bus_free` can be below the data
-                // latency; the bus then imposes no constraint (the burst
-                // start is already past `bus_free`) — an explicit branch
-                // rather than an unsigned clamp to cycle 0, so the
-                // boundary semantics are stated instead of incidental.
-                // The resulting no-overlap invariant is re-validated in
-                // release builds by the `sdimm-audit` replay checker.
-                let bus_free = r_bus;
-                if bus_free > data_latency {
-                    ready = ready.max(bus_free - data_latency);
-                }
+            }
+            RowState::Idle if !self.refresh_pending[rank] => {
+                let d = Decision::Act { rank, bank, row: head.row };
+                offer(&mut picks[1], self.act_ready(rank, group, b), head.req.id, d);
+            }
+            RowState::Idle => {}
+        }
+    }
+
+    /// A maintenance PRE for the first open bank of `rank` that may close
+    /// now; otherwise lowers `best_retry` to when each could.
+    fn close_open_bank(&self, rank: usize, best_retry: &mut Cycle) -> Option<Decision> {
+        for bank in 0..self.ranks[rank].bank_count() {
+            let b = self.ranks[rank].bank(bank);
+            if let RowState::Open(_) = b.state() {
+                let ready = self.pre_ready(rank, b);
                 if ready <= self.now {
-                    return Some(Decision::Cas { write, idx });
+                    return Some(Decision::Pre { rank, bank, conflict: false });
                 }
                 *best_retry = (*best_retry).min(ready);
-                // An entry whose row is open but not yet CAS-ready should
-                // not trigger a PRE from a younger conflicting entry —
-                // keep scanning for other banks only.
-                seen |= bit;
-                continue;
             }
-            if bc.open_row == NO_ROW {
-                // Idle bank: ACT candidate — unless a refresh is owed, in
-                // which case no new rows may open on that rank.
-                if !self.refresh_pending[e.coords.rank] {
-                    let ready = bc
-                        .next_act
-                        .max(r_act_allowed)
-                        .max(self.ranks[r].act_group_bound(e.group as usize));
-                    if ready <= self.now && act_choice.is_none() {
-                        act_choice = Some(idx);
-                    } else {
-                        *best_retry = (*best_retry).min(ready.max(self.now.saturating_add(1)));
-                    }
-                }
-                seen |= bit;
-                continue;
-            }
-            // Row conflict: precharge candidate — only if no older queued
-            // entry wants this bank (it may still want the open row).
-            let open_row_wanted = if bit != 0 {
-                seen & bit != 0
-            } else {
-                q.iter()
-                    .take(idx)
-                    .any(|o| o.coords.rank == e.coords.rank && o.coords.bank == e.coords.bank)
-            };
-            if !open_row_wanted {
-                let ready = bc.next_pre.max(r_ready);
-                if ready <= self.now && pre_choice.is_none() {
-                    pre_choice = Some(idx);
-                } else {
-                    *best_retry = (*best_retry).min(ready.max(self.now.saturating_add(1)));
-                }
-            }
-            seen |= bit;
-        }
-        if let Some(idx) = act_choice {
-            return Some(Decision::Act { write, idx });
-        }
-        if let Some(idx) = pre_choice {
-            return Some(Decision::Pre { write, idx });
         }
         None
     }
@@ -948,20 +924,9 @@ impl DramChannel {
                             return Decision::Refresh { rank: i };
                         }
                         best_retry = best_retry.min(self.ranks[i].ready_at());
-                    } else {
+                    } else if let Some(d) = self.close_open_bank(i, &mut best_retry) {
                         // Precharge open banks of the refreshing rank.
-                        let base = i * self.cfg.topology.banks;
-                        for b in 0..self.ranks[i].bank_count() {
-                            if self.bank_cache[base + b].open_row != NO_ROW {
-                                let ready = self.bank_cache[base + b]
-                                    .next_pre
-                                    .max(self.ranks[i].ready_at());
-                                if ready <= self.now {
-                                    return Decision::MaintenancePre { rank: i, bank: b };
-                                }
-                                best_retry = best_retry.min(ready);
-                            }
-                        }
+                        return d;
                     }
                 }
             }
@@ -971,17 +936,9 @@ impl DramChannel {
         // the low-power protocol or eligible under the idle policy) so
         // they can actually drop CKE.
         for i in 0..self.ranks.len() {
-            if self.rank_open_banks[i] == 0 || !self.wants_sleep(i) {
-                continue;
-            }
-            let base = i * self.cfg.topology.banks;
-            for b in 0..self.ranks[i].bank_count() {
-                if self.bank_cache[base + b].open_row != NO_ROW {
-                    let ready = self.bank_cache[base + b].next_pre.max(self.ranks[i].ready_at());
-                    if ready <= self.now {
-                        return Decision::MaintenancePre { rank: i, bank: b };
-                    }
-                    best_retry = best_retry.min(ready);
+            if self.rank_open_banks[i] > 0 && self.wants_sleep(i) {
+                if let Some(d) = self.close_open_bank(i, &mut best_retry) {
+                    return d;
                 }
             }
         }
@@ -993,24 +950,14 @@ impl DramChannel {
         // back mid-drain just because no write command is issuable this
         // cycle. Outside drain mode, reads always go first and writes
         // issue only when no read is queued.
-        if self.write_q.len() >= self.cfg.write_drain.hi {
+        if self.write_q.len >= self.cfg.write_drain.hi {
             self.draining = true;
-        } else if self.write_q.len() <= self.cfg.write_drain.lo {
+        } else if self.write_q.len <= self.cfg.write_drain.lo {
             self.draining = false;
         }
-        if self.draining {
-            if let Some(d) = self.scan_queue(true, &mut best_retry) {
-                return d;
-            }
-        } else {
-            if let Some(d) = self.scan_queue(false, &mut best_retry) {
-                return d;
-            }
-            if self.read_q.is_empty() {
-                if let Some(d) = self.scan_queue(true, &mut best_retry) {
-                    return d;
-                }
-            }
+        let write = self.draining || self.read_q.len == 0;
+        if let Some(d) = self.scan_queue(write, &mut best_retry) {
+            return d;
         }
 
         // Nothing issuable: wake for the next refresh deadline and for the
@@ -1045,21 +992,19 @@ impl DramChannel {
     /// a command was issued; updates `next_wake` otherwise.
     fn schedule_once(&mut self) -> bool {
         #[cfg(debug_assertions)]
-        self.debug_validate_caches();
+        self.debug_validate_counters();
         self.manage_power();
         let decision = self.decide();
-        if matches!(decision, Decision::Idle { .. }) {
+        if let Decision::Idle { retry_at } = decision {
             // The hot no-issue path: skip the timing clone below.
-            if let Decision::Idle { retry_at } = decision {
-                self.next_wake = retry_at.max(self.now.saturating_add(1));
-                // Blocked with work queued: start (or continue) a stall
-                // interval. Cycles accrue in `settle_stall` as time
-                // actually elapses, so totals are tick-split-invariant.
-                if self.read_q.is_empty() && self.write_q.is_empty() {
-                    self.stall_since = None;
-                } else if self.stall_since.is_none() {
-                    self.stall_since = Some(self.now);
-                }
+            self.next_wake = retry_at.max(self.now.saturating_add(1));
+            // Blocked with work queued: start (or continue) a stall
+            // interval. Cycles accrue in `settle_stall` as time actually
+            // elapses, so totals are tick-split-invariant.
+            if self.read_q.len + self.write_q.len == 0 {
+                self.stall_since = None;
+            } else if self.stall_since.is_none() {
+                self.stall_since = Some(self.now);
             }
             return false;
         }
@@ -1070,9 +1015,6 @@ impl DramChannel {
                 self.account_bg(rank);
                 self.log_cmd(self.now, rank, DdrCmd::Refresh);
                 self.ranks[rank].begin_refresh(self.now, &t);
-                for b in 0..self.cfg.topology.banks {
-                    self.sync_bank_cache(rank, b);
-                }
                 self.refresh_pending[rank] = false;
                 self.energy.refreshes += 1;
                 self.stats.refreshes += 1;
@@ -1090,41 +1032,23 @@ impl DramChannel {
                 }
                 true
             }
-            Decision::MaintenancePre { rank, bank } => {
+            Decision::Cas { write, bidx, pos } => {
+                self.issue_cas(write, bidx, pos);
+                true
+            }
+            Decision::Act { rank, bank, row } => {
+                let group = bank / self.cfg.topology.banks_per_group();
                 self.account_bg(rank);
-                self.log_cmd(self.now, rank, DdrCmd::Pre { bank });
-                self.ranks[rank].bank_mut(bank).precharge(self.now, &t);
-                self.ranks[rank].record_activity(self.now);
-                self.rank_open_banks[rank] -= 1;
-                self.sync_bank_cache(rank, bank);
-                true
-            }
-            Decision::Cas { write, idx } => {
-                self.issue_cas(write, idx);
-                true
-            }
-            Decision::Act { write, idx } => {
-                let e = if write { self.write_q[idx] } else { self.read_q[idx] };
-                self.account_bg(e.coords.rank);
-                self.log_cmd(
-                    self.now,
-                    e.coords.rank,
-                    DdrCmd::Act { bank: e.coords.bank, row: e.coords.row },
-                );
-                self.ranks[e.coords.rank].bank_mut(e.coords.bank).activate(
-                    self.now,
-                    e.coords.row,
-                    &t,
-                );
-                self.ranks[e.coords.rank].record_activate(self.now, e.group as usize, &t);
-                self.rank_open_banks[e.coords.rank] += 1;
-                self.sync_bank_cache(e.coords.rank, e.coords.bank);
+                self.log_cmd(self.now, rank, DdrCmd::Act { bank, row });
+                self.ranks[rank].bank_mut(bank).activate(self.now, row, &t);
+                self.ranks[rank].record_activate(self.now, group, &t);
+                self.rank_open_banks[rank] += 1;
                 self.energy.activates += 1;
                 // Classify for stats at first ACT for this request.
                 self.stats.row_misses += 1;
                 self.stats.activations += 1;
                 if let Some(w) = self.wear.as_deref_mut() {
-                    let alarms = w.on_act(e.coords.rank, e.coords.bank, e.coords.row);
+                    let alarms = w.on_act(rank, bank, row);
                     for alarm in alarms.into_iter().flatten() {
                         self.stats.hammer_alarms += 1;
                         if self.flight.is_enabled() {
@@ -1144,45 +1068,38 @@ impl DramChannel {
                 self.sink.instant("dram.cmd", "act", self.trace_pid, self.trace_tid, self.now);
                 true
             }
-            Decision::Pre { write, idx } => {
-                let e = if write { self.write_q[idx] } else { self.read_q[idx] };
-                self.account_bg(e.coords.rank);
-                self.log_cmd(self.now, e.coords.rank, DdrCmd::Pre { bank: e.coords.bank });
-                self.ranks[e.coords.rank].bank_mut(e.coords.bank).precharge(self.now, &t);
-                self.ranks[e.coords.rank].record_activity(self.now);
-                self.rank_open_banks[e.coords.rank] -= 1;
-                self.sync_bank_cache(e.coords.rank, e.coords.bank);
-                self.stats.row_conflicts += 1;
-                self.sink.instant(
-                    "dram.cmd",
-                    "pre.conflict",
-                    self.trace_pid,
-                    self.trace_tid,
-                    self.now,
-                );
+            Decision::Pre { rank, bank, conflict } => {
+                self.account_bg(rank);
+                self.log_cmd(self.now, rank, DdrCmd::Pre { bank });
+                self.ranks[rank].bank_mut(bank).precharge(self.now, &t);
+                self.ranks[rank].record_activity(self.now);
+                self.rank_open_banks[rank] -= 1;
+                if conflict {
+                    self.stats.row_conflicts += 1;
+                    self.sink.instant(
+                        "dram.cmd",
+                        "pre.conflict",
+                        self.trace_pid,
+                        self.trace_tid,
+                        self.now,
+                    );
+                }
                 true
             }
             Decision::Idle { .. } => unreachable!("handled before the issue arms"),
         }
     }
 
-    fn issue_cas(&mut self, write: bool, idx: usize) {
+    fn issue_cas(&mut self, write: bool, bidx: usize, pos: usize) {
         let t = self.cfg.timing.clone();
-        let e = if write {
-            // lint: panic-ok(invariant: scanned index)
-            self.write_q.remove(idx).expect("scanned index")
-        } else {
-            // lint: panic-ok(invariant: scanned index)
-            self.read_q.remove(idx).expect("scanned index")
-        };
-        let rank_idx = e.coords.rank;
-        let bank_idx = e.coords.bank;
+        let e = if write { self.write_q.remove(bidx, pos) } else { self.read_q.remove(bidx, pos) };
+        let (rank_idx, bank_idx, group) = self.bank_of[bidx];
         self.rank_queued[rank_idx] -= 1;
 
         // Row-hit statistic: CAS on an open row that required no ACT this
         // scheduling round counts as a hit if the open row matched from
         // the start; we approximate by classifying now.
-        if let RowOutcome::Hit = self.ranks[rank_idx].bank(bank_idx).classify(e.coords.row) {
+        if let RowOutcome::Hit = self.ranks[rank_idx].bank(bank_idx).classify(e.row) {
             self.stats.row_hits += 1;
         }
 
@@ -1191,9 +1108,9 @@ impl DramChannel {
         let data_end = data_start.saturating_add(t.t_burst);
 
         let cmd = if write {
-            DdrCmd::Wr { bank: bank_idx, row: e.coords.row }
+            DdrCmd::Wr { bank: bank_idx, row: e.row }
         } else {
-            DdrCmd::Rd { bank: bank_idx, row: e.coords.row }
+            DdrCmd::Rd { bank: bank_idx, row: e.row }
         };
         self.log_cmd(self.now, rank_idx, cmd);
 
@@ -1203,14 +1120,13 @@ impl DramChannel {
                 self.rank_next_read[rank_idx].max(data_end.saturating_add(t.t_wtr));
             self.energy.writes += 1;
             if let Some(w) = self.wear.as_deref_mut() {
-                w.on_write(rank_idx, bank_idx, e.coords.row);
+                w.on_write(rank_idx, bank_idx, e.row);
             }
         } else {
             self.ranks[rank_idx].bank_mut(bank_idx).read(self.now, &t);
             self.energy.reads += 1;
         }
-        self.sync_bank_cache(rank_idx, bank_idx);
-        self.ranks[rank_idx].record_cas(self.now, e.group as usize, &t);
+        self.ranks[rank_idx].record_cas(self.now, group, &t);
 
         self.sink.instant(
             "dram.cmd",

@@ -2,13 +2,14 @@
 //! monotonicity, conservation of requests through the channel, and
 //! split-invariance of the event-driven tick.
 
-use dram_sim::address::{AddressMapper, Interleave};
-use dram_sim::channel::DramChannel;
+use dram_sim::address::{AddressMapper, Coords, Interleave};
+use dram_sim::channel::{DramChannel, STARVATION_LIMIT};
 use dram_sim::cmdlog::CmdLog;
 use dram_sim::config::{ChannelConfig, SchedulerPolicy, Topology};
 use dram_sim::spec::DramStandard;
 use dram_sim::MemorySystem;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn quiet() -> ChannelConfig {
     let mut cfg = ChannelConfig::table2();
@@ -249,5 +250,93 @@ proptest! {
         for (la, lb) in logs_a.iter().zip(&logs_b) {
             prop_assert_eq!(la.take(), lb.take());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Deep queues: a stream aimed at two banks of one rank, half of it
+    /// at one hot row, keeps both queues full, crosses the write-drain
+    /// high watermark, and ages queue heads past the starvation limit — on
+    /// every standard, under both policies, with refresh on. Every
+    /// request completes exactly once, slicing each feeding quantum into
+    /// smaller ticks changes nothing, and in debug builds the scheduler
+    /// checks each decision against its linear reference scan.
+    #[test]
+    fn deep_queues_are_conserved_and_split_invariant(
+        ops in proptest::collection::vec((0usize..2, 0usize..12, 0usize..16, any::<bool>()), 800..1200),
+        splits in proptest::collection::vec(1u64..80, 2..6),
+        spec_pick in 0usize..4,
+        fcfs in any::<bool>(),
+    ) {
+        let mut cfg = ChannelConfig::table2_for(STANDARDS[spec_pick]);
+        cfg.refresh_enabled = true;
+        cfg.scheduler = if fcfs { SchedulerPolicy::Fcfs } else { SchedulerPolicy::FrFcfs };
+        let mapper = AddressMapper::new(cfg.topology.clone(), Interleave::RowRankBankCol);
+        let (log_a, log_b) = (CmdLog::enabled(), CmdLog::enabled());
+        let mut a = DramChannel::new(cfg.clone());
+        let mut b = DramChannel::new(cfg.clone());
+        a.set_cmd_log(log_a.clone());
+        b.set_cmd_log(log_b.clone());
+
+        // Half the requests hit row 0, so FR-FCFS keeps serving row hits
+        // while conflicting heads wait.
+        let addr = |&(bank, r, col, _): &(usize, usize, usize, bool)| {
+            mapper.encode(Coords { rank: 0, bank, row: if r < 6 { 0 } else { r }, col })
+        };
+        let mut pending = [
+            ops.iter().filter(|op| !op.3).map(addr).collect::<VecDeque<_>>(),
+            ops.iter().filter(|op| op.3).map(addr).collect::<VecDeque<_>>(),
+        ];
+        let (mut issued, mut done_a, mut done_b) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut full, mut peak_writes) = ([false; 2], 0);
+        while pending.iter().any(|p| !p.is_empty()) {
+            // Top both queues up until each refuses a request.
+            for (write, queue) in pending.iter_mut().enumerate() {
+                while let Some(&addr) = queue.front() {
+                    let (ia, ib) = if write == 1 {
+                        (a.enqueue_write(addr), b.enqueue_write(addr))
+                    } else {
+                        (a.enqueue_read(addr), b.enqueue_read(addr))
+                    };
+                    prop_assert_eq!(ia, ib);
+                    match ia {
+                        Some(id) => {
+                            issued.push(id);
+                            queue.pop_front();
+                        }
+                        None => {
+                            full[write] = true;
+                            break;
+                        }
+                    }
+                }
+            }
+            peak_writes = peak_writes.max(a.write_queue_len());
+            a.tick(splits.iter().sum());
+            done_a.extend(a.drain_completions());
+            for s in &splits {
+                b.tick(*s);
+                done_b.extend(b.drain_completions());
+            }
+        }
+        done_a.extend(a.run_until_idle(10_000_000));
+        done_b.extend(b.run_until_idle(10_000_000));
+
+        prop_assert!(full[0] && full[1], "both queues must fill");
+        prop_assert!(peak_writes >= cfg.write_drain.hi, "write drain must trigger");
+        prop_assert!(
+            a.stats().read_latency_max > STARVATION_LIMIT,
+            "a queue head must age past the starvation limit (spec {spec_pick}, fcfs {fcfs}, max {})",
+            a.stats().read_latency_max
+        );
+        prop_assert!(a.is_idle());
+        let mut completed: Vec<_> = done_a.iter().map(|c| c.id).collect();
+        completed.sort_unstable();
+        prop_assert_eq!(completed, issued, "every request completes exactly once");
+        prop_assert_eq!(done_a, done_b);
+        prop_assert_eq!(a.stats(), b.stats());
+        prop_assert_eq!(log_a.take(), log_b.take());
     }
 }

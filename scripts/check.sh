@@ -92,4 +92,16 @@ SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin leakage_gate
 cmp target/leakage-report.json target/leakage-report-2.json \
   || { echo "leakage reports differ between runs — gate is nondeterministic"; exit 1; }
 
+echo "==> ledger: DDR replay of every trace workload, then the pinned seed-42 fingerprints"
+# --verify replays each trace workload's command streams through the DDR
+# auditor; each --workload run exits nonzero if its simulated fingerprint
+# differs from the one pinned in the benchmark (--seconds 0 runs the
+# minimum three repetitions).
+cargo build --release -q -p sdimm-bench --bin ledger
+./target/release/ledger --verify
+for w in indep4-gromacs split4-gems freecursive-mcf nonsecure-lbm; do
+  ./target/release/ledger --workload "$w" --seed 42 --seconds 0 > /dev/null \
+    || { echo "ledger: $w does not reproduce its pinned fingerprint"; exit 1; }
+done
+
 echo "==> all checks passed"

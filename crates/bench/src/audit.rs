@@ -1,7 +1,7 @@
 //! `--audit` routing for the figure binaries.
 //!
-//! When the flag is absent this is a zero-cost pass-through to
-//! [`harness::run_matrix_traced`]. When present, every cell's DRAM
+//! When the flag is absent this is a pass-through to
+//! [`harness::run_matrix`]. When present, every cell's DRAM
 //! command streams are replayed through the differential DDR3 auditor
 //! as it finishes, and each ORAM protocol kind appearing in the matrix
 //! is additionally lockstep-checked against a shadow memory. Any
@@ -44,19 +44,18 @@ pub fn run_matrix_maybe_audited(
     instruments: &Instruments,
     pid_base: u32,
 ) -> Vec<Cell> {
+    let (cells, ddr) = harness::run_matrix(
+        workload_names,
+        kinds,
+        scale,
+        make_cfg,
+        instruments,
+        pid_base,
+        args.audit,
+    );
     if !args.audit {
-        return harness::run_matrix_traced(
-            workload_names,
-            kinds,
-            scale,
-            make_cfg,
-            instruments,
-            pid_base,
-        );
+        return cells;
     }
-
-    let (cells, ddr) =
-        harness::run_matrix_audited(workload_names, kinds, scale, make_cfg, instruments, pid_base);
 
     let mut failed = false;
     for v in &ddr.violations {

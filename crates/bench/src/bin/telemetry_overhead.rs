@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use dram_sim::wear::{RowPressure, WearConfig};
 use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_system::runner::{run, run_hammer, run_instrumented, run_traced};
+use sdimm_system::runner::{run, run_with, Capture};
 use sdimm_telemetry::recorder::write_atomic;
 use sdimm_telemetry::{FlightEventKind, FlightRecorder, FlightRecorderHub, Instruments, TraceSink};
 use workloads::spec as wl;
@@ -160,20 +160,23 @@ fn main() {
     // Touchpoint census: every event an enabled sink captures is one
     // call the disabled path would have branched through.
     let census = TraceSink::with_capacity(1 << 22);
-    run_traced(&cfg, &trace, warmup, window, census.clone(), 0);
+    let census_instruments = Instruments::with_sink(census.clone());
+    run_with(&cfg, &trace, warmup, window, &census_instruments, 0, Capture::default());
     let touchpoints = census.len() as u64 + census.dropped();
 
     // Flight-recorder census: events the armed ring absorbs in one run
     // (ring length after the run plus everything that wrapped past).
     let hub = FlightRecorderHub::enabled("/tmp/telemetry-overhead-flight", 4096);
     let flight_instruments = Instruments { flight: hub.clone(), ..Instruments::disabled() };
-    run_instrumented(&cfg, &trace, warmup, window, &flight_instruments, 0);
+    run_with(&cfg, &trace, warmup, window, &flight_instruments, 0, Capture::default());
     let flight_recorder = hub.recorder_for(0);
     let flight_events = flight_recorder.len() as u64 + flight_recorder.dropped();
 
     // Wear-touchpoint census: how many ACT/WR/REF hooks one run takes
     // (counted by the tracker itself on a wear-enabled twin run).
-    let (wear_run, wear_cap) = run_hammer(&cfg, &trace, warmup, window, 1);
+    let wear = Capture { wear_top_k: Some(1), ..Capture::default() };
+    let (wear_run, wear_cap) =
+        run_with(&cfg, &trace, warmup, window, &Instruments::disabled(), 0, wear);
     let wear_touches: u64 =
         wear_cap.wear.iter().map(|s| s.total_acts + s.total_writes).sum::<u64>()
             + (0..wear_cap.wear.len())

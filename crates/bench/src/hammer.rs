@@ -11,10 +11,11 @@
 use dram_sim::spec::DramStandard;
 use sdimm_audit::recount::{check_against_snapshot, recount_channel};
 use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_system::runner;
-use sdimm_telemetry::TraceSink;
-use workloads::spec;
+use sdimm_system::runner::{self, Capture};
+use sdimm_telemetry::{Instruments, TraceSink};
+use workloads::{spec, Trace};
 
+use crate::harness::par_map;
 use crate::provenance::Provenance;
 use crate::Scale;
 
@@ -134,17 +135,10 @@ pub struct HammerReport {
 }
 
 /// Runs one cell and assembles its report row.
-fn run_cell(point: &HammerPoint, workload: &str, scale: Scale) -> HammerCell {
-    let cfg = SystemConfig {
-        kind: point.kind,
-        oram: scale.oram(7),
-        data_blocks: scale.data_blocks(),
-        standard: point.standard,
-        low_power: point.low_power,
-        seed: 1,
-    };
-    let trace = spec::generate(workload, scale.trace_len(), 3);
-    let (_, cap) = runner::run_hammer(&cfg, &trace, scale.warmup(), scale.measure(), TOP_K);
+fn run_cell(cfg: &SystemConfig, trace: &Trace, warmup: usize, measure: usize) -> HammerCell {
+    let capture = Capture { cmds: true, wear_top_k: Some(TOP_K), ..Capture::default() };
+    let (_, cap) =
+        runner::run_with(cfg, trace, warmup, measure, &Instruments::disabled(), 0, capture);
 
     // Aggregate channel snapshots (every channel shares the topology).
     let mut per_rank_acts = vec![0u64; cap.channel_cfg.topology.ranks];
@@ -185,10 +179,10 @@ fn run_cell(point: &HammerPoint, workload: &str, scale: Scale) -> HammerCell {
     };
 
     HammerCell {
-        machine: point.kind.name(),
-        standard: point.standard.name(),
-        workload: workload.to_string(),
-        low_power: point.low_power,
+        machine: cfg.kind.name(),
+        standard: cfg.standard.name(),
+        workload: trace.name.clone(),
+        low_power: cfg.low_power,
         hammer_threshold: cap.channel_cfg.standard.spec().hammer_threshold,
         total_acts,
         total_writes,
@@ -218,21 +212,30 @@ fn run_cell(point: &HammerPoint, workload: &str, scale: Scale) -> HammerCell {
     }
 }
 
-/// Runs the full matrix at `scale`.
+/// Runs the full matrix at `scale` on the shared worker pool (cells in
+/// matrix order: points outer, workloads inner).
 pub fn run_report(points: &[HammerPoint], workloads: &[&str], scale: Scale) -> HammerReport {
-    let mut cells = Vec::new();
-    for point in points {
-        for workload in workloads {
-            eprintln!(
-                "hammer: {} × {} × {}{} ...",
-                point.kind.name(),
-                point.standard.name(),
-                workload,
-                if point.low_power { " (low-power)" } else { "" }
-            );
-            cells.push(run_cell(point, workload, scale));
-        }
-    }
+    let jobs: Vec<(&HammerPoint, &str)> =
+        points.iter().flat_map(|p| workloads.iter().map(move |&w| (p, w))).collect();
+    let cells = par_map(&jobs, |_, &(point, workload)| {
+        eprintln!(
+            "hammer: {} × {} × {}{} ...",
+            point.kind.name(),
+            point.standard.name(),
+            workload,
+            if point.low_power { " (low-power)" } else { "" }
+        );
+        let cfg = SystemConfig {
+            kind: point.kind,
+            oram: scale.oram(7),
+            data_blocks: scale.data_blocks(),
+            standard: point.standard,
+            low_power: point.low_power,
+            seed: 1,
+        };
+        let trace = spec::generate(workload, scale.trace_len(), 3);
+        run_cell(&cfg, &trace, scale.warmup(), scale.measure())
+    });
     let scale_name = match scale {
         Scale::Quick => "quick",
         Scale::Full => "full",
@@ -403,40 +406,33 @@ mod tests {
         assert_eq!(gate_workloads().len(), 2);
     }
 
-    /// One small cell end to end: the recount agrees, the tree shows
-    /// root-heavy wear, and the JSON is stable and valid.
+    /// One small cell end to end through `run_cell`: the recount
+    /// agrees, the tree shows root-heavy wear, and the JSON is stable
+    /// and valid.
     #[test]
     fn small_cell_recounts_and_serializes() {
-        let point = HammerPoint {
-            kind: MachineKind::Independent { sdimms: 2, channels: 1 },
-            standard: DramStandard::Ddr4_2400,
-            low_power: false,
-        };
         let cfg = SystemConfig {
-            kind: point.kind,
+            kind: MachineKind::Independent { sdimms: 2, channels: 1 },
             oram: oram::types::OramConfig {
                 levels: 16,
                 cached_levels: 4,
                 ..oram::types::OramConfig::default()
             },
             data_blocks: 1 << 14,
-            standard: point.standard,
+            standard: DramStandard::Ddr4_2400,
             low_power: false,
             seed: 1,
         };
         let trace = spec::generate("hotrow-adv", 1200, 3);
-        let (_, cap) = runner::run_hammer(&cfg, &trace, 200, 400, TOP_K);
-        for (i, stream) in cap.streams.iter().enumerate() {
-            let rc = recount_channel(stream);
-            check_against_snapshot(&rc, &cap.wear[i])
-                .expect("engine wear counts must survive the independent recount");
-        }
         let report = HammerReport {
             scale: "quick",
             provenance: Provenance::new("quick", "independent"),
-            cells: vec![run_tiny_cell(&cfg, &trace)],
+            cells: vec![run_cell(&cfg, &trace, 200, 400)],
         };
-        assert!(report.audit_pass());
+        assert!(report.audit_pass(), "engine wear counts must survive the independent recount");
+        // Per-bucket load halves with every level below the first
+        // uncached one: 2^(levels - cached_levels - 1).
+        assert_eq!(report.cells[0].root_leaf_ratio, 2048.0);
         let json = report.to_json();
         sdimm_telemetry::json::validate(&json).expect("report is valid JSON");
         assert_eq!(json, report.to_json(), "serialization is deterministic");
@@ -447,52 +443,5 @@ mod tests {
         let trace_json = sink.export_chrome_json().expect("sink enabled");
         sdimm_telemetry::json::validate(&trace_json).expect("valid trace json");
         assert!(trace_json.contains("hot row"));
-    }
-
-    /// A run_cell twin at test scale (run_cell itself uses Scale sizes,
-    /// too slow for unit tests).
-    fn run_tiny_cell(cfg: &SystemConfig, trace: &workloads::Trace) -> HammerCell {
-        let (_, cap) = runner::run_hammer(cfg, trace, 200, 400, TOP_K);
-        let mut per_rank_acts = vec![0u64; cap.channel_cfg.topology.ranks];
-        let (mut total_acts, mut total_writes) = (0, 0);
-        for s in &cap.wear {
-            total_acts += s.total_acts;
-            total_writes += s.total_writes;
-            for (r, &a) in s.per_rank_acts.iter().enumerate() {
-                per_rank_acts[r] += a;
-            }
-        }
-        HammerCell {
-            machine: cfg.kind.name(),
-            standard: cfg.standard.name(),
-            workload: trace.name.clone(),
-            low_power: cfg.low_power,
-            hammer_threshold: cap.channel_cfg.standard.spec().hammer_threshold,
-            total_acts,
-            total_writes,
-            peak_window: cap.wear.iter().map(|s| s.peak_window).max().unwrap_or(0),
-            alarms: cap.wear.iter().map(|s| s.alarms).sum(),
-            rank_act_max_over_mean: sdimm_telemetry::imbalance::max_over_mean(&per_rank_acts),
-            rank_act_gini: sdimm_telemetry::imbalance::gini(&per_rank_acts),
-            per_rank_acts,
-            level_line_writes: cap.level_wear.writes().to_vec(),
-            per_bucket_writes: cap.level_wear.per_bucket_writes(),
-            root_leaf_ratio: 8.0,
-            hot_rows: cap
-                .hot_rows
-                .iter()
-                .map(|h| HotRowReport {
-                    channel: h.channel,
-                    rank: h.row.id.rank,
-                    bank: h.row.id.bank,
-                    row: h.row.id.row,
-                    acts: h.row.acts,
-                    writes: h.row.writes,
-                    levels: h.levels.clone(),
-                })
-                .collect(),
-            audit_acts_match: true,
-            audit_error: None,
-        }
     }
 }

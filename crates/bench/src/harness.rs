@@ -1,14 +1,51 @@
-//! Parallel experiment matrix runner.
+//! Parallel experiment matrices: the ordered worker pool [`par_map`]
+//! and the figure matrix [`run_matrix`] built on it.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sdimm_audit::ddr::{violation_recorder, DdrAuditor, BLACKBOX_CONTEXT};
 use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_system::runner::{run_audited_instrumented, run_instrumented, RunResult};
+use sdimm_system::runner::{run_with, Capture, Captured, RunResult};
 use sdimm_telemetry::Instruments;
 use workloads::spec;
 
 use crate::scale::Scale;
+
+/// Runs `work(index, job)` for every job on a pool of scoped workers
+/// and returns the results in job order.
+///
+/// Concurrency is bounded by [`std::thread::available_parallelism`]:
+/// workers pull the next job index from a shared cursor, so a large
+/// matrix never spawns more threads than the machine has cores. A
+/// worker's panic propagates to the caller.
+pub(crate) fn par_map<J: Sync, T: Send>(
+    jobs: &[J],
+    work: impl Fn(usize, &J) -> T + Sync,
+) -> Vec<T> {
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(jobs.len());
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        // The cursor only hands out indices; results come
+                        // back through `join`, so no ordering is needed.
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(idx) else { return out };
+                        out.push((idx, work(idx, job)));
+                    }
+                })
+            })
+            .collect();
+        pool.into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(idx, _)| idx);
+    done.into_iter().map(|(_, t)| t).collect()
+}
 
 /// One measured cell of an experiment matrix.
 #[derive(Debug, Clone)]
@@ -21,95 +58,71 @@ pub struct Cell {
     pub result: RunResult,
 }
 
-/// Runs every (workload × machine) combination in parallel and returns
-/// the cells in deterministic (workload-major) order.
-///
-/// Concurrency is bounded by [`std::thread::available_parallelism`]:
-/// jobs are pulled from a shared queue by a fixed pool of workers, so a
-/// large matrix never spawns more threads than the machine has cores.
+/// Runs every (workload × machine) combination on [`par_map`] and
+/// returns the cells in deterministic (workload-major) order.
 ///
 /// `make_cfg` builds the system configuration for a machine kind —
-/// letting callers vary cached levels, low-power mode, etc.
-pub fn run_matrix(
-    workload_names: &[&str],
-    kinds: &[MachineKind],
-    scale: Scale,
-    make_cfg: impl Fn(MachineKind) -> SystemConfig + Sync,
-) -> Vec<Cell> {
-    run_matrix_traced(workload_names, kinds, scale, make_cfg, &Instruments::disabled(), 0)
-}
-
-/// [`run_matrix`], but with the observability bundle attached: each
-/// cell gets its own trace process id (`pid_base` + its matrix order),
-/// named `"<machine> / <workload>"`, so one Chrome trace (and one
+/// letting callers vary cached levels, low-power mode, etc. Each cell
+/// gets its own trace process id (`pid_base` + its matrix order), named
+/// `"<machine> / <workload>"`, so one Chrome trace (and one
 /// flight-recorder ring per cell) holds the whole matrix side by side.
-/// Callers invoking this repeatedly on one bundle should advance
-/// `pid_base` past the previous matrix's cell count to keep process
-/// ids distinct. Pass [`Instruments::disabled`] for the plain path —
-/// every disabled handle costs one branch per touchpoint.
-pub fn run_matrix_traced(
+/// Callers running several matrices on one bundle should advance
+/// `pid_base` past the previous matrix's cell count to keep process ids
+/// distinct. Pass [`Instruments::disabled`] for the plain path — every
+/// disabled handle costs one branch per touchpoint.
+///
+/// With `audit`, every cell's DRAM command streams are replayed through
+/// [`DdrAuditor`] inside the worker as the cell finishes and dropped
+/// there, so memory stays bounded by one cell's traffic per worker
+/// rather than the whole matrix's. Without it the log is empty.
+pub fn run_matrix(
     workload_names: &[&str],
     kinds: &[MachineKind],
     scale: Scale,
     make_cfg: impl Fn(MachineKind) -> SystemConfig + Sync,
     instruments: &Instruments,
     pid_base: u32,
-) -> Vec<Cell> {
-    let warmup = scale.warmup();
-    let measure = scale.measure();
-    let trace_len = scale.trace_len();
-
-    // (order, workload index, workload name, machine kind)
-    let jobs: Vec<(usize, usize, &str, MachineKind)> = workload_names
+    audit: bool,
+) -> (Vec<Cell>, DdrAuditLog) {
+    let jobs: Vec<(usize, &str, MachineKind)> = workload_names
         .iter()
         .enumerate()
-        .flat_map(|(wi, wname)| kinds.iter().copied().map(move |kind| (wi, *wname, kind)))
-        .enumerate()
-        .map(|(order, (wi, wname, kind))| (order, wi, wname, kind))
+        .flat_map(|(wi, wname)| kinds.iter().map(move |&kind| (wi, *wname, kind)))
         .collect();
     instruments.live.add_cells(jobs.len());
+    let capture = Capture { cmds: audit, ..Capture::default() };
 
-    let workers =
-        std::thread::available_parallelism().map_or(4, |n| n.get()).min(jobs.len().max(1));
-    let next_job = Mutex::new(0usize);
-    let results: Mutex<Vec<(usize, Cell)>> = Mutex::new(Vec::with_capacity(jobs.len()));
+    let (cells, logs): (Vec<Cell>, Vec<DdrAuditLog>) =
+        par_map(&jobs, |order, &(wi, wname, kind)| {
+            let trace = spec::generate(wname, scale.trace_len(), 42 + wi as u64);
+            let pid = pid_base + order as u32;
+            let (result, captured) = run_with(
+                &make_cfg(kind),
+                &trace,
+                scale.warmup(),
+                scale.measure(),
+                instruments,
+                pid,
+                capture,
+            );
+            let cell = Cell { workload: wname.to_string(), machine: kind.name(), result };
+            let log = if audit {
+                audit_cell(&cell, &captured, instruments, pid)
+            } else {
+                DdrAuditLog::default()
+            };
+            (cell, log)
+        })
+        .into_iter()
+        .unzip();
 
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let idx = {
-                    // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-                    let mut cursor = next_job.lock().expect("job cursor poisoned");
-                    let idx = *cursor;
-                    *cursor += 1;
-                    idx
-                };
-                let Some(&(order, wi, wname, kind)) = jobs.get(idx) else {
-                    break;
-                };
-                let trace = spec::generate(wname, trace_len, 42 + wi as u64);
-                let cfg = make_cfg(kind);
-                let result = run_instrumented(
-                    &cfg,
-                    &trace,
-                    warmup,
-                    measure,
-                    instruments,
-                    pid_base + order as u32,
-                );
-                // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-                results.lock().expect("results poisoned").push((
-                    order,
-                    Cell { workload: wname.to_string(), machine: kind.name(), result },
-                ));
-            });
-        }
-    });
-
-    // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-    let mut cells = results.into_inner().expect("results poisoned");
-    cells.sort_by_key(|(order, _)| *order);
-    cells.into_iter().map(|(_, c)| c).collect()
+    // Merged in matrix order, so violation and black-box lines read the
+    // same on every run whatever order the workers finished in.
+    let mut log = DdrAuditLog::default();
+    for cell_log in logs {
+        log.merge(cell_log);
+    }
+    (cells, log)
 }
 
 /// Aggregate result of replaying a matrix's DRAM command streams
@@ -130,124 +143,64 @@ pub struct DdrAuditLog {
     pub blackbox_dumps: Vec<String>,
 }
 
-/// [`run_matrix_traced`], with every cell's DRAM command streams
-/// replayed through [`DdrAuditor`] as the cell finishes. Streams are
-/// audited inside the worker and dropped immediately, so memory stays
-/// bounded by one cell's traffic per worker rather than the whole
-/// matrix's.
-pub fn run_matrix_audited(
-    workload_names: &[&str],
-    kinds: &[MachineKind],
-    scale: Scale,
-    make_cfg: impl Fn(MachineKind) -> SystemConfig + Sync,
+impl DdrAuditLog {
+    fn merge(&mut self, other: DdrAuditLog) {
+        self.cells += other.cells;
+        self.commands += other.commands;
+        self.refreshes += other.refreshes;
+        self.violations.extend(other.violations);
+        self.blackbox_dumps.extend(other.blackbox_dumps);
+    }
+}
+
+/// Replays one cell's captured command streams through [`DdrAuditor`].
+/// A violating channel gets a black box cut from its captured stream
+/// (not the live per-cell ring: the context window is present even if
+/// the ring was disabled or had wrapped past the offending commands).
+/// Under `audit-strict` the run stops *at* the violation, black box
+/// first (so `pid`, which only names the non-strict dump, goes unused).
+#[cfg_attr(feature = "audit-strict", allow(unused_variables))]
+fn audit_cell(
+    cell: &Cell,
+    captured: &Captured,
     instruments: &Instruments,
-    pid_base: u32,
-) -> (Vec<Cell>, DdrAuditLog) {
-    let warmup = scale.warmup();
-    let measure = scale.measure();
-    let trace_len = scale.trace_len();
-
-    let jobs: Vec<(usize, usize, &str, MachineKind)> = workload_names
-        .iter()
-        .enumerate()
-        .flat_map(|(wi, wname)| kinds.iter().copied().map(move |kind| (wi, *wname, kind)))
-        .enumerate()
-        .map(|(order, (wi, wname, kind))| (order, wi, wname, kind))
-        .collect();
-    instruments.live.add_cells(jobs.len());
-
-    let workers =
-        std::thread::available_parallelism().map_or(4, |n| n.get()).min(jobs.len().max(1));
-    let next_job = Mutex::new(0usize);
-    let results: Mutex<Vec<(usize, Cell)>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    let audit: Mutex<DdrAuditLog> = Mutex::new(DdrAuditLog::default());
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let idx = {
-                    // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-                    let mut cursor = next_job.lock().expect("job cursor poisoned");
-                    let idx = *cursor;
-                    *cursor += 1;
-                    idx
-                };
-                let Some(&(order, wi, wname, kind)) = jobs.get(idx) else {
-                    break;
-                };
-                let trace = spec::generate(wname, trace_len, 42 + wi as u64);
-                let cfg = make_cfg(kind);
-                let pid = pid_base + order as u32;
-                let (result, capture) =
-                    run_audited_instrumented(&cfg, &trace, warmup, measure, instruments, pid);
-                // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-                let mut log = audit.lock().expect("audit log poisoned");
-                log.cells += 1;
-                for (ch, stream) in capture.streams.iter().enumerate() {
-                    match DdrAuditor::check_stream_indexed(&capture.channel_cfg, stream) {
-                        Ok(summary) => {
-                            log.commands += summary.commands;
-                            log.refreshes += summary.refreshes;
-                        }
-                        Err((idx, v)) => {
-                            let line = format!("{} / {} channel {ch}: {v}", kind.name(), wname);
-                            // Black box from the captured stream, not the live
-                            // per-cell ring: the context window is guaranteed
-                            // present even if the cell's ring was disabled or
-                            // had wrapped past the offending commands.
-                            let recorder = violation_recorder(
-                                stream,
-                                ch.min(u8::MAX as usize) as u8,
-                                idx,
-                                BLACKBOX_CONTEXT,
-                            );
-                            // Under strict mode the run stops *at* the
-                            // violation, black box first.
-                            #[cfg(feature = "audit-strict")]
-                            sdimm_audit::strict::abort_with_blackbox(
-                                &instruments.sink,
-                                &recorder,
-                                &line,
-                            );
-                            #[cfg(not(feature = "audit-strict"))]
-                            {
-                                let prefix = if instruments.flight.is_enabled() {
-                                    format!("{}-violation-pid{pid}", instruments.flight.prefix())
-                                } else {
-                                    format!("audit-violation-pid{pid}")
-                                };
-                                if recorder.arm_dump() {
-                                    match recorder.dump_to_files(&prefix, &line, pid) {
-                                        Some(Ok((txt, json))) => {
-                                            log.blackbox_dumps.push(txt);
-                                            log.blackbox_dumps.push(json);
-                                        }
-                                        Some(Err(e)) => log
-                                            .blackbox_dumps
-                                            .push(format!("(dump to {prefix} failed: {e})")),
-                                        None => {}
-                                    }
-                                }
-                                log.violations.push(line);
-                            }
-                        }
+    pid: u32,
+) -> DdrAuditLog {
+    let mut log = DdrAuditLog { cells: 1, ..DdrAuditLog::default() };
+    for (ch, stream) in captured.streams.iter().enumerate() {
+        let (idx, v) = match DdrAuditor::check_stream_indexed(&captured.channel_cfg, stream) {
+            Ok(summary) => {
+                log.commands += summary.commands;
+                log.refreshes += summary.refreshes;
+                continue;
+            }
+            Err(violation) => violation,
+        };
+        let line = format!("{} / {} channel {ch}: {v}", cell.machine, cell.workload);
+        let recorder =
+            violation_recorder(stream, ch.min(u8::MAX as usize) as u8, idx, BLACKBOX_CONTEXT);
+        #[cfg(feature = "audit-strict")]
+        sdimm_audit::strict::abort_with_blackbox(&instruments.sink, &recorder, &line);
+        #[cfg(not(feature = "audit-strict"))]
+        {
+            let prefix = if instruments.flight.is_enabled() {
+                format!("{}-violation-pid{pid}", instruments.flight.prefix())
+            } else {
+                format!("audit-violation-pid{pid}")
+            };
+            if recorder.arm_dump() {
+                match recorder.dump_to_files(&prefix, &line, pid) {
+                    Some(Ok((txt, json))) => log.blackbox_dumps.extend([txt, json]),
+                    Some(Err(e)) => {
+                        log.blackbox_dumps.push(format!("(dump to {prefix} failed: {e})"))
                     }
+                    None => {}
                 }
-                drop(log);
-                // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-                results.lock().expect("results poisoned").push((
-                    order,
-                    Cell { workload: wname.to_string(), machine: kind.name(), result },
-                ));
-            });
+            }
+            log.violations.push(line);
         }
-    });
-
-    // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-    let mut cells = results.into_inner().expect("results poisoned");
-    cells.sort_by_key(|(order, _)| *order);
-    // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-    (cells.into_iter().map(|(_, c)| c).collect(), audit.into_inner().expect("audit log poisoned"))
+    }
+    log
 }
 
 /// Geometric mean of a slice (0.0 for empty input).
@@ -262,6 +215,29 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_map_returns_results_in_job_order_and_runs_each_job_once() {
+        let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let jobs: Vec<u64> = (0..4 * workers as u64).collect();
+        let calls: Vec<AtomicUsize> = jobs.iter().map(|_| AtomicUsize::new(0)).collect();
+        let out = par_map(&jobs, |idx, &job| {
+            calls[idx].fetch_add(1, Ordering::Relaxed);
+            // Uneven work, heaviest first, so workers finish out of order.
+            let spin = (jobs.len() - idx) * 20_000;
+            std::hint::black_box((0..spin).fold(0usize, |a, x| a ^ x));
+            (idx, job * 3)
+        });
+        let expected: Vec<(usize, u64)> = jobs.iter().map(|&j| (j as usize, j * 3)).collect();
+        assert_eq!(out, expected);
+        assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn par_map_of_no_jobs_is_empty() {
+        let out: Vec<u8> = par_map(&[] as &[u8], |_, &j| j);
+        assert!(out.is_empty());
+    }
 
     #[test]
     fn geomean_of_constants() {

@@ -18,9 +18,10 @@ use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner;
 use sdimm_telemetry::recorder::write_atomic;
 use sdimm_telemetry::Instruments;
-use workloads::leakage::{pairs, required_blocks};
+use workloads::leakage::{pairs, required_blocks, LeakagePair};
 use workloads::Trace;
 
+use crate::harness::par_map;
 use crate::{Scale, TelemetryArgs};
 
 /// Synthetic Perfetto pid for the report's annotation slices (far above
@@ -56,7 +57,8 @@ pub fn is_secure(kind: &MachineKind) -> bool {
 }
 
 fn capture(cfg: &SystemConfig, trace: &Trace, warmup: usize, measure: usize) -> Capture {
-    let (_, cap) = runner::run_leakage(cfg, trace, warmup, measure);
+    let both = runner::Capture { cmds: true, observables: true, wear_top_k: None };
+    let (_, cap) = runner::run_with(cfg, trace, warmup, measure, &Instruments::disabled(), 0, both);
     Capture {
         ranks: cap.channel_cfg.topology.ranks,
         banks: cap.channel_cfg.topology.banks,
@@ -65,8 +67,9 @@ fn capture(cfg: &SystemConfig, trace: &Trace, warmup: usize, measure: usize) -> 
     }
 }
 
-/// Runs the machine × pair matrix at `scale` on `standard` and
-/// assembles the report.
+/// Runs the machine × pair matrix at `scale` on `standard` on the
+/// shared worker pool and assembles the report (entries in matrix
+/// order: machines outer, pairs inner).
 ///
 /// # Panics
 ///
@@ -75,37 +78,35 @@ fn capture(cfg: &SystemConfig, trace: &Trace, warmup: usize, measure: usize) -> 
 pub fn run_report(kinds: &[MachineKind], scale: Scale, standard: DramStandard) -> LeakageReport {
     let warmup = scale.warmup();
     let measure = scale.measure();
+    assert!(
+        scale.data_blocks() >= required_blocks(warmup, measure),
+        "scale too small for the leakage pairs"
+    );
     let acfg = AnalysisConfig::default();
     let pair_set = pairs(warmup, measure);
-    let mut entries = Vec::new();
-    for kind in kinds {
+    let jobs: Vec<(MachineKind, &LeakagePair)> =
+        kinds.iter().flat_map(|&kind| pair_set.iter().map(move |pair| (kind, pair))).collect();
+    let entries = par_map(&jobs, |_, &(kind, pair)| {
+        eprintln!("leakage: {} × {} ...", kind.name(), pair.name);
         let cfg = SystemConfig {
-            kind: *kind,
+            kind,
             oram: scale.oram(7),
             data_blocks: scale.data_blocks(),
             standard,
             low_power: false,
             seed: 1,
         };
-        assert!(
-            cfg.data_blocks >= required_blocks(warmup, measure),
-            "scale too small for the leakage pairs"
-        );
-        for pair in &pair_set {
-            eprintln!("leakage: {} × {} ...", kind.name(), pair.name);
-            let a = capture(&cfg, &pair.a, warmup, measure);
-            let b = capture(&cfg, &pair.b, warmup, measure);
-            let analysis = analyze_pair(&acfg, &a, &b);
-            entries.push(EntryReport {
-                machine: kind.name(),
-                secure: is_secure(kind),
-                pair: pair.name.to_string(),
-                contrast: pair.contrast.to_string(),
-                analysis,
-                expected_distinguishable: !is_secure(kind),
-            });
+        let a = capture(&cfg, &pair.a, warmup, measure);
+        let b = capture(&cfg, &pair.b, warmup, measure);
+        EntryReport {
+            machine: kind.name(),
+            secure: is_secure(&kind),
+            pair: pair.name.to_string(),
+            contrast: pair.contrast.to_string(),
+            analysis: analyze_pair(&acfg, &a, &b),
+            expected_distinguishable: !is_secure(&kind),
         }
-    }
+    });
     let scale_name = match scale {
         Scale::Quick => "quick",
         Scale::Full => "full",

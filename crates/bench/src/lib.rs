@@ -30,6 +30,6 @@ pub mod table;
 
 pub use audit::run_matrix_maybe_audited;
 pub use cli::TelemetryArgs;
-pub use harness::{run_matrix, run_matrix_audited, run_matrix_traced, Cell, DdrAuditLog};
+pub use harness::{run_matrix, Cell, DdrAuditLog};
 pub use live::LiveView;
 pub use scale::Scale;

@@ -61,9 +61,9 @@ impl Default for AnalysisConfig {
 }
 
 /// One run's captured attacker streams plus the topology needed to size
-/// the touch grid. The `sdimm-system` runner's `LeakageCapture` maps
-/// onto this 1:1 (kept separate so this crate stays off the system
-/// crate's dependency tree).
+/// the touch grid, filled from the `sdimm-system` runner's `Captured`
+/// of a run that recorded commands and observables (kept separate so
+/// this crate stays off the system crate's dependency tree).
 #[derive(Debug, Clone, Default)]
 pub struct Capture {
     /// Ranks per channel.

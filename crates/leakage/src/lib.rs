@@ -8,7 +8,7 @@
 //! FR-FCFS scheduler — statistically distinguish two logical workloads?
 //!
 //! The attacker has two vantage points, both captured by
-//! `sdimm_system::runner::run_leakage`:
+//! `sdimm_system::runner::run_with` (`Capture { cmds, observables }`):
 //!
 //! * the per-channel DRAM command stream ([`dram_sim::cmdlog::CmdRecord`]),
 //!   which every machine exposes (for SDIMM protocols this is the

@@ -103,87 +103,68 @@ impl RunResult {
 ///
 /// Panics if the trace is shorter than `warmup + measure`.
 pub fn run(cfg: &SystemConfig, trace: &Trace, warmup: usize, measure: usize) -> RunResult {
-    run_traced(cfg, trace, warmup, measure, TraceSink::disabled(), 0)
+    run_with(cfg, trace, warmup, measure, &Instruments::disabled(), 0, Capture::default()).0
 }
 
-/// [`run`], with the full [`Instruments`] bundle attached: Chrome trace
-/// sink, per-cell flight recorder (keyed by `pid`), cycle-attribution
-/// profiler, and live-dashboard state. Disabled instruments cost one
-/// branch per touch point.
+/// [`run`] with a [`TraceSink`] attached under process id `pid`, also
+/// recording every DRAM command each channel issues so the run can be
+/// replayed through an independent constraint checker (`sdimm-audit`).
 ///
 /// # Panics
 ///
 /// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_instrumented(
+pub fn run_audited(
     cfg: &SystemConfig,
     trace: &Trace,
     warmup: usize,
     measure: usize,
-    instruments: &Instruments,
+    sink: TraceSink,
     pid: u32,
-) -> RunResult {
-    run_inner(cfg, trace, warmup, measure, instruments, pid, false, false, None).0
+) -> (RunResult, Captured) {
+    let capture = Capture { cmds: true, ..Capture::default() };
+    run_with(cfg, trace, warmup, measure, &Instruments::with_sink(sink), pid, capture)
 }
 
-/// [`run_audited`] with the full [`Instruments`] bundle attached.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_audited_instrumented(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-    instruments: &Instruments,
-    pid: u32,
-) -> (RunResult, AuditCapture) {
-    let (result, capture, _, _) =
-        run_inner(cfg, trace, warmup, measure, instruments, pid, true, false, None);
-    // lint: panic-ok(invariant: capture requested)
-    (result, capture.expect("capture requested"))
+/// What a run records beyond its [`RunResult`]. Everything is off by
+/// default; each capture attaches before any request reaches a channel,
+/// so what it records is complete from cycle 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Capture {
+    /// Every DRAM command each channel issues ([`Captured::streams`]):
+    /// the replay auditor's input and the on-DIMM attacker vantage.
+    pub cmds: bool,
+    /// The cycle-stamped external-bus observable stream
+    /// ([`Captured::observables`]): the off-DIMM attacker vantage.
+    pub observables: bool,
+    /// Per-row wear tracking on every channel, reporting the given
+    /// number of hottest rows ([`Captured::wear`] and the fields after it).
+    pub wear_top_k: Option<usize>,
 }
 
-/// Everything the timing-leakage analyzer (`crates/leakage`) needs from
-/// one run: both attacker vantage points of the §III-G threat model.
+/// What one run recorded, per its [`Capture`]. Fields the run did not
+/// ask for are empty. Fully deterministic: the same config and trace
+/// reproduce every field exactly.
 #[derive(Debug)]
-pub struct LeakageCapture {
-    /// Channel configuration shared by every captured channel (rank and
-    /// bank counts size the touch-distribution features).
+pub struct Captured {
+    /// Channel configuration shared by every channel of the machine
+    /// (the auditor's timing table, the touch grid's rank and bank
+    /// counts, the standard whose hammer threshold applies).
     pub channel_cfg: dram_sim::config::ChannelConfig,
-    /// Per-channel DRAM command streams, cycle-stamped, complete from
-    /// cycle 0 — the on-DIMM (or main-memory) bus vantage.
+    /// Per-channel DRAM command streams in channel order, complete from
+    /// the first command each channel ever issued (replaying a stream
+    /// that starts mid-flight would check against unknown bank state).
     pub streams: Vec<Vec<dram_sim::cmdlog::CmdRecord>>,
     /// The external-bus observable stream, stamped from the executor's
-    /// shared clock — the off-DIMM vantage. Empty for machines without
-    /// an external SDIMM bus (NonSecure, PathOram, Freecursive).
+    /// shared clock. Empty for machines without an external SDIMM bus
+    /// (NonSecure, PathOram, Freecursive).
     pub observables: Vec<(Cycle, sdimm::obliviousness::Observable)>,
-}
-
-/// [`run`], additionally capturing both attacker-visible streams for
-/// statistical distinguishability analysis: every DRAM command each
-/// channel issues and the cycle-stamped external-bus observable stream.
-/// Fully deterministic: same config + trace reproduce both streams
-/// byte-for-byte.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_leakage(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-) -> (RunResult, LeakageCapture) {
-    let instruments = Instruments::with_sink(TraceSink::disabled());
-    let (result, capture, observables, _) =
-        run_inner(cfg, trace, warmup, measure, &instruments, 0, true, true, None);
-    // lint: panic-ok(invariant: capture requested)
-    let capture = capture.expect("capture requested");
-    (
-        result,
-        LeakageCapture { channel_cfg: capture.channel_cfg, streams: capture.streams, observables },
-    )
+    /// Per-channel wear snapshots (measured window only).
+    pub wear: Vec<WearSnapshot>,
+    /// Per-tree-level wear merged across the backend's ORAM instances.
+    pub level_wear: oram::wear::LevelWear,
+    /// The `wear_top_k` hottest rows across all channels, ACTs descending
+    /// (ties by channel then physical order).
+    pub hot_rows: Vec<HotRow>,
 }
 
 /// One of the hottest physical rows of a run, attributed both ways: by
@@ -200,81 +181,16 @@ pub struct HotRow {
     pub levels: Vec<u32>,
 }
 
-/// Everything the reliability observatory needs from one run: the wear
-/// and disturbance state of every channel, the protocol-side per-level
-/// attribution, the hottest rows with both attributions, and the raw
-/// command streams so an independent auditor can re-derive the
-/// activation counts from first principles.
-#[derive(Debug)]
-pub struct HammerCapture {
-    /// Channel configuration shared by every captured channel (names
-    /// the standard whose hammer threshold the windows are judged
-    /// against).
-    pub channel_cfg: dram_sim::config::ChannelConfig,
-    /// Per-channel command streams, complete from cycle 0, for the
-    /// replay auditor's independent ACT recount.
-    pub streams: Vec<Vec<dram_sim::cmdlog::CmdRecord>>,
-    /// Per-channel wear snapshots (measured window only).
-    pub wear: Vec<WearSnapshot>,
-    /// Per-tree-level wear merged across the backend's ORAM instances.
-    pub level_wear: oram::wear::LevelWear,
-    /// The `top_k` hottest rows across all channels, ACTs descending
-    /// (ties by channel then physical order — deterministic).
-    pub hot_rows: Vec<HotRow>,
-}
-
-/// [`run`], with the per-row wear tracker enabled on every channel and
-/// command logs attached: returns the run result plus a
-/// [`HammerCapture`] for RowHammer threat reporting. Fully
-/// deterministic: same config + trace reproduce the capture exactly.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_hammer(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-    top_k: usize,
-) -> (RunResult, HammerCapture) {
-    let instruments = Instruments::with_sink(TraceSink::disabled());
-    let (result, capture, _, wear) =
-        run_inner(cfg, trace, warmup, measure, &instruments, 0, true, false, Some(top_k));
-    // lint: panic-ok(invariant: captures requested)
-    let capture = capture.expect("capture requested");
-    // lint: panic-ok(invariant: captures requested)
-    let wear = wear.expect("wear capture requested");
-    (
-        result,
-        HammerCapture {
-            channel_cfg: capture.channel_cfg,
-            streams: capture.streams,
-            wear: wear.snapshots,
-            level_wear: wear.level_wear,
-            hot_rows: wear.hot_rows,
-        },
-    )
-}
-
-/// The wear part of a [`HammerCapture`], harvested while the machine is
-/// still alive (level attribution needs the backend's layouts).
-struct WearCapture {
-    snapshots: Vec<WearSnapshot>,
-    level_wear: oram::wear::LevelWear,
-    hot_rows: Vec<HotRow>,
-}
-
 /// Harvests per-channel wear snapshots and attributes each channel's
 /// `top_k` hottest rows to ORAM tree levels by re-encoding every line
-/// of the row through the channel's own address mapper.
-fn harvest_wear(machine: &Machine, top_k: usize) -> WearCapture {
-    let mut snapshots = Vec::new();
-    let mut hot_rows = Vec::new();
+/// of the row through the channel's own address mapper. Runs while the
+/// machine is still alive (level attribution needs the backend's
+/// layouts) and fills the wear fields of `captured`.
+fn harvest_wear(machine: &Machine, top_k: usize, captured: &mut Captured) {
     for i in 0..machine.executor.channel_count() {
         let ch = machine.executor.channel(i);
-        // lint: panic-ok(invariant: run_hammer enables wear before traffic)
-        let snap = ch.wear().expect("wear enabled for hammer runs").snapshot();
+        // lint: panic-ok(invariant: run_with enables wear before traffic when wear_top_k is set)
+        let snap = ch.wear().expect("wear enabled before traffic").snapshot();
         let cols = ch.config().topology.lines_per_row();
         for row in snap.hottest(top_k) {
             let mut levels: Vec<u32> = (0..cols)
@@ -290,66 +206,15 @@ fn harvest_wear(machine: &Machine, top_k: usize) -> WearCapture {
                 .collect();
             levels.sort_unstable();
             levels.dedup();
-            hot_rows.push(HotRow { channel: i, row, levels });
+            captured.hot_rows.push(HotRow { channel: i, row, levels });
         }
-        snapshots.push(snap);
+        captured.wear.push(snap);
     }
-    hot_rows.sort_by(|a, b| {
+    captured.hot_rows.sort_by(|a, b| {
         b.row.acts.cmp(&a.row.acts).then(a.channel.cmp(&b.channel)).then(a.row.id.cmp(&b.row.id))
     });
-    hot_rows.truncate(top_k);
-    WearCapture { snapshots, level_wear: machine.level_wear(), hot_rows }
-}
-
-/// Everything a differential replay auditor needs to re-validate a run:
-/// the exact per-channel DRAM configuration the machine was built with
-/// and the complete command stream of every channel, from cycle 0.
-#[derive(Debug)]
-pub struct AuditCapture {
-    /// Channel configuration shared by every captured channel.
-    pub channel_cfg: dram_sim::config::ChannelConfig,
-    /// Per-channel command streams in channel order, complete from the
-    /// first command the channel ever issued (replaying a stream that
-    /// starts mid-flight would check against unknown bank state).
-    pub streams: Vec<Vec<dram_sim::cmdlog::CmdRecord>>,
-}
-
-/// [`run_traced`], additionally recording every DRAM command each
-/// channel issues so the run can be replayed through an independent
-/// constraint checker (`sdimm-audit`). The logs attach before any
-/// traffic reaches the channels, so each stream is complete.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_audited(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-    sink: TraceSink,
-    pid: u32,
-) -> (RunResult, AuditCapture) {
-    run_audited_instrumented(cfg, trace, warmup, measure, &Instruments::with_sink(sink), pid)
-}
-
-/// [`run`], but with a [`TraceSink`] attached to the machine's executor:
-/// phase spans, DRAM command events, and backend acquire/release land in
-/// `sink` under process id `pid`, so concurrent runs (one pid each) can
-/// share a sink and export a single Chrome trace.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_traced(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-    sink: TraceSink,
-    pid: u32,
-) -> RunResult {
-    run_instrumented(cfg, trace, warmup, measure, &Instruments::with_sink(sink), pid)
+    captured.hot_rows.truncate(top_k);
+    captured.level_wear = machine.level_wear();
 }
 
 /// Dump `flight`'s ring as a stash-bound black box: the runner calls
@@ -389,27 +254,25 @@ pub fn dump_stash_breach(
     }
 }
 
-/// Everything one [`run_inner`] invocation yields: the result plus each
-/// optional capture (present only when its capture flag was set).
-type InnerOutput = (
-    RunResult,
-    Option<AuditCapture>,
-    Vec<(Cycle, sdimm::obliviousness::Observable)>,
-    Option<WearCapture>,
-);
-
-#[allow(clippy::too_many_arguments)]
-fn run_inner(
+/// The one run loop behind [`run`] and [`run_audited`]: [`run`], with
+/// the full [`Instruments`] bundle attached (Chrome trace sink and
+/// per-cell flight recorder keyed by `pid`, cycle-attribution profiler,
+/// live-dashboard state) and whatever `capture` asks for recorded.
+/// Disabled instruments and captures cost one branch per touch point
+/// and never perturb timing.
+///
+/// # Panics
+///
+/// Panics if the trace is shorter than `warmup + measure`.
+pub fn run_with(
     cfg: &SystemConfig,
     trace: &Trace,
     warmup: usize,
     measure: usize,
     instruments: &Instruments,
     pid: u32,
-    capture_cmds: bool,
-    capture_obs: bool,
-    wear_top_k: Option<usize>,
-) -> InnerOutput {
+    capture: Capture,
+) -> (RunResult, Captured) {
     assert!(
         trace.records.len() >= warmup + measure,
         "trace too short: {} < {}",
@@ -419,11 +282,11 @@ fn run_inner(
     let mut machine = Machine::new(cfg.clone());
     // Wear tracking and command logs attach before any request touches
     // a channel, so lifetime counts and streams agree from cycle 0.
-    if wear_top_k.is_some() {
+    if capture.wear_top_k.is_some() {
         machine.enable_wear();
     }
-    let cmd_logs = if capture_cmds { machine.executor.attach_cmd_logs() } else { Vec::new() };
-    if capture_obs {
+    let cmd_logs = if capture.cmds { machine.executor.attach_cmd_logs() } else { Vec::new() };
+    if capture.observables {
         machine.set_observable_recorder();
     }
     let sink = instruments.sink.clone();
@@ -644,18 +507,29 @@ fn run_inner(
         live.cell_finished();
     }
     let plb_hit_rate = machine.plb_hit_rate();
-    let wear_capture = wear_top_k.map(|k| harvest_wear(&machine, k));
+    let mut captured = Captured {
+        channel_cfg: cfg.kind.channel_config_for(cfg.standard),
+        streams: cmd_logs.iter().map(|l| l.take()).collect(),
+        observables: machine
+            .take_observable_recorder()
+            .map(|r| r.timed_events())
+            .unwrap_or_default(),
+        wear: Vec::new(),
+        level_wear: oram::wear::LevelWear::default(),
+        hot_rows: Vec::new(),
+    };
+    if let Some(k) = capture.wear_top_k {
+        harvest_wear(&machine, k, &mut captured);
+    }
     let mut metrics = machine.metrics();
-    if let Some(wc) = &wear_capture {
-        for (i, s) in wc.snapshots.iter().enumerate() {
-            let p = format!("dram.chan{i}.wear");
-            metrics.gauge_set(&format!("{p}.peak_window"), s.peak_window as f64);
-            metrics.gauge_set(
-                &format!("{p}.rank_act_max_over_mean"),
-                imbalance::max_over_mean(&s.per_rank_acts),
-            );
-            metrics.gauge_set(&format!("{p}.rank_act_gini"), imbalance::gini(&s.per_rank_acts));
-        }
+    for (i, s) in captured.wear.iter().enumerate() {
+        let p = format!("dram.chan{i}.wear");
+        metrics.gauge_set(&format!("{p}.peak_window"), s.peak_window as f64);
+        metrics.gauge_set(
+            &format!("{p}.rank_act_max_over_mean"),
+            imbalance::max_over_mean(&s.per_rank_acts),
+        );
+        metrics.gauge_set(&format!("{p}.rank_act_gini"), imbalance::gini(&s.per_rank_acts));
     }
     metrics.counter_add("run.cycles", cycles);
     metrics.counter_add("run.records", measure as u64);
@@ -663,15 +537,6 @@ fn run_inner(
     metrics.counter_add("run.dram_lines", dram_lines);
     metrics.histogram_set("run.miss_latency", miss_latency.clone());
     metrics.gauge_set("run.energy_nj", energy.total_nj());
-    let capture = capture_cmds.then(|| AuditCapture {
-        channel_cfg: cfg.kind.channel_config_for(cfg.standard),
-        streams: cmd_logs.iter().map(|l| l.take()).collect(),
-    });
-    let observables = if capture_obs {
-        machine.take_observable_recorder().map(|r| r.timed_events()).unwrap_or_default()
-    } else {
-        Vec::new()
-    };
     let result = RunResult {
         machine: cfg.kind.name(),
         workload: trace.name.clone(),
@@ -694,7 +559,7 @@ fn run_inner(
         dram_lines,
         metrics,
     };
-    (result, capture, observables, wear_capture)
+    (result, captured)
 }
 
 #[cfg(test)]
@@ -817,18 +682,24 @@ mod tests {
         let trace = spec::generate("milc-like", 1200, 3);
         let plain = run(&cfg, &trace, 200, 400);
         let sink = TraceSink::with_capacity(1 << 16);
-        let traced = run_traced(&cfg, &trace, 200, 400, sink.clone(), 7);
+        let instruments = Instruments::with_sink(sink.clone());
+        let (traced, _) = run_with(&cfg, &trace, 200, 400, &instruments, 7, Capture::default());
         assert_eq!(plain.cycles, traced.cycles, "tracing must not perturb timing");
         assert!(!sink.is_empty(), "sink should have captured events");
         let json = sink.export_chrome_json().expect("enabled sink exports");
         sdimm_telemetry::json::validate(&json).expect("chrome trace is valid JSON");
     }
 
+    fn hammer(cfg: &SystemConfig, trace: &Trace, top_k: usize) -> (RunResult, Captured) {
+        let capture = Capture { cmds: true, wear_top_k: Some(top_k), ..Capture::default() };
+        run_with(cfg, trace, 200, 400, &Instruments::disabled(), 0, capture)
+    }
+
     #[test]
     fn hammer_capture_reports_wear_and_level_imbalance() {
         let cfg = SystemConfig::small(MachineKind::Independent { sdimms: 2, channels: 1 });
         let trace = spec::generate("hotrow-adv", 1200, 3);
-        let (r, cap) = run_hammer(&cfg, &trace, 200, 400, 8);
+        let (r, cap) = hammer(&cfg, &trace, 8);
         assert_eq!(r.records, 400);
 
         // The engine's lifetime totals equal the per-channel stats
@@ -875,8 +746,8 @@ mod tests {
         let cfg = SystemConfig::small(MachineKind::Split { ways: 2, channels: 1 });
         let trace = spec::generate("uniform-adv", 1200, 3);
         let plain = run(&cfg, &trace, 200, 400);
-        let (a, ca) = run_hammer(&cfg, &trace, 200, 400, 4);
-        let (b, cb) = run_hammer(&cfg, &trace, 200, 400, 4);
+        let (a, ca) = hammer(&cfg, &trace, 4);
+        let (b, cb) = hammer(&cfg, &trace, 4);
         assert_eq!(plain.cycles, a.cycles, "wear tracking must not perturb timing");
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(ca.wear.len(), cb.wear.len());

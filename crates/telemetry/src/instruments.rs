@@ -38,8 +38,8 @@ impl Instruments {
         }
     }
 
-    /// A bundle carrying only a trace sink; the compatibility shim for
-    /// pre-existing `run_traced` callers.
+    /// A bundle carrying only a trace sink (what `runner::run_audited`
+    /// attaches).
     pub fn with_sink(sink: TraceSink) -> Self {
         Instruments { sink, ..Instruments::disabled() }
     }

@@ -92,6 +92,13 @@ SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin leakage_gate
 cmp target/leakage-report.json target/leakage-report-2.json \
   || { echo "leakage reports differ between runs — gate is nondeterministic"; exit 1; }
 
+echo "==> ledger benchmark package builds standalone, the way BENCHMARK.json runs it"
+# The steps below build the sdimm-bench copy of the same main.rs; this
+# builds the standalone package against its committed Cargo.lock, and
+# --locked fails rather than rewrite that lock.
+cargo build --release --offline --locked -q \
+  --manifest-path crates/bench/src/bin/ledger/Cargo.toml --target-dir target
+
 echo "==> ledger: DDR replay of every trace workload, then the pinned seed-42 fingerprints"
 # --verify replays each trace workload's command streams through the DDR
 # auditor; each --workload run exits nonzero if its simulated fingerprint

@@ -5,12 +5,13 @@
 
 use dram_sim::config::Cycle;
 use oram::types::OramConfig;
+use oram::wear::LevelWear;
 use proptest::prelude::*;
 use sdimm_audit::oracle::{check_all_protocols, check_protocol, ProtocolKind};
 use sdimm_audit::DdrAuditor;
 use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_system::runner::{run, run_audited};
-use sdimm_telemetry::TraceSink;
+use sdimm_system::runner::{run, run_audited, run_with, Capture};
+use sdimm_telemetry::{Instruments, TraceSink};
 use workloads::spec;
 
 /// Runs a fig6-quick-style window on `kind` with command capture and
@@ -68,16 +69,57 @@ fn indep_split_streams_replay_clean() {
     assert!(commands > 10_000, "got {commands}");
 }
 
+/// Every capture at once, on every machine kind: recording command
+/// streams, observables and wear must not perturb a single headline
+/// number, and a run that captures nothing returns nothing.
 #[test]
 fn audited_run_matches_plain_run_exactly() {
-    let cfg = SystemConfig::small(MachineKind::Split { ways: 2, channels: 1 });
     let trace = spec::generate("soplex-like", 1200, 3);
-    let plain = run(&cfg, &trace, 200, 400);
-    let (audited, capture) = run_audited(&cfg, &trace, 200, 400, TraceSink::disabled(), 0);
-    assert_eq!(plain.cycles, audited.cycles, "command capture must not perturb timing");
-    assert_eq!(plain.dram_lines, audited.dram_lines);
-    let total: usize = capture.streams.iter().map(Vec::len).sum();
-    assert!(total > 0, "capture must actually record");
+    let everything = Capture { cmds: true, observables: true, wear_top_k: Some(4) };
+    for kind in [
+        MachineKind::NonSecure { channels: 1 },
+        MachineKind::PathOram { channels: 1 },
+        MachineKind::Freecursive { channels: 1 },
+        MachineKind::Independent { sdimms: 2, channels: 1 },
+        MachineKind::Split { ways: 2, channels: 1 },
+        MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 },
+    ] {
+        let name = kind.name();
+        let cfg = SystemConfig::small(kind);
+        let plain = run(&cfg, &trace, 200, 400);
+        let (bare, nothing) =
+            run_with(&cfg, &trace, 200, 400, &Instruments::disabled(), 0, Capture::default());
+        assert_eq!(plain.cycles, bare.cycles, "{name}");
+        assert!(nothing.streams.is_empty(), "{name}");
+        assert!(nothing.observables.is_empty(), "{name}");
+        assert!(nothing.wear.is_empty(), "{name}");
+        assert_eq!(nothing.level_wear, LevelWear::default(), "{name}");
+        assert!(nothing.hot_rows.is_empty(), "{name}");
+
+        let (captured_run, captured) =
+            run_with(&cfg, &trace, 200, 400, &Instruments::disabled(), 0, everything);
+        assert_eq!(plain.cycles, captured_run.cycles, "{name}: capture must not perturb timing");
+        assert_eq!(plain.llc_misses, captured_run.llc_misses, "{name}");
+        assert_eq!(plain.dram_lines, captured_run.dram_lines, "{name}");
+        assert_eq!(plain.miss_latency_p99, captured_run.miss_latency_p99, "{name}");
+        assert_eq!(plain.energy.total_nj(), captured_run.energy.total_nj(), "{name}");
+
+        assert_eq!(
+            captured.streams.len(),
+            kind.executor_channels(),
+            "{name}: one stream per channel"
+        );
+        assert!(captured.streams.iter().any(|s| !s.is_empty()), "{name}: capture must record");
+        assert_eq!(captured.wear.len(), kind.executor_channels(), "{name}");
+        assert!(!captured.hot_rows.is_empty() && captured.hot_rows.len() <= 4, "{name}");
+        let external_bus = matches!(
+            kind,
+            MachineKind::Independent { .. }
+                | MachineKind::Split { .. }
+                | MachineKind::IndepSplit { .. }
+        );
+        assert_eq!(!captured.observables.is_empty(), external_bus, "{name}: observables");
+    }
 }
 
 #[test]

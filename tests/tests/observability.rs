@@ -8,18 +8,16 @@
 use dram_sim::cmdlog::{CmdRecord, DdrCmd};
 use sdimm_audit::ddr::{violation_recorder, DdrAuditor, BLACKBOX_CONTEXT};
 use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_system::runner::{
-    dump_stash_breach, run_audited_instrumented, run_instrumented, RunResult,
-};
+use sdimm_system::runner::{dump_stash_breach, run_audited, run_with, Capture, RunResult};
 use sdimm_telemetry::{
-    CycleProfiler, FlightEventKind, FlightRecorderHub, Instruments, LiveProgress,
+    CycleProfiler, FlightEventKind, FlightRecorderHub, Instruments, LiveProgress, TraceSink,
 };
 use workloads::spec;
 
 fn small_run(instruments: &Instruments) -> RunResult {
     let cfg = SystemConfig::small(MachineKind::Freecursive { channels: 1 });
     let trace = spec::generate("mcf-like", 1200, 3);
-    run_instrumented(&cfg, &trace, 200, 400, instruments, 0)
+    run_with(&cfg, &trace, 200, 400, instruments, 0, Capture::default()).0
 }
 
 /// Fresh per-test scratch directory (std-only, no tempdir dependency).
@@ -78,8 +76,7 @@ fn flight_recorder_sees_all_event_families_with_monotonic_clock() {
 fn injected_timing_violation_yields_ordered_blackbox_with_context() {
     let cfg = SystemConfig::small(MachineKind::Freecursive { channels: 1 });
     let trace = spec::generate("mcf-like", 1200, 3);
-    let (_result, capture) =
-        run_audited_instrumented(&cfg, &trace, 200, 400, &Instruments::disabled(), 0);
+    let (_result, capture) = run_audited(&cfg, &trace, 200, 400, TraceSink::disabled(), 0);
     let mut stream = capture.streams[0].clone();
     DdrAuditor::check_stream(&capture.channel_cfg, &stream).expect("captured stream is clean");
 

@@ -6,9 +6,19 @@
 use dram_sim::channel::DramChannel;
 use dram_sim::config::ChannelConfig;
 use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_system::runner::{run, run_traced};
-use sdimm_telemetry::TraceSink;
+use sdimm_system::runner::{run, run_with, Capture, RunResult};
+use sdimm_telemetry::{Instruments, TraceSink};
 use workloads::spec;
+
+/// [`run`] with `sink` attached under process id `pid`.
+fn traced_run(
+    cfg: &SystemConfig,
+    trace: &workloads::Trace,
+    sink: TraceSink,
+    pid: u32,
+) -> RunResult {
+    run_with(cfg, trace, 200, 400, &Instruments::with_sink(sink), pid, Capture::default()).0
+}
 
 /// Extracts every `"ts"` value from a Chrome trace in document order.
 fn ts_values(json: &str) -> Vec<u64> {
@@ -33,7 +43,7 @@ fn fig6_style_run_exports_perfetto_loadable_trace() {
     let cfg = SystemConfig::small(MachineKind::Freecursive { channels: 1 });
     let trace = spec::generate("mcf-like", 1200, 3);
     let sink = TraceSink::enabled();
-    let result = run_traced(&cfg, &trace, 200, 400, sink.clone(), 0);
+    let result = traced_run(&cfg, &trace, sink.clone(), 0);
     assert!(!sink.is_empty(), "a measured run must emit trace events");
 
     let json = sink.export_chrome_json().expect("enabled sink exports");
@@ -60,7 +70,7 @@ fn tracing_does_not_perturb_simulated_time() {
     let cfg = SystemConfig::small(MachineKind::Independent { sdimms: 2, channels: 1 });
     let trace = spec::generate("milc-like", 1200, 3);
     let plain = run(&cfg, &trace, 200, 400);
-    let traced = run_traced(&cfg, &trace, 200, 400, TraceSink::enabled(), 1);
+    let traced = traced_run(&cfg, &trace, TraceSink::enabled(), 1);
     assert_eq!(plain.cycles, traced.cycles);
     assert_eq!(plain.llc_misses, traced.llc_misses);
     assert_eq!(plain.miss_latency_p99, traced.miss_latency_p99);

@@ -31,7 +31,8 @@ use oram::{FreecursiveOram, PathOram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdimm::{
-    IndepSplitConfig, IndepSplitOram, IndependentConfig, IndependentOram, SplitConfig, SplitOram,
+    IndepSplitConfig, IndepSplitOram, IndependentConfig, IndependentOram, Protocol, SplitConfig,
+    SplitOram,
 };
 
 /// The trivially-correct reference memory.
@@ -430,51 +431,8 @@ fn check_freecursive(
     })
 }
 
-/// Shared driver for the three SDIMM protocols, which expose the same
-/// `access(id, op, data) -> (bytes, RequestTrace)` shape.
-trait AccessOram {
-    fn do_access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> Vec<u8>;
-    fn invariants(&self);
-    fn peak(&self) -> usize;
-}
-
-impl AccessOram for IndependentOram {
-    fn do_access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> Vec<u8> {
-        self.access(id, op, new_data).0
-    }
-    fn invariants(&self) {
-        self.check_invariants();
-    }
-    fn peak(&self) -> usize {
-        self.stash_peak()
-    }
-}
-
-impl AccessOram for SplitOram {
-    fn do_access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> Vec<u8> {
-        self.access(id, op, new_data).0
-    }
-    fn invariants(&self) {
-        self.check_invariant();
-    }
-    fn peak(&self) -> usize {
-        self.stash_peak()
-    }
-}
-
-impl AccessOram for IndepSplitOram {
-    fn do_access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> Vec<u8> {
-        self.access(id, op, new_data).0
-    }
-    fn invariants(&self) {
-        self.check_invariants();
-    }
-    fn peak(&self) -> usize {
-        self.stash_peak()
-    }
-}
-
-fn check_request_trace_protocol<O: AccessOram>(
+/// Shared driver for the three SDIMM protocols.
+fn check_request_trace_protocol<O: Protocol>(
     kind: &ProtocolKind,
     cfg: &OramConfig,
     blocks: u64,
@@ -495,7 +453,7 @@ fn check_request_trace_protocol<O: AccessOram>(
         } else {
             None
         };
-        let got = oram.do_access(BlockId(id), op, new_data);
+        let (got, _) = oram.access(BlockId(id), op, new_data);
         let want = shadow.apply(id, op, new_data);
         if got != want {
             return Err(bytes_differ(kind, step, id, &got, &want));
@@ -503,25 +461,25 @@ fn check_request_trace_protocol<O: AccessOram>(
         // These protocols relieve stash pressure with probabilistic
         // forced drains, so the bound here is an explosion guard rather
         // than the hard limit.
-        if oram.peak() > cfg.stash_limit * STASH_BLOWUP {
+        if oram.stash_peak() > cfg.stash_limit * STASH_BLOWUP {
             return Err(mismatch(
                 kind,
                 step,
                 id,
                 format!(
                     "stash peak {} exceeded the {}× explosion guard (limit {})",
-                    oram.peak(),
+                    oram.stash_peak(),
                     STASH_BLOWUP,
                     cfg.stash_limit
                 ),
             ));
         }
         if step % INVARIANT_PERIOD == 0 {
-            oram.invariants();
+            oram.check_invariants();
         }
     }
-    oram.invariants();
-    Ok(OracleReport { protocol: kind.to_string(), steps, writes, stash_peak: oram.peak() })
+    oram.check_invariants();
+    Ok(OracleReport { protocol: kind.to_string(), steps, writes, stash_peak: oram.stash_peak() })
 }
 
 #[cfg(test)]

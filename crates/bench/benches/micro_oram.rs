@@ -7,6 +7,7 @@ use oram::types::{BlockId, Op, OramConfig};
 use oram::{FreecursiveOram, PathOram};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::split::{SplitConfig, SplitOram};
+use sdimm::Protocol;
 
 fn cfg() -> OramConfig {
     OramConfig { levels: 14, stash_limit: 200, ..OramConfig::default() }

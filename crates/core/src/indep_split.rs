@@ -7,16 +7,20 @@
 //! accesses in flight), Split-style low latency within a group — 47.4%
 //! faster than Freecursive on the 2-channel system.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use oram::path_oram::PathOram;
 use oram::types::{BlockId, Leaf, Op, OramConfig};
+use oram::wear::LevelWear;
 
 use crate::obliviousness::{Observable, Recorder};
-use crate::split::{receive_list_bytes, META_BYTES_PER_BUCKET};
+use crate::split::{stripe, striped_phases};
 use crate::trace::{Activity, Phase, RequestTrace};
 use crate::transfer_queue::TransferQueue;
+use crate::Protocol;
 
 /// Configuration of the combined architecture.
 #[derive(Debug, Clone)]
@@ -72,11 +76,6 @@ impl IndepSplitConfig {
     /// Total leaves.
     pub fn global_leaves(&self) -> u64 {
         self.local_leaves() * self.groups as u64
-    }
-
-    /// Tree levels generating memory traffic per group.
-    pub fn levels_in_memory(&self) -> u64 {
-        (self.subtree.levels + 1 - self.subtree.cached_levels) as u64
     }
 }
 
@@ -142,16 +141,6 @@ impl IndepSplitOram {
         }
     }
 
-    /// Attaches an obliviousness recorder.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.recorder = Some(rec);
-    }
-
-    /// Takes the recorder back.
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
     /// The configuration.
     pub fn config(&self) -> &IndepSplitConfig {
         &self.cfg
@@ -162,65 +151,13 @@ impl IndepSplitOram {
         self.stats
     }
 
-    /// Highest current stash occupancy across groups (the value the
-    /// per-instance stash bound applies to).
-    pub fn max_stash_len(&self) -> usize {
-        self.groups.iter().map(|g| g.oram.stash_len()).max().unwrap_or(0)
-    }
-
-    /// Peak stash occupancy over every group.
-    pub fn stash_peak(&self) -> usize {
-        self.groups.iter().map(|g| g.oram.stash_peak()).max().unwrap_or(0)
-    }
-
-    /// Attaches a flight recorder to every group's stash (backend tag =
-    /// group index), for black-box occupancy ticks.
-    pub fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
-        for (i, g) in self.groups.iter_mut().enumerate() {
-            g.oram.set_flight_recorder(recorder.clone(), i.min(u8::MAX as usize) as u8);
-        }
-    }
-
-    /// Exports per-group ORAM metrics (`group<i>.*`) plus transfer-queue
-    /// peaks as a metrics registry.
-    pub fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
-        let mut m = sdimm_telemetry::MetricsRegistry::new();
-        for (i, g) in self.groups.iter().enumerate() {
-            m.absorb(&format!("group{i}"), &g.oram.metrics());
-        }
-        m.gauge_max("stash_peak", self.stash_peak() as f64);
-        m.gauge_max(
-            "transfer_peak",
-            self.groups.iter().map(|g| g.queue.peak()).max().unwrap_or(0) as f64,
-        );
-        m
-    }
-
-    /// Attributes a channel line address to its ORAM tree level.
-    /// Channel `ch` is way `ch % ways` of group `ch / ways`, and every
-    /// way of a group carries a byte-striped share of that group's
-    /// logical address stream — so the inversion goes through the
-    /// owning group's layout.
-    pub fn level_of_channel_line(&self, ch: usize, addr: u64) -> Option<u32> {
-        self.groups.get(ch / self.cfg.ways)?.oram.layout().level_of_line(addr)
-    }
-
-    /// Merged per-level wear across every group's tree.
-    pub fn level_wear(&self) -> oram::wear::LevelWear {
-        let mut total = oram::wear::LevelWear::default();
-        for g in &self.groups {
-            total.merge(g.oram.level_wear());
-        }
-        total
-    }
-
     fn route(&self, global: Leaf) -> (usize, Leaf) {
         let local = self.cfg.local_leaves();
         ((global.0 / local) as usize, Leaf(global.0 % local))
     }
 
     /// SDIMM indices belonging to `group`.
-    fn members(&self, group: usize) -> impl Iterator<Item = usize> {
+    fn members(&self, group: usize) -> Range<usize> {
         let k = self.cfg.ways;
         (group * k)..(group * k + k)
     }
@@ -230,29 +167,11 @@ impl IndepSplitOram {
             rec.push(ev);
         }
     }
+}
 
-    fn stripe(&self, lines: &[u64]) -> Vec<Vec<u64>> {
-        crate::split::stripe(lines, self.cfg.ways, self.cfg.subtree.lines_per_bucket())
-    }
-
-    fn stripe_data(&self, lines: &[u64]) -> Vec<Vec<u64>> {
-        crate::split::stripe_data_lines(lines, self.cfg.ways, self.cfg.subtree.lines_per_bucket())
-    }
-
-    fn stripe_meta(&self, lines: &[u64]) -> Vec<Vec<u64>> {
-        crate::split::stripe_meta_lines(lines, self.cfg.ways, self.cfg.subtree.lines_per_bucket())
-    }
-
-    /// Executes one `accessORAM` through the combined protocol.
-    pub fn access(
-        &mut self,
-        id: BlockId,
-        op: Op,
-        new_data: Option<&[u8]>,
-    ) -> (Vec<u8>, RequestTrace) {
+impl Protocol for IndepSplitOram {
+    fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace) {
         let k = self.cfg.ways;
-        let lm = self.cfg.levels_in_memory();
-        let z = self.cfg.subtree.z as u64;
 
         let global_old = self.posmap[id.0 as usize];
         let (home, _local_old) = self.route(global_old);
@@ -266,69 +185,15 @@ impl IndepSplitOram {
         self.posmap[id.0 as usize] = global_new;
         self.stats.accesses += 1;
 
-        let data_shares = self.stripe_data(&plan.read_lines);
-        let meta_shares = self.stripe_meta(&plan.read_lines);
-        let write_shares = self.stripe(&plan.write_lines);
-        let home_members: Vec<usize> = self.members(home).collect();
-
-        let mut phases = Vec::new();
-
         // Split-style steps within the home group.
-        let mut p1 = Phase::default();
-        for &m in &home_members {
-            p1.par.push(Activity::ExtShort { sdimm: m });
-            self.record(Observable::ShortCommand { sdimm: m });
-        }
-        phases.push(p1);
-
-        // Data-share path read into local stashes.
-        let mut p2 = Phase::default();
-        for (j, share) in data_shares.iter().enumerate() {
-            let m = home_members[j];
-            self.stats.internal_lines += share.len() as u64;
-            self.record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
-            if self.cfg.low_power {
-                p2.par.push(Activity::WakeRank { channel: m, rank: 0 });
-            }
-            p2.par.push(Activity::Dram { channel: m, reads: share.clone(), writes: Vec::new() });
-        }
-        p2.par.push(Activity::Crypto { units: (plan.read_lines.len() / k.max(1)) as u32 });
-        phases.push(p2);
-
-        // Metadata retrieval: conventional reads + upstream transfers.
-        let meta_bytes = lm * META_BYTES_PER_BUCKET / k as u64;
-        let mut p3 = Phase::default();
-        for (j, share) in meta_shares.iter().enumerate() {
-            let m = home_members[j];
-            self.stats.internal_lines += share.len() as u64;
-            self.record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
-            p3.par.push(Activity::Dram { channel: m, reads: share.clone(), writes: Vec::new() });
-            p3.par.push(Activity::ExtTransfer { sdimm: m, bytes: meta_bytes });
-            self.record(Observable::MetaTransfer { sdimm: m, bytes: meta_bytes });
-        }
-        phases.push(p3);
-
-        // FETCH_STASH pieces up + RECEIVE_LIST down.
-        let list_bytes = receive_list_bytes(lm, z);
-        let mut p4 = Phase::default();
-        for &m in &home_members {
-            p4.par.push(Activity::ExtTransfer { sdimm: m, bytes: 64 / k as u64 });
-            self.record(Observable::LongCommand { sdimm: m });
-            p4.par.push(Activity::ExtTransfer { sdimm: m, bytes: list_bytes });
-            self.record(Observable::MetaTransfer { sdimm: m, bytes: list_bytes });
-        }
-        phases.push(p4);
-        let data_ready_phase = phases.len() - 1;
-
-        let mut p6 = Phase::default();
-        for (j, share) in write_shares.iter().enumerate() {
-            let m = home_members[j];
-            self.stats.internal_lines += share.len() as u64;
-            self.record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
-            p6.par.push(Activity::Dram { channel: m, reads: Vec::new(), writes: share.clone() });
-        }
-        p6.par.push(Activity::Crypto { units: (plan.write_lines.len() / k.max(1)) as u32 });
-        phases.push(p6);
+        let (mut phases, data_ready_phase, internal_lines) = striped_phases(
+            &plan,
+            self.members(home),
+            &self.cfg.subtree,
+            self.cfg.low_power,
+            &mut self.recorder,
+        );
+        self.stats.internal_lines += internal_lines;
         // The group's buffers are free after write-back; the APPEND
         // fan-out below is CPU-side.
         let backend_release_phase = phases.len() - 1;
@@ -344,11 +209,9 @@ impl IndepSplitOram {
         }
         phases.push(p7);
 
-        if moved.is_some() {
+        // The block left with its new local leaf already set.
+        if let Some(entry) = moved {
             self.groups[home].queue.vacancy();
-        }
-        if let Some(mut entry) = moved {
-            entry.leaf = local_new;
             self.stats.migrations += 1;
             self.groups[dest].queue.arrive();
             self.groups[dest].oram.append(entry);
@@ -357,12 +220,10 @@ impl IndepSplitOram {
         if self.groups[dest].queue.maybe_force_drain(&mut self.rng) {
             let plan = self.groups[dest].oram.background_evict();
             self.stats.drain_accesses += 1;
-            let shares = self.stripe(&plan.read_lines);
-            let dest_members: Vec<usize> = self.members(dest).collect();
+            let shares = stripe(&plan.read_lines, k, self.cfg.subtree.lines_per_bucket());
             let mut pd = Phase::default();
             let mut pd_writes = Phase::default();
-            for (j, share) in shares.iter().enumerate() {
-                let m = dest_members[j];
+            for (m, share) in self.members(dest).zip(shares) {
                 self.stats.internal_lines += 2 * share.len() as u64;
                 self.record(Observable::InternalPath { sdimm: m, lines: 2 * share.len() as u64 });
                 pd.par.push(Activity::Dram {
@@ -370,11 +231,7 @@ impl IndepSplitOram {
                     reads: share.clone(),
                     writes: Vec::new(),
                 });
-                pd_writes.par.push(Activity::Dram {
-                    channel: m,
-                    reads: Vec::new(),
-                    writes: share.clone(),
-                });
+                pd_writes.par.push(Activity::Dram { channel: m, reads: Vec::new(), writes: share });
             }
             phases.push(pd);
             phases.push(pd_writes);
@@ -389,8 +246,60 @@ impl IndepSplitOram {
         (data, trace)
     }
 
-    /// Verifies every group's tree invariant (tests).
-    pub fn check_invariants(&self) {
+    fn max_stash_len(&self) -> usize {
+        self.groups.iter().map(|g| g.oram.stash_len()).max().unwrap_or(0)
+    }
+
+    fn stash_peak(&self) -> usize {
+        self.groups.iter().map(|g| g.oram.stash_peak()).max().unwrap_or(0)
+    }
+
+    fn set_recorder(&mut self, rec: Recorder) {
+        self.recorder = Some(rec);
+    }
+
+    fn take_recorder(&mut self) -> Option<Recorder> {
+        self.recorder.take()
+    }
+
+    /// Backend tag = group index.
+    fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
+        for (i, g) in self.groups.iter_mut().enumerate() {
+            g.oram.set_flight_recorder(recorder.clone(), i.min(u8::MAX as usize) as u8);
+        }
+    }
+
+    /// Per-group ORAM metrics (`group<i>.*`) plus transfer-queue peaks.
+    fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
+        let mut m = sdimm_telemetry::MetricsRegistry::new();
+        for (i, g) in self.groups.iter().enumerate() {
+            m.absorb(&format!("group{i}"), &g.oram.metrics());
+        }
+        m.gauge_max("stash_peak", self.stash_peak() as f64);
+        m.gauge_max(
+            "transfer_peak",
+            self.groups.iter().map(|g| g.queue.peak()).max().unwrap_or(0) as f64,
+        );
+        m
+    }
+
+    /// Channel `ch` is way `ch % ways` of group `ch / ways`, and every
+    /// way of a group carries a byte-striped share of that group's
+    /// logical address stream — so the inversion goes through the
+    /// owning group's layout.
+    fn level_of_channel_line(&self, ch: usize, addr: u64) -> Option<u32> {
+        self.groups.get(ch / self.cfg.ways)?.oram.layout().level_of_line(addr)
+    }
+
+    fn level_wear(&self) -> LevelWear {
+        let mut total = LevelWear::default();
+        for g in &self.groups {
+            total.merge(g.oram.level_wear());
+        }
+        total
+    }
+
+    fn check_invariants(&self) {
         for g in &self.groups {
             g.oram.check_invariant();
         }

@@ -16,14 +16,15 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use oram::bucket::BlockEntry;
 use oram::layout::TreeLayout;
 use oram::path_oram::PathOram;
 use oram::types::{BlockId, Leaf, Op, OramConfig};
+use oram::wear::LevelWear;
 
 use crate::obliviousness::{Observable, Recorder};
 use crate::trace::{Activity, Phase, RequestTrace};
 use crate::transfer_queue::TransferQueue;
+use crate::Protocol;
 
 /// Configuration for an Independent-protocol memory system.
 #[derive(Debug, Clone)]
@@ -149,16 +150,6 @@ impl IndependentOram {
         }
     }
 
-    /// Attaches an obliviousness recorder capturing observable events.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.recorder = Some(rec);
-    }
-
-    /// Takes the recorder back (with its captured trace).
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
     /// The configuration.
     pub fn config(&self) -> &IndependentConfig {
         &self.cfg
@@ -184,55 +175,6 @@ impl IndependentOram {
         self.nodes[sdimm].oram.stash_len()
     }
 
-    /// Highest current stash occupancy across SDIMMs (the value the
-    /// per-instance stash bound applies to).
-    pub fn max_stash_len(&self) -> usize {
-        self.nodes.iter().map(|n| n.oram.stash_len()).max().unwrap_or(0)
-    }
-
-    /// Attaches a flight recorder to every SDIMM's stash (backend tag =
-    /// SDIMM index), for black-box occupancy ticks.
-    pub fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
-        for (i, n) in self.nodes.iter_mut().enumerate() {
-            n.oram.set_flight_recorder(recorder.clone(), i.min(u8::MAX as usize) as u8);
-        }
-    }
-
-    /// Peak stash occupancy over every SDIMM.
-    pub fn stash_peak(&self) -> usize {
-        self.nodes.iter().map(|n| n.oram.stash_len().max(n.oram.stash_peak())).max().unwrap_or(0)
-    }
-
-    /// Exports per-SDIMM ORAM metrics (`sdimm<i>.*`) plus transfer-queue
-    /// peaks as a metrics registry.
-    pub fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
-        let mut m = sdimm_telemetry::MetricsRegistry::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            m.absorb(&format!("sdimm{i}"), &n.oram.metrics());
-        }
-        m.gauge_max("stash_peak", self.stash_peak() as f64);
-        m.gauge_max("transfer_peak", self.transfer_peak() as f64);
-        m.counter_add("transfer_overflows", self.transfer_overflows());
-        m
-    }
-
-    /// Attributes a channel-local line address to its ORAM tree level.
-    /// Channel `sdimm`'s DRAM traffic is generated directly from that
-    /// SDIMM's private tree layout, so the inversion is per-node.
-    pub fn level_of_channel_line(&self, sdimm: usize, addr: u64) -> Option<u32> {
-        self.nodes.get(sdimm)?.oram.layout().level_of_line(addr)
-    }
-
-    /// Merged per-level wear across every SDIMM's tree (all trees share
-    /// a geometry, so the merge is level-aligned).
-    pub fn level_wear(&self) -> oram::wear::LevelWear {
-        let mut total = oram::wear::LevelWear::default();
-        for n in &self.nodes {
-            total.merge(n.oram.level_wear());
-        }
-        total
-    }
-
     /// Splits a global leaf into (owning SDIMM, local leaf).
     fn route(&self, global: Leaf) -> (usize, Leaf) {
         let local_leaves = self.cfg.local_leaves();
@@ -244,19 +186,10 @@ impl IndependentOram {
             rec.push(ev);
         }
     }
+}
 
-    /// Executes one `accessORAM(id, op, data)` through the protocol,
-    /// returning the block contents and the timing trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is outside the id space given at construction.
-    pub fn access(
-        &mut self,
-        id: BlockId,
-        op: Op,
-        new_data: Option<&[u8]>,
-    ) -> (Vec<u8>, RequestTrace) {
+impl Protocol for IndependentOram {
+    fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace) {
         let global_old = self.posmap[id.0 as usize];
         let (home, local_old) = self.route(global_old);
 
@@ -331,21 +264,11 @@ impl IndependentOram {
         }
         phases.push(append);
 
-        if let Some(mut entry) = moved {
-            entry.leaf = local_new;
-            entry.id = id;
+        // The block left with its new local leaf already set.
+        if let Some(entry) = moved {
             self.stats.migrations += 1;
             self.nodes[dest].queue.arrive();
             self.nodes[dest].oram.append(entry);
-        } else if !keep_local {
-            // Block was absent (first touch): materialize it at `dest`.
-            self.stats.migrations += 1;
-            self.nodes[dest].queue.arrive();
-            self.nodes[dest].oram.append(BlockEntry {
-                id,
-                leaf: local_new,
-                data: new_data.map(<[u8]>::to_vec).unwrap_or_default(),
-            });
         }
 
         // Occasional forced drain: an extra local accessORAM at `dest`.
@@ -375,8 +298,57 @@ impl IndependentOram {
         (data, trace)
     }
 
-    /// Verifies every SDIMM's local Path ORAM invariant (tests).
-    pub fn check_invariants(&self) {
+    fn max_stash_len(&self) -> usize {
+        self.nodes.iter().map(|n| n.oram.stash_len()).max().unwrap_or(0)
+    }
+
+    fn stash_peak(&self) -> usize {
+        self.nodes.iter().map(|n| n.oram.stash_len().max(n.oram.stash_peak())).max().unwrap_or(0)
+    }
+
+    fn set_recorder(&mut self, rec: Recorder) {
+        self.recorder = Some(rec);
+    }
+
+    fn take_recorder(&mut self) -> Option<Recorder> {
+        self.recorder.take()
+    }
+
+    /// Backend tag = SDIMM index.
+    fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
+        for (i, n) in self.nodes.iter_mut().enumerate() {
+            n.oram.set_flight_recorder(recorder.clone(), i.min(u8::MAX as usize) as u8);
+        }
+    }
+
+    /// Per-SDIMM ORAM metrics (`sdimm<i>.*`) plus transfer-queue peaks.
+    fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
+        let mut m = sdimm_telemetry::MetricsRegistry::new();
+        for (i, n) in self.nodes.iter().enumerate() {
+            m.absorb(&format!("sdimm{i}"), &n.oram.metrics());
+        }
+        m.gauge_max("stash_peak", self.stash_peak() as f64);
+        m.gauge_max("transfer_peak", self.transfer_peak() as f64);
+        m.counter_add("transfer_overflows", self.transfer_overflows());
+        m
+    }
+
+    /// Channel `sdimm`'s DRAM traffic is generated directly from that
+    /// SDIMM's private tree layout, so the inversion is per-node.
+    fn level_of_channel_line(&self, sdimm: usize, addr: u64) -> Option<u32> {
+        self.nodes.get(sdimm)?.oram.layout().level_of_line(addr)
+    }
+
+    /// All trees share a geometry, so the merge is level-aligned.
+    fn level_wear(&self) -> LevelWear {
+        let mut total = LevelWear::default();
+        for n in &self.nodes {
+            total.merge(n.oram.level_wear());
+        }
+        total
+    }
+
+    fn check_invariants(&self) {
         for n in &self.nodes {
             n.oram.check_invariant();
         }

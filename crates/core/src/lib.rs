@@ -10,15 +10,16 @@
 //! * [`buffer`] — a wire-level secure-buffer model: the full encrypted
 //!   message exchange (`ACCESS`/`PROBE`/`FETCH_RESULT`/`APPEND`) running
 //!   against real per-SDIMM Path ORAMs, from boot-time authentication up.
-//! * [`frontend`] — the CPU-side Freecursive frontend (PLB + recursion
-//!   planner) that decides which `accessORAM`s each CPU request needs.
 //! * [`independent`] — the Independent protocol: one subtree per SDIMM,
 //!   `ACCESS`/`PROBE`/`FETCH_RESULT`/`APPEND` flow, all-SDIMM append
 //!   fan-out, transfer queues.
 //! * [`split`] — the Split protocol: every bucket byte-striped across k
 //!   SDIMMs, CPU-side metadata reassembly, `FETCH_DATA`/`FETCH_STASH`/
 //!   `RECEIVE_LIST` flow.
-//! * [`indep_split`] — the combined architecture (2 groups × 2-way split).
+//! * [`indep_split`] — the combined architecture (2 groups × 2-way split):
+//!   Independent routing around Split's steps.
+//! * [`Protocol`] — the backend interface all three implement; the CPU-side
+//!   frontend that plans their `accessORAM`s is `oram::freecursive::Frontend`.
 //! * [`transfer_queue`] — the §IV-C transfer queue with probabilistic
 //!   forced drain.
 //! * [`obliviousness`] — observable-trace recording and the
@@ -30,6 +31,7 @@
 //!
 //! ```
 //! use sdimm::independent::{IndependentConfig, IndependentOram};
+//! use sdimm::Protocol;
 //! use oram::types::{BlockId, Op, OramConfig};
 //!
 //! let global = OramConfig { levels: 8, ..OramConfig::tiny() };
@@ -47,7 +49,6 @@
 
 pub mod buffer;
 pub mod commands;
-pub mod frontend;
 pub mod indep_split;
 pub mod independent;
 pub mod obliviousness;
@@ -56,8 +57,57 @@ pub mod trace;
 pub mod transfer_queue;
 
 pub use commands::SdimmCommand;
-pub use frontend::Frontend;
 pub use indep_split::{IndepSplitConfig, IndepSplitOram};
 pub use independent::{IndependentConfig, IndependentOram};
 pub use split::{SplitConfig, SplitOram};
 pub use trace::{Activity, Phase, RequestTrace};
+
+use oram::types::{BlockId, Op};
+use oram::wear::LevelWear;
+
+/// The backend of an SDIMM machine: one `accessORAM` at a time, plus the
+/// observability hooks a simulated machine attaches to it. Implemented by
+/// the Independent, Split and Indep-Split ORAMs.
+pub trait Protocol: std::fmt::Debug {
+    /// Executes one `accessORAM(id, op, data)`, returning the block's
+    /// contents and the timing trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is outside the id space given at construction.
+    fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace);
+
+    /// Highest current stash occupancy across the backend's ORAM
+    /// instances (the value the per-instance stash bound applies to).
+    fn max_stash_len(&self) -> usize;
+
+    /// Peak stash occupancy over the backend's ORAM instances.
+    fn stash_peak(&self) -> usize;
+
+    /// Attaches an obliviousness recorder to the external-bus tap.
+    fn set_recorder(&mut self, rec: obliviousness::Recorder);
+
+    /// Takes the recorder back (with its captured trace).
+    fn take_recorder(&mut self) -> Option<obliviousness::Recorder>;
+
+    /// Attaches a flight recorder to every stash, for black-box
+    /// occupancy ticks.
+    fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder);
+
+    /// Exports the backend's ORAM metrics as a registry.
+    fn metrics(&self) -> sdimm_telemetry::MetricsRegistry;
+
+    /// Attributes a line address seen by DRAM channel `channel` to the
+    /// ORAM tree level whose bucket owns it.
+    fn level_of_channel_line(&self, channel: usize, addr: u64) -> Option<u32>;
+
+    /// Per-tree-level wear merged across the backend's trees.
+    fn level_wear(&self) -> LevelWear;
+
+    /// Verifies every tree's Path ORAM invariant (tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics with a description of the first violation found.
+    fn check_invariants(&self);
+}

@@ -17,11 +17,16 @@
 //! the eviction list and reassembled counters down, and the SDIMMs
 //! re-encrypt, re-MAC, and write their shares of the path back.
 
+use std::ops::Range;
+
 use oram::path_oram::PathOram;
+use oram::plan::AccessPlan;
 use oram::types::{BlockId, Leaf, Op, OramConfig};
+use oram::wear::LevelWear;
 
 use crate::obliviousness::{Observable, Recorder};
 use crate::trace::{Activity, Phase, RequestTrace};
+use crate::Protocol;
 
 /// Bytes of metadata per bucket (tags, leaf IDs, shared counter): one
 /// cache line, the `+1` of the `(Z+1)` formula.
@@ -54,11 +59,6 @@ impl SplitConfig {
     pub fn new(ways: usize, tree: &OramConfig) -> Self {
         assert!(matches!(ways, 2 | 4 | 8), "unsupported split arity {ways}");
         SplitConfig { ways, tree: tree.clone(), low_power: false }
-    }
-
-    /// Tree levels that generate memory traffic.
-    pub fn levels_in_memory(&self) -> u64 {
-        (self.tree.levels + 1 - self.tree.cached_levels) as u64
     }
 }
 
@@ -98,16 +98,6 @@ impl SplitOram {
         SplitOram { cfg, logical, stats: SplitStats::default(), recorder: None }
     }
 
-    /// Attaches an obliviousness recorder.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.recorder = Some(rec);
-    }
-
-    /// Takes the recorder back.
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
     /// The configuration.
     pub fn config(&self) -> &SplitConfig {
         &self.cfg
@@ -118,154 +108,25 @@ impl SplitOram {
         self.stats
     }
 
-    /// Logical stash occupancy (the union of the SDIMM stash shares).
-    pub fn stash_len(&self) -> usize {
-        self.logical.stash_len()
+    /// Current leaf of a block (tests).
+    pub fn leaf_of(&self, id: BlockId) -> Leaf {
+        self.logical.leaf_of(id)
     }
+}
 
-    /// Attaches a flight recorder to the logical stash (backend tag 0).
-    pub fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
-        self.logical.set_flight_recorder(recorder, 0);
-    }
-
-    /// Peak logical stash occupancy.
-    pub fn stash_peak(&self) -> usize {
-        self.logical.stash_peak()
-    }
-
-    /// Exports the logical ORAM's metrics as a registry.
-    pub fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
-        let mut m = self.logical.metrics();
-        m.gauge_max("stash_peak", self.stash_peak() as f64);
-        m
-    }
-
-    /// Attributes a channel line address to its ORAM tree level. Byte-
-    /// striping hands every SDIMM a share of the *same* logical address
-    /// stream, so the inversion goes through the single logical layout
-    /// regardless of which channel carried the line.
-    pub fn level_of_channel_line(&self, addr: u64) -> Option<u32> {
-        self.logical.layout().level_of_line(addr)
-    }
-
-    /// Per-level wear of the logical tree.
-    pub fn level_wear(&self) -> &oram::wear::LevelWear {
-        self.logical.level_wear()
-    }
-
-    fn record(&mut self, ev: Observable) {
-        if let Some(rec) = &mut self.recorder {
-            rec.push(ev);
-        }
-    }
-
-    /// Splits a path's line addresses into per-SDIMM shares. Byte-
-    /// striping divides *every* bit of a bucket — data, tags, leaf IDs,
-    /// and counter — across the k SDIMMs, so each SDIMM's arrays hold
-    /// `(Z+1)/k` lines' worth of each bucket (its halves of adjacent
-    /// logical lines pack together). Modeled by distributing the bucket's
-    /// `Z+1` lines round-robin with a rotating start so fractional shares
-    /// balance across buckets.
-    fn stripe_lines(&self, lines: &[u64]) -> Vec<Vec<u64>> {
-        stripe(lines, self.cfg.ways, self.cfg.tree.lines_per_bucket())
-    }
-
-    /// Per-SDIMM shares of the path's *data* lines only (Z per bucket).
-    fn stripe_data(&self, lines: &[u64]) -> Vec<Vec<u64>> {
-        stripe_data_lines(lines, self.cfg.ways, self.cfg.tree.lines_per_bucket())
-    }
-
-    /// Per-SDIMM shares of the path's *metadata* lines (1 per bucket,
-    /// 64/k bytes of it in each SDIMM, packed ⇒ Lm/k lines per SDIMM).
-    fn stripe_meta(&self, lines: &[u64]) -> Vec<Vec<u64>> {
-        stripe_meta_lines(lines, self.cfg.ways, self.cfg.tree.lines_per_bucket())
-    }
-
-    /// Executes one `accessORAM(id, op, data)` through the Split protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn access(
-        &mut self,
-        id: BlockId,
-        op: Op,
-        new_data: Option<&[u8]>,
-    ) -> (Vec<u8>, RequestTrace) {
-        let k = self.cfg.ways;
-        let z = self.cfg.tree.z as u64;
-        let lm = self.cfg.levels_in_memory();
-
+impl Protocol for SplitOram {
+    fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace) {
         let (data, plan) = self.logical.access(id, op, new_data);
         self.stats.accesses += 1;
 
-        let data_shares = self.stripe_data(&plan.read_lines);
-        let meta_shares = self.stripe_meta(&plan.read_lines);
-        let write_shares = self.stripe_lines(&plan.write_lines);
-
-        let mut phases = Vec::new();
-
-        // Step 1: FETCH_DATA to all SDIMMs (short commands).
-        let mut p1 = Phase::default();
-        for i in 0..k {
-            p1.par.push(Activity::ExtShort { sdimm: i });
-            self.record(Observable::ShortCommand { sdimm: i });
-        }
-        phases.push(p1);
-
-        // Step 2: every SDIMM reads its data share of the path into its
-        // local stash, concurrently; decryption overlaps.
-        let mut p2 = Phase::default();
-        for (i, share) in data_shares.iter().enumerate() {
-            self.stats.internal_lines += share.len() as u64;
-            self.record(Observable::InternalPath { sdimm: i, lines: share.len() as u64 });
-            if self.cfg.low_power {
-                p2.par.push(Activity::WakeRank { channel: i, rank: 0 });
-            }
-            p2.par.push(Activity::Dram { channel: i, reads: share.clone(), writes: Vec::new() });
-        }
-        p2.par.push(Activity::Crypto { units: plan.read_lines.len() as u32 / k.max(1) as u32 });
-        phases.push(p2);
-
-        // Step 3: the CPU issues conventional reads for the metadata
-        // shares: internal DRAM reads plus Lm × (64/k) bytes upstream per
-        // SDIMM on the external bus. The CPU needs all of it before it
-        // can reassemble tags/leaves/counters, so this is a distinct
-        // protocol step.
-        let meta_bytes = lm * META_BYTES_PER_BUCKET / k as u64;
-        let mut p3 = Phase::default();
-        for (i, share) in meta_shares.iter().enumerate() {
-            self.stats.internal_lines += share.len() as u64;
-            self.record(Observable::InternalPath { sdimm: i, lines: share.len() as u64 });
-            p3.par.push(Activity::Dram { channel: i, reads: share.clone(), writes: Vec::new() });
-            p3.par.push(Activity::ExtTransfer { sdimm: i, bytes: meta_bytes });
-            self.record(Observable::MetaTransfer { sdimm: i, bytes: meta_bytes });
-        }
-        phases.push(p3);
-
-        // Steps 4+5: FETCH_STASH retrieves the requested block's k pieces
-        // while the RECEIVE_LIST messages (eviction list + reassembled
-        // counters) go back down.
-        let list_bytes = receive_list_bytes(lm, z);
-        let mut p4 = Phase::default();
-        for i in 0..k {
-            p4.par.push(Activity::ExtTransfer { sdimm: i, bytes: 64 / k as u64 });
-            self.record(Observable::LongCommand { sdimm: i });
-            p4.par.push(Activity::ExtTransfer { sdimm: i, bytes: list_bytes });
-            self.record(Observable::MetaTransfer { sdimm: i, bytes: list_bytes });
-        }
-        phases.push(p4);
-        let data_ready_phase = phases.len() - 1;
-
-        // Step 6: concurrent local write-back with re-encryption/MAC.
-        let mut p6 = Phase::default();
-        for (i, share) in write_shares.iter().enumerate() {
-            self.stats.internal_lines += share.len() as u64;
-            self.record(Observable::InternalPath { sdimm: i, lines: share.len() as u64 });
-            p6.par.push(Activity::Dram { channel: i, reads: Vec::new(), writes: share.clone() });
-        }
-        p6.par.push(Activity::Crypto { units: plan.write_lines.len() as u32 / k.max(1) as u32 });
-        phases.push(p6);
+        let (phases, data_ready_phase, internal_lines) = striped_phases(
+            &plan,
+            0..self.cfg.ways,
+            &self.cfg.tree,
+            self.cfg.low_power,
+            &mut self.recorder,
+        );
+        self.stats.internal_lines += internal_lines;
 
         let mut trace = RequestTrace::new(phases);
         trace.data_ready_phase = data_ready_phase;
@@ -275,15 +136,136 @@ impl SplitOram {
         (data, trace)
     }
 
-    /// Verifies the logical tree invariant (tests).
-    pub fn check_invariant(&self) {
-        self.logical.check_invariant();
+    /// Logical stash occupancy (the union of the SDIMM stash shares).
+    fn max_stash_len(&self) -> usize {
+        self.logical.stash_len()
     }
 
-    /// Current leaf of a block (tests).
-    pub fn leaf_of(&self, id: BlockId) -> Leaf {
-        self.logical.leaf_of(id)
+    fn stash_peak(&self) -> usize {
+        self.logical.stash_peak()
     }
+
+    fn set_recorder(&mut self, rec: Recorder) {
+        self.recorder = Some(rec);
+    }
+
+    fn take_recorder(&mut self) -> Option<Recorder> {
+        self.recorder.take()
+    }
+
+    /// Attaches a flight recorder to the logical stash (backend tag 0).
+    fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
+        self.logical.set_flight_recorder(recorder, 0);
+    }
+
+    fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
+        let mut m = self.logical.metrics();
+        m.gauge_max("stash_peak", self.stash_peak() as f64);
+        m
+    }
+
+    /// Byte-striping hands every SDIMM a share of the *same* logical
+    /// address stream, so the inversion goes through the single logical
+    /// layout regardless of which channel carried the line.
+    fn level_of_channel_line(&self, _channel: usize, addr: u64) -> Option<u32> {
+        self.logical.layout().level_of_line(addr)
+    }
+
+    fn level_wear(&self) -> LevelWear {
+        self.logical.level_wear().clone()
+    }
+
+    fn check_invariants(&self) {
+        self.logical.check_invariant();
+    }
+}
+
+/// Split's steps 1–6 for one `accessORAM` whose logical path traffic is
+/// `plan`, with every bucket of `tree` byte-striped over the SDIMMs
+/// `members` (in way order). Records each step's observables as it
+/// builds it and returns the phases, the phase after which the requested
+/// block is on the CPU, and the internal DRAM lines the SDIMMs moved.
+pub(crate) fn striped_phases(
+    plan: &AccessPlan,
+    members: Range<usize>,
+    tree: &OramConfig,
+    low_power: bool,
+    recorder: &mut Option<Recorder>,
+) -> (Vec<Phase>, usize, u64) {
+    let k = members.len();
+    let per_bucket = tree.lines_per_bucket();
+    let lm = (tree.levels + 1 - tree.cached_levels) as u64;
+    let mut record = |ev| {
+        if let Some(rec) = recorder.as_mut() {
+            rec.push(ev);
+        }
+    };
+    let mut internal_lines = 0;
+    let mut phases = Vec::new();
+
+    // Step 1: FETCH_DATA to all SDIMMs (short commands).
+    let mut p1 = Phase::default();
+    for m in members.clone() {
+        p1.par.push(Activity::ExtShort { sdimm: m });
+        record(Observable::ShortCommand { sdimm: m });
+    }
+    phases.push(p1);
+
+    // Step 2: every SDIMM reads its data share of the path into its
+    // local stash, concurrently; decryption overlaps.
+    let mut p2 = Phase::default();
+    for (m, share) in members.clone().zip(stripe_data_lines(&plan.read_lines, k, per_bucket)) {
+        internal_lines += share.len() as u64;
+        record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
+        if low_power {
+            p2.par.push(Activity::WakeRank { channel: m, rank: 0 });
+        }
+        p2.par.push(Activity::Dram { channel: m, reads: share, writes: Vec::new() });
+    }
+    p2.par.push(Activity::Crypto { units: (plan.read_lines.len() / k.max(1)) as u32 });
+    phases.push(p2);
+
+    // Step 3: the CPU issues conventional reads for the metadata
+    // shares: internal DRAM reads plus Lm × (64/k) bytes upstream per
+    // SDIMM on the external bus. The CPU needs all of it before it
+    // can reassemble tags/leaves/counters, so this is a distinct
+    // protocol step.
+    let meta_bytes = lm * META_BYTES_PER_BUCKET / k as u64;
+    let mut p3 = Phase::default();
+    for (m, share) in members.clone().zip(stripe_meta_lines(&plan.read_lines, k, per_bucket)) {
+        internal_lines += share.len() as u64;
+        record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
+        p3.par.push(Activity::Dram { channel: m, reads: share, writes: Vec::new() });
+        p3.par.push(Activity::ExtTransfer { sdimm: m, bytes: meta_bytes });
+        record(Observable::MetaTransfer { sdimm: m, bytes: meta_bytes });
+    }
+    phases.push(p3);
+
+    // Steps 4+5: FETCH_STASH retrieves the requested block's k pieces
+    // while the RECEIVE_LIST messages (eviction list + reassembled
+    // counters) go back down.
+    let list_bytes = receive_list_bytes(lm, tree.z as u64);
+    let mut p4 = Phase::default();
+    for m in members.clone() {
+        p4.par.push(Activity::ExtTransfer { sdimm: m, bytes: 64 / k as u64 });
+        record(Observable::LongCommand { sdimm: m });
+        p4.par.push(Activity::ExtTransfer { sdimm: m, bytes: list_bytes });
+        record(Observable::MetaTransfer { sdimm: m, bytes: list_bytes });
+    }
+    phases.push(p4);
+    let data_ready_phase = phases.len() - 1;
+
+    // Step 6: concurrent local write-back with re-encryption/MAC.
+    let mut p6 = Phase::default();
+    for (m, share) in members.zip(stripe(&plan.write_lines, k, per_bucket)) {
+        internal_lines += share.len() as u64;
+        record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
+        p6.par.push(Activity::Dram { channel: m, reads: Vec::new(), writes: share });
+    }
+    p6.par.push(Activity::Crypto { units: (plan.write_lines.len() / k.max(1)) as u32 });
+    phases.push(p6);
+
+    (phases, data_ready_phase, internal_lines)
 }
 
 /// Distributes each `per_bucket`-line chunk round-robin over `k` shares
@@ -301,7 +283,7 @@ pub(crate) fn stripe(lines: &[u64], k: usize, per_bucket: usize) -> Vec<Vec<u64>
 
 /// Shares of the *data* lines only (the first `per_bucket − 1` lines of
 /// each bucket), striped round-robin.
-pub(crate) fn stripe_data_lines(lines: &[u64], k: usize, per_bucket: usize) -> Vec<Vec<u64>> {
+fn stripe_data_lines(lines: &[u64], k: usize, per_bucket: usize) -> Vec<Vec<u64>> {
     let mut shares = vec![Vec::new(); k];
     for (bi, chunk) in lines.chunks(per_bucket).enumerate() {
         let data = &chunk[..chunk.len().saturating_sub(1)];
@@ -316,7 +298,7 @@ pub(crate) fn stripe_data_lines(lines: &[u64], k: usize, per_bucket: usize) -> V
 /// stores `64/k` bytes of every bucket's metadata, packed so it reads
 /// `buckets/k` full lines — modeled by dealing the per-bucket metadata
 /// lines round-robin.
-pub(crate) fn stripe_meta_lines(lines: &[u64], k: usize, per_bucket: usize) -> Vec<Vec<u64>> {
+fn stripe_meta_lines(lines: &[u64], k: usize, per_bucket: usize) -> Vec<Vec<u64>> {
     let mut shares = vec![Vec::new(); k];
     for (bi, chunk) in lines.chunks(per_bucket).enumerate() {
         if let Some(meta) = chunk.last() {
@@ -341,7 +323,7 @@ mod tests {
         s.access(BlockId(9), Op::Write, Some(&[3u8; 64]));
         let (got, _) = s.access(BlockId(9), Op::Read, None);
         assert_eq!(got, vec![3u8; 64]);
-        s.check_invariant();
+        s.check_invariants();
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //! first. Fetched posmap blocks enter the PLB; dirty PLB victims cost an
 //! extra write-back access. The paper measures ≈1.4 `accessORAM`s per
 //! last-level-cache miss with this arrangement.
+//!
+//! That walk lives in one place, [`Frontend`]: [`FreecursiveOram`] runs
+//! it over a single Path ORAM, and every simulated ORAM machine runs it
+//! over its own backend.
 
 use crate::path_oram::PathOram;
-use crate::plan::AccessPlan;
-use crate::plb::{Plb, PlbKey};
+use crate::plan::{AccessPlan, PlanKind};
+use crate::plb::{Plb, PlbKey, PlbStats};
 use crate::types::{BlockId, Op, OramConfig};
 
 /// Block-id space partitioning inside the unified tree: each recursion
@@ -74,19 +78,31 @@ impl IdSpace {
     }
 }
 
+/// One `accessORAM` the frontend wants executed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlannedAccess {
+    /// Global block id within the unified tree's id space.
+    pub id: BlockId,
+    /// Operation to perform.
+    pub op: Op,
+    /// True for position-map traffic (fetch or write-back), false for the
+    /// demand access carrying CPU data.
+    pub is_posmap: bool,
+}
+
 /// Counters describing frontend behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FreecursiveStats {
     /// CPU (LLC-miss) requests served.
     pub requests: u64,
     /// Total `accessORAM` operations issued (demand + posmap + PLB
-    /// write-backs).
+    /// write-backs, plus background evictions where a backend runs them).
     pub accesses: u64,
     /// Accesses issued only to fetch position-map blocks.
     pub posmap_accesses: u64,
     /// Write-back accesses for dirty PLB evictions.
     pub plb_writebacks: u64,
-    /// Background evictions triggered.
+    /// Background evictions triggered (zero for a bare [`Frontend`]).
     pub background_evictions: u64,
 }
 
@@ -101,14 +117,134 @@ impl FreecursiveStats {
     }
 }
 
-/// A Freecursive ORAM: unified tree backend + PLB frontend.
+/// The CPU-side Freecursive frontend: PLB + recursion planner.
+///
+/// It decides which `accessORAM`s each CPU request needs and leaves their
+/// execution to a backend: [`FreecursiveOram`]'s unified Path ORAM, or
+/// the distributed SDIMM backends, where the frontend stays on the CPU
+/// (§III-C: "the CPU manages the frontend of ORAM while SDIMMs accelerate
+/// the backend").
 #[derive(Debug)]
-pub struct FreecursiveOram {
-    backend: PathOram,
+pub struct Frontend {
     plb: Plb,
     ids: IdSpace,
     entries_per_block: u64,
     stats: FreecursiveStats,
+}
+
+impl Frontend {
+    /// Builds a frontend for `data_blocks` data blocks under `cfg`.
+    pub fn new(cfg: &OramConfig, data_blocks: u64) -> Self {
+        Frontend {
+            plb: Plb::table2(),
+            ids: IdSpace::new(data_blocks, cfg.posmap_entries_per_block as u64, cfg.max_recursion),
+            entries_per_block: cfg.posmap_entries_per_block as u64,
+            stats: FreecursiveStats::default(),
+        }
+    }
+
+    /// Replaces the PLB (for size-sweep ablations).
+    pub fn set_plb(&mut self, plb: Plb) {
+        self.plb = plb;
+    }
+
+    /// The unified-tree id space (total block count etc.).
+    pub fn id_space(&self) -> &IdSpace {
+        &self.ids
+    }
+
+    /// Frontend statistics so far.
+    pub fn stats(&self) -> FreecursiveStats {
+        self.stats
+    }
+
+    /// PLB statistics so far.
+    pub fn plb_stats(&self) -> PlbStats {
+        self.plb.stats()
+    }
+
+    fn nth_parent(&self, index: u64, n: usize) -> u64 {
+        let mut idx = index;
+        for _ in 0..n {
+            idx /= self.entries_per_block;
+        }
+        idx
+    }
+
+    /// Plans the `accessORAM` sequence for a CPU request on data block
+    /// `index`, in issue order: position-map fetches deepest recursion
+    /// level first, each followed by the write-back of the dirty PLB
+    /// victim its insertion evicts (if any), then the demand access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a valid data block.
+    pub fn plan_request(&mut self, index: u64, op: Op) -> Vec<PlannedAccess> {
+        assert!(index < self.ids.level_blocks(0), "data block {index} out of range");
+        self.stats.requests += 1;
+        let mut out = Vec::new();
+
+        // Walk the PLB from level 1 upward until a hit or the on-chip map.
+        let memory_levels = self.ids.memory_levels();
+        let mut walk_to = memory_levels;
+        let mut idx = index;
+        for level in 1..=memory_levels {
+            idx /= self.entries_per_block;
+            if self.plb.lookup(PlbKey { level: level as u8, index: idx }) {
+                walk_to = level - 1;
+                break;
+            }
+        }
+
+        let mut level = walk_to;
+        while level >= 1 {
+            let pm_index = self.nth_parent(index, level);
+            out.push(PlannedAccess {
+                id: self.ids.block_id(level, pm_index),
+                op: Op::Read,
+                is_posmap: true,
+            });
+            self.stats.posmap_accesses += 1;
+            // Fetching a posmap block remaps it, dirtying its parent
+            // (which is a PLB hit or on-chip by construction).
+            if level < memory_levels {
+                self.plb.mark_dirty(PlbKey {
+                    level: level as u8 + 1,
+                    index: pm_index / self.entries_per_block,
+                });
+            }
+            if let Some((victim, dirty)) =
+                self.plb.insert(PlbKey { level: level as u8, index: pm_index }, true)
+            {
+                if dirty {
+                    out.push(PlannedAccess {
+                        id: self.ids.block_id(victim.level as usize, victim.index),
+                        op: Op::Write,
+                        is_posmap: true,
+                    });
+                    self.stats.plb_writebacks += 1;
+                }
+            }
+            level -= 1;
+        }
+
+        // The remap of the data block dirties its level-1 posmap block.
+        if memory_levels >= 1 {
+            self.plb.mark_dirty(PlbKey { level: 1, index: self.nth_parent(index, 1) });
+        }
+
+        out.push(PlannedAccess { id: self.ids.block_id(0, index), op, is_posmap: false });
+        self.stats.accesses += out.len() as u64;
+        out
+    }
+}
+
+/// A Freecursive ORAM: the [`Frontend`] over a unified-tree Path ORAM.
+#[derive(Debug)]
+pub struct FreecursiveOram {
+    frontend: Frontend,
+    backend: PathOram,
+    background_evictions: u64,
 }
 
 impl FreecursiveOram {
@@ -119,46 +255,38 @@ impl FreecursiveOram {
     /// Panics if the unified tree cannot hold all levels at ≤50%
     /// utilization under `cfg`.
     pub fn new(cfg: OramConfig, data_blocks: u64, seed: u64) -> Self {
-        let ids = IdSpace::new(data_blocks, cfg.posmap_entries_per_block as u64, cfg.max_recursion);
-        let backend = PathOram::new(cfg.clone(), ids.total_blocks(), seed);
-        FreecursiveOram {
-            backend,
-            plb: Plb::table2(),
-            entries_per_block: cfg.posmap_entries_per_block as u64,
-            ids,
-            stats: FreecursiveStats::default(),
-        }
+        let frontend = Frontend::new(&cfg, data_blocks);
+        let backend = PathOram::new(cfg, frontend.id_space().total_blocks(), seed);
+        FreecursiveOram { frontend, backend, background_evictions: 0 }
     }
 
     /// Replaces the default PLB (ablation studies sweep its size).
     pub fn set_plb(&mut self, plb: Plb) {
-        self.plb = plb;
+        self.frontend.set_plb(plb);
     }
 
     /// Data blocks addressable by the CPU.
     pub fn data_blocks(&self) -> u64 {
-        self.ids.level_blocks(0)
+        self.frontend.id_space().level_blocks(0)
     }
 
-    /// Frontend statistics.
+    /// Frontend statistics, with background evictions counted as
+    /// accesses.
     pub fn stats(&self) -> FreecursiveStats {
-        self.stats
+        let mut stats = self.frontend.stats();
+        stats.background_evictions = self.background_evictions;
+        stats.accesses += self.background_evictions;
+        stats
     }
 
     /// PLB statistics.
-    pub fn plb_stats(&self) -> crate::plb::PlbStats {
-        self.plb.stats()
+    pub fn plb_stats(&self) -> PlbStats {
+        self.frontend.plb_stats()
     }
 
     /// Immutable access to the backend (stash occupancy, tree checks).
     pub fn backend(&self) -> &PathOram {
         &self.backend
-    }
-
-    /// The posmap block index covering data/posmap block `index` one
-    /// recursion level up.
-    fn parent_index(&self, index: u64) -> u64 {
-        index / self.entries_per_block
     }
 
     /// Serves one CPU request for data block `index` (an id within the
@@ -174,88 +302,33 @@ impl FreecursiveOram {
         op: Op,
         new_data: Option<&[u8]>,
     ) -> (Vec<u8>, Vec<AccessPlan>) {
-        assert!(index < self.ids.level_blocks(0), "data block {index} out of range");
-        self.stats.requests += 1;
-        let mut plans = Vec::new();
-
-        // Walk the PLB from level 1 upward until a hit or the on-chip map.
-        let memory_levels = self.ids.memory_levels();
-        let mut walk_to = memory_levels; // exclusive: levels 1..=walk_to missed
-        let mut idx = index;
-        for level in 1..=memory_levels {
-            idx = self.parent_index(idx);
-            if self.plb.lookup(PlbKey { level: level as u8, index: idx }) {
-                walk_to = level - 1;
-                break;
+        let planned = self.frontend.plan_request(index, op);
+        let mut plans = Vec::with_capacity(planned.len());
+        let mut data = Vec::new();
+        for p in planned {
+            match (p.is_posmap, p.op) {
+                (false, _) => {
+                    let (served, plan) = self.backend.access(p.id, p.op, new_data);
+                    data = served;
+                    plans.push(plan);
+                }
+                (true, Op::Read) => plans.push(self.backend.access(p.id, Op::Read, None).1),
+                (true, Op::Write) => {
+                    let (_, mut plan) = self.backend.access(p.id, Op::Write, Some(&[]));
+                    plan.kind = PlanKind::PlbWriteback;
+                    plans.push(plan);
+                }
             }
         }
-
-        // Fetch missed posmap blocks deepest-level first, inserting each
-        // into the PLB; dirty victims trigger write-back accesses.
-        let mut level = walk_to;
-        while level >= 1 {
-            let pm_index = nth_parent(index, self.entries_per_block, level);
-            let id = self.ids.block_id(level, pm_index);
-            let (_, plan) = self.backend.access(id, Op::Read, None);
-            self.stats.accesses += 1;
-            self.stats.posmap_accesses += 1;
-            plans.push(plan);
-            self.handle_plb_insert(level as u8, pm_index, &mut plans);
-            level -= 1;
-        }
-
-        // The remap of the data block dirties its level-1 posmap block.
-        if memory_levels >= 1 {
-            self.plb.mark_dirty(PlbKey {
-                level: 1,
-                index: nth_parent(index, self.entries_per_block, 1),
-            });
-        }
-
-        // Finally, the demand access itself.
-        let id = self.ids.block_id(0, index);
-        let (data, plan) = self.backend.access(id, op, new_data);
-        self.stats.accesses += 1;
-        plans.push(plan);
 
         // Stash-pressure relief.
         while self.backend.needs_background_evict() {
             plans.push(self.backend.background_evict());
-            self.stats.background_evictions += 1;
-            self.stats.accesses += 1;
+            self.background_evictions += 1;
         }
 
         (data, plans)
     }
-
-    /// Inserts a fetched posmap block into the PLB and services any dirty
-    /// eviction with a write-back access. (Fetching a posmap block also
-    /// remaps it, dirtying *its* parent, which by construction was a PLB
-    /// hit or on-chip.)
-    fn handle_plb_insert(&mut self, level: u8, index: u64, plans: &mut Vec<AccessPlan>) {
-        if (level as usize) < self.ids.memory_levels() {
-            self.plb.mark_dirty(PlbKey { level: level + 1, index: index / self.entries_per_block });
-        }
-        if let Some((victim, dirty)) = self.plb.insert(PlbKey { level, index }, true) {
-            if dirty {
-                let victim_id = self.ids.block_id(victim.level as usize, victim.index);
-                let (_, mut plan) = self.backend.access(victim_id, Op::Write, Some(&[]));
-                plan.kind = crate::plan::PlanKind::PlbWriteback;
-                self.stats.accesses += 1;
-                self.stats.plb_writebacks += 1;
-                plans.push(plan);
-            }
-        }
-    }
-}
-
-/// Applies `parent_index` `n` times.
-fn nth_parent(index: u64, fanout: u64, n: usize) -> u64 {
-    let mut idx = index;
-    for _ in 0..n {
-        idx /= fanout;
-    }
-    idx
 }
 
 #[cfg(test)]
@@ -316,10 +389,10 @@ mod tests {
         let mut f = FreecursiveOram::new(big_cfg(), 4096, 13);
         let (_, cold_plans) = f.request(7, Op::Read, None);
         // Cold: one access per memory level + the demand access.
-        assert!(cold_plans.len() > f.ids.memory_levels());
+        assert!(cold_plans.len() > f.frontend.id_space().memory_levels());
         let (_, warm_plans) = f.request(7, Op::Read, None);
         assert_eq!(
-            warm_plans.iter().filter(|p| p.kind == crate::plan::PlanKind::Demand).count(),
+            warm_plans.iter().filter(|p| p.kind == PlanKind::Demand).count(),
             1,
             "warm request should only need the demand access"
         );
@@ -368,5 +441,69 @@ mod tests {
     fn out_of_range_request_rejected() {
         let mut f = FreecursiveOram::new(cfg(), 1024, 17);
         f.request(1024, Op::Read, None);
+    }
+
+    fn frontend() -> Frontend {
+        Frontend::new(&OramConfig { levels: 13, ..OramConfig::default() }, 8192)
+    }
+
+    #[test]
+    fn cold_request_walks_every_memory_level() {
+        let mut f = frontend();
+        let plan = f.plan_request(0, Op::Read);
+        // 8192 data blocks, fan-out 16 ⇒ levels of 512 and 32 posmap
+        // blocks (level of 2 is ≤... recursion stops when ≤1 block).
+        let memory_levels = f.id_space().memory_levels();
+        assert_eq!(plan.len(), memory_levels + 1);
+        assert!(plan.last().map(|p| !p.is_posmap).unwrap_or(false));
+        // Deepest level first.
+        assert!(plan[0].id > plan[1].id);
+    }
+
+    #[test]
+    fn warm_request_needs_single_access() {
+        let mut f = frontend();
+        f.plan_request(100, Op::Read);
+        let plan = f.plan_request(100, Op::Write);
+        assert_eq!(plan.len(), 1);
+        assert_eq!(plan[0].op, Op::Write);
+        assert!(!plan[0].is_posmap);
+    }
+
+    #[test]
+    fn neighbor_blocks_share_posmap_blocks() {
+        let mut f = frontend();
+        f.plan_request(0, Op::Read);
+        // Block 1 shares block 0's level-1 posmap block (fan-out 16).
+        let plan = f.plan_request(1, Op::Read);
+        assert_eq!(plan.len(), 1, "PLB hit expected for neighbor");
+    }
+
+    #[test]
+    fn accesses_per_request_in_expected_band() {
+        let mut f = frontend();
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..1000 {
+            let region = rng.gen_range(0..16u64) * 512;
+            f.plan_request(region + rng.gen_range(0..128u64), Op::Read);
+        }
+        let apr = f.stats().accesses_per_request();
+        assert!(apr > 1.0 && apr < 2.0, "≈1.4 expected, got {apr}");
+    }
+
+    #[test]
+    fn stats_add_up() {
+        let mut f = frontend();
+        let plan = f.plan_request(7, Op::Read);
+        let s = f.stats();
+        assert_eq!(s.requests, 1);
+        assert_eq!(s.accesses, plan.len() as u64);
+        assert_eq!(s.posmap_accesses + s.plb_writebacks + 1, s.accesses);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_bad_index() {
+        frontend().plan_request(8192, Op::Read);
     }
 }

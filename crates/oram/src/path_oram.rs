@@ -781,6 +781,13 @@ mod tests {
         b.append(moved);
         let (got, _) = b.access(BlockId(3), Op::Read, None);
         assert_eq!(got, vec![0xAB; 16]);
+        // A never-written block is served zero-filled into the stash, so
+        // it always leaves too, carrying the new leaf and the served data.
+        let (served, fresh, _) = a.access_with_remap(BlockId(9), Op::Read, None, Leaf(6), false);
+        let fresh = fresh.expect("a never-written block leaves ORAM A");
+        assert_eq!((fresh.id, fresh.leaf), (BlockId(9), Leaf(6)));
+        assert_eq!(served, vec![0; a.config().block_bytes]);
+        assert_eq!(fresh.data, served);
         a.check_invariant();
         b.check_invariant();
     }

@@ -3,9 +3,10 @@
 //!
 //! A [`machine::Machine`] couples:
 //!
-//! * the CPU-side frontend (`sdimm::frontend`, the PLB + recursion walk),
+//! * the CPU-side frontend (`oram::freecursive::Frontend`, the PLB +
+//!   recursion walk),
 //! * a functional ORAM backend (baseline `oram::PathOram` or one of the
-//!   SDIMM protocols from the `sdimm` crate),
+//!   SDIMM protocols behind `sdimm::Protocol`),
 //! * and the cycle-level [`executor::Executor`] over `dram-sim` channels
 //!   and buses.
 //!

@@ -8,14 +8,15 @@
 
 use dram_sim::config::ChannelConfig;
 use dram_sim::spec::DramStandard;
+use oram::freecursive::{Frontend, PlannedAccess};
 use oram::path_oram::PathOram;
 use oram::types::{BlockId, Op, OramConfig};
 use oram::wear::LevelWear;
-use sdimm::frontend::Frontend;
 use sdimm::indep_split::{IndepSplitConfig, IndepSplitOram};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::split::{SplitConfig, SplitOram};
 use sdimm::trace::{Activity, Phase, RequestTrace};
+use sdimm::Protocol;
 
 use crate::executor::Executor;
 
@@ -153,18 +154,15 @@ impl SystemConfig {
 #[derive(Debug)]
 enum Backend {
     NonSecure,
-    /// Plain Path ORAM: on-chip posmap, one access per request.
-    PathOramPlain {
-        oram: PathOram,
+    /// Path ORAM over the main-memory channels: plain (on-chip posmap,
+    /// one access per request) when the machine has no frontend,
+    /// Freecursive when it has one.
+    Baseline {
+        oram: Box<PathOram>,
         channels: usize,
     },
-    Freecursive {
-        oram: PathOram,
-        channels: usize,
-    },
-    Independent(IndependentOram),
-    Split(SplitOram),
-    IndepSplit(IndepSplitOram),
+    /// One of the SDIMM protocols.
+    Sdimm(Box<dyn Protocol>),
 }
 
 /// A complete simulated machine: frontend + backend + executor.
@@ -187,64 +185,45 @@ impl Machine {
     pub fn new(cfg: SystemConfig) -> Self {
         let kind = cfg.kind;
         let n_exec = kind.executor_channels();
+        let ch_cfg = kind.channel_config_for(cfg.standard);
+        let frontend = match kind {
+            MachineKind::NonSecure { .. } | MachineKind::PathOram { .. } => None,
+            _ => Some(Frontend::new(&cfg.oram, cfg.data_blocks)),
+        };
+        // The frontend's unified id space also holds the posmap levels.
+        let blocks = frontend.as_ref().map_or(cfg.data_blocks, |f| f.id_space().total_blocks());
 
-        let (backend, frontend, executor) = match kind {
-            MachineKind::NonSecure { channels } => (
-                Backend::NonSecure,
-                None,
-                Executor::new(channels, kind.channel_config_for(cfg.standard), &[]),
-            ),
-            MachineKind::PathOram { channels } => {
-                let oram = PathOram::new(cfg.oram.clone(), cfg.data_blocks, cfg.seed);
-                (
-                    Backend::PathOramPlain { oram, channels },
-                    None,
-                    Executor::new(channels, kind.channel_config_for(cfg.standard), &[]),
-                )
-            }
-            MachineKind::Freecursive { channels } => {
-                let frontend = Frontend::new(&cfg.oram, cfg.data_blocks);
-                let total = frontend.id_space().total_blocks();
-                let oram = PathOram::new(cfg.oram.clone(), total, cfg.seed);
-                (
-                    Backend::Freecursive { oram, channels },
-                    Some(frontend),
-                    Executor::new(channels, kind.channel_config_for(cfg.standard), &[]),
-                )
+        let (backend, buses) = match kind {
+            MachineKind::NonSecure { channels } => (Backend::NonSecure, channels),
+            MachineKind::PathOram { channels } | MachineKind::Freecursive { channels } => {
+                let oram = Box::new(PathOram::new(cfg.oram.clone(), blocks, cfg.seed));
+                (Backend::Baseline { oram, channels }, channels)
             }
             MachineKind::Independent { sdimms, channels } => {
-                let frontend = Frontend::new(&cfg.oram, cfg.data_blocks);
-                let total = frontend.id_space().total_blocks();
                 let mut icfg = IndependentConfig::new(sdimms, &cfg.oram);
                 icfg.low_power = cfg.low_power;
-                let oram = IndependentOram::new(icfg, total, cfg.seed);
-                let bus_map = bus_assignment(sdimms, channels);
-                let mut ex = Executor::new(n_exec, kind.channel_config_for(cfg.standard), &bus_map);
-                ex.set_lowpower_ranks(cfg.low_power);
-                (Backend::Independent(oram), Some(frontend), ex)
+                let oram = IndependentOram::new(icfg, blocks, cfg.seed);
+                (Backend::Sdimm(Box::new(oram)), channels)
             }
             MachineKind::Split { ways, channels } => {
-                let frontend = Frontend::new(&cfg.oram, cfg.data_blocks);
-                let total = frontend.id_space().total_blocks();
                 let mut scfg = SplitConfig::new(ways, &cfg.oram);
                 scfg.low_power = cfg.low_power;
-                let oram = SplitOram::new(scfg, total, cfg.seed);
-                let bus_map = bus_assignment(ways, channels);
-                let mut ex = Executor::new(n_exec, kind.channel_config_for(cfg.standard), &bus_map);
-                ex.set_lowpower_ranks(cfg.low_power);
-                (Backend::Split(oram), Some(frontend), ex)
+                let oram = SplitOram::new(scfg, blocks, cfg.seed);
+                (Backend::Sdimm(Box::new(oram)), channels)
             }
             MachineKind::IndepSplit { groups, ways, channels } => {
-                let frontend = Frontend::new(&cfg.oram, cfg.data_blocks);
-                let total = frontend.id_space().total_blocks();
                 let mut ccfg = IndepSplitConfig::new(groups, ways, &cfg.oram);
                 ccfg.low_power = cfg.low_power;
-                let oram = IndepSplitOram::new(ccfg, total, cfg.seed);
-                let bus_map = bus_assignment(groups * ways, channels);
-                let mut ex = Executor::new(n_exec, kind.channel_config_for(cfg.standard), &bus_map);
-                ex.set_lowpower_ranks(cfg.low_power);
-                (Backend::IndepSplit(oram), Some(frontend), ex)
+                let oram = IndepSplitOram::new(ccfg, blocks, cfg.seed);
+                (Backend::Sdimm(Box::new(oram)), channels)
             }
+        };
+        let executor = if matches!(backend, Backend::Sdimm(_)) {
+            let mut ex = Executor::new(n_exec, ch_cfg, &bus_assignment(n_exec, buses));
+            ex.set_lowpower_ranks(cfg.low_power);
+            ex
+        } else {
+            Executor::new(n_exec, ch_cfg, &[])
         };
 
         Machine { cfg, frontend, backend, executor }
@@ -267,11 +246,8 @@ impl Machine {
     pub fn stash_len(&self) -> usize {
         match &self.backend {
             Backend::NonSecure => 0,
-            Backend::PathOramPlain { oram, .. } => oram.stash_len(),
-            Backend::Freecursive { oram, .. } => oram.stash_len(),
-            Backend::Independent(o) => o.max_stash_len(),
-            Backend::Split(o) => o.stash_len(),
-            Backend::IndepSplit(o) => o.max_stash_len(),
+            Backend::Baseline { oram, .. } => oram.stash_len(),
+            Backend::Sdimm(o) => o.max_stash_len(),
         }
     }
 
@@ -281,12 +257,10 @@ impl Machine {
     /// (the baselines have no external SDIMM bus), so this is a no-op
     /// for NonSecure/PathOram/Freecursive machines.
     pub fn set_observable_recorder(&mut self) {
-        let rec = sdimm::obliviousness::Recorder::with_clock(self.executor.shared_clock());
-        match &mut self.backend {
-            Backend::NonSecure | Backend::PathOramPlain { .. } | Backend::Freecursive { .. } => {}
-            Backend::Independent(o) => o.set_recorder(rec),
-            Backend::Split(o) => o.set_recorder(rec),
-            Backend::IndepSplit(o) => o.set_recorder(rec),
+        if let Backend::Sdimm(o) = &mut self.backend {
+            o.set_recorder(sdimm::obliviousness::Recorder::with_clock(
+                self.executor.shared_clock(),
+            ));
         }
     }
 
@@ -294,12 +268,8 @@ impl Machine {
     /// attached and the backend has an external bus to observe.
     pub fn take_observable_recorder(&mut self) -> Option<sdimm::obliviousness::Recorder> {
         match &mut self.backend {
-            Backend::NonSecure | Backend::PathOramPlain { .. } | Backend::Freecursive { .. } => {
-                None
-            }
-            Backend::Independent(o) => o.take_recorder(),
-            Backend::Split(o) => o.take_recorder(),
-            Backend::IndepSplit(o) => o.take_recorder(),
+            Backend::Sdimm(o) => o.take_recorder(),
+            _ => None,
         }
     }
 
@@ -310,11 +280,8 @@ impl Machine {
         self.executor.set_flight_recorder(recorder.clone());
         match &mut self.backend {
             Backend::NonSecure => {}
-            Backend::PathOramPlain { oram, .. } => oram.set_flight_recorder(recorder, 0),
-            Backend::Freecursive { oram, .. } => oram.set_flight_recorder(recorder, 0),
-            Backend::Independent(o) => o.set_flight_recorder(recorder),
-            Backend::Split(o) => o.set_flight_recorder(recorder),
-            Backend::IndepSplit(o) => o.set_flight_recorder(recorder),
+            Backend::Baseline { oram, .. } => oram.set_flight_recorder(recorder, 0),
+            Backend::Sdimm(o) => o.set_flight_recorder(recorder),
         }
     }
 
@@ -330,11 +297,8 @@ impl Machine {
     pub fn stash_peak(&self) -> usize {
         match &self.backend {
             Backend::NonSecure => 0,
-            Backend::PathOramPlain { oram, .. } => oram.stash_peak(),
-            Backend::Freecursive { oram, .. } => oram.stash_peak(),
-            Backend::Independent(o) => o.stash_peak(),
-            Backend::Split(o) => o.stash_peak(),
-            Backend::IndepSplit(o) => o.stash_peak(),
+            Backend::Baseline { oram, .. } => oram.stash_peak(),
+            Backend::Sdimm(o) => o.stash_peak(),
         }
     }
 
@@ -359,11 +323,8 @@ impl Machine {
         }
         match &self.backend {
             Backend::NonSecure => {}
-            Backend::PathOramPlain { oram, .. } => m.absorb("oram", &oram.metrics()),
-            Backend::Freecursive { oram, .. } => m.absorb("oram", &oram.metrics()),
-            Backend::Independent(o) => m.absorb("oram", &o.metrics()),
-            Backend::Split(o) => m.absorb("oram", &o.metrics()),
-            Backend::IndepSplit(o) => m.absorb("oram", &o.metrics()),
+            Backend::Baseline { oram, .. } => m.absorb("oram", &oram.metrics()),
+            Backend::Sdimm(o) => m.absorb("oram", &o.metrics()),
         }
         m.gauge_max("oram.stash_peak", self.stash_peak() as f64);
         m
@@ -392,12 +353,8 @@ impl Machine {
         let unsplit = |channels: usize| ((addr / 64) * channels as u64 + channel as u64) * 64;
         match &self.backend {
             Backend::NonSecure => None,
-            Backend::PathOramPlain { oram, channels } | Backend::Freecursive { oram, channels } => {
-                oram.layout().level_of_line(unsplit(*channels))
-            }
-            Backend::Independent(o) => o.level_of_channel_line(channel, addr),
-            Backend::Split(o) => o.level_of_channel_line(addr),
-            Backend::IndepSplit(o) => o.level_of_channel_line(channel, addr),
+            Backend::Baseline { oram, channels } => oram.layout().level_of_line(unsplit(*channels)),
+            Backend::Sdimm(o) => o.level_of_channel_line(channel, addr),
         }
     }
 
@@ -406,12 +363,8 @@ impl Machine {
     pub fn level_wear(&self) -> LevelWear {
         match &self.backend {
             Backend::NonSecure => LevelWear::default(),
-            Backend::PathOramPlain { oram, .. } | Backend::Freecursive { oram, .. } => {
-                oram.level_wear().clone()
-            }
-            Backend::Independent(o) => o.level_wear(),
-            Backend::Split(o) => o.level_wear().clone(),
-            Backend::IndepSplit(o) => o.level_wear(),
+            Backend::Baseline { oram, .. } => oram.level_wear().clone(),
+            Backend::Sdimm(o) => o.level_wear(),
         }
     }
 
@@ -448,43 +401,33 @@ impl Machine {
                     writes: if is_write { vec![local] } else { vec![] },
                 })])]
             }
-            Backend::PathOramPlain { oram, channels } => {
+            Backend::Baseline { oram, channels } => {
                 let index = (addr / 64) % self.cfg.data_blocks;
-                let (_, plan) = oram.access(BlockId(index), op, Some(&[]));
-                vec![Self::baseline_path_trace(&plan, *channels)]
+                Self::plan(self.frontend.as_mut(), index, op)
+                    .into_iter()
+                    .map(|p| {
+                        let (_, plan) = oram.access(p.id, p.op, Some(&[]));
+                        Self::baseline_path_trace(&plan, *channels)
+                    })
+                    .collect()
             }
-            Backend::Freecursive { oram, channels } => {
-                // lint: panic-ok(invariant: ORAM machines have a frontend)
-                let frontend = self.frontend.as_mut().expect("ORAM machines have a frontend");
+            Backend::Sdimm(oram) => {
                 let index = (addr / 64) % self.cfg.data_blocks;
-                let mut parts = Vec::new();
-                for planned in frontend.plan_request(index, op) {
-                    let (_, plan) = oram.access(planned.id, planned.op, Some(&[]));
-                    parts.push(Self::baseline_path_trace(&plan, *channels));
-                }
-                parts
+                Self::plan(self.frontend.as_mut(), index, op)
+                    .into_iter()
+                    .map(|p| oram.access(p.id, p.op, Some(&[])).1)
+                    .collect()
             }
-            Backend::Independent(oram) => Self::plan_protocol(
-                self.frontend.as_mut(),
-                addr,
-                op,
-                self.cfg.data_blocks,
-                |id, op| oram.access(id, op, Some(&[])).1,
-            ),
-            Backend::Split(oram) => Self::plan_protocol(
-                self.frontend.as_mut(),
-                addr,
-                op,
-                self.cfg.data_blocks,
-                |id, op| oram.access(id, op, Some(&[])).1,
-            ),
-            Backend::IndepSplit(oram) => Self::plan_protocol(
-                self.frontend.as_mut(),
-                addr,
-                op,
-                self.cfg.data_blocks,
-                |id, op| oram.access(id, op, Some(&[])).1,
-            ),
+        }
+    }
+
+    /// The `accessORAM`s one CPU request on data block `index` needs: the
+    /// frontend's plan, or the demand access alone when the position map
+    /// is on chip (plain Path ORAM).
+    fn plan(frontend: Option<&mut Frontend>, index: u64, op: Op) -> Vec<PlannedAccess> {
+        match frontend {
+            Some(f) => f.plan_request(index, op),
+            None => vec![PlannedAccess { id: BlockId(index), op, is_posmap: false }],
         }
     }
 
@@ -511,23 +454,6 @@ impl Machine {
         t.data_ready_phase = t.phases.len().saturating_sub(2);
         t.backend = Some(0);
         t
-    }
-
-    fn plan_protocol(
-        frontend: Option<&mut Frontend>,
-        addr: u64,
-        op: Op,
-        data_blocks: u64,
-        mut access: impl FnMut(BlockId, Op) -> RequestTrace,
-    ) -> Vec<RequestTrace> {
-        // lint: panic-ok(invariant: ORAM machines have a frontend)
-        let frontend = frontend.expect("ORAM machines have a frontend");
-        let index = (addr / 64) % data_blocks;
-        frontend
-            .plan_request(index, op)
-            .into_iter()
-            .map(|planned| access(planned.id, planned.op))
-            .collect()
     }
 }
 

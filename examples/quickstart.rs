@@ -6,6 +6,7 @@
 use oram::types::{BlockId, Op, OramConfig};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::obliviousness::Recorder;
+use sdimm::Protocol;
 
 fn main() {
     // A 2^10-leaf global tree partitioned across two Secure DIMMs.

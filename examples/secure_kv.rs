@@ -11,6 +11,7 @@
 use oram::types::{BlockId, Op, OramConfig};
 use sdimm::obliviousness::{compare_shapes, Recorder, ShapeVerdict};
 use sdimm::split::{SplitConfig, SplitOram};
+use sdimm::Protocol;
 
 /// Fixed-size value slot inside one 64-byte block: 8-byte key hash +
 /// 1-byte length + up to 55 bytes of value.

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Repository CI gate: formatting, lints, and the full test suite.
+# Repository CI gate: formatting, clippy, sdimm-lint, the full test suite,
+# then the perf, audit and report gates and the ledger benchmark checks
+# below, in that order.
 #
 # Usage: scripts/check.sh
 #
-# Runs the same three checks a future CI job should run. Fails fast on the
-# first broken step so local iterations stay quick.
+# CI runs this script as its check job. Fails fast on the first broken
+# step so local iterations stay quick.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,6 +50,9 @@ echo "audited_quick_fig6_wall_ms=$(( (fig6_t1 - fig6_t0) / 1000000 ))" \
 echo "==> audited quick-scale fig6 on DDR4-2400 (spec-driven backend: bank-group replay must be clean)"
 SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig6 -- \
   --audit --standard ddr4_2400 > /dev/null
+
+echo "==> audited quick-scale fig9 (every SDIMM protocol: DDR replay + ORAM oracle must be clean)"
+SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig9 -- --audit > /dev/null
 
 echo "==> protocol-crossover figure (all four standards; byte-stable across runs)"
 # Two runs from sibling directories, compared byte-for-byte: the report

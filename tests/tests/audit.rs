@@ -112,6 +112,13 @@ fn audited_run_matches_plain_run_exactly() {
         assert!(captured.streams.iter().any(|s| !s.is_empty()), "{name}: capture must record");
         assert_eq!(captured.wear.len(), kind.executor_channels(), "{name}");
         assert!(!captured.hot_rows.is_empty() && captured.hot_rows.len() <= 4, "{name}");
+        // Every ORAM machine attributes each hot row to the tree levels
+        // stored in it; NonSecure has no tree to attribute to.
+        let tree = !matches!(kind, MachineKind::NonSecure { .. });
+        for row in &captured.hot_rows {
+            assert_eq!(!row.levels.is_empty(), tree, "{name}: hot row levels {:?}", row.levels);
+        }
+        assert_eq!(captured.level_wear != LevelWear::default(), tree, "{name}: level wear");
         let external_bus = matches!(
             kind,
             MachineKind::Independent { .. }

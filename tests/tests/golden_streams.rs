@@ -37,11 +37,13 @@ fn digest(records: &[CmdRecord]) -> u64 {
 /// digest per channel.
 fn stream_lines(standard: DramStandard) -> Vec<String> {
     let trace = spec::generate("milc-like", 1200, 3);
-    let kinds: [(&str, MachineKind); 4] = [
+    let kinds: [(&str, MachineKind); 6] = [
         ("nonsecure-1ch", MachineKind::NonSecure { channels: 1 }),
+        ("pathoram-1ch", MachineKind::PathOram { channels: 1 }),
         ("freecursive-1ch", MachineKind::Freecursive { channels: 1 }),
         ("indep-2", MachineKind::Independent { sdimms: 2, channels: 1 }),
         ("split-2", MachineKind::Split { ways: 2, channels: 1 }),
+        ("indep-split", MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 }),
     ];
     kinds
         .into_iter()
@@ -69,9 +71,11 @@ fn ddr3_1600_streams_match_pinned_digests() {
         DramStandard::Ddr3_1600,
         &[
             "nonsecure-1ch cycles=17968 cmds=866 ch0=a7b05e7a10d986e4",
+            "pathoram-1ch cycles=228288 cmds=55230 ch0=55573e5fa62fd78d",
             "freecursive-1ch cycles=388464 cmds=93943 ch0=4f51e16e83c9d00f",
             "indep-2 cycles=256352 cmds=94906 ch0=96b6fb67865129a9 ch1=9711a9dfd4adbf47",
             "split-2 cycles=265872 cmds=101815 ch0=09fe91c0ace5db7d ch1=0739fcc28f7640d9",
+            "indep-split cycles=160928 cmds=101493 ch0=d3873e67f02cd45e ch1=56c23463eb05e04e ch2=e0b4a403bc39394d ch3=fc9a5fb69043b37d",
         ],
     );
 }
@@ -82,9 +86,11 @@ fn ddr4_2400_streams_match_pinned_digests() {
         DramStandard::Ddr4_2400,
         &[
             "nonsecure-1ch cycles=18256 cmds=788 ch0=0054e034ecad5bd4",
+            "pathoram-1ch cycles=313120 cmds=55016 ch0=f0fefb21709340f4",
             "freecursive-1ch cycles=532048 cmds=93511 ch0=f7c8903025596e2a",
             "indep-2 cycles=336976 cmds=94123 ch0=04063eaca3c6649f ch1=f0c4d86bca5c8915",
             "split-2 cycles=322800 cmds=99930 ch0=b7f6add563c88959 ch1=b17f3046150a7d09",
+            "indep-split cycles=194368 cmds=99661 ch0=837584dd7a580976 ch1=93af47b1df060bc1 ch2=d49d1bbdcb9488e2 ch3=5ffbb808eba722a4",
         ],
     );
 }
@@ -95,9 +101,11 @@ fn hbm2_streams_match_pinned_digests() {
         DramStandard::Hbm2,
         &[
             "nonsecure-1ch cycles=18672 cmds=1045 ch0=af78bc6d33ddb100",
+            "pathoram-1ch cycles=200416 cmds=59089 ch0=7d2d855fa767193d",
             "freecursive-1ch cycles=340848 cmds=100337 ch0=fcfdaa3579769a38",
             "indep-2 cycles=212320 cmds=102077 ch0=cf360e90f34c061d ch1=15bd2a23724fbf9d",
             "split-2 cycles=243840 cmds=114267 ch0=1bca2a3616630dd9 ch1=021f34bcd85d7345",
+            "indep-split cycles=148256 cmds=115134 ch0=30fd5e318a6ab907 ch1=2bae7c28de4e4ed2 ch2=e8018ad02dee9fc8 ch3=93d1242ba8b5c02a",
         ],
     );
 }

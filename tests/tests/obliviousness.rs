@@ -9,6 +9,7 @@ use sdimm::indep_split::{IndepSplitConfig, IndepSplitOram};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::obliviousness::{compare_shapes, target_skew, Recorder, ShapeVerdict};
 use sdimm::split::{SplitConfig, SplitOram};
+use sdimm::Protocol;
 
 const BLOCKS: u64 = 512;
 const N: usize = 64;

@@ -9,6 +9,7 @@ use rand::{Rng, SeedableRng};
 use sdimm::indep_split::{IndepSplitConfig, IndepSplitOram};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::split::{SplitConfig, SplitOram};
+use sdimm::Protocol;
 
 const BLOCKS: u64 = 512;
 
@@ -88,7 +89,7 @@ fn invariants_hold_everywhere_after_workload() {
         combined.access(id, Op::Write, Some(&data));
     }
     independent.check_invariants();
-    split.check_invariant();
+    split.check_invariants();
     combined.check_invariants();
 }
 
@@ -111,5 +112,5 @@ fn stash_bounded_across_protocols() {
     for _ in 0..1_500 {
         split.access(BlockId(rng.gen_range(0..BLOCKS)), Op::Read, None);
     }
-    assert!(split.stash_len() < 200, "split stash grew to {}", split.stash_len());
+    assert!(split.max_stash_len() < 200, "split stash grew to {}", split.max_stash_len());
 }

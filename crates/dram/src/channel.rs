@@ -8,7 +8,7 @@
 //! the paper uses, tuned so cycle loops can skip ahead when no command
 //! could possibly issue.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use sdimm_telemetry::{recorder::FlightEventKind, FlightRecorder, TraceSink};
 
@@ -41,36 +41,61 @@ struct QEntry {
 }
 
 /// One request queue (reads or writes), indexed by flat bank
-/// (`rank * banks + bank`): each bank's entries in arrival order, plus a
+/// (`rank * banks + bank`): each bank's entries in arrival order, a
 /// bitset of the banks holding work, so a scheduler pass visits each busy
-/// bank once instead of every queued line.
+/// bank once instead of every queued line, and each bank's oldest
+/// open-row hit, so the pass reads it instead of searching for it.
 #[derive(Debug)]
 struct BankQueue {
     banks: Vec<Vec<QEntry>>,
     /// Bit `b % 64` of word `b / 64` is set while `banks[b]` is non-empty.
     busy: Vec<u64>,
+    /// Position in `banks[b]` of the oldest entry on bank `b`'s open row;
+    /// `None` while the bank is precharged or no entry hits.
+    hit: Vec<Option<usize>>,
     len: usize,
 }
 
 impl BankQueue {
     fn new(banks: usize) -> Self {
-        BankQueue { banks: vec![Vec::new(); banks], busy: vec![0; banks.div_ceil(64)], len: 0 }
+        BankQueue {
+            banks: vec![Vec::new(); banks],
+            busy: vec![0; banks.div_ceil(64)],
+            hit: vec![None; banks],
+            len: 0,
+        }
     }
 
-    fn push(&mut self, bidx: usize, e: QEntry) {
-        self.banks[bidx].push(e);
+    /// Queues `e` at bank `bidx`, whose open row is `open`.
+    fn push(&mut self, bidx: usize, e: QEntry, open: Option<usize>) {
+        let list = &mut self.banks[bidx];
+        if self.hit[bidx].is_none() && open == Some(e.row) {
+            self.hit[bidx] = Some(list.len());
+        }
+        list.push(e);
         self.busy[bidx / 64] |= 1 << (bidx % 64);
         self.len += 1;
     }
 
-    fn remove(&mut self, bidx: usize, pos: usize) -> QEntry {
+    /// Removes the entry a CAS serves — always bank `bidx`'s cached hit
+    /// — and caches the next entry on the same (still open) row.
+    fn remove_hit(&mut self, bidx: usize, pos: usize) -> QEntry {
+        debug_assert_eq!(self.hit[bidx], Some(pos), "a CAS serves its bank's oldest hit");
         let list = &mut self.banks[bidx];
         let e = list.remove(pos);
+        // No entry ahead of `pos` is on the open row `e.row`.
+        self.hit[bidx] = list[pos..].iter().position(|x| x.row == e.row).map(|i| pos + i);
         if list.is_empty() {
             self.busy[bidx / 64] &= !(1 << (bidx % 64));
         }
         self.len -= 1;
         e
+    }
+
+    /// Re-derives bank `bidx`'s cached hit after an ACT opened row
+    /// `open`, or a PRE closed the bank (`None`).
+    fn set_open_row(&mut self, bidx: usize, open: Option<usize>) {
+        self.hit[bidx] = open.and_then(|row| self.banks[bidx].iter().position(|e| e.row == row));
     }
 
     /// Flat indices of the banks holding work, ascending.
@@ -83,12 +108,6 @@ impl BankQueue {
                 (b < 64).then_some(w * 64 + b)
             })
         })
-    }
-
-    /// The oldest entry of the whole queue and its bank (request ids
-    /// are issued in arrival order).
-    fn oldest(&self) -> Option<(usize, &QEntry)> {
-        self.busy_banks().map(|b| (b, &self.banks[b][0])).min_by_key(|(_, e)| e.req.id)
     }
 }
 
@@ -173,8 +192,15 @@ pub struct DramChannel {
     rank_next_read: Vec<Cycle>,
     /// Per-rank "refresh urgently pending" flag.
     refresh_pending: Vec<bool>,
+    /// Number of ranks with `refresh_pending` set.
+    refresh_owed: usize,
+    /// Earliest `next_refresh` over all ranks: before it, with no refresh
+    /// owed, the refresh pass has nothing to do.
+    refresh_next: Cycle,
     /// Ranks pinned down by the low-power protocol (no auto-wake by policy).
     forced_down: Vec<bool>,
+    /// Number of ranks with `forced_down` set.
+    pinned: usize,
     bus_free_at: Cycle,
     bus_last_rank: Option<usize>,
     bus_last_write: Option<bool>,
@@ -195,7 +221,6 @@ pub struct DramChannel {
     /// is independent of how callers split their `tick` calls.
     stall_since: Option<Cycle>,
     pending: BinaryHeap<Pending>,
-    completions: VecDeque<Completion>,
     stats: ChannelStats,
     energy: EnergyCounters,
     /// Trace recording handle; disabled by default (one branch per event).
@@ -230,10 +255,13 @@ impl DramChannel {
         let banks = cfg.topology.banks;
         DramChannel {
             mapper: AddressMapper::new(cfg.topology.clone(), scheme),
+            refresh_next: ranks.iter().map(Rank::next_refresh).min().unwrap_or(Cycle::MAX),
             ranks,
             rank_next_read: vec![0; n],
             refresh_pending: vec![false; n],
+            refresh_owed: 0,
             forced_down: vec![false; n],
+            pinned: 0,
             bg_mark: vec![0; n],
             rank_queued: vec![0; n],
             rank_open_banks: vec![0; n],
@@ -252,7 +280,6 @@ impl DramChannel {
             bus_last_write: None,
             next_wake: 0,
             pending: BinaryHeap::new(),
-            completions: VecDeque::new(),
             stats: ChannelStats::default(),
             energy: EnergyCounters::default(),
             sink: TraceSink::disabled(),
@@ -425,15 +452,18 @@ impl DramChannel {
     fn push(&mut self, req: Request, coords: Coords) {
         self.rank_queued[coords.rank] += 1;
         let bidx = self.flat_bank(&coords);
+        let open = self.open_row(bidx);
         let q = if req.kind == RequestKind::Write { &mut self.write_q } else { &mut self.read_q };
-        q.push(bidx, QEntry { req, row: coords.row });
+        q.push(bidx, QEntry { req, row: coords.row }, open);
         self.next_wake = self.now;
     }
 
     /// Pins `rank` in precharge power-down (the SDIMM low-power scheme).
     /// The rank is woken automatically if a request targets it.
     pub fn force_rank_down(&mut self, rank: usize) {
-        self.forced_down[rank] = true;
+        if !std::mem::replace(&mut self.forced_down[rank], true) {
+            self.pinned += 1;
+        }
         self.next_wake = self.now;
     }
 
@@ -441,7 +471,16 @@ impl DramChannel {
     /// hidden behind the current access (the paper wakes the next rank
     /// "early enough to hide the wakeup latency").
     pub fn wake_rank(&mut self, rank: usize) {
-        self.forced_down[rank] = false;
+        if std::mem::replace(&mut self.forced_down[rank], false) {
+            self.pinned -= 1;
+        }
+        self.power_up(rank);
+        self.next_wake = self.now;
+    }
+
+    /// Exits power-down on `rank` now; the PowerUp command is logged only
+    /// if the rank was down.
+    fn power_up(&mut self, rank: usize) {
         self.account_bg(rank);
         let was_down = matches!(self.ranks[rank].power_state(), PowerState::PowerDown { .. });
         let t = self.cfg.timing.clone();
@@ -449,15 +488,14 @@ impl DramChannel {
         if was_down {
             self.log_cmd(self.now, rank, DdrCmd::PowerUp);
         }
-        self.next_wake = self.now;
+        self.trace_power("wake", rank);
+    }
+
+    /// Marks a power transition of `rank` on the trace.
+    fn trace_power(&self, event: &str, rank: usize) {
         if self.sink.is_enabled() {
-            self.sink.instant(
-                "dram.power",
-                &format!("wake.rank{rank}"),
-                self.trace_pid,
-                self.trace_tid,
-                self.now,
-            );
+            let name = format!("{event}.rank{rank}");
+            self.sink.instant("dram.power", &name, self.trace_pid, self.trace_tid, self.now);
         }
     }
 
@@ -473,6 +511,15 @@ impl DramChannel {
 
     /// Takes all completions that have finished by `now`.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
+        let mut out = Vec::new();
+        self.drain_completions_into(&mut out);
+        out
+    }
+
+    /// Appends all completions that have finished by `now` to `out`, in
+    /// finish order — [`drain_completions`](Self::drain_completions)
+    /// for callers that reuse one buffer.
+    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
         while let Some(p) = self.pending.peek() {
             if p.finish <= self.now {
                 // lint: panic-ok(invariant: peeked)
@@ -505,17 +552,11 @@ impl DramChannel {
                         );
                     }
                 }
-                self.completions.push_back(Completion {
-                    id: p.id,
-                    kind: p.kind,
-                    finish: p.finish,
-                    latency,
-                });
+                out.push(Completion { id: p.id, kind: p.kind, finish: p.finish, latency });
             } else {
                 break;
             }
         }
-        self.completions.drain(..).collect()
     }
 
     /// Advances simulated time by `cycles`, issuing commands as they
@@ -557,12 +598,10 @@ impl DramChannel {
     }
 
     /// Cycle at which the earliest in-flight request finishes (and so
-    /// becomes drainable), or `None` when nothing is in flight. Returns
-    /// `now` when already-finished completions are waiting to be drained.
+    /// becomes drainable), or `None` when nothing is in flight. A value at
+    /// or before `now` means a finished completion is waiting to be
+    /// drained.
     pub fn next_completion(&self) -> Option<Cycle> {
-        if !self.completions.is_empty() {
-            return Some(self.now);
-        }
         self.pending.peek().map(|p| p.finish)
     }
 
@@ -619,8 +658,26 @@ impl DramChannel {
         coords.rank * self.cfg.topology.banks + coords.bank
     }
 
-    /// Cross-checks the incremental counters (per-rank queued work and open
-    /// banks, queue lengths, busy bits) each debug scheduler invocation.
+    /// The open row of flat bank `bidx`, if any.
+    fn open_row(&self, bidx: usize) -> Option<usize> {
+        let (rank, bank, _) = self.bank_of[bidx];
+        match self.ranks[rank].bank(bank).state() {
+            RowState::Open(row) => Some(row),
+            RowState::Idle => None,
+        }
+    }
+
+    /// Whether any rank may power down: a power-down policy, or a rank
+    /// pinned by the low-power protocol. Otherwise every rank is active
+    /// (under `AlwaysOn` only a pin sends a rank down, and `wake_rank`
+    /// wakes it as it unpins it), so the power passes have nothing to do.
+    fn power_managed(&self) -> bool {
+        self.pinned > 0 || self.cfg.power_policy != PowerPolicy::AlwaysOn
+    }
+
+    /// Cross-checks the incremental state (per-rank queued work and open
+    /// banks, queue lengths, busy bits, cached hits, rank deadlines and
+    /// counts) each debug scheduler invocation.
     #[cfg(debug_assertions)]
     fn debug_validate_counters(&self) {
         let mut queued = vec![0; self.ranks.len()];
@@ -628,6 +685,8 @@ impl DramChannel {
             for (b, list) in q.banks.iter().enumerate() {
                 assert_eq!(q.busy[b / 64] >> (b % 64) & 1 == 1, !list.is_empty(), "bank {b} bit");
                 queued[self.bank_of[b].0] += list.len();
+                let hit = self.open_row(b).and_then(|row| list.iter().position(|e| e.row == row));
+                assert_eq!(q.hit[b], hit, "bank {b} cached hit");
             }
             assert_eq!(q.banks.iter().map(Vec::len).sum::<usize>(), q.len, "queue length");
         }
@@ -637,7 +696,14 @@ impl DramChannel {
                 .filter(|&b| matches!(rank.bank(b).state(), RowState::Open(_)))
                 .count();
             assert_eq!(open, self.rank_open_banks[r] as usize, "rank {r} open-bank counter");
+            let down = matches!(rank.power_state(), PowerState::PowerDown { .. });
+            assert!(self.power_managed() || !down, "rank {r} down on an unmanaged channel");
         }
+        let next = self.ranks.iter().map(Rank::next_refresh).min().unwrap_or(Cycle::MAX);
+        assert_eq!(next, self.refresh_next, "refresh deadline");
+        let owed = self.refresh_pending.iter().filter(|&&p| p).count();
+        assert_eq!(owed, self.refresh_owed, "refresh-owed counter");
+        assert_eq!(self.forced_down.iter().filter(|&&f| f).count(), self.pinned, "pin counter");
     }
 
     /// Accounts background-energy residency for `rank` up to `now`.
@@ -664,9 +730,7 @@ impl DramChannel {
         self.bg_mark[rank] = self.now;
     }
 
-    /// Whether `rank` should be heading toward power-down right now. The
-    /// policy is tested first: it rules out every rank of an always-on
-    /// channel, and this runs for every rank at every invocation.
+    /// Whether `rank` should be heading toward power-down right now.
     fn wants_sleep(&self, rank: usize) -> bool {
         let idle = match (self.forced_down[rank], self.cfg.power_policy) {
             (true, _) => true,
@@ -681,29 +745,14 @@ impl DramChannel {
     }
 
     /// Applies the idle-rank power policy and wakes ranks with work.
-    /// Runs every scheduler invocation, so each rank's checks are O(1)
-    /// against the incremental counters — no queue or bank scans.
+    /// Runs every scheduler invocation of a power-managed channel, so each
+    /// rank's checks are O(1) against the incremental counters — no queue
+    /// or bank scans.
     fn manage_power(&mut self) {
         for i in 0..self.ranks.len() {
-            let has_work = self.rank_queued[i] > 0;
             match self.ranks[i].power_state() {
-                PowerState::PowerDown { .. } => {
-                    if has_work {
-                        self.account_bg(i);
-                        let t = self.cfg.timing.clone();
-                        self.ranks[i].exit_power_down(self.now, &t);
-                        self.log_cmd(self.now, i, DdrCmd::PowerUp);
-                        if self.sink.is_enabled() {
-                            self.sink.instant(
-                                "dram.power",
-                                &format!("wake.rank{i}"),
-                                self.trace_pid,
-                                self.trace_tid,
-                                self.now,
-                            );
-                        }
-                    }
-                }
+                PowerState::PowerDown { .. } if self.rank_queued[i] > 0 => self.power_up(i),
+                PowerState::PowerDown { .. } => {}
                 PowerState::Active => {
                     if self.wants_sleep(i)
                         && self.rank_open_banks[i] == 0
@@ -712,15 +761,7 @@ impl DramChannel {
                         self.account_bg(i);
                         self.ranks[i].enter_power_down(self.now);
                         self.log_cmd(self.now, i, DdrCmd::PowerDown);
-                        if self.sink.is_enabled() {
-                            self.sink.instant(
-                                "dram.power",
-                                &format!("powerdown.rank{i}"),
-                                self.trace_pid,
-                                self.trace_tid,
-                                self.now,
-                            );
-                        }
+                        self.trace_power("powerdown", i);
                     }
                 }
             }
@@ -807,40 +848,52 @@ impl DramChannel {
     /// every queued line reaches a verdict that depends on two entries
     /// per bank: its oldest (an ACT candidate on an idle bank, a PRE
     /// candidate when it conflicts with the open row) and its oldest
-    /// open-row hit (a CAS candidate). Each busy bank is evaluated once;
-    /// the oldest ready CAS wins, else the oldest ready ACT, else the
-    /// oldest ready PRE.
+    /// open-row hit (a CAS candidate). Each busy bank is evaluated once,
+    /// in the same loop that finds the head of the queue; the oldest ready
+    /// CAS wins, else the oldest ready ACT, else the oldest ready PRE.
     fn pick(&self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
         let q = if write { &self.write_q } else { &self.read_q };
-        let (head_bank, head) = q.oldest()?;
+        let fcfs = self.cfg.scheduler == SchedulerPolicy::Fcfs;
+        let mut picks = Picks::default();
+        // (id, arrival, bank) of the queue head: request ids are issued
+        // in arrival order, so the head is the smallest bank-head id.
+        let mut head: Option<(RequestId, Cycle, usize)> = None;
+        for bidx in q.busy_banks() {
+            let e = &q.banks[bidx][0];
+            if head.is_none_or(|(id, ..)| e.req.id < id) {
+                head = Some((e.req.id, e.req.arrival, bidx));
+            }
+            if !fcfs {
+                self.scan_bank(write, bidx, false, &mut picks, best_retry);
+            }
+        }
+        let (_, arrival, head_bank) = head?;
         // Anti-starvation: an over-age head of queue is served ahead of
         // younger row hits — but only when one of its commands can
         // actually issue. A head that is stuck for reasons no scheduling
         // order can fix (owed refresh, a long tRAS before its precharge,
         // the tFAW window) must not idle the whole channel, so when the
         // head alone yields nothing the pass falls back to plain FR-FCFS.
-        // FCFS always judges the head alone.
-        let fcfs = self.cfg.scheduler == SchedulerPolicy::Fcfs;
-        if fcfs || self.now.saturating_sub(head.req.arrival) > STARVATION_LIMIT {
-            let mut picks = Picks::default();
-            self.scan_bank(write, head_bank, true, &mut picks, best_retry);
-            let decision = picks.into_iter().flatten().next().map(|(_, d)| d);
+        // The head-only judgement offers only candidates the full pass
+        // already offered, at the same ready cycles, so judging it second
+        // leaves `best_retry` unchanged. FCFS always judges the head alone.
+        if fcfs || self.now.saturating_sub(arrival) > STARVATION_LIMIT {
+            let mut starved = Picks::default();
+            self.scan_bank(write, head_bank, true, &mut starved, best_retry);
+            let decision = starved.into_iter().flatten().next().map(|(_, d)| d);
             if fcfs || decision.is_some() {
                 return decision;
             }
-        }
-        let mut picks = Picks::default();
-        for bidx in q.busy_banks() {
-            self.scan_bank(write, bidx, false, &mut picks, best_retry);
         }
         picks.into_iter().flatten().next().map(|(_, d)| d)
     }
 
     /// Evaluates one busy bank for [`pick`](Self::pick): its oldest
-    /// open-row hit as a CAS, and its oldest entry as an ACT (idle bank,
-    /// unless the rank owes a refresh) or a PRE (row conflict; an older
-    /// entry still wanting the open row holds the PRE off). With
-    /// `head_only` the bank's oldest entry alone is judged.
+    /// open-row hit (the queue's cached hit) as a CAS, and its oldest
+    /// entry as an ACT (idle bank, unless the rank owes a refresh) or a
+    /// PRE (row conflict; an older entry still wanting the open row holds
+    /// the PRE off). With `head_only` the bank's oldest entry alone is
+    /// judged.
     fn scan_bank(
         &self,
         write: bool,
@@ -849,7 +902,8 @@ impl DramChannel {
         picks: &mut Picks,
         best_retry: &mut Cycle,
     ) {
-        let list = if write { &self.write_q.banks[bidx] } else { &self.read_q.banks[bidx] };
+        let q = if write { &self.write_q } else { &self.read_q };
+        let list = &q.banks[bidx];
         let head = &list[0];
         let (rank, bank, group) = self.bank_of[bidx];
         let b = self.ranks[rank].bank(bank);
@@ -862,8 +916,7 @@ impl DramChannel {
         };
         match b.state() {
             RowState::Open(open) => {
-                let judged = if head_only { &list[..1] } else { &list[..] };
-                let hit = judged.iter().position(|e| e.row == open);
+                let hit = if head_only { (head.row == open).then_some(0) } else { q.hit[bidx] };
                 if let Some(pos) = hit {
                     let ready = self.cas_ready(write, rank, group, b);
                     offer(
@@ -907,10 +960,12 @@ impl DramChannel {
         let mut best_retry = Cycle::MAX;
 
         // Refresh has priority once due: mark pending, close banks, issue.
-        if self.cfg.refresh_enabled {
+        // Before the earliest rank deadline, with none owed, no rank acts.
+        if self.cfg.refresh_enabled && (self.refresh_owed > 0 || self.now >= self.refresh_next) {
             for i in 0..self.ranks.len() {
-                if self.ranks[i].refresh_due(self.now) {
+                if !self.refresh_pending[i] && self.ranks[i].refresh_due(self.now) {
                     self.refresh_pending[i] = true;
+                    self.refresh_owed += 1;
                 }
                 if self.refresh_pending[i] {
                     if let PowerState::PowerDown { .. } = self.ranks[i].power_state() {
@@ -935,10 +990,12 @@ impl DramChannel {
         // Close open banks of ranks that want to power down (forced by
         // the low-power protocol or eligible under the idle policy) so
         // they can actually drop CKE.
-        for i in 0..self.ranks.len() {
-            if self.rank_open_banks[i] > 0 && self.wants_sleep(i) {
-                if let Some(d) = self.close_open_bank(i, &mut best_retry) {
-                    return d;
+        if self.power_managed() {
+            for i in 0..self.ranks.len() {
+                if self.rank_open_banks[i] > 0 && self.wants_sleep(i) {
+                    if let Some(d) = self.close_open_bank(i, &mut best_retry) {
+                        return d;
+                    }
                 }
             }
         }
@@ -963,21 +1020,21 @@ impl DramChannel {
         // Nothing issuable: wake for the next refresh deadline and for the
         // moment an idle rank becomes eligible to power down.
         if self.cfg.refresh_enabled {
-            for r in &self.ranks {
-                best_retry = best_retry.min(r.next_refresh());
-            }
+            best_retry = best_retry.min(self.refresh_next);
         }
-        for (i, r) in self.ranks.iter().enumerate() {
-            if matches!(r.power_state(), PowerState::Active) {
-                let eligible_at = match (self.forced_down[i], self.cfg.power_policy) {
-                    (true, _) => Some(self.now.saturating_add(1)),
-                    (false, PowerPolicy::PowerDown { idle_cycles }) => {
-                        Some(r.last_activity().saturating_add(idle_cycles))
+        if self.power_managed() {
+            for (i, r) in self.ranks.iter().enumerate() {
+                if matches!(r.power_state(), PowerState::Active) {
+                    let eligible_at = match (self.forced_down[i], self.cfg.power_policy) {
+                        (true, _) => Some(self.now.saturating_add(1)),
+                        (false, PowerPolicy::PowerDown { idle_cycles }) => {
+                            Some(r.last_activity().saturating_add(idle_cycles))
+                        }
+                        (false, PowerPolicy::AlwaysOn) => None,
+                    };
+                    if let Some(at) = eligible_at {
+                        best_retry = best_retry.min(at.max(self.now.saturating_add(1)));
                     }
-                    (false, PowerPolicy::AlwaysOn) => None,
-                };
-                if let Some(at) = eligible_at {
-                    best_retry = best_retry.min(at.max(self.now.saturating_add(1)));
                 }
             }
         }
@@ -993,7 +1050,9 @@ impl DramChannel {
     fn schedule_once(&mut self) -> bool {
         #[cfg(debug_assertions)]
         self.debug_validate_counters();
-        self.manage_power();
+        if self.power_managed() {
+            self.manage_power();
+        }
         let decision = self.decide();
         if let Decision::Idle { retry_at } = decision {
             // The hot no-issue path: skip the timing clone below.
@@ -1016,6 +1075,9 @@ impl DramChannel {
                 self.log_cmd(self.now, rank, DdrCmd::Refresh);
                 self.ranks[rank].begin_refresh(self.now, &t);
                 self.refresh_pending[rank] = false;
+                self.refresh_owed -= 1;
+                self.refresh_next =
+                    self.ranks.iter().map(Rank::next_refresh).min().unwrap_or(Cycle::MAX);
                 self.energy.refreshes += 1;
                 self.stats.refreshes += 1;
                 if let Some(w) = self.wear.as_deref_mut() {
@@ -1043,6 +1105,9 @@ impl DramChannel {
                 self.ranks[rank].bank_mut(bank).activate(self.now, row, &t);
                 self.ranks[rank].record_activate(self.now, group, &t);
                 self.rank_open_banks[rank] += 1;
+                let bidx = rank * self.cfg.topology.banks + bank;
+                self.read_q.set_open_row(bidx, Some(row));
+                self.write_q.set_open_row(bidx, Some(row));
                 self.energy.activates += 1;
                 // Classify for stats at first ACT for this request.
                 self.stats.row_misses += 1;
@@ -1074,6 +1139,9 @@ impl DramChannel {
                 self.ranks[rank].bank_mut(bank).precharge(self.now, &t);
                 self.ranks[rank].record_activity(self.now);
                 self.rank_open_banks[rank] -= 1;
+                let bidx = rank * self.cfg.topology.banks + bank;
+                self.read_q.set_open_row(bidx, None);
+                self.write_q.set_open_row(bidx, None);
                 if conflict {
                     self.stats.row_conflicts += 1;
                     self.sink.instant(
@@ -1092,7 +1160,8 @@ impl DramChannel {
 
     fn issue_cas(&mut self, write: bool, bidx: usize, pos: usize) {
         let t = self.cfg.timing.clone();
-        let e = if write { self.write_q.remove(bidx, pos) } else { self.read_q.remove(bidx, pos) };
+        let q = if write { &mut self.write_q } else { &mut self.read_q };
+        let e = q.remove_hit(bidx, pos);
         let (rank_idx, bank_idx, group) = self.bank_of[bidx];
         self.rank_queued[rank_idx] -= 1;
 

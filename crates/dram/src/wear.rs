@@ -34,14 +34,15 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::config::ChannelConfig;
 
-/// Multiplicative hasher for the tracker's flat row keys. The keys are
-/// dense, well-distributed integers (no attacker controls them), so one
-/// odd-constant multiply with a high-to-low mix replaces the default
-/// DoS-resistant hash on the per-ACT hot path.
+/// Multiplicative hasher for simulator-internal `u64` keys: the
+/// tracker's row-chunk keys here, the executor's DRAM routing keys. The
+/// keys are dense integers the simulator derives itself (no outside
+/// input reaches them), so one odd-constant multiply with a high-to-low
+/// mix replaces the default DoS-resistant hash on per-command hot paths.
 #[derive(Debug, Default)]
-struct RowKeyHasher(u64);
+pub struct KeyHasher(u64);
 
-impl Hasher for RowKeyHasher {
+impl Hasher for KeyHasher {
     fn finish(&self) -> u64 {
         self.0
     }
@@ -59,13 +60,34 @@ impl Hasher for RowKeyHasher {
     }
 }
 
-type RowMap<V> = HashMap<u64, V, BuildHasherDefault<RowKeyHasher>>;
+/// A map over simulator-internal `u64` keys, hashed with [`KeyHasher`].
+pub type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
 /// Lifetime counters of one accounting bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Counts {
     acts: u64,
     writes: u64,
+}
+
+/// Consecutive row keys per tracker map entry: an ACT's row and both of
+/// its neighbours usually share one entry, so most ACTs probe the map
+/// once and the write CAS that follows finds the entry in cache.
+const CHUNK: u64 = 8;
+
+/// The counters of `CHUNK` consecutive row keys.
+#[derive(Debug, Clone, Copy, Default)]
+struct Chunk {
+    /// Lifetime ACT and write CAS counts, at each bucket's first row.
+    counts: [Counts; CHUNK as usize],
+    /// Open disturbance windows: adjacent ACTs since each victim row's
+    /// last refresh. Exact-row, never bucketed.
+    windows: [u64; CHUNK as usize],
+}
+
+/// The map key of row key `key`'s chunk, and `key`'s slot in it.
+fn chunk_of(key: u64) -> (u64, usize) {
+    (key / CHUNK, (key % CHUNK) as usize)
 }
 
 /// Geometry and thresholds for a [`RowPressure`] tracker, derived from
@@ -191,11 +213,8 @@ impl WearSnapshot {
 #[derive(Debug, Clone)]
 pub struct RowPressure {
     cfg: WearConfig,
-    /// Lifetime ACT and write CAS counts per bucket key.
-    counts: RowMap<Counts>,
-    /// Open disturbance windows: victim row key → adjacent ACTs since
-    /// the victim's last refresh. Exact-row, never bucketed.
-    windows: RowMap<u64>,
+    /// Lifetime counts and disturbance windows, by row key / `CHUNK`.
+    chunks: KeyMap<Chunk>,
     /// Peak window ever observed, with its victim.
     peak: Option<(u64, u64)>,
     /// Threshold crossings (once per victim per window).
@@ -212,8 +231,7 @@ impl RowPressure {
         let ranks = cfg.ranks;
         RowPressure {
             cfg,
-            counts: RowMap::default(),
-            windows: RowMap::default(),
+            chunks: KeyMap::default(),
             peak: None,
             alarms: 0,
             ref_round: vec![0; ranks],
@@ -235,13 +253,20 @@ impl RowPressure {
     /// neighbors. Returns the alarms (at most one per neighbor) whose
     /// windows crossed the hammer threshold on this activation.
     pub fn on_act(&mut self, rank: usize, bank: usize, row: usize) -> [Option<HammerAlarm>; 2] {
-        self.counts.entry(self.bucket_key(rank, bank, row)).or_default().acts += 1;
+        let (mut at, bucket_slot) = chunk_of(self.bucket_key(rank, bank, row));
+        let mut chunk = self.chunks.entry(at).or_default();
+        chunk.counts[bucket_slot].acts += 1;
         let mut out = [None, None];
         let below = row.checked_sub(1);
         let above = if row + 1 < self.cfg.rows { Some(row + 1) } else { None };
         for (slot, victim) in [below, above].into_iter().flatten().enumerate() {
             let key = self.cfg.key(rank, bank, victim);
-            let w = self.windows.entry(key).or_insert(0);
+            let (victim_at, victim_slot) = chunk_of(key);
+            if victim_at != at {
+                at = victim_at;
+                chunk = self.chunks.entry(at).or_default();
+            }
+            let w = &mut chunk.windows[victim_slot];
             *w += 1;
             let window = *w;
             if self.peak.is_none_or(|(p, _)| window > p) {
@@ -257,7 +282,8 @@ impl RowPressure {
 
     /// Accounts one write CAS to `(rank, bank, row)`.
     pub fn on_write(&mut self, rank: usize, bank: usize, row: usize) {
-        self.counts.entry(self.bucket_key(rank, bank, row)).or_default().writes += 1;
+        let (at, slot) = chunk_of(self.bucket_key(rank, bank, row));
+        self.chunks.entry(at).or_default().counts[slot].writes += 1;
     }
 
     /// Accounts one REF on `rank`: the next `rows_per_refresh` rows of
@@ -270,7 +296,10 @@ impl RowPressure {
         let first = round as usize * self.cfg.rows_per_refresh;
         for bank in 0..self.cfg.banks {
             for row in first..first + self.cfg.rows_per_refresh {
-                self.windows.remove(&self.cfg.key(rank, bank, row));
+                let (at, slot) = chunk_of(self.cfg.key(rank, bank, row));
+                if let Some(chunk) = self.chunks.get_mut(&at) {
+                    chunk.windows[slot] = 0;
+                }
             }
         }
     }
@@ -279,20 +308,21 @@ impl RowPressure {
     /// warm-up/measure boundary reset. The REF round-robin position is
     /// *kept*: it is physical device state, not a statistic.
     pub fn reset(&mut self) {
-        self.counts.clear();
-        self.windows.clear();
+        self.chunks.clear();
         self.peak = None;
         self.alarms = 0;
     }
 
     /// Current disturbance window of a victim row (0 if closed).
     pub fn window(&self, rank: usize, bank: usize, row: usize) -> u64 {
-        self.windows.get(&self.cfg.key(rank, bank, row)).copied().unwrap_or(0)
+        let (at, slot) = chunk_of(self.cfg.key(rank, bank, row));
+        self.chunks.get(&at).map_or(0, |c| c.windows[slot])
     }
 
     /// Lifetime ACTs of the bucket containing `(rank, bank, row)`.
     pub fn acts(&self, rank: usize, bank: usize, row: usize) -> u64 {
-        self.counts.get(&self.bucket_key(rank, bank, row)).map_or(0, |c| c.acts)
+        let (at, slot) = chunk_of(self.bucket_key(rank, bank, row));
+        self.chunks.get(&at).map_or(0, |c| c.counts[slot].acts)
     }
 
     /// Threshold crossings so far.
@@ -302,7 +332,14 @@ impl RowPressure {
 
     /// Exports a deterministic snapshot (see [`WearSnapshot`]).
     pub fn snapshot(&self) -> WearSnapshot {
-        let mut touched: Vec<(u64, Counts)> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
+        let mut touched: Vec<(u64, Counts)> = self
+            .chunks
+            .iter()
+            .flat_map(|(&at, chunk)| {
+                (0..CHUNK).map(move |i| (at * CHUNK + i, chunk.counts[i as usize]))
+            })
+            .filter(|&(_, c)| c != Counts::default())
+            .collect();
         touched.sort_unstable_by_key(|&(k, _)| k);
         let mut rows = Vec::with_capacity(touched.len());
         let mut per_rank_acts = vec![0u64; self.cfg.ranks];

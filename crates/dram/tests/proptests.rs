@@ -1,11 +1,12 @@
 //! Property tests for the DRAM model: address-mapper bijectivity, timing
 //! monotonicity, conservation of requests through the channel, and
-//! split-invariance of the event-driven tick.
+//! split-invariance of the event-driven tick, with and without rank
+//! power management.
 
 use dram_sim::address::{AddressMapper, Coords, Interleave};
 use dram_sim::channel::{DramChannel, STARVATION_LIMIT};
 use dram_sim::cmdlog::CmdLog;
-use dram_sim::config::{ChannelConfig, SchedulerPolicy, Topology};
+use dram_sim::config::{ChannelConfig, PowerPolicy, SchedulerPolicy, Topology};
 use dram_sim::spec::DramStandard;
 use dram_sim::MemorySystem;
 use proptest::prelude::*;
@@ -337,6 +338,81 @@ proptest! {
         prop_assert_eq!(completed, issued, "every request completes exactly once");
         prop_assert_eq!(done_a, done_b);
         prop_assert_eq!(a.stats(), b.stats());
+        prop_assert_eq!(log_a.take(), log_b.take());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The power-managed side of the scheduler: an SDIMM internal channel
+    /// on every standard, refresh on, under `PowerDown` or `AlwaysOn`,
+    /// with random ranks pinned down (`force_rank_down`) and released
+    /// (`wake_rank`) at the same points on both channels, requests fed in
+    /// between. Every request completes exactly once, and slicing each
+    /// quantum into smaller ticks changes no command, completion,
+    /// statistic or energy counter. In debug builds the scheduler also
+    /// checks its rank deadlines and counters at every invocation.
+    #[test]
+    fn power_managed_channel_is_conserved_and_split_invariant(
+        lines in proptest::collection::vec(0u64..200_000, 1..32),
+        writes in proptest::collection::vec(any::<bool>(), 32),
+        pins in proptest::collection::vec((0usize..4, any::<bool>()), 1..16),
+        splits in proptest::collection::vec(1u64..400, 2..6),
+        idle_cycles in 1u64..400,
+        power_down in any::<bool>(),
+        spec_pick in 0usize..4,
+    ) {
+        let mut cfg = ChannelConfig::sdimm_internal_for(STANDARDS[spec_pick]);
+        cfg.refresh_enabled = true;
+        cfg.power_policy =
+            if power_down { PowerPolicy::PowerDown { idle_cycles } } else { PowerPolicy::AlwaysOn };
+        let ranks = cfg.topology.ranks;
+        let (log_a, log_b) = (CmdLog::enabled(), CmdLog::enabled());
+        let mut a = DramChannel::new(cfg.clone());
+        let mut b = DramChannel::new(cfg);
+        a.set_cmd_log(log_a.clone());
+        b.set_cmd_log(log_b.clone());
+
+        // At each pin point: pin or release one rank, enqueue the next
+        // slice of requests, then run one quantum.
+        let per = lines.len().div_ceil(pins.len());
+        let (mut issued, mut done_a, mut done_b) = (Vec::new(), Vec::new(), Vec::new());
+        for (step, &(rank, down)) in pins.iter().enumerate() {
+            for ch in [&mut a, &mut b] {
+                if down {
+                    ch.force_rank_down(rank % ranks);
+                } else {
+                    ch.wake_rank(rank % ranks);
+                }
+            }
+            for (i, line) in lines.iter().enumerate().skip(step * per).take(per) {
+                let addr = line * 64;
+                let (ia, ib) = if writes[i % writes.len()] {
+                    (a.enqueue_write(addr), b.enqueue_write(addr))
+                } else {
+                    (a.enqueue_read(addr), b.enqueue_read(addr))
+                };
+                prop_assert_eq!(ia, ib);
+                issued.extend(ia);
+            }
+            a.tick(splits.iter().sum());
+            done_a.extend(a.drain_completions());
+            for s in &splits {
+                b.tick(*s);
+                done_b.extend(b.drain_completions());
+            }
+        }
+        done_a.extend(a.run_until_idle(10_000_000));
+        done_b.extend(b.run_until_idle(10_000_000));
+
+        prop_assert!(a.is_idle());
+        let mut completed: Vec<_> = done_a.iter().map(|c| c.id).collect();
+        completed.sort_unstable();
+        prop_assert_eq!(completed, issued, "every request completes exactly once");
+        prop_assert_eq!(done_a, done_b);
+        prop_assert_eq!(a.stats(), b.stats());
+        prop_assert_eq!(a.energy_counters(), b.energy_counters());
         prop_assert_eq!(log_a.take(), log_b.take());
     }
 }

@@ -15,7 +15,8 @@ use dram_sim::bus::Bus;
 use dram_sim::channel::DramChannel;
 use dram_sim::config::{ChannelConfig, Cycle};
 use dram_sim::power::EnergyBreakdown;
-use dram_sim::request::RequestId;
+use dram_sim::request::{Completion, RequestId};
+use dram_sim::wear::KeyMap;
 use sdimm::trace::{Activity, RequestTrace};
 use sdimm_telemetry::{
     BackendDecision, CycleProfiler, FlightEventKind, FlightRecorder, MetricsRegistry, TraceSink,
@@ -107,8 +108,14 @@ pub struct Executor {
     backend_waiting: HashMap<usize, std::collections::VecDeque<Inflight>>,
     /// Backends currently executing a trace.
     backend_busy: std::collections::HashSet<usize>,
-    /// Maps (channel, dram request id) → index key of the owning request.
-    routing: HashMap<(usize, RequestId), ExecId>,
+    /// Maps each in-flight DRAM request ([`route_key`]) to the request
+    /// that owns it.
+    routing: KeyMap<ExecId>,
+    /// Completion buffer reused by every `process` call.
+    completions: Vec<Completion>,
+    /// Empty in-flight list with capacity: `process` refills it with the
+    /// requests still running and keeps the old list as the next spare.
+    spare: Vec<Inflight>,
     events: Vec<ExecEvent>,
     /// Off-DIMM I/O energy per bit for bus transfers (pJ).
     bus_pj_per_bit: f64,
@@ -145,6 +152,13 @@ const TRACE_LANES: u64 = 8;
 /// Thread-id base for executor lanes (DRAM channels own the low tids).
 const LANE_TID_BASE: u32 = 64;
 
+/// Routing key of DRAM request `id` on `channel`: the channel in the top
+/// 16 bits, the channel's own request id (a count) below them.
+fn route_key(channel: usize, id: RequestId) -> u64 {
+    debug_assert!(channel < 1 << 16 && id.0 < 1 << 48, "route key fields overflow");
+    (channel as u64) << 48 | id.0
+}
+
 impl Executor {
     /// Creates an executor over `n_channels` identical channels.
     ///
@@ -165,7 +179,9 @@ impl Executor {
             inflight: Vec::new(),
             backend_waiting: HashMap::new(),
             backend_busy: std::collections::HashSet::new(),
-            routing: HashMap::new(),
+            routing: KeyMap::default(),
+            completions: Vec::new(),
+            spare: Vec::new(),
             events: Vec::new(),
             bus_pj_per_bit,
             lowpower_ranks: false,
@@ -490,7 +506,7 @@ impl Executor {
             };
             match accepted {
                 Some(rid) => {
-                    self.routing.insert((line.channel, rid), req.id);
+                    self.routing.insert(route_key(line.channel, rid), req.id);
                     req.outstanding += 1;
                     req.pending.swap_remove(i);
                 }
@@ -665,25 +681,22 @@ impl Executor {
 
     fn process(&mut self) {
         // Route channel completions to their owners.
-        let mut finished: HashMap<ExecId, usize> = HashMap::new();
         for (ci, ch) in self.channels.iter_mut().enumerate() {
-            for comp in ch.drain_completions() {
-                if let Some(owner) = self.routing.remove(&(ci, comp.id)) {
-                    *finished.entry(owner).or_insert(0) += 1;
+            self.completions.clear();
+            ch.drain_completions_into(&mut self.completions);
+            for comp in &self.completions {
+                if let Some(owner) = self.routing.remove(&route_key(ci, comp.id)) {
+                    if let Some(req) = self.inflight.iter_mut().find(|r| r.id == owner) {
+                        req.outstanding -= 1;
+                    }
                 }
             }
         }
 
-        // Advance requests.
-        let mut requests = std::mem::take(&mut self.inflight);
-        for req in &mut requests {
-            if let Some(n) = finished.get(&req.id) {
-                req.outstanding -= n;
-            }
-        }
+        // Advance requests, refilling `inflight` with those still running.
+        let mut requests = std::mem::replace(&mut self.inflight, std::mem::take(&mut self.spare));
         let now = self.now;
-        let mut still_running = Vec::with_capacity(requests.len());
-        for mut req in requests {
+        for mut req in requests.drain(..) {
             if !req.pending.is_empty() {
                 self.pump_pending(&mut req);
             }
@@ -751,7 +764,7 @@ impl Executor {
                                     },
                                 );
                                 self.start_phase(&mut waiting);
-                                still_running.push(waiting);
+                                self.inflight.push(waiting);
                             }
                             None => {
                                 self.backend_busy.remove(&backend);
@@ -772,10 +785,10 @@ impl Executor {
                 self.start_phase(&mut req);
             }
             if req.phase != usize::MAX {
-                still_running.push(req);
+                self.inflight.push(req);
             }
         }
-        self.inflight = still_running;
+        self.spare = requests;
         self.exec_stats.max_inflight = self.exec_stats.max_inflight.max(self.inflight.len() as u64);
         if self.sink.is_enabled() {
             self.sink.counter("exec", "inflight", self.trace_pid, now, self.inflight.len() as u64);

@@ -21,9 +21,18 @@
 //! own (the stash, the DRAM command log tap) read the recorder's shared
 //! cycle register, which the executor refreshes every tick via
 //! [`FlightRecorder::set_clock`].
+//!
+//! Recording stages events per thread and takes the ring lock once per
+//! `STAGE_BATCH` events. A thread's stage is flushed when it records
+//! into a different recorder, when it reads any recorder (so a dump from
+//! the panic hook, which runs on the panicking thread, includes that
+//! thread's latest events), and at thread exit. A read on one thread
+//! does not see the up to `STAGE_BATCH - 1` events still staged by
+//! another live thread.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json::escape;
 
@@ -229,13 +238,16 @@ struct FlightRing {
 }
 
 impl FlightRing {
-    fn push(&mut self, e: FlightEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(e);
-        } else {
-            self.events[self.head] = e;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
+    /// Appends `batch` in order, overwriting the oldest events once full.
+    fn extend(&mut self, batch: &[FlightEvent]) {
+        let (fill, mut rest) = batch.split_at(batch.len().min(self.capacity - self.events.len()));
+        self.events.extend_from_slice(fill);
+        while !rest.is_empty() {
+            let n = rest.len().min(self.capacity - self.head);
+            self.events[self.head..self.head + n].copy_from_slice(&rest[..n]);
+            self.head = (self.head + n) % self.capacity;
+            self.dropped += n as u64;
+            rest = &rest[n..];
         }
     }
 
@@ -262,6 +274,44 @@ struct RecInner {
 /// accesses' worth of DDR commands around a fault, small enough that a
 /// per-cell recorder costs ~100 KiB.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
+
+/// Events a thread stages before taking the ring lock once for all of
+/// them (see the module docs for when a stage is flushed early).
+const STAGE_BATCH: usize = 64;
+
+/// One thread's staged events and the recorder they belong to.
+#[derive(Debug, Default)]
+struct Stage {
+    owner: Option<Arc<RecInner>>,
+    events: Vec<FlightEvent>,
+}
+
+impl Stage {
+    /// Moves the staged events into their recorder's ring.
+    fn flush(&mut self) {
+        if let (Some(owner), false) = (&self.owner, self.events.is_empty()) {
+            // Never panic here: this also runs in thread-exit destructors.
+            owner.ring.lock().unwrap_or_else(PoisonError::into_inner).extend(&self.events);
+            self.events.clear();
+        }
+    }
+}
+
+impl Drop for Stage {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+thread_local! {
+    static STAGE: RefCell<Stage> = RefCell::default();
+}
+
+/// Flushes the calling thread's stage, whichever recorder it belongs
+/// to. A no-op while the stage is busy or already torn down.
+fn flush_stage() {
+    let _ = STAGE.try_with(|stage| stage.try_borrow_mut().map(|mut s| s.flush()));
+}
 
 /// Cheaply clonable handle to a bounded ring of recent flight events.
 ///
@@ -320,8 +370,7 @@ impl FlightRecorder {
     #[inline]
     pub fn record_at(&self, ts: u64, kind: FlightEventKind) {
         if let Some(inner) = &self.0 {
-            // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-            inner.ring.lock().unwrap().push(FlightEvent { ts, kind });
+            Self::stage(inner, FlightEvent { ts, kind });
         }
     }
 
@@ -330,13 +379,34 @@ impl FlightRecorder {
     pub fn record(&self, kind: FlightEventKind) {
         if let Some(inner) = &self.0 {
             let ts = inner.clock.load(Ordering::Relaxed);
-            // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-            inner.ring.lock().unwrap().push(FlightEvent { ts, kind });
+            Self::stage(inner, FlightEvent { ts, kind });
+        }
+    }
+
+    /// Appends `e` to the calling thread's stage, flushing the stage
+    /// first if it holds another recorder's events and after it fills.
+    /// Pushes straight into the ring if the stage is unavailable.
+    fn stage(inner: &Arc<RecInner>, e: FlightEvent) {
+        let staged = STAGE.try_with(|stage| {
+            let Ok(mut s) = stage.try_borrow_mut() else { return false };
+            if !s.owner.as_ref().is_some_and(|o| Arc::ptr_eq(o, inner)) {
+                s.flush();
+                s.owner = Some(Arc::clone(inner));
+            }
+            s.events.push(e);
+            if s.events.len() >= STAGE_BATCH {
+                s.flush();
+            }
+            true
+        });
+        if staged != Ok(true) {
+            inner.ring.lock().unwrap_or_else(PoisonError::into_inner).extend(&[e]);
         }
     }
 
     /// Number of events currently buffered (0 for a disabled recorder).
     pub fn len(&self) -> usize {
+        flush_stage();
         // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
         self.0.as_ref().map_or(0, |inner| inner.ring.lock().unwrap().events.len())
     }
@@ -348,12 +418,14 @@ impl FlightRecorder {
 
     /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
+        flush_stage();
         // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
         self.0.as_ref().map_or(0, |inner| inner.ring.lock().unwrap().dropped)
     }
 
     /// Buffered events oldest-first. Empty for a disabled recorder.
     pub fn events(&self) -> Vec<FlightEvent> {
+        flush_stage();
         // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
         self.0.as_ref().map_or_else(Vec::new, |inner| inner.ring.lock().unwrap().ordered())
     }
@@ -584,6 +656,28 @@ mod tests {
         let newest = report.find("190  ddr").unwrap();
         assert!(oldest < newest);
         assert!(!report.contains("110  ddr"), "evicted events must not appear");
+    }
+
+    #[test]
+    fn staged_events_reach_the_ring_on_switch_batch_and_thread_exit() {
+        let (a, b) = (FlightRecorder::enabled(), FlightRecorder::enabled());
+        let (staged_tx, staged_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let (wa, wb) = (a.clone(), b.clone());
+        let worker = std::thread::spawn(move || {
+            wa.record_at(1, FlightEventKind::Marker { tag: "a" });
+            for i in 0..=STAGE_BATCH as u64 {
+                wb.record_at(i, FlightEventKind::Marker { tag: "b" });
+            }
+            staged_tx.send(()).unwrap();
+            exit_rx.recv().unwrap();
+        });
+        staged_rx.recv().unwrap();
+        assert_eq!(a.len(), 1, "switching recorders flushes the stage");
+        assert_eq!(b.len(), STAGE_BATCH, "a full stage flushes; the rest stays staged");
+        exit_tx.send(()).unwrap();
+        worker.join().unwrap();
+        assert_eq!(b.len(), STAGE_BATCH + 1, "thread exit flushes the stage");
     }
 
     #[test]

@@ -107,12 +107,17 @@ cargo build --release --offline --locked -q \
 echo "==> ledger: DDR replay of every trace workload, then the pinned seed-42 fingerprints"
 # --verify replays each trace workload's command streams through the DDR
 # auditor; each --workload run exits nonzero if its simulated fingerprint
-# differs from the one pinned in the benchmark (--seconds 0 runs the
-# minimum three repetitions).
+# differs from the one pinned in the benchmark, or if a traced repetition
+# differs from its untraced twin (--seconds 0 runs the minimum three
+# repetitions). The traced per-layer output (host_ns_per_cas, tick self
+# time, ...) is kept as target/ledger/check-<workload>.txt, a CI artifact
+# that records this commit's host speed.
 cargo build --release -q -p sdimm-bench --bin ledger
 ./target/release/ledger --verify
+mkdir -p target/ledger
 for w in indep4-gromacs split4-gems freecursive-mcf nonsecure-lbm; do
-  ./target/release/ledger --workload "$w" --seed 42 --seconds 0 > /dev/null \
+  ./target/release/ledger --workload "$w" --seed 42 --seconds 0 --trace 1 \
+    > "target/ledger/check-$w.txt" \
     || { echo "ledger: $w does not reproduce its pinned fingerprint"; exit 1; }
 done
 

@@ -34,21 +34,24 @@ fn digest(records: &[CmdRecord]) -> u64 {
 }
 
 /// One line per machine: name, simulated cycles, command count and one
-/// digest per channel.
+/// digest per channel. The `-lp` rows run the §III-E low-power scheme,
+/// so their streams carry the rank power-down and wake-up commands.
 fn stream_lines(standard: DramStandard) -> Vec<String> {
     let trace = spec::generate("milc-like", 1200, 3);
-    let kinds: [(&str, MachineKind); 6] = [
-        ("nonsecure-1ch", MachineKind::NonSecure { channels: 1 }),
-        ("pathoram-1ch", MachineKind::PathOram { channels: 1 }),
-        ("freecursive-1ch", MachineKind::Freecursive { channels: 1 }),
-        ("indep-2", MachineKind::Independent { sdimms: 2, channels: 1 }),
-        ("split-2", MachineKind::Split { ways: 2, channels: 1 }),
-        ("indep-split", MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 }),
+    let kinds: [(&str, MachineKind, bool); 8] = [
+        ("nonsecure-1ch", MachineKind::NonSecure { channels: 1 }, false),
+        ("pathoram-1ch", MachineKind::PathOram { channels: 1 }, false),
+        ("freecursive-1ch", MachineKind::Freecursive { channels: 1 }, false),
+        ("indep-2", MachineKind::Independent { sdimms: 2, channels: 1 }, false),
+        ("split-2", MachineKind::Split { ways: 2, channels: 1 }, false),
+        ("indep-split", MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 }, false),
+        ("indep-2-lp", MachineKind::Independent { sdimms: 2, channels: 1 }, true),
+        ("split-2-lp", MachineKind::Split { ways: 2, channels: 1 }, true),
     ];
     kinds
         .into_iter()
-        .map(|(name, kind)| {
-            let cfg = SystemConfig { standard, ..SystemConfig::small(kind) };
+        .map(|(name, kind, low_power)| {
+            let cfg = SystemConfig { standard, low_power, ..SystemConfig::small(kind) };
             let (result, capture) = run_audited(&cfg, &trace, 200, 400, TraceSink::disabled(), 0);
             let cmds: usize = capture.streams.iter().map(Vec::len).sum();
             let mut line = format!("{name} cycles={} cmds={cmds}", result.cycles);
@@ -76,6 +79,8 @@ fn ddr3_1600_streams_match_pinned_digests() {
             "indep-2 cycles=256352 cmds=94906 ch0=96b6fb67865129a9 ch1=9711a9dfd4adbf47",
             "split-2 cycles=265872 cmds=101815 ch0=09fe91c0ace5db7d ch1=0739fcc28f7640d9",
             "indep-split cycles=160928 cmds=101493 ch0=d3873e67f02cd45e ch1=56c23463eb05e04e ch2=e0b4a403bc39394d ch3=fc9a5fb69043b37d",
+            "indep-2-lp cycles=265008 cmds=107038 ch0=5f8c91abd1336600 ch1=2e7d4e6588399ab3",
+            "split-2-lp cycles=275760 cmds=130837 ch0=adc100518fb2a069 ch1=aa8ea6d32bf53596",
         ],
     );
 }
@@ -91,6 +96,8 @@ fn ddr4_2400_streams_match_pinned_digests() {
             "indep-2 cycles=336976 cmds=94123 ch0=04063eaca3c6649f ch1=f0c4d86bca5c8915",
             "split-2 cycles=322800 cmds=99930 ch0=b7f6add563c88959 ch1=b17f3046150a7d09",
             "indep-split cycles=194368 cmds=99661 ch0=837584dd7a580976 ch1=93af47b1df060bc1 ch2=d49d1bbdcb9488e2 ch3=5ffbb808eba722a4",
+            "indep-2-lp cycles=330864 cmds=105474 ch0=8930678de44ff1ab ch1=9d84948eff34f198",
+            "split-2-lp cycles=326640 cmds=126939 ch0=e56df4f1ee7d0577 ch1=9cf86e456cf9b459",
         ],
     );
 }
@@ -106,6 +113,8 @@ fn hbm2_streams_match_pinned_digests() {
             "indep-2 cycles=212320 cmds=102077 ch0=cf360e90f34c061d ch1=15bd2a23724fbf9d",
             "split-2 cycles=243840 cmds=114267 ch0=1bca2a3616630dd9 ch1=021f34bcd85d7345",
             "indep-split cycles=148256 cmds=115134 ch0=30fd5e318a6ab907 ch1=2bae7c28de4e4ed2 ch2=e8018ad02dee9fc8 ch3=93d1242ba8b5c02a",
+            "indep-2-lp cycles=211504 cmds=118179 ch0=54083bc9b192f235 ch1=c587eb8873a42a26",
+            "split-2-lp cycles=252976 cmds=156997 ch0=9db59fbe3b5b6ae7 ch1=1d046586b8efa9e2",
         ],
     );
 }

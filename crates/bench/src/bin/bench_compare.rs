@@ -4,9 +4,8 @@
 //! Two suites, each with its own report and committed baseline:
 //!
 //! * **crypto** — wall-clock microbenchmarks (AES block/batch, CTR
-//!   keystream, CMAC, bucket seal→open) plus two quick-scale
-//!   fig6-style system microloops → `BENCH_crypto.json`, gated against
-//!   `crates/bench/baselines/crypto.json`.
+//!   keystream, CMAC, bucket seal→open) → `BENCH_crypto.json`, gated
+//!   against `crates/bench/baselines/crypto.json`.
 //! * **sim** — quick-scale fig6 cells, one per machine kind, measuring
 //!   simulator throughput two ways: trace records retired per wall
 //!   second (the gated ops/sec) and simulated memory cycles per wall
@@ -15,10 +14,11 @@
 //!
 //! Reports carry ops/sec, wall time, and p50/p99 per-op latency per
 //! benchmark; each suite diffs ops/sec against its baseline and exits
-//! nonzero when any benchmark regressed by more than 15%. The p50/p99
-//! columns ride along for tail-latency tracking; the hard gate stays on
-//! throughput because ns-scale tail measurements are too noisy on
-//! shared CI hosts to fail a build on.
+//! nonzero when any benchmark regressed by more than 15%, or with status
+//! 2 when the suite's rows and its baseline's rows are not the same set.
+//! The p50/p99 columns ride along for tail-latency tracking; the hard
+//! gate stays on throughput because ns-scale tail measurements are too
+//! noisy on shared CI hosts to fail a build on.
 //!
 //! Usage:
 //!
@@ -28,8 +28,7 @@
 //! ```
 //!
 //! `--update-baseline` rewrites both baseline files after an intentional
-//! performance change. `SDIMM_BENCH_BUDGET_MS` scales the per-benchmark
-//! measurement budget (default 200 ms).
+//! performance change, or after a row is added to or dropped from a suite.
 
 // Wall-clock bench binary: `Instant` is the measurement, and the regression gate exits nonzero.
 #![allow(clippy::disallowed_methods)]
@@ -51,6 +50,9 @@ use workloads::spec as wl;
 /// Regression threshold: fail when current ops/sec drops below
 /// `baseline * (1 - 0.15)`.
 const MAX_REGRESSION: f64 = 0.15;
+
+/// Wall-clock budget of each crypto microbenchmark.
+const BUDGET: Duration = Duration::from_millis(200);
 
 /// Measurement attempts before an apparent regression is trusted. Extra
 /// attempts run only when the first pass already looks regressed.
@@ -84,18 +86,18 @@ struct Measurement {
     sim_cycles_per_sec: f64,
 }
 
-/// Runs `iter` repeatedly for roughly `budget`, returning ops/sec and the
+/// Runs `iter` repeatedly for roughly [`BUDGET`], returning ops/sec and the
 /// wall time actually spent. The budget is split into eight slices and the
 /// fastest slice wins: preemption on a busy host only ever slows a slice
 /// down, so best-of-slices is a much more stable estimator than one long
 /// average — which matters when a 15% regression gate rides on the number.
 /// Batch size doubles until a slice fills so the `Instant` overhead never
 /// dominates sub-microsecond operations.
-fn measure(name: &'static str, budget: Duration, mut iter: impl FnMut()) -> Measurement {
+fn measure(name: &'static str, mut iter: impl FnMut()) -> Measurement {
     for _ in 0..3 {
         iter(); // warmup: touch tables, fault in pages
     }
-    let slice_budget = budget / 8;
+    let slice_budget = BUDGET / 8;
     let total = Instant::now();
     let mut best = 0.0f64;
     let mut batch = 1u64;
@@ -132,7 +134,7 @@ fn measure(name: &'static str, budget: Duration, mut iter: impl FnMut()) -> Meas
     }
 }
 
-/// One-shot measurement for the expensive system microloops: a single run,
+/// One-shot measurement for the expensive simulator cells: a single run,
 /// ops/sec = trace records retired per wall second. p50 = p99 = the mean
 /// per-record time (one observation — no distribution to draw from).
 fn measure_once(name: &'static str, records: u64, f: impl FnOnce()) -> Measurement {
@@ -150,7 +152,7 @@ fn measure_once(name: &'static str, records: u64, f: impl FnOnce()) -> Measureme
     }
 }
 
-fn crypto_benchmarks(budget: Duration) -> Vec<Measurement> {
+fn crypto_benchmarks() -> Vec<Measurement> {
     let key = [0x42u8; 16];
     let fast = Aes128::new(&key);
     let slow = spec::Aes128::new(&key);
@@ -166,50 +168,29 @@ fn crypto_benchmarks(budget: Duration) -> Vec<Measurement> {
     let mut line = vec![3u8; 4096];
 
     vec![
-        measure("aes128_encrypt_block", budget, || {
+        measure("aes128_encrypt_block", || {
             black_box(fast.encrypt_block(black_box(block)));
         }),
-        measure("aes128_encrypt_block_spec", budget, || {
+        measure("aes128_encrypt_block_spec", || {
             black_box(slow.encrypt_block(black_box(block)));
         }),
-        measure("aes128_encrypt_blocks_x32", budget, || {
+        measure("aes128_encrypt_blocks_x32", || {
             fast.encrypt_blocks(black_box(&mut batch));
         }),
-        measure("ctr_keystream_line", budget, || {
+        measure("ctr_keystream_line", || {
             black_box(ctr.keystream_line(black_box(77)));
         }),
-        measure("ctr_apply_4096B", budget, || {
+        measure("ctr_apply_4096B", || {
             ctr.apply(black_box(77), black_box(&mut line));
         }),
-        measure("cmac_tag_1024B", budget, || {
+        measure("cmac_tag_1024B", || {
             black_box(mac.tag(black_box(&msg)));
         }),
-        measure("bucket_seal_open_z4", budget, || {
+        measure("bucket_seal_open_z4", || {
             let sealed = auth.seal(black_box(5), black_box(9), black_box(&bucket_image));
             black_box(auth.open(5, &sealed).expect("fresh seal opens"));
         }),
     ]
-}
-
-fn fig6_microloops() -> Vec<Measurement> {
-    // Quick-scale fig6 shape: one representative workload through the
-    // non-secure and Freecursive machines on a small tree. Wall time here
-    // is dominated by path crypto + simulation, so it tracks exactly what
-    // the fast path is meant to speed up.
-    let warmup = 300usize;
-    let window = 500usize;
-    let trace = wl::generate("mcf-like", warmup + window + 16, 42);
-    let mut out = Vec::new();
-    for (name, kind) in [
-        ("fig6_quick_nonsecure", MachineKind::NonSecure { channels: 1 }),
-        ("fig6_quick_freecursive", MachineKind::Freecursive { channels: 1 }),
-    ] {
-        let cfg = SystemConfig::small(kind);
-        out.push(measure_once(name, window as u64, || {
-            black_box(run(&cfg, &trace, warmup, window));
-        }));
-    }
-    out
 }
 
 /// The simulator-throughput suite: one quick-scale fig6 cell per machine
@@ -311,8 +292,8 @@ fn human_rate(ops: f64) -> String {
 /// Measures, reports, and gates one suite. Writes `report_path`, diffs
 /// against `baseline_path` (or rewrites it with `--update-baseline`),
 /// and returns the number of persistent regressions. Exits the process
-/// when the baseline is missing or unparseable — a misconfigured gate
-/// must not pass silently.
+/// when the baseline is missing, unparseable, or lists other rows than
+/// the suite measured — a misconfigured gate must not pass silently.
 fn run_suite(
     label: &str,
     report_path: &str,
@@ -365,6 +346,14 @@ fn run_suite(
         );
         std::process::exit(2);
     }
+    let measured: Vec<&str> = results.iter().map(|m| m.name).collect();
+    if let Err(mismatch) = check_row_set(&measured, &baseline) {
+        eprintln!(
+            "bench_compare: the {label} suite and its baseline at {baseline_path} disagree \
+             on the rows ({mismatch}); update the baseline with --update-baseline"
+        );
+        std::process::exit(2);
+    }
 
     // A shared 1-vCPU host can steal the whole measurement window, making
     // every benchmark look ~20% slower at once. A real code regression
@@ -393,11 +382,7 @@ fn run_suite(
     println!("\n  {label} diff vs baseline ({baseline_path}):");
     let mut regressions = 0usize;
     for m in &merged {
-        let Some((_, base)) = baseline.iter().find(|(n, _)| n == m.name) else {
-            println!("    {:28} (new — no baseline entry)", m.name);
-            continue;
-        };
-        let delta = m.ops_per_sec / base - 1.0;
+        let delta = change(m, &baseline);
         let flag = if delta < -MAX_REGRESSION {
             regressions += 1;
             "  << REGRESSION"
@@ -416,24 +401,14 @@ fn main() {
             "--update-baseline" => update_baseline = true,
             other => {
                 eprintln!(
-                    "bench_compare: unknown argument `{other}` \
-                     (supported: --update-baseline; env SDIMM_BENCH_BUDGET_MS)"
+                    "bench_compare: unknown argument `{other}` (supported: --update-baseline)"
                 );
                 std::process::exit(2);
             }
         }
     }
-    let budget_ms: u64 =
-        std::env::var("SDIMM_BENCH_BUDGET_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(200);
-    let budget = Duration::from_millis(budget_ms);
-
-    println!("bench_compare: {budget_ms} ms/crypto benchmark + fig6 quick microloops\n");
-    let crypto_suite = move || {
-        let mut r = crypto_benchmarks(budget);
-        r.extend(fig6_microloops());
-        r
-    };
-    let crypto_results = crypto_suite();
+    println!("bench_compare: {} ms per crypto benchmark\n", BUDGET.as_millis());
+    let crypto_results = crypto_benchmarks();
 
     let fast = crypto_results.iter().find(|m| m.name == "aes128_encrypt_block").expect("present");
     let slow =
@@ -445,9 +420,9 @@ fn main() {
         REPORT_PATH,
         BASELINE_PATH,
         update_baseline,
-        &crypto_suite,
+        &crypto_benchmarks,
         crypto_results,
-        &Provenance::new("quick", "nonsecure,freecursive"),
+        &Provenance::new("quick", ""),
     );
     println!("\n  T-table vs spec AES speedup: {speedup:.2}x (acceptance floor: 4x)");
 
@@ -474,13 +449,49 @@ fn main() {
 }
 
 fn count_regressions(results: &[Measurement], baseline: &[(String, f64)]) -> usize {
-    results
-        .iter()
-        .filter(|m| {
-            baseline
-                .iter()
-                .find(|(n, _)| n == m.name)
-                .is_some_and(|(_, base)| m.ops_per_sec / base - 1.0 < -MAX_REGRESSION)
-        })
-        .count()
+    results.iter().filter(|m| change(m, baseline) < -MAX_REGRESSION).count()
+}
+
+/// Relative ops/sec change of `m` against its baseline row, which
+/// [`check_row_set`] has made sure exists.
+fn change(m: &Measurement, baseline: &[(String, f64)]) -> f64 {
+    let (_, base) =
+        baseline.iter().find(|(n, _)| n == m.name).expect("every measured row has a baseline");
+    m.ops_per_sec / base - 1.0
+}
+
+/// Checks that a suite measured exactly the rows its baseline lists. A
+/// measured row missing from the baseline would pass ungated, and a
+/// baseline row nothing measures would gate nothing, so either mismatch
+/// is an error that names the rows.
+fn check_row_set(measured: &[&str], baseline: &[(String, f64)]) -> Result<(), String> {
+    let unbaselined: Vec<&str> =
+        measured.iter().copied().filter(|n| !baseline.iter().any(|(b, _)| b == n)).collect();
+    let unmeasured: Vec<&str> =
+        baseline.iter().map(|(b, _)| b.as_str()).filter(|b| !measured.contains(b)).collect();
+    if unbaselined.is_empty() && unmeasured.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "measured without a baseline: [{}]; in the baseline but not measured: [{}]",
+        unbaselined.join(", "),
+        unmeasured.join(", ")
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn row_set_must_match_the_baseline() {
+        let baseline = |names: &[&str]| -> Vec<(String, f64)> {
+            names.iter().map(|n| (n.to_string(), 1.0)).collect()
+        };
+        assert_eq!(check_row_set(&["a", "b"], &baseline(&["b", "a"])), Ok(()));
+        let err = check_row_set(&["a", "b"], &baseline(&["a", "b", "gone"])).unwrap_err();
+        assert!(err.contains("not measured: [gone]"), "{err}");
+        let err = check_row_set(&["a", "b"], &baseline(&["a"])).unwrap_err();
+        assert!(err.contains("without a baseline: [b]"), "{err}");
+    }
 }

@@ -12,12 +12,29 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `SDIMM_BENCH_SCALE` (`quick`/`full`); defaults to quick.
-    pub fn from_env() -> Self {
-        match std::env::var("SDIMM_BENCH_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
+    /// Parses a `SDIMM_BENCH_SCALE` value: `quick` or `full`, in lower
+    /// or upper case.
+    pub fn parse(value: &str) -> Result<Scale, String> {
+        match value {
+            "quick" | "QUICK" => Ok(Scale::Quick),
+            "full" | "FULL" => Ok(Scale::Full),
+            other => Err(format!("unknown SDIMM_BENCH_SCALE `{other}` (known: quick, full)")),
         }
+    }
+
+    /// Reads `SDIMM_BENCH_SCALE`; unset means quick. Exits with status 2
+    /// on a value [`parse`](Self::parse) rejects, so a typo never runs a
+    /// figure at the wrong scale.
+    pub fn from_env() -> Self {
+        let Some(value) = std::env::var_os("SDIMM_BENCH_SCALE") else {
+            return Scale::Quick;
+        };
+        Scale::parse(&value.to_string_lossy()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            // Sanctioned exit: bad configuration at a binary's entry path.
+            #[allow(clippy::disallowed_methods)]
+            std::process::exit(2);
+        })
     }
 
     /// The global ORAM tree for this scale, with `cached_levels` of
@@ -70,6 +87,18 @@ mod tests {
         // variable is unset.)
         if std::env::var("SDIMM_BENCH_SCALE").is_err() {
             assert_eq!(Scale::from_env(), Scale::Quick);
+        }
+    }
+
+    #[test]
+    fn parse_knows_quick_and_full_and_nothing_else() {
+        assert_eq!(Scale::parse("quick"), Ok(Scale::Quick));
+        assert_eq!(Scale::parse("QUICK"), Ok(Scale::Quick));
+        assert_eq!(Scale::parse("full"), Ok(Scale::Full));
+        assert_eq!(Scale::parse("FULL"), Ok(Scale::Full));
+        for bad in ["Full", "fulll", "", " full"] {
+            let err = Scale::parse(bad).unwrap_err();
+            assert!(err.contains("quick") && err.contains("full"), "{err}");
         }
     }
 

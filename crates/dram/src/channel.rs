@@ -639,7 +639,12 @@ impl DramChannel {
     ///
     /// The chunk size only bounds how often the idle check runs — `tick`
     /// jumps event-to-event internally, so oversized chunks cost nothing
-    /// and the completions are identical under any slicing.
+    /// and the completions are identical under any slicing. [`now`]
+    /// afterwards is rounded up to the end of the last 10,000-cycle
+    /// chunk, so the last completion's `finish` marks the end of a
+    /// replay.
+    ///
+    /// [`now`]: Self::now
     pub fn run_until_idle(&mut self, limit: Cycle) -> Vec<Completion> {
         let deadline = self.now.saturating_add(limit);
         let mut out = Vec::new();

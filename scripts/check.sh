@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository CI gate: formatting, clippy, sdimm-lint, the full test suite,
-# then the perf, audit and report gates and the ledger benchmark checks
-# below, in that order.
+# then the audit and report gates, the ledger benchmark checks, and last
+# the wall-clock perf gate, in that order.
 #
 # Usage: scripts/check.sh
 #
@@ -66,9 +66,6 @@ cmp target/crossover-1/BENCH_crossover.json target/crossover-2/BENCH_crossover.j
   || { echo "crossover reports differ between runs — figure is nondeterministic"; exit 1; }
 cp target/crossover-1/BENCH_crossover.json target/BENCH_crossover.json
 
-echo "==> simulator-throughput + crypto perf gates (bench_compare vs committed baselines)"
-cargo run --release -q -p sdimm-bench --bin bench_compare
-
 echo "==> folded profile validates (no empty stacks, weights sum to sampled cycles)"
 cargo run --release -q -p sdimm-bench --bin validate_folded -- target/quick-fig6.folded
 
@@ -120,5 +117,11 @@ for w in indep4-gromacs split4-gems freecursive-mcf nonsecure-lbm; do
     > "target/ledger/check-$w.txt" \
     || { echo "ledger: $w does not reproduce its pinned fingerprint"; exit 1; }
 done
+
+echo "==> simulator-throughput + crypto perf gates (bench_compare vs committed baselines)"
+# Last: it gates wall-clock throughput against baselines measured on
+# another host, so host load alone can fail it; every deterministic
+# check above has run by then.
+cargo run --release -q -p sdimm-bench --bin bench_compare
 
 echo "==> all checks passed"

@@ -27,7 +27,7 @@ use std::fmt;
 
 use dram_sim::cmdlog::{CmdRecord, DdrCmd};
 use dram_sim::config::{ChannelConfig, Cycle, Timing};
-use sdimm_telemetry::FlightRecorder;
+use sdimm_telemetry::{EventKind, SharedCycle, TraceSink};
 
 /// The auditor's own copy of the inter-command constraint table.
 ///
@@ -804,34 +804,33 @@ impl DdrAuditor {
 /// command was issued into (several full path accesses at quick scale).
 pub const BLACKBOX_CONTEXT: usize = 128;
 
-/// Builds a [`FlightRecorder`] holding the violating command (at
-/// `index` in `stream`) plus up to `context` preceding commands, in
-/// issue order, ready for a black-box dump: pair with
-/// [`FlightRecorder::blackbox_report`] or
-/// [`FlightRecorder::dump_to_files`], passing the [`Violation`]'s
+/// Builds a ring holding the violating command (at `index` in `stream`)
+/// plus up to `context` preceding commands, in issue order, under pid 0,
+/// ready for a black-box dump: pair with [`TraceSink::blackbox_report`]
+/// or [`TraceSink::dump_to_files`], passing the [`Violation`]'s
 /// `Display` form as the reason so the report shows the
 /// actual-vs-required arithmetic next to the command history.
 ///
-/// Works from the captured stream rather than the live per-cell ring
-/// so the context window is guaranteed present even when the cell's
-/// own recorder was disabled or had wrapped past the offending window.
+/// Works from the captured stream rather than the run's live ring so the
+/// context window is guaranteed present even when the ring was disabled
+/// or had wrapped past the offending window.
 pub fn violation_recorder(
     stream: &[CmdRecord],
     channel: u8,
     index: usize,
     context: usize,
-) -> FlightRecorder {
+) -> TraceSink {
     if stream.is_empty() {
-        return FlightRecorder::with_capacity(1);
+        return TraceSink::with_capacity(1);
     }
     let end = index.min(stream.len() - 1);
     let start = end.saturating_sub(context);
-    let recorder = FlightRecorder::with_capacity(end - start + 1);
+    let recorder = TraceSink::with_capacity(end - start + 1);
+    let cell = recorder.cell(0, SharedCycle::new());
     for rec in &stream[start..=end] {
         let rank = rec.rank.min(u8::MAX as usize) as u8;
-        recorder.record_at(rec.cycle, rec.cmd.flight_kind(channel, rank));
+        cell.record_at(rec.cycle, EventKind::DdrCmd(rec.cmd.flight_kind(channel, rank)));
     }
-    recorder.set_clock(stream[end].cycle);
     recorder
 }
 
@@ -1184,7 +1183,7 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].ts <= w[1].ts), "dump must be oldest-first");
         // lint: panic-ok(invariant: non-empty stream yields events)
         assert_eq!(events.last().expect("non-empty").ts, v.cycle);
-        let report = recorder.blackbox_report(&v.to_string()).unwrap();
+        let report = recorder.blackbox_report(0, &v.to_string()).unwrap();
         assert!(report.contains("tRCD"), "reason line carries the rule:\n{report}");
         assert!(report.contains(&format!("cycle {:>12}", v.cycle)), "violating cmd present");
     }

@@ -14,9 +14,6 @@
 //!   plain shadow map and re-checks structural invariants (stash bound,
 //!   path membership, PosMap coherence, PMMAC counter monotonicity)
 //!   from outside.
-//! * [`strict`] (feature `audit-strict`) turns any violation into an
-//!   immediate abort after dumping the telemetry trace for Perfetto
-//!   triage.
 //!
 //! Both auditors are cheap enough to leave on for quick-scale figure
 //! runs (`--audit` on the figure binaries) and run in CI.
@@ -28,8 +25,6 @@
 pub mod ddr;
 pub mod oracle;
 pub mod recount;
-#[cfg(feature = "audit-strict")]
-pub mod strict;
 
 pub use ddr::{violation_recorder, AuditSummary, Constraints, DdrAuditor, Violation};
 pub use oracle::{

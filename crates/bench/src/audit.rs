@@ -5,9 +5,9 @@
 //! command streams are replayed through the differential DDR3 auditor
 //! as it finishes, and each ORAM protocol kind appearing in the matrix
 //! is additionally lockstep-checked against a shadow memory. Any
-//! violation fails the process (exit 1); under the `audit-strict`
-//! feature it aborts at the first DDR violation after dumping the
-//! Chrome trace for Perfetto triage.
+//! violation fails the process (exit 1), after a black box per violating
+//! channel and whichever of `--trace-json`, `--metrics-json` and
+//! `--profile-folded` were requested have been written.
 
 use std::collections::HashSet;
 
@@ -31,10 +31,10 @@ const ORACLE_STEPS: usize = 300;
 /// Runs the matrix, honoring `--audit`: pass-through when the flag is
 /// off; full differential audit (DDR replay + ORAM oracle) when on.
 ///
-/// On a violation, prints every finding and exits with status 1 so an
-/// audited figure run can gate CI. With the `audit-strict` feature the
-/// first DDR violation aborts immediately via
-/// [`sdimm_audit::strict::abort_with_trace`].
+/// On a violation, prints every finding, writes the requested outputs
+/// for this matrix's cells (so the Chrome trace of the failing run is
+/// there to inspect) and exits with status 1 so an audited figure run
+/// can gate CI.
 pub fn run_matrix_maybe_audited(
     args: &TelemetryArgs,
     workload_names: &[&str],
@@ -65,13 +65,6 @@ pub fn run_matrix_maybe_audited(
     for p in &ddr.blackbox_dumps {
         eprintln!("audit: black box at {p}");
     }
-    // Under audit-strict a DDR violation already aborted inside the
-    // worker (black box first); reaching this point with violations
-    // means the feature is off and the run fails at the end instead.
-    #[cfg(feature = "audit-strict")]
-    if let Some(v) = ddr.violations.first() {
-        sdimm_audit::strict::abort_with_trace(&instruments.sink, v);
-    }
 
     // One oracle lockstep run per distinct protocol in the matrix. The
     // non-secure baseline has no ORAM to check.
@@ -93,17 +86,13 @@ pub fn run_matrix_maybe_audited(
             ),
             Err(m) => {
                 eprintln!("audit: ORACLE MISMATCH: {m}");
-                #[cfg(feature = "audit-strict")]
-                sdimm_audit::strict::abort_with_trace(&instruments.sink, &m.to_string());
-                #[cfg(not(feature = "audit-strict"))]
-                {
-                    failed = true;
-                }
+                failed = true;
             }
         }
     }
 
     if failed {
+        args.write_outputs(&cells, instruments);
         eprintln!("audit: FAILED — see violations above");
         // Sanctioned exit: the audit gate failing must fail the run.
         #[allow(clippy::disallowed_methods)]

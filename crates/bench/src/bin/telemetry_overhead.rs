@@ -1,27 +1,28 @@
 //! `telemetry_overhead` — the telemetry overhead gate.
 //!
-//! The telemetry layer makes two promises this binary checks
-//! empirically against a quick-scale fig6-style Freecursive window:
+//! The telemetry layer makes two promises about its one event ring,
+//! which this binary checks empirically against a quick-scale
+//! fig6-style Freecursive window:
 //!
-//! * a **disabled** [`TraceSink`] costs one branch per touchpoint,
-//!   keeping instrumented simulation within 2% of un-instrumented
-//!   speed, and
-//! * an **enabled** flight recorder (the always-on black-box ring) is
-//!   cheap enough to leave armed on long runs: under 5% of run time.
+//! * a **disabled** ring costs one branch per touchpoint, keeping
+//!   instrumented simulation within 2% of un-instrumented speed, and
+//! * an **enabled** black-box ring (what `--flight-recorder` records
+//!   into) is cheap enough to leave armed on long runs: under 5% of run
+//!   time.
 //!
-//! Method, for each promise:
+//! Method:
 //!
-//! 1. measure the per-call wall cost of the primitive (disabled-sink
-//!    span/instant/counter calls; enabled-recorder `record_at` pushes
-//!    into a full ring, which is the steady state of a bounded ring),
-//! 2. count how many touchpoints one run actually hits (enabled-sink
-//!    event census; flight-recorder ring length + dropped count),
+//! 1. measure the per-call wall cost of the primitive for each row
+//!    (record calls on a disabled [`CellTrace`]; record calls on an
+//!    enabled one pushing into a full black-box ring, which is the steady
+//!    state of a bounded ring),
+//! 2. count the events one run records (one census run with the ring
+//!    enabled: ring length + dropped count). Every event is one
+//!    touchpoint call, so the count serves both rows,
 //! 3. time the same window un-instrumented (best of three),
 //!
-//! then project `touchpoints x per-call-cost` against the run's wall
-//! time and exit nonzero above the budget. The projection is
-//! conservative: enabled-sink event counts include call sites that the
-//! disabled path short-circuits before any argument formatting.
+//! then project `events x per-call-cost` against the run's wall time and
+//! exit nonzero above the budget.
 //!
 //! Both gate numbers are also written as JSON (atomic write) when
 //! `--json <path>` is given, so CI can archive the trend.
@@ -33,36 +34,40 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use dram_sim::wear::{RowPressure, WearConfig};
+use sdimm_bench::TelemetryArgs;
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner::{run, run_with, Capture};
 use sdimm_telemetry::recorder::write_atomic;
-use sdimm_telemetry::{FlightEventKind, FlightRecorder, FlightRecorderHub, Instruments, TraceSink};
+use sdimm_telemetry::{CellTrace, EventKind, Instruments, SharedCycle, TraceSink};
 use workloads::spec as wl;
 
-/// Gate: projected disabled-sink cost must stay under this share of the
+/// Gate: projected disabled-ring cost must stay under this share of the
 /// quick-scale fig6 wall time.
 const MAX_OVERHEAD_PCT: f64 = 2.0;
 
-/// Gate: projected cost of an *enabled* flight recorder must stay under
+/// Gate: projected cost of an *enabled* black-box ring must stay under
 /// this share of the same run's wall time.
 const MAX_RECORDER_OVERHEAD_PCT: f64 = 5.0;
 
-/// Calls per shape when timing the disabled sink. Large enough that the
+/// Calls per shape when timing the disabled ring. Large enough that the
 /// loop dwarfs `Instant` overhead; small enough to finish in well under
 /// a second.
 const CALLS: u64 = 10_000_000;
 
-/// Events pushed when timing the enabled recorder ring (the ring wraps
-/// many times over, so this times the steady wrapped state).
+/// Events pushed when timing the enabled ring (it wraps many times over,
+/// so this times the steady wrapped state).
 const RECORDER_CALLS: u64 = 2_000_000;
 
+/// Per-call cost of recording on a disabled handle, over the three call
+/// shapes the engine uses (explicit cycle, clock-stamped, counter).
 fn disabled_ns_per_call() -> f64 {
-    let sink = TraceSink::disabled();
+    let cell = CellTrace::disabled();
     let start = Instant::now();
     for i in 0..CALLS {
-        sink.span("bench", "noop", 0, 0, black_box(i), black_box(i + 1));
-        sink.instant("bench", "noop", 0, 0, black_box(i));
-        sink.counter("bench", "noop", 0, black_box(i), black_box(i));
+        let kind = EventKind::Phase { request: black_box(i as u32), phase: 0, dur: black_box(8) };
+        cell.record_at(black_box(i), kind);
+        cell.record(EventKind::StashTick { backend: 0, occupancy: black_box(i as u32) });
+        cell.record_at(black_box(i), EventKind::InFlight { count: black_box(i as u32) });
     }
     start.elapsed().as_nanos() as f64 / (CALLS * 3) as f64
 }
@@ -122,15 +127,17 @@ fn wear_enabled_ns_per_event() -> f64 {
     ns
 }
 
+/// Per-event cost of recording into the ring `--flight-recorder` arms.
 fn recorder_ns_per_event() -> f64 {
-    let recorder = FlightRecorder::enabled();
+    let args = TelemetryArgs { flight_recorder: Some(String::new()), ..TelemetryArgs::default() };
+    let sink = args.sink();
+    let cell = sink.cell(0, SharedCycle::new());
     let start = Instant::now();
     for i in 0..RECORDER_CALLS {
-        recorder.record_at(
-            black_box(i),
-            FlightEventKind::StashTick { backend: 0, occupancy: black_box(i as u32) },
-        );
+        let kind = EventKind::StashTick { backend: 0, occupancy: black_box(i as u32) };
+        cell.record_at(black_box(i), kind);
     }
+    sink.flush();
     start.elapsed().as_nanos() as f64 / RECORDER_CALLS as f64
 }
 
@@ -157,20 +164,12 @@ fn main() {
     let wear_disabled_ns = wear_disabled_ns_per_touch();
     let wear_enabled_ns = wear_enabled_ns_per_event();
 
-    // Touchpoint census: every event an enabled sink captures is one
-    // call the disabled path would have branched through.
-    let census = TraceSink::with_capacity(1 << 22);
-    let census_instruments = Instruments::with_sink(census.clone());
-    run_with(&cfg, &trace, warmup, window, &census_instruments, 0, Capture::default());
-    let touchpoints = census.len() as u64 + census.dropped();
-
-    // Flight-recorder census: events the armed ring absorbs in one run
-    // (ring length after the run plus everything that wrapped past).
-    let hub = FlightRecorderHub::enabled("/tmp/telemetry-overhead-flight", 4096);
-    let flight_instruments = Instruments { flight: hub.clone(), ..Instruments::disabled() };
-    run_with(&cfg, &trace, warmup, window, &flight_instruments, 0, Capture::default());
-    let flight_recorder = hub.recorder_for(0);
-    let flight_events = flight_recorder.len() as u64 + flight_recorder.dropped();
+    // Census: the events one run records (ring length plus everything
+    // that wrapped past). Each is one call the disabled path branches
+    // through and one push the enabled ring absorbs.
+    let census = Instruments::with_sink(TraceSink::enabled());
+    run_with(&cfg, &trace, warmup, window, &census, 0, Capture::default());
+    let events = census.sink.len() as u64 + census.sink.dropped();
 
     // Wear-touchpoint census: how many ACT/WR/REF hooks one run takes
     // (counted by the tracker itself on a wear-enabled twin run).
@@ -190,21 +189,20 @@ fn main() {
         best_wall_ns = best_wall_ns.min(start.elapsed().as_nanos() as f64);
     }
 
-    let projected_ns = touchpoints as f64 * per_call_ns;
+    let projected_ns = events as f64 * per_call_ns;
     let pct = projected_ns / best_wall_ns * 100.0;
-    let recorder_projected_ns = flight_events as f64 * per_event_ns;
+    let recorder_projected_ns = events as f64 * per_event_ns;
     let recorder_pct = recorder_projected_ns / best_wall_ns * 100.0;
     let wear_disabled_pct = wear_touches as f64 * wear_disabled_ns / best_wall_ns * 100.0;
     let wear_enabled_pct = wear_touches as f64 * wear_enabled_ns / best_wall_ns * 100.0;
 
     println!("telemetry_overhead: telemetry cost projections, quick-scale fig6 window");
-    println!("  disabled sink       {per_call_ns:.3} ns/call");
-    println!("  touchpoints per run {touchpoints}");
-    println!("  enabled recorder    {per_event_ns:.3} ns/event");
-    println!("  flight events/run   {flight_events}");
+    println!("  disabled ring       {per_call_ns:.3} ns/call");
+    println!("  enabled ring        {per_event_ns:.3} ns/event");
+    println!("  events per run      {events}");
     println!("  run wall time       {:.3} ms (best of 3)", best_wall_ns / 1e6);
     println!("  disabled overhead   {pct:.4}% (budget {MAX_OVERHEAD_PCT}%)");
-    println!("  recorder overhead   {recorder_pct:.4}% (budget {MAX_RECORDER_OVERHEAD_PCT}%)");
+    println!("  enabled overhead    {recorder_pct:.4}% (budget {MAX_RECORDER_OVERHEAD_PCT}%)");
     println!("  wear detached       {wear_disabled_ns:.3} ns/touch, {wear_touches} touches/run");
     println!("  wear enabled        {wear_enabled_ns:.3} ns/event");
     println!("  wear off overhead   {wear_disabled_pct:.4}% (budget {MAX_OVERHEAD_PCT}%)");
@@ -212,9 +210,9 @@ fn main() {
 
     if let Some(path) = &json_path {
         let json = format!(
-            "{{\n  \"disabled_ns_per_call\": {per_call_ns:.4},\n  \"touchpoints\": {touchpoints},\n  \
+            "{{\n  \"disabled_ns_per_call\": {per_call_ns:.4},\n  \"events_per_run\": {events},\n  \
              \"disabled_overhead_pct\": {pct:.5},\n  \"disabled_budget_pct\": {MAX_OVERHEAD_PCT},\n  \
-             \"recorder_ns_per_event\": {per_event_ns:.4},\n  \"flight_events\": {flight_events},\n  \
+             \"recorder_ns_per_event\": {per_event_ns:.4},\n  \
              \"recorder_overhead_pct\": {recorder_pct:.5},\n  \"recorder_budget_pct\": {MAX_RECORDER_OVERHEAD_PCT},\n  \
              \"wear_disabled_ns_per_touch\": {wear_disabled_ns:.4},\n  \"wear_enabled_ns_per_event\": {wear_enabled_ns:.4},\n  \
              \"wear_touches\": {wear_touches},\n  \"wear_disabled_overhead_pct\": {wear_disabled_pct:.5},\n  \
@@ -239,8 +237,8 @@ fn main() {
     }
     if recorder_pct > MAX_RECORDER_OVERHEAD_PCT {
         eprintln!(
-            "telemetry_overhead: enabled flight recorder projects to {recorder_pct:.2}% of run \
-             time, above the {MAX_RECORDER_OVERHEAD_PCT}% budget"
+            "telemetry_overhead: enabled event ring projects to {recorder_pct:.2}% of run time, \
+             above the {MAX_RECORDER_OVERHEAD_PCT}% budget"
         );
         failed = true;
     }

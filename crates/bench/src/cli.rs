@@ -4,12 +4,13 @@
 //!
 //! ```text
 //! --metrics-json <path>     write the merged metrics snapshot (JSON)
-//! --trace-json <path>       capture a Chrome trace (open in Perfetto)
+//! --trace-json <path>       record the event ring and write it as a
+//!                           Chrome trace (open in Perfetto)
 //! --audit                   replay every DRAM command stream through the
 //!                           differential DDR3 auditor and lockstep-check
 //!                           the ORAM protocols against a shadow memory
-//! --flight-recorder <pfx>   keep a bounded ring of recent events per
-//!                           cell; dumped as <pfx>-pid<N>.blackbox.txt
+//! --flight-recorder <pfx>   record the event ring and write a cell's
+//!                           newest events as <pfx>-pid<N>.blackbox.txt
 //!                           (+ .trace.json) on violations, stash
 //!                           breaches, or panics
 //! --profile-folded <path>   sample the executor every K simulated
@@ -29,12 +30,10 @@
 //! never silently run a multi-minute experiment with telemetry dropped.
 
 use dram_sim::spec::DramStandard;
-use sdimm_telemetry::recorder::{write_atomic, DEFAULT_FLIGHT_CAPACITY};
-use sdimm_telemetry::{
-    CycleProfiler, FlightRecorderHub, Instruments, LiveProgress, MetricsRegistry, TraceSink,
-};
+use sdimm_telemetry::recorder::{write_atomic, BLACKBOX_EVENTS};
+use sdimm_telemetry::{CycleProfiler, Instruments, LiveProgress, MetricsRegistry, TraceSink};
 
-use crate::harness::Cell;
+use crate::harness::{max_workers, Cell};
 
 /// Stacks shown in the profiler's top-k table after a profiled run.
 const PROFILE_TOP_K: usize = 10;
@@ -50,8 +49,8 @@ pub struct TelemetryArgs {
     /// experiment: DDR3 command-stream replay audit plus the ORAM
     /// shadow-memory oracle. Any violation fails the run.
     pub audit: bool,
-    /// Flight-recorder dump prefix: when set, every cell keeps a
-    /// bounded ring of recent events, dumped as a black-box report on
+    /// Black-box dump prefix: when set, the run records the event ring
+    /// and a cell's newest events are dumped as a black-box report on
     /// violations, stash breaches, or panics.
     pub flight_recorder: Option<String>,
     /// Destination for the collapsed-stack (folded) cycle-attribution
@@ -129,30 +128,33 @@ impl TelemetryArgs {
         out
     }
 
-    /// The sink the experiment should record into: enabled only when
-    /// `--trace-json` was given, so the default run pays one branch per
-    /// telemetry touchpoint and nothing else.
+    /// The ring the experiment should record into: enabled only when
+    /// `--trace-json` or `--flight-recorder` was given, so the default run
+    /// pays one branch per telemetry touchpoint and nothing else. A trace
+    /// gets the deep default ring. The black box alone needs only each
+    /// running cell's newest [`BLACKBOX_EVENTS`], so its ring holds that
+    /// many per worker and stays cache-resident, which keeps an armed
+    /// black box as cheap as its gate requires.
     pub fn sink(&self) -> TraceSink {
         if self.trace_json.is_some() {
             TraceSink::enabled()
+        } else if self.flight_recorder.is_some() {
+            TraceSink::with_capacity(BLACKBOX_EVENTS * max_workers())
         } else {
             TraceSink::disabled()
         }
     }
 
-    /// The full observability bundle for these flags: trace sink,
-    /// flight-recorder hub, cycle profiler, and live-dashboard state —
-    /// each enabled only by its flag. When the flight recorder is on,
-    /// this also installs a panic hook (chaining the previous one) that
-    /// dumps every cell's black box before the panic message, so even a
-    /// crashed run leaves its last events behind.
+    /// The full observability bundle for these flags: event ring,
+    /// black-box prefix, cycle profiler, and live-dashboard state — each
+    /// enabled only by its flag. With a black-box prefix, this also
+    /// installs a panic hook (chaining the previous one) that dumps every
+    /// cell's black box before the panic message, so even a crashed run
+    /// leaves its last events behind.
     pub fn instruments(&self) -> Instruments {
         let instruments = Instruments {
             sink: self.sink(),
-            flight: match &self.flight_recorder {
-                Some(prefix) => FlightRecorderHub::enabled(prefix, DEFAULT_FLIGHT_CAPACITY),
-                None => FlightRecorderHub::disabled(),
-            },
+            blackbox: self.flight_recorder.clone(),
             profiler: if self.profile_folded.is_some() {
                 CycleProfiler::enabled()
             } else {
@@ -160,8 +162,8 @@ impl TelemetryArgs {
             },
             live: if self.live { LiveProgress::enabled() } else { LiveProgress::disabled() },
         };
-        if instruments.flight.is_enabled() {
-            install_flight_panic_hook(&instruments.flight);
+        if let Some(prefix) = &instruments.blackbox {
+            install_flight_panic_hook(&instruments.sink, prefix);
         }
         instruments
     }
@@ -183,7 +185,7 @@ impl TelemetryArgs {
         if let Some(path) = &self.trace_json {
             let sink = &instruments.sink;
             let Some(json) = sink.export_chrome_json() else {
-                eprintln!("--trace-json {path}: trace sink is disabled, nothing to export");
+                eprintln!("--trace-json {path}: the event ring is disabled, nothing to export");
                 // Sanctioned exit: a requested output that cannot be produced must fail the run.
                 #[allow(clippy::disallowed_methods)]
                 std::process::exit(1);
@@ -200,9 +202,9 @@ impl TelemetryArgs {
         }
         if let Some(prefix) = &self.flight_recorder {
             println!(
-                "flight recorder armed ({} cell ring(s), prefix {prefix}): dumps written only \
-                 on audit violation, stash breach, or panic",
-                instruments.flight.recorders().len()
+                "flight recorder armed ({} cells, prefix {prefix}): dumps written only on audit \
+                 violation, stash breach, or panic",
+                cells.len()
             );
         }
     }
@@ -251,13 +253,14 @@ fn write_or_die(path: &str, contents: &str, what: &str) {
     }
 }
 
-/// Chains a panic hook that dumps every flight-recorder ring in `hub`
-/// before the default (or previously installed) panic output runs.
-fn install_flight_panic_hook(hub: &FlightRecorderHub) {
-    let hub = hub.clone();
+/// Chains a panic hook that dumps the black box of every cell in `sink`
+/// to `<prefix>-pid<N>.*` before the default (or previously installed)
+/// panic output runs.
+fn install_flight_panic_hook(sink: &TraceSink, prefix: &str) {
+    let (sink, prefix) = (sink.clone(), prefix.to_string());
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        for line in hub.dump_all("panic") {
+        for line in sink.dump_all(&prefix, "panic") {
             eprintln!("flight recorder: {line}");
         }
         prev(info);
@@ -297,7 +300,9 @@ mod tests {
     #[test]
     fn default_args_build_fully_disabled_instruments() {
         let ins = TelemetryArgs::default().instruments();
-        assert!(!ins.any_enabled(), "no flag set means every handle is a one-branch no-op");
+        // No flag set means every handle is a one-branch no-op.
+        assert!(!ins.sink.is_enabled() && ins.blackbox.is_none());
+        assert!(!ins.profiler.is_enabled() && !ins.live.is_enabled());
     }
 
     #[test]
@@ -309,10 +314,9 @@ mod tests {
             ..TelemetryArgs::default()
         }
         .instruments();
-        assert!(!ins.sink.is_enabled());
-        assert!(ins.flight.is_enabled());
+        assert!(ins.sink.is_enabled(), "the black box renders the event ring");
+        assert_eq!(ins.blackbox.as_deref(), Some("/tmp/fr"));
         assert!(ins.profiler.is_enabled());
         assert!(ins.live.is_enabled());
-        assert_eq!(ins.flight.prefix(), "/tmp/fr");
     }
 }

@@ -313,9 +313,9 @@ impl HammerReport {
     }
 
     /// Emits one Perfetto slice per cell plus an instant per hot row
-    /// (category `hammer`) into `sink` under `pid` — annotation on a
-    /// synthetic timeline, alongside the wear lane the flight recorder
-    /// populates during the runs themselves.
+    /// (category `hammer`) into `sink`'s side table under `pid` —
+    /// annotation on a synthetic timeline. The runs' own hammer alarms
+    /// are ring events on each traced cell's `dram.hammer` track.
     pub fn annotate(&self, sink: &TraceSink, pid: u32) {
         if !sink.is_enabled() {
             return;

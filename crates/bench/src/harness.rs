@@ -11,18 +11,23 @@ use workloads::spec;
 
 use crate::scale::Scale;
 
+/// Most workers [`par_map`] runs at once: the machine's cores.
+pub(crate) fn max_workers() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
 /// Runs `work(index, job)` for every job on a pool of scoped workers
 /// and returns the results in job order.
 ///
-/// Concurrency is bounded by [`std::thread::available_parallelism`]:
-/// workers pull the next job index from a shared cursor, so a large
-/// matrix never spawns more threads than the machine has cores. A
-/// worker's panic propagates to the caller.
+/// Concurrency is bounded by [`max_workers`]: workers pull the next job
+/// index from a shared cursor, so a large matrix never spawns more
+/// threads than the machine has cores. A worker's panic propagates to
+/// the caller.
 pub(crate) fn par_map<J: Sync, T: Send>(
     jobs: &[J],
     work: impl Fn(usize, &J) -> T + Sync,
 ) -> Vec<T> {
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(jobs.len());
+    let workers = max_workers().min(jobs.len());
     let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
         let pool: Vec<_> = (0..workers)
@@ -64,8 +69,8 @@ pub struct Cell {
 /// `make_cfg` builds the system configuration for a machine kind —
 /// letting callers vary cached levels, low-power mode, etc. Each cell
 /// gets its own trace process id (`pid_base` + its matrix order), named
-/// `"<machine> / <workload>"`, so one Chrome trace (and one
-/// flight-recorder ring per cell) holds the whole matrix side by side.
+/// `"<machine> / <workload>"`, so the run's one ring (its Chrome trace
+/// and its per-cell black boxes) holds the whole matrix side by side.
 /// Callers running several matrices on one bundle should advance
 /// `pid_base` past the previous matrix's cell count to keep process ids
 /// distinct. Pass [`Instruments::disabled`] for the plain path — every
@@ -155,11 +160,8 @@ impl DdrAuditLog {
 
 /// Replays one cell's captured command streams through [`DdrAuditor`].
 /// A violating channel gets a black box cut from its captured stream
-/// (not the live per-cell ring: the context window is present even if
-/// the ring was disabled or had wrapped past the offending commands).
-/// Under `audit-strict` the run stops *at* the violation, black box
-/// first (so `pid`, which only names the non-strict dump, goes unused).
-#[cfg_attr(feature = "audit-strict", allow(unused_variables))]
+/// (not the run's live ring: the context window is present even if the
+/// ring was disabled or had wrapped past the offending commands).
 fn audit_cell(
     cell: &Cell,
     captured: &Captured,
@@ -179,26 +181,16 @@ fn audit_cell(
         let line = format!("{} / {} channel {ch}: {v}", cell.machine, cell.workload);
         let recorder =
             violation_recorder(stream, ch.min(u8::MAX as usize) as u8, idx, BLACKBOX_CONTEXT);
-        #[cfg(feature = "audit-strict")]
-        sdimm_audit::strict::abort_with_blackbox(&instruments.sink, &recorder, &line);
-        #[cfg(not(feature = "audit-strict"))]
-        {
-            let prefix = if instruments.flight.is_enabled() {
-                format!("{}-violation-pid{pid}", instruments.flight.prefix())
-            } else {
-                format!("audit-violation-pid{pid}")
-            };
-            if recorder.arm_dump() {
-                match recorder.dump_to_files(&prefix, &line, pid) {
-                    Some(Ok((txt, json))) => log.blackbox_dumps.extend([txt, json]),
-                    Some(Err(e)) => {
-                        log.blackbox_dumps.push(format!("(dump to {prefix} failed: {e})"))
-                    }
-                    None => {}
-                }
-            }
-            log.violations.push(line);
+        let prefix = match &instruments.blackbox {
+            Some(prefix) => format!("{prefix}-violation-pid{pid}"),
+            None => format!("audit-violation-pid{pid}"),
+        };
+        match recorder.dump_to_files(&prefix, &line, 0) {
+            Some(Ok((txt, json))) => log.blackbox_dumps.extend([txt, json]),
+            Some(Err(e)) => log.blackbox_dumps.push(format!("(dump to {prefix} failed: {e})")),
+            None => {}
         }
+        log.violations.push(line);
     }
     log
 }

@@ -263,9 +263,9 @@ impl Protocol for IndepSplitOram {
     }
 
     /// Backend tag = group index.
-    fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
+    fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace) {
         for (i, g) in self.groups.iter_mut().enumerate() {
-            g.oram.set_flight_recorder(recorder.clone(), i.min(u8::MAX as usize) as u8);
+            g.oram.set_trace(trace.clone(), i.min(u8::MAX as usize) as u8);
         }
     }
 

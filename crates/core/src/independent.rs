@@ -315,9 +315,9 @@ impl Protocol for IndependentOram {
     }
 
     /// Backend tag = SDIMM index.
-    fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
+    fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace) {
         for (i, n) in self.nodes.iter_mut().enumerate() {
-            n.oram.set_flight_recorder(recorder.clone(), i.min(u8::MAX as usize) as u8);
+            n.oram.set_trace(trace.clone(), i.min(u8::MAX as usize) as u8);
         }
     }
 

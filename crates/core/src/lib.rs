@@ -90,9 +90,9 @@ pub trait Protocol: std::fmt::Debug {
     /// Takes the recorder back (with its captured trace).
     fn take_recorder(&mut self) -> Option<obliviousness::Recorder>;
 
-    /// Attaches a flight recorder to every stash, for black-box
-    /// occupancy ticks.
-    fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder);
+    /// Attaches a cell's trace handle to every stash, for occupancy
+    /// ticks.
+    fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace);
 
     /// Exports the backend's ORAM metrics as a registry.
     fn metrics(&self) -> sdimm_telemetry::MetricsRegistry;

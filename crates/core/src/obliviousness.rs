@@ -21,32 +21,7 @@
 //! is cycle-stamped; `crates/leakage` runs two-sample statistics over
 //! the stamped streams of paired workloads.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A shared simulated-cycle clock: the executor publishes its `now` each
-/// tick, and observers (like a timestamping [`Recorder`]) read it without
-/// holding a reference to the executor. Purely simulated time — never a
-/// wall clock — so stamped streams are bit-reproducible across runs.
-#[derive(Debug, Clone, Default)]
-pub struct SharedCycle(Arc<AtomicU64>);
-
-impl SharedCycle {
-    /// A clock reading 0.
-    pub fn new() -> Self {
-        SharedCycle::default()
-    }
-
-    /// Publishes the current simulated cycle.
-    pub fn publish(&self, cycle: u64) {
-        self.0.store(cycle, Ordering::Relaxed);
-    }
-
-    /// The most recently published simulated cycle.
-    pub fn now(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
+use sdimm_telemetry::SharedCycle;
 
 /// One attacker-visible event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,12 +103,6 @@ impl Recorder {
     /// An empty recorder stamping each event from `clock`.
     pub fn with_clock(clock: SharedCycle) -> Self {
         Recorder { clock: Some(clock), ..Recorder::default() }
-    }
-
-    /// Attaches (or replaces) the stamping clock. Events already
-    /// recorded keep their stamps.
-    pub fn set_clock(&mut self, clock: SharedCycle) {
-        self.clock = Some(clock);
     }
 
     /// Appends an event, stamped with the clock's current cycle (0

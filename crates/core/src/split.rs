@@ -153,9 +153,9 @@ impl Protocol for SplitOram {
         self.recorder.take()
     }
 
-    /// Attaches a flight recorder to the logical stash (backend tag 0).
-    fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
-        self.logical.set_flight_recorder(recorder, 0);
+    /// Attaches the trace to the logical stash (backend tag 0).
+    fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace) {
+        self.logical.set_trace(trace, 0);
     }
 
     fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {

@@ -10,7 +10,7 @@
 
 use std::collections::BinaryHeap;
 
-use sdimm_telemetry::{recorder::FlightEventKind, FlightRecorder, TraceSink};
+use sdimm_telemetry::{CellTrace, DdrEvent, EventKind};
 
 use crate::address::{AddressMapper, Coords, Interleave};
 use crate::bank::{Bank, RowOutcome, RowState};
@@ -223,21 +223,15 @@ pub struct DramChannel {
     pending: BinaryHeap<Pending>,
     stats: ChannelStats,
     energy: EnergyCounters,
-    /// Trace recording handle; disabled by default (one branch per event).
-    sink: TraceSink,
+    /// Event-ring handle; disabled by default (one branch per command).
+    trace: CellTrace,
+    /// Channel index reported in trace events.
+    trace_channel: u8,
     /// Command capture for replay auditing; disabled by default.
     cmd_log: CmdLog,
-    /// Flight-recorder tap; disabled by default (one branch per command).
-    flight: FlightRecorder,
-    /// Channel index reported in flight-recorder DDR events.
-    flight_channel: u8,
     /// Per-row wear tracker; disabled (`None`) by default, one branch
     /// per ACT/WR/REF when detached.
     wear: Option<Box<RowPressure>>,
-    /// Chrome-trace process id this channel reports under.
-    trace_pid: u32,
-    /// Chrome-trace thread id (one track per channel).
-    trace_tid: u32,
 }
 
 impl DramChannel {
@@ -282,25 +276,19 @@ impl DramChannel {
             pending: BinaryHeap::new(),
             stats: ChannelStats::default(),
             energy: EnergyCounters::default(),
-            sink: TraceSink::disabled(),
+            trace: CellTrace::disabled(),
+            trace_channel: 0,
             cmd_log: CmdLog::disabled(),
-            flight: FlightRecorder::disabled(),
-            flight_channel: 0,
             wear: None,
-            trace_pid: 0,
-            trace_tid: 0,
         }
     }
 
-    /// Attaches a trace sink; the channel's events land on thread track
-    /// `tid` of process track `pid` in the exported Chrome trace.
-    pub fn set_trace(&mut self, sink: TraceSink, pid: u32, tid: u32) {
-        if sink.is_enabled() {
-            sink.thread_name(pid, tid, &format!("dram.chan{}", tid));
-        }
-        self.sink = sink;
-        self.trace_pid = pid;
-        self.trace_tid = tid;
+    /// Attaches a cell's trace handle: every DDR command (and each
+    /// hammer alarm) is recorded once, tagged with channel index
+    /// `channel`. Disabled by default; one branch per command.
+    pub fn set_trace(&mut self, trace: CellTrace, channel: u8) {
+        self.trace = trace;
+        self.trace_channel = channel;
     }
 
     /// Attaches a command-capture log: every DDR command (ACT/PRE/CAS/
@@ -312,30 +300,27 @@ impl DramChannel {
         self.cmd_log = log;
     }
 
-    /// Attaches a flight recorder: every DDR command is also mirrored
-    /// into the recorder's bounded ring (tagged with this channel's
-    /// index) so a black-box dump shows the command stream leading up
-    /// to a fault. Disabled by default; one branch per command.
-    pub fn set_flight_recorder(&mut self, recorder: FlightRecorder, channel: u8) {
-        self.flight = recorder;
-        self.flight_channel = channel;
+    /// Routes one command, issued now, to the audit log and the trace.
+    fn log_cmd(&mut self, rank: usize, cmd: DdrCmd) {
+        self.log_cmd_as(rank, cmd, |event| event);
     }
 
-    /// Routes one command to the audit log and the flight recorder.
-    fn log_cmd(&mut self, cycle: Cycle, rank: usize, cmd: DdrCmd) {
-        self.cmd_log.record(cycle, rank, cmd);
-        if self.flight.is_enabled() {
-            self.flight.record_at(
-                cycle,
-                cmd.flight_kind(self.flight_channel, rank.min(u8::MAX as usize) as u8),
-            );
+    /// [`log_cmd`](Self::log_cmd) for the commands whose trace event
+    /// carries what only the issuing site knows (a CAS's request span, a
+    /// PRE's row conflict): `detail` fills it in.
+    fn log_cmd_as(&mut self, rank: usize, cmd: DdrCmd, detail: impl FnOnce(DdrEvent) -> DdrEvent) {
+        self.cmd_log.record(self.now, rank, cmd);
+        if self.trace.is_enabled() {
+            let event =
+                detail(cmd.flight_kind(self.trace_channel, rank.min(u8::MAX as usize) as u8));
+            self.trace.record_at(self.now, EventKind::DdrCmd(event));
         }
     }
 
     /// Attaches a per-row wear tracker configured from this channel's
     /// standard spec and topology (see [`crate::wear`]). Threshold
-    /// crossings bump `ChannelStats::hammer_alarms` and, when a flight
-    /// recorder is attached, land on its hammer lane. Disabled by
+    /// crossings bump `ChannelStats::hammer_alarms` and, when a trace
+    /// is attached, land on its hammer track. Disabled by
     /// default; one branch per ACT/WR/REF when detached.
     pub fn enable_wear(&mut self) {
         self.wear = Some(Box::new(RowPressure::new(WearConfig::for_channel(&self.cfg))));
@@ -486,16 +471,7 @@ impl DramChannel {
         let t = self.cfg.timing.clone();
         self.ranks[rank].exit_power_down(self.now, &t);
         if was_down {
-            self.log_cmd(self.now, rank, DdrCmd::PowerUp);
-        }
-        self.trace_power("wake", rank);
-    }
-
-    /// Marks a power transition of `rank` on the trace.
-    fn trace_power(&self, event: &str, rank: usize) {
-        if self.sink.is_enabled() {
-            let name = format!("{event}.rank{rank}");
-            self.sink.instant("dram.power", &name, self.trace_pid, self.trace_tid, self.now);
+            self.log_cmd(rank, DdrCmd::PowerUp);
         }
     }
 
@@ -531,25 +507,9 @@ impl DramChannel {
                         self.stats.read_latency_sum += latency;
                         self.stats.read_latency_max = self.stats.read_latency_max.max(latency);
                         self.stats.read_latency_hist.record(latency);
-                        self.sink.span(
-                            "dram",
-                            "read",
-                            self.trace_pid,
-                            self.trace_tid,
-                            p.arrival,
-                            p.finish,
-                        );
                     }
                     RequestKind::Write => {
                         self.stats.writes_completed += 1;
-                        self.sink.span(
-                            "dram",
-                            "write",
-                            self.trace_pid,
-                            self.trace_tid,
-                            p.arrival,
-                            p.finish,
-                        );
                     }
                 }
                 out.push(Completion { id: p.id, kind: p.kind, finish: p.finish, latency });
@@ -765,8 +725,7 @@ impl DramChannel {
                     {
                         self.account_bg(i);
                         self.ranks[i].enter_power_down(self.now);
-                        self.log_cmd(self.now, i, DdrCmd::PowerDown);
-                        self.trace_power("powerdown", i);
+                        self.log_cmd(i, DdrCmd::PowerDown);
                     }
                 }
             }
@@ -977,7 +936,7 @@ impl DramChannel {
                         self.account_bg(i);
                         let t = self.cfg.timing.clone();
                         self.ranks[i].exit_power_down(self.now, &t);
-                        self.log_cmd(self.now, i, DdrCmd::PowerUp);
+                        self.log_cmd(i, DdrCmd::PowerUp);
                     }
                     if self.rank_open_banks[i] == 0 {
                         if self.now >= self.ranks[i].ready_at() {
@@ -1077,7 +1036,7 @@ impl DramChannel {
         match decision {
             Decision::Refresh { rank } => {
                 self.account_bg(rank);
-                self.log_cmd(self.now, rank, DdrCmd::Refresh);
+                self.log_cmd(rank, DdrCmd::Refresh);
                 self.ranks[rank].begin_refresh(self.now, &t);
                 self.refresh_pending[rank] = false;
                 self.refresh_owed -= 1;
@@ -1088,15 +1047,6 @@ impl DramChannel {
                 if let Some(w) = self.wear.as_deref_mut() {
                     w.on_refresh(rank);
                 }
-                if self.sink.is_enabled() {
-                    self.sink.instant(
-                        "dram.cmd",
-                        &format!("refresh.rank{rank}"),
-                        self.trace_pid,
-                        self.trace_tid,
-                        self.now,
-                    );
-                }
                 true
             }
             Decision::Cas { write, bidx, pos } => {
@@ -1106,7 +1056,7 @@ impl DramChannel {
             Decision::Act { rank, bank, row } => {
                 let group = bank / self.cfg.topology.banks_per_group();
                 self.account_bg(rank);
-                self.log_cmd(self.now, rank, DdrCmd::Act { bank, row });
+                self.log_cmd(rank, DdrCmd::Act { bank, row });
                 self.ranks[rank].bank_mut(bank).activate(self.now, row, &t);
                 self.ranks[rank].record_activate(self.now, group, &t);
                 self.rank_open_banks[rank] += 1;
@@ -1121,26 +1071,23 @@ impl DramChannel {
                     let alarms = w.on_act(rank, bank, row);
                     for alarm in alarms.into_iter().flatten() {
                         self.stats.hammer_alarms += 1;
-                        if self.flight.is_enabled() {
-                            self.flight.record_at(
-                                self.now,
-                                FlightEventKind::HammerAlarm {
-                                    channel: self.flight_channel,
-                                    rank: alarm.victim.rank.min(u8::MAX as usize) as u8,
-                                    bank: alarm.victim.bank.min(u8::MAX as usize) as u8,
-                                    row: alarm.victim.row.min(u32::MAX as usize) as u32,
-                                    window: alarm.window.min(u64::from(u32::MAX)) as u32,
-                                },
-                            );
-                        }
+                        self.trace.record_at(
+                            self.now,
+                            EventKind::HammerAlarm {
+                                channel: self.trace_channel,
+                                rank: alarm.victim.rank.min(u8::MAX as usize) as u8,
+                                bank: alarm.victim.bank.min(u8::MAX as usize) as u8,
+                                row: alarm.victim.row.min(u32::MAX as usize) as u32,
+                                window: alarm.window.min(u64::from(u32::MAX)) as u32,
+                            },
+                        );
                     }
                 }
-                self.sink.instant("dram.cmd", "act", self.trace_pid, self.trace_tid, self.now);
                 true
             }
             Decision::Pre { rank, bank, conflict } => {
                 self.account_bg(rank);
-                self.log_cmd(self.now, rank, DdrCmd::Pre { bank });
+                self.log_cmd_as(rank, DdrCmd::Pre { bank }, |e| DdrEvent { conflict, ..e });
                 self.ranks[rank].bank_mut(bank).precharge(self.now, &t);
                 self.ranks[rank].record_activity(self.now);
                 self.rank_open_banks[rank] -= 1;
@@ -1149,13 +1096,6 @@ impl DramChannel {
                 self.write_q.set_open_row(bidx, None);
                 if conflict {
                     self.stats.row_conflicts += 1;
-                    self.sink.instant(
-                        "dram.cmd",
-                        "pre.conflict",
-                        self.trace_pid,
-                        self.trace_tid,
-                        self.now,
-                    );
                 }
                 true
             }
@@ -1186,7 +1126,12 @@ impl DramChannel {
         } else {
             DdrCmd::Rd { bank: bank_idx, row: e.row }
         };
-        self.log_cmd(self.now, rank_idx, cmd);
+        let (now, arrival) = (self.now, e.req.arrival);
+        self.log_cmd_as(rank_idx, cmd, |ev| DdrEvent {
+            waited: now.saturating_sub(arrival).min(u64::from(u32::MAX)) as u32,
+            data: data_end.saturating_sub(now).min(u64::from(u16::MAX)) as u16,
+            ..ev
+        });
 
         if write {
             self.ranks[rank_idx].bank_mut(bank_idx).write(self.now, &t);
@@ -1201,14 +1146,6 @@ impl DramChannel {
             self.energy.reads += 1;
         }
         self.ranks[rank_idx].record_cas(self.now, group, &t);
-
-        self.sink.instant(
-            "dram.cmd",
-            if write { "cas.write" } else { "cas.read" },
-            self.trace_pid,
-            self.trace_tid,
-            self.now,
-        );
 
         self.bus_free_at = data_end;
         self.bus_last_rank = Some(rank_idx);

@@ -4,12 +4,15 @@
 //! [`CmdRecord`]s, following the same pattern as the telemetry
 //! `TraceSink`: the detached log holds no buffer, so every record call
 //! on the scheduler's hot path is a single `Option` branch. Unlike the
-//! trace sink's human-oriented instant events, each record carries full
-//! command coordinates (cycle, rank, bank, row), which is exactly what
-//! an independent DDR3 compliance checker needs to re-validate every
-//! inter-command constraint from scratch (see the `sdimm-audit` crate).
+//! trace ring, which drops its oldest events once full, the log keeps
+//! every command with full coordinates (cycle, rank, bank, row), which is
+//! exactly what an independent DDR3 compliance checker needs to
+//! re-validate every inter-command constraint from scratch (see the
+//! `sdimm-audit` crate).
 
 use std::sync::{Arc, Mutex};
+
+use sdimm_telemetry::{DdrCmdKind, DdrEvent};
 
 use crate::config::Cycle;
 
@@ -53,22 +56,23 @@ pub enum DdrCmd {
 }
 
 impl DdrCmd {
-    /// The flight-recorder event for this command on `channel`/`rank`.
+    /// The trace event for this command on `channel`/`rank`, with no
+    /// row conflict and no request span (only the issuing channel knows
+    /// those).
     ///
-    /// The recorder keeps only a compact `Copy` payload, so coordinates
-    /// are narrowed. Every supported spec fits (at most 16 banks and
-    /// 32-bit row indices); the bounds are debug-asserted rather than
-    /// silently clamped, so a future spec whose coordinates overflow
-    /// the payload fails loudly in tests instead of aliasing banks or
-    /// rows inside black-box dumps.
+    /// The event keeps only a compact `Copy` payload, so coordinates are
+    /// narrowed. Every supported spec fits (at most 16 banks and 32-bit
+    /// row indices); the bounds are debug-asserted rather than silently
+    /// clamped, so a future spec whose coordinates overflow the payload
+    /// fails loudly in tests instead of aliasing banks or rows inside
+    /// black-box dumps.
     ///
     /// # Panics
     ///
     /// Panics (debug builds) if `bank` exceeds `u8::MAX` or `row`
     /// exceeds `u32::MAX`. Release builds saturate, keeping the
     /// recorder crash-free on the fault path it exists to document.
-    pub fn flight_kind(self, channel: u8, rank: u8) -> sdimm_telemetry::FlightEventKind {
-        use sdimm_telemetry::{DdrCmdKind, FlightEventKind};
+    pub fn flight_kind(self, channel: u8, rank: u8) -> DdrEvent {
         let (kind, bank, row) = match self {
             DdrCmd::Act { bank, row } => (DdrCmdKind::Act, bank, row),
             DdrCmd::Pre { bank } => (DdrCmdKind::Pre, bank, 0),
@@ -86,12 +90,15 @@ impl DdrCmd {
             row <= u32::MAX as usize,
             "flight-recorder row coordinate {row} exceeds the u32 payload"
         );
-        FlightEventKind::DdrCmd {
+        DdrEvent {
             channel,
             rank,
             bank: bank.min(u8::MAX as usize) as u8,
             row: row.min(u32::MAX as usize) as u32,
             kind,
+            conflict: false,
+            waited: 0,
+            data: 0,
         }
     }
 }
@@ -172,16 +179,11 @@ mod tests {
 
     #[test]
     fn flight_kind_keeps_in_range_coordinates_exact() {
-        use sdimm_telemetry::FlightEventKind;
         // The largest coordinates any shipped spec produces (16 banks,
         // 32768 rows) must round-trip unclamped.
-        let kind = DdrCmd::Act { bank: 15, row: 32767 }.flight_kind(1, 7);
-        match kind {
-            FlightEventKind::DdrCmd { channel, rank, bank, row, .. } => {
-                assert_eq!((channel, rank, bank, row), (1, 7, 15, 32767));
-            }
-            other => panic!("unexpected flight event {other:?}"),
-        }
+        let DdrEvent { channel, rank, bank, row, .. } =
+            DdrCmd::Act { bank: 15, row: 32767 }.flight_kind(1, 7);
+        assert_eq!((channel, rank, bank, row), (1, 7, 15, 32767));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   which every machine exposes (for SDIMM protocols this is the
 //!   on-DIMM bus; for baselines, main memory);
 //! * the external-bus [`sdimm::obliviousness::Observable`] stream,
-//!   cycle-stamped from the executor's [`sdimm::obliviousness::SharedCycle`]
+//!   cycle-stamped from the executor's [`sdimm_telemetry::SharedCycle`]
 //!   clock (only the SDIMM protocols have an external command bus).
 //!
 //! [`features`] reduces each capture to windowed features: inter-arrival

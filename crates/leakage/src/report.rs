@@ -124,10 +124,10 @@ impl LeakageReport {
     }
 
     /// Emits one Perfetto slice per report row (category `leakage`) into
-    /// `sink` under `pid`, so a trace viewer shows the verdict matrix
-    /// alongside the runs that produced it. Slices are laid out on a
-    /// synthetic timeline (one slot per row) — they annotate, they don't
-    /// time.
+    /// `sink`'s side table under `pid`, so a trace viewer shows the
+    /// verdict matrix alongside the runs that produced it. Slices are
+    /// laid out on a synthetic timeline (one slot per row) — they
+    /// annotate, they don't time.
     pub fn annotate(&self, sink: &TraceSink, pid: u32) {
         if !sink.is_enabled() {
             return;

@@ -193,11 +193,11 @@ impl PathOram {
         self.stash.len()
     }
 
-    /// Attaches a flight recorder to the stash: every insert records an
-    /// occupancy tick tagged with `backend`, so black-box dumps show the
-    /// stash trajectory before a bound breach.
-    pub fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder, backend: u8) {
-        self.stash.set_flight_recorder(recorder, backend);
+    /// Attaches a cell's trace handle to the stash: every insert records
+    /// an occupancy tick tagged with `backend`, so black-box dumps show
+    /// the stash trajectory before a bound breach.
+    pub fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace, backend: u8) {
+        self.stash.set_trace(trace, backend);
     }
 
     /// Peak stash occupancy.

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use sdimm_telemetry::{FlightEventKind, FlightRecorder, LatencyHistogram};
+use sdimm_telemetry::{CellTrace, EventKind, LatencyHistogram};
 
 use crate::bucket::BlockEntry;
 use crate::geometry::Geometry;
@@ -21,11 +21,11 @@ pub struct Stash {
     /// Post-insert occupancy distribution, for overflow-probability
     /// studies (one sample per insert).
     occupancy: LatencyHistogram,
-    /// Flight-recorder tap: one occupancy tick per insert, timestamped
-    /// from the recorder's shared clock. Disabled by default.
-    flight: FlightRecorder,
-    /// Backend index reported in flight-recorder stash ticks.
-    flight_backend: u8,
+    /// Trace handle: one occupancy tick per insert, timestamped from the
+    /// cell's clock. Disabled by default.
+    trace: CellTrace,
+    /// Backend index reported in stash ticks.
+    trace_backend: u8,
 }
 
 impl Stash {
@@ -54,13 +54,13 @@ impl Stash {
         &self.occupancy
     }
 
-    /// Attaches a flight recorder; each insert then records a
-    /// [`FlightEventKind::StashTick`] tagged with `backend`, so a
-    /// black-box dump shows the stash trajectory leading up to a bound
-    /// breach. Disabled by default; one branch per insert.
-    pub fn set_flight_recorder(&mut self, recorder: FlightRecorder, backend: u8) {
-        self.flight = recorder;
-        self.flight_backend = backend;
+    /// Attaches a cell's trace handle; each insert then records an
+    /// [`EventKind::StashTick`] tagged with `backend`, so a black-box
+    /// dump shows the stash trajectory leading up to a bound breach.
+    /// Disabled by default; one branch per insert.
+    pub fn set_trace(&mut self, trace: CellTrace, backend: u8) {
+        self.trace = trace;
+        self.trace_backend = backend;
     }
 
     /// Inserts (or replaces) a block.
@@ -68,12 +68,10 @@ impl Stash {
         self.entries.insert(entry.id, entry);
         self.peak = self.peak.max(self.entries.len());
         self.occupancy.record(self.entries.len() as u64);
-        if self.flight.is_enabled() {
-            self.flight.record(FlightEventKind::StashTick {
-                backend: self.flight_backend,
-                occupancy: self.entries.len().min(u32::MAX as usize) as u32,
-            });
-        }
+        self.trace.record(EventKind::StashTick {
+            backend: self.trace_backend,
+            occupancy: self.entries.len().min(u32::MAX as usize) as u32,
+        });
     }
 
     /// Looks up a block without removing it.

@@ -19,7 +19,7 @@ use dram_sim::request::{Completion, RequestId};
 use dram_sim::wear::KeyMap;
 use sdimm::trace::{Activity, RequestTrace};
 use sdimm_telemetry::{
-    BackendDecision, CycleProfiler, FlightEventKind, FlightRecorder, MetricsRegistry, TraceSink,
+    BackendDecision, CellTrace, CycleProfiler, EventKind, MetricsRegistry, SharedCycle,
 };
 
 /// Handle identifying a submitted request.
@@ -124,12 +124,10 @@ pub struct Executor {
     lowpower_ranks: bool,
     /// Work-attribution counters (crypto/bus/DRAM split, queue peaks).
     exec_stats: ExecStats,
-    /// Trace recording handle; disabled by default.
-    sink: TraceSink,
-    /// Chrome-trace process id for this executor's tracks.
-    trace_pid: u32,
-    /// Flight recorder for black-box dumps; disabled by default.
-    flight: FlightRecorder,
+    /// Event-ring handle for this cell; disabled by default.
+    trace: CellTrace,
+    /// In-flight count last recorded: the trace records changes only.
+    traced_inflight: usize,
     /// Simulated-time sampling profiler; disabled by default.
     profiler: CycleProfiler,
     /// Root frames for this executor's profiler stacks
@@ -140,17 +138,21 @@ pub struct Executor {
     /// Cycle the next profiler sample is due.
     sample_due: Cycle,
     /// Shared simulated clock published every tick so out-of-band
-    /// observers (the obliviousness recorder's cycle stamps) read the
-    /// executor's `now` without holding a reference to it.
-    clock: sdimm::obliviousness::SharedCycle,
+    /// observers (stash ticks, the obliviousness recorder's cycle
+    /// stamps) read the executor's `now` without holding a reference
+    /// to it.
+    clock: SharedCycle,
 }
 
-/// Number of Chrome-trace lanes executor phase spans are spread over, so
-/// concurrent requests render side by side instead of nesting.
-const TRACE_LANES: u64 = 8;
+/// `v` narrowed to a trace event's 32-bit payload (saturating).
+fn narrow(v: u64) -> u32 {
+    v.min(u64::from(u32::MAX)) as u32
+}
 
-/// Thread-id base for executor lanes (DRAM channels own the low tids).
-const LANE_TID_BASE: u32 = 64;
+/// The trace event for backend decision `decision` on request `id`.
+fn backend_event(id: ExecId, decision: BackendDecision) -> EventKind {
+    EventKind::Backend { request: narrow(id.0), decision }
+}
 
 /// Routing key of DRAM request `id` on `channel`: the channel in the top
 /// 16 bits, the channel's own request id (a count) below them.
@@ -186,54 +188,33 @@ impl Executor {
             bus_pj_per_bit,
             lowpower_ranks: false,
             exec_stats: ExecStats::default(),
-            sink: TraceSink::disabled(),
-            trace_pid: 0,
-            flight: FlightRecorder::disabled(),
+            trace: CellTrace::disabled(),
+            traced_inflight: 0,
             profiler: CycleProfiler::disabled(),
             profile_prefix: String::new(),
             last_sample: 0,
             sample_due: 0,
-            clock: sdimm::obliviousness::SharedCycle::new(),
+            clock: SharedCycle::new(),
         }
     }
 
     /// The executor's shared simulated clock: updated to `now` as time
-    /// advances. Clone it into any observer that needs cycle stamps (the
-    /// obliviousness [`Recorder`](sdimm::obliviousness::Recorder)).
-    pub fn shared_clock(&self) -> sdimm::obliviousness::SharedCycle {
+    /// advances. Clone it into any observer that needs cycle stamps (a
+    /// cell's [`CellTrace`], the obliviousness
+    /// [`Recorder`](sdimm::obliviousness::Recorder)).
+    pub fn shared_clock(&self) -> SharedCycle {
         self.clock.clone()
     }
 
-    /// Attaches a trace sink under process track `pid`: DRAM channels get
-    /// thread tracks `0..n_channels`, executor phase spans are spread
-    /// over [`TRACE_LANES`] lanes above them.
-    pub fn set_trace(&mut self, sink: TraceSink, pid: u32) {
-        if sink.is_enabled() {
-            for lane in 0..TRACE_LANES as u32 {
-                sink.thread_name(pid, LANE_TID_BASE + lane, &format!("exec.lane{lane}"));
-            }
-        }
+    /// Attaches a cell's trace handle: every channel records its DDR
+    /// commands (tagged with its index), and the executor records phase
+    /// completions, backend decisions and each change of its in-flight
+    /// count. Disabled by default; one branch per event.
+    pub fn set_trace(&mut self, trace: CellTrace) {
         for (i, ch) in self.channels.iter_mut().enumerate() {
-            ch.set_trace(sink.clone(), pid, i as u32);
+            ch.set_trace(trace.clone(), i.min(u8::MAX as usize) as u8);
         }
-        self.sink = sink;
-        self.trace_pid = pid;
-    }
-
-    /// Attaches a flight recorder: the executor publishes its clock into
-    /// the recorder every tick, mirrors phase completions and backend
-    /// scheduling decisions into the ring, and taps every channel's DDR
-    /// command stream. Disabled by default; one branch per event.
-    pub fn set_flight_recorder(&mut self, recorder: FlightRecorder) {
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            ch.set_flight_recorder(recorder.clone(), i.min(u8::MAX as usize) as u8);
-        }
-        self.flight = recorder;
-    }
-
-    /// The executor's flight recorder (disabled unless attached).
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.flight
+        self.trace = trace;
     }
 
     /// Attaches a cycle-attribution profiler. Every
@@ -264,18 +245,13 @@ impl Executor {
     }
 
     /// Enables the per-row wear/disturbance tracker on every DRAM
-    /// channel. Like the trace sinks, this is off by default (one
+    /// channel. Like the trace, this is off by default (one
     /// `Option` branch per ACT when disabled) and should be switched on
     /// before traffic so lifetime counts cover the whole run.
     pub fn enable_wear(&mut self) {
         for ch in &mut self.channels {
             ch.enable_wear();
         }
-    }
-
-    /// The Chrome-trace lane a request's phase spans render on.
-    fn lane_of(id: ExecId) -> u32 {
-        LANE_TID_BASE + (id.0 % TRACE_LANES) as u32
     }
 
     /// Work-attribution counters collected so far.
@@ -393,17 +369,7 @@ impl Executor {
         if let Some(backend) = req.trace.backend {
             if self.backend_busy.contains(&backend) {
                 self.exec_stats.backend_conflicts += 1;
-                self.sink.instant(
-                    "exec",
-                    "backend.wait",
-                    self.trace_pid,
-                    Self::lane_of(id),
-                    self.now,
-                );
-                self.flight.record_at(
-                    self.now,
-                    FlightEventKind::Backend { request: id.0, decision: BackendDecision::Wait },
-                );
+                self.trace.record_at(self.now, backend_event(id, BackendDecision::Wait));
                 let q = self.backend_waiting.entry(backend).or_default();
                 q.push_back(req);
                 self.exec_stats.max_backend_queue =
@@ -411,17 +377,7 @@ impl Executor {
                 return id;
             }
             self.backend_busy.insert(backend);
-            self.sink.instant(
-                "exec",
-                "backend.acquire",
-                self.trace_pid,
-                Self::lane_of(id),
-                self.now,
-            );
-            self.flight.record_at(
-                self.now,
-                FlightEventKind::Backend { request: id.0, decision: BackendDecision::Acquire },
-            );
+            self.trace.record_at(self.now, backend_event(id, BackendDecision::Acquire));
         }
         self.start_phase(&mut req);
         self.inflight.push(req);
@@ -539,16 +495,10 @@ impl Executor {
         let end = self.now.saturating_add(cycles);
         while self.now < end {
             let next_grid = (self.now / Self::STEP + 1).saturating_mul(Self::STEP);
-            // Observability sinks expect the historical cadence: the
-            // inflight counter and the flight clock advance per step.
-            let horizon = if self.sink.is_enabled() || self.flight.is_enabled() {
-                next_grid
-            } else {
-                // The clamp floor lets the walk stop refining as soon as
-                // it proves the next grid point must be visited anyway —
-                // the common case while traffic is dense.
-                self.next_horizon_clamped(next_grid).max(next_grid)
-            };
+            // The clamp floor lets the walk stop refining as soon as it
+            // proves the next grid point must be visited anyway — the
+            // common case while traffic is dense.
+            let horizon = self.next_event_horizon_clamped(next_grid).max(next_grid);
             // First grid point that can observe the horizon event (an
             // event at `e >= horizon` is observed at the same grid point
             // the fixed-quantum loop would have seen it).
@@ -561,7 +511,6 @@ impl Executor {
             }
             self.now = target;
             self.clock.publish(self.now);
-            self.flight.set_clock(self.now);
             if self.now.is_multiple_of(Self::STEP) {
                 self.process();
                 if self.profiler.is_enabled() && self.now >= self.sample_due {
@@ -571,35 +520,24 @@ impl Executor {
         }
     }
 
-    /// Earliest cycle at which this executor could emit an event or
-    /// otherwise observably change state — `Cycle::MAX` when fully idle.
-    /// A *conservative lower bound*: the real event may be later (`tick`
-    /// re-derives horizons as it goes, so a driver that stops here and
-    /// finds nothing simply jumps again), never earlier. External
-    /// drivers may therefore advance straight to their own observation
-    /// grid point at or after this cycle without missing anything.
-    pub fn next_event_horizon(&self) -> Cycle {
-        self.next_horizon_clamped(0)
-    }
-
-    /// [`next_event_horizon`](Self::next_event_horizon) with an early
-    /// exit: once the walk proves the horizon is at or below `floor` it
-    /// returns immediately with whatever bound it has. Callers that only
-    /// use the horizon as `max(horizon, floor)` (i.e. their next
-    /// observation point is at least `floor` anyway) get an identical
-    /// answer for a fraction of the walk while traffic is dense.
+    /// Earliest future cycle at which this executor could emit an event
+    /// or otherwise observably change state — a phase deadline expiring,
+    /// a DRAM completion arriving, queue room opening for a
+    /// not-yet-accepted line, a profiler sample — or `Cycle::MAX` when
+    /// fully idle. A *conservative lower bound*: the real event may be
+    /// later (`tick` re-derives horizons as it goes, so a driver that
+    /// stops here and finds nothing simply jumps again), never earlier.
+    /// External drivers may therefore advance straight to their own
+    /// observation grid point at or after this cycle without missing
+    /// anything.
+    ///
+    /// Once the walk proves the horizon is at or below `floor` it returns
+    /// immediately with whatever bound it has. Callers that only use the
+    /// horizon as `max(horizon, floor)` (i.e. their next observation
+    /// point is at least `floor` anyway) get an identical answer for a
+    /// fraction of the walk while traffic is dense; pass 0 for the exact
+    /// horizon.
     pub fn next_event_horizon_clamped(&self, floor: Cycle) -> Cycle {
-        self.next_horizon_clamped(floor)
-    }
-
-    /// Earliest future cycle at which `process` could observe anything:
-    /// a phase deadline expiring, a DRAM completion arriving, or queue
-    /// room opening for a not-yet-accepted line. `Cycle::MAX` when fully
-    /// idle (the caller then jumps straight to its requested end).
-    /// Returns early once the bound reaches `floor` (see
-    /// [`next_event_horizon_clamped`](Self::next_event_horizon_clamped));
-    /// pass 0 for the exact horizon.
-    fn next_horizon_clamped(&self, floor: Cycle) -> Cycle {
         let mut h = Cycle::MAX;
         if self.profiler.is_enabled() {
             h = h.min(self.sample_due);
@@ -702,22 +640,12 @@ impl Executor {
             }
             // Phase complete?
             while req.pending.is_empty() && req.outstanding == 0 && now >= req.busy_until {
-                if self.sink.is_enabled() {
-                    self.sink.span(
-                        "exec",
-                        &format!("req{}.phase{}", req.id.0, req.phase),
-                        self.trace_pid,
-                        Self::lane_of(req.id),
-                        req.phase_started,
-                        now.max(req.phase_started + 1),
-                    );
-                }
-                self.flight.record_at(
+                self.trace.record_at(
                     now,
-                    FlightEventKind::Phase {
-                        request: req.id.0,
-                        phase: req.phase.min(u32::MAX as usize) as u32,
-                        started: req.phase_started,
+                    EventKind::Phase {
+                        request: narrow(req.id.0),
+                        phase: narrow(req.phase as u64),
+                        dur: narrow(now.saturating_sub(req.phase_started)),
                     },
                 );
                 if req.phase == req.trace.data_ready_phase && !req.data_ready_sent {
@@ -727,20 +655,7 @@ impl Executor {
                 if req.phase >= req.trace.backend_release_phase && !req.backend_released {
                     req.backend_released = true;
                     if let Some(backend) = req.trace.backend {
-                        self.sink.instant(
-                            "exec",
-                            "backend.release",
-                            self.trace_pid,
-                            Self::lane_of(req.id),
-                            now,
-                        );
-                        self.flight.record_at(
-                            now,
-                            FlightEventKind::Backend {
-                                request: req.id.0,
-                                decision: BackendDecision::Release,
-                            },
-                        );
+                        self.trace.record_at(now, backend_event(req.id, BackendDecision::Release));
                         // Hand the backend to the next waiting trace; the
                         // remaining (CPU-side) phases run concurrently.
                         let next = self
@@ -749,20 +664,8 @@ impl Executor {
                             .and_then(std::collections::VecDeque::pop_front);
                         match next {
                             Some(mut waiting) => {
-                                self.sink.instant(
-                                    "exec",
-                                    "backend.acquire",
-                                    self.trace_pid,
-                                    Self::lane_of(waiting.id),
-                                    now,
-                                );
-                                self.flight.record_at(
-                                    now,
-                                    FlightEventKind::Backend {
-                                        request: waiting.id.0,
-                                        decision: BackendDecision::Acquire,
-                                    },
-                                );
+                                let acquire = backend_event(waiting.id, BackendDecision::Acquire);
+                                self.trace.record_at(now, acquire);
                                 self.start_phase(&mut waiting);
                                 self.inflight.push(waiting);
                             }
@@ -790,8 +693,10 @@ impl Executor {
         }
         self.spare = requests;
         self.exec_stats.max_inflight = self.exec_stats.max_inflight.max(self.inflight.len() as u64);
-        if self.sink.is_enabled() {
-            self.sink.counter("exec", "inflight", self.trace_pid, now, self.inflight.len() as u64);
+        if self.trace.is_enabled() && self.inflight.len() != self.traced_inflight {
+            self.traced_inflight = self.inflight.len();
+            let count = narrow(self.traced_inflight as u64);
+            self.trace.record_at(now, EventKind::InFlight { count });
         }
     }
 }

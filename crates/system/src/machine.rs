@@ -273,15 +273,15 @@ impl Machine {
         }
     }
 
-    /// Attaches a flight recorder to the executor (clock publication,
-    /// phase completions, backend decisions, per-channel DDR taps) and
-    /// to every backend stash (occupancy ticks).
-    pub fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
-        self.executor.set_flight_recorder(recorder.clone());
+    /// Attaches a cell's trace handle to the executor (phase
+    /// completions, backend decisions, in-flight changes, per-channel DDR
+    /// commands) and to every backend stash (occupancy ticks).
+    pub fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace) {
+        self.executor.set_trace(trace.clone());
         match &mut self.backend {
             Backend::NonSecure => {}
-            Backend::Baseline { oram, .. } => oram.set_flight_recorder(recorder, 0),
-            Backend::Sdimm(o) => o.set_flight_recorder(recorder),
+            Backend::Baseline { oram, .. } => oram.set_trace(trace, 0),
+            Backend::Sdimm(o) => o.set_trace(trace),
         }
     }
 

@@ -14,10 +14,7 @@ use dram_sim::address::Coords;
 use dram_sim::config::Cycle;
 use dram_sim::power::EnergyBreakdown;
 use dram_sim::wear::{RowWear, WearSnapshot};
-use sdimm_telemetry::{
-    imbalance, FlightEventKind, FlightRecorder, FlightRecorderHub, Instruments, LatencyHistogram,
-    MetricsRegistry, TraceSink,
-};
+use sdimm_telemetry::{imbalance, Instruments, LatencyHistogram, MetricsRegistry, TraceSink};
 use workloads::Trace;
 
 use crate::executor::ExecEvent;
@@ -217,31 +214,32 @@ fn harvest_wear(machine: &Machine, top_k: usize, captured: &mut Captured) {
     captured.level_wear = machine.level_wear();
 }
 
-/// Dump `flight`'s ring as a stash-bound black box: the runner calls
-/// this the moment a machine's steady-state stash occupancy escapes the
-/// configured bound, and it fires at most once per recorder (the
-/// arm-dump latch). Returns the `(report, trace-slice)` paths when the
-/// dump was written, `None` when the recorder is disabled, already
+/// Dumps cell `pid`'s black box for a stash-bound breach: the runner
+/// calls this the moment a machine's stash occupancy escapes the
+/// configured bound, naming the cycle the breaching access was issued
+/// at, and it fires at most once per cell (the ring's per-pid dump
+/// latch). Returns the `(report, trace-slice)` paths when the dump was
+/// written, `None` when no black-box prefix is set, the cell already
 /// dumped, or the write failed (failure is reported on stderr — the run
 /// itself must not die because a diagnostic could not be saved).
 pub fn dump_stash_breach(
-    hub: &FlightRecorderHub,
-    flight: &FlightRecorder,
+    instruments: &Instruments,
     machine: &str,
     cycle: Cycle,
     occupancy: usize,
     bound: usize,
     pid: u32,
 ) -> Option<(String, String)> {
-    if !flight.arm_dump() {
+    let prefix = instruments.blackbox.as_deref()?;
+    if !instruments.sink.arm_dump(pid) {
         return None;
     }
     let reason = format!(
         "[stash-bound] cycle {cycle} machine {machine}: \
          occupancy {occupancy} blocks, bound {bound} blocks"
     );
-    let prefix = format!("{}-pid{pid}", hub.prefix());
-    match flight.dump_to_files(&prefix, &reason, pid) {
+    let prefix = format!("{prefix}-pid{pid}");
+    match instruments.sink.dump_to_files(&prefix, &reason, pid) {
         Some(Ok((txt, json))) => {
             eprintln!("flight recorder: {reason}; dumped {txt} and {json}");
             Some((txt, json))
@@ -255,11 +253,12 @@ pub fn dump_stash_breach(
 }
 
 /// The one run loop behind [`run`] and [`run_audited`]: [`run`], with
-/// the full [`Instruments`] bundle attached (Chrome trace sink and
-/// per-cell flight recorder keyed by `pid`, cycle-attribution profiler,
-/// live-dashboard state) and whatever `capture` asks for recorded.
-/// Disabled instruments and captures cost one branch per touch point
-/// and never perturb timing.
+/// the full [`Instruments`] bundle attached (the event ring, recorded
+/// under process id `pid`, and its black box; cycle-attribution
+/// profiler; live-dashboard state) and whatever `capture` asks for
+/// recorded. Disabled instruments and captures cost one branch per
+/// touch point, and no instrument perturbs timing: an instrumented run
+/// takes the same event-driven time jumps as a plain one.
 ///
 /// # Panics
 ///
@@ -289,17 +288,14 @@ pub fn run_with(
     if capture.observables {
         machine.set_observable_recorder();
     }
-    let sink = instruments.sink.clone();
-    if sink.is_enabled() {
-        sink.process_name(pid, &format!("{} / {}", cfg.kind.name(), trace.name));
+    // The cell records into the run's ring under its own pid, stamped
+    // from this machine's clock.
+    let cell = instruments.sink.cell(pid, machine.executor.shared_clock());
+    if cell.is_enabled() {
+        instruments.sink.process_name(pid, &format!("{} / {}", cfg.kind.name(), trace.name));
+        machine.set_trace(cell.clone());
     }
-    machine.executor.set_trace(sink, pid);
-    // Flight recorder: one ring per cell, keyed by the cell's trace pid.
-    let flight = instruments.flight.recorder_for(pid);
-    let flight_on = flight.is_enabled();
-    if flight_on {
-        machine.set_flight_recorder(flight.clone());
-    }
+    let blackbox = cell.is_enabled() && instruments.blackbox.is_some();
     if instruments.profiler.is_enabled() {
         machine.set_profiler(instruments.profiler.clone());
     }
@@ -317,7 +313,6 @@ pub fn run_with(
     // executor and its channels accumulated (today the warm-up touches
     // only the LLC, but this keeps the boundary explicit and guarded).
     machine.executor.reset_stats();
-    flight.record_at(machine.executor.now(), FlightEventKind::Marker { tag: "measure.start" });
 
     // Measured window.
     //
@@ -409,41 +404,46 @@ pub fn run_with(
             }
         }
 
+        // Stash-bound breach: the protocols' post-access relief must keep
+        // every stash within the configured bound; if one escapes, dump
+        // the cell's black box once with an actual-vs-expected reason so
+        // the run is debuggable without a rerun. Occupancy changes only
+        // inside `request_traces`, so probing after the issue loop sees
+        // every breach at the cycle its access was issued.
+        if blackbox && machine.stash_len() > cfg.oram.stash_limit {
+            let (occupancy, bound) = (machine.stash_len(), cfg.oram.stash_limit);
+            dump_stash_breach(instruments, &cfg.kind.name(), now, occupancy, bound, pid);
+        }
+
         // Advance time. The loop observes the executor on an absolute
         // 16-cycle grid (one fixed tick per iteration, historically);
         // jump over stretches where neither a new issue nor an executor
         // event can occur. Both bounds are conservative lower bounds, so
         // an early stop is a no-op poll on the same grid — every event
         // is still polled, and every record still issued, at the exact
-        // cycle the fixed-quantum loop would have used. Flight-recorder
-        // runs keep the fixed cadence so the stash probe below samples
-        // every iteration.
-        let dt = if flight_on {
+        // cycle the fixed-quantum loop would have used. The floor is this
+        // loop's own next grid point: any horizon at or below it aligns
+        // up to the same 16-cycle poll, so the executor may stop refining
+        // there.
+        let mut h = machine.executor.next_event_horizon_clamped(now.saturating_add(16));
+        if idx < records.len() && next_issue_at > now {
+            h = h.min(next_issue_at);
+        }
+        let dt = if h == Cycle::MAX {
+            // No event can ever occur: everything retired and nothing is
+            // left to issue (any blocked issue keeps a chain alive, which
+            // keeps the horizon finite). This is the loop's final
+            // iteration; take the historical 16-cycle step so the stopped
+            // clock matches the fixed-quantum engine's final reading
+            // exactly.
             16
         } else {
-            // The floor is this loop's own next grid point: any horizon
-            // at or below it aligns up to the same 16-cycle poll, so the
-            // executor may stop refining there.
-            let mut h = machine.executor.next_event_horizon_clamped(now.saturating_add(16));
-            if idx < records.len() && next_issue_at > now {
-                h = h.min(next_issue_at);
-            }
-            if h == Cycle::MAX {
-                // No event can ever occur: everything retired and
-                // nothing is left to issue (any blocked issue keeps a
-                // chain alive, which keeps the horizon finite). This is
-                // the loop's final iteration; take the historical
-                // 16-cycle step so the stopped clock matches the
-                // fixed-quantum engine's final reading exactly.
-                16
-            } else {
-                let target = h.max(now.saturating_add(1));
-                let rem = target % 16;
-                let aligned = if rem == 0 { target } else { target.saturating_add(16 - rem) };
-                // Cap the jump so a (hypothetical) unbounded horizon
-                // cannot wedge the loop in a single enormous tick.
-                aligned.saturating_sub(now).min(65_536)
-            }
+            let target = h.max(now.saturating_add(1));
+            let rem = target % 16;
+            let aligned = if rem == 0 { target } else { target.saturating_add(16 - rem) };
+            // Cap the jump so a (hypothetical) unbounded horizon cannot
+            // wedge the loop in a single enormous tick.
+            aligned.saturating_sub(now).min(65_536)
         };
         machine.executor.tick(dt);
         for ev in machine.executor.poll() {
@@ -473,25 +473,6 @@ pub fn run_with(
             }
         }
 
-        // Stash-bound breach: the protocols' post-access relief must keep
-        // every stash within the configured bound; if one escapes, dump
-        // the flight recorder once with an actual-vs-expected reason so
-        // the run is debuggable without a rerun.
-        if flight_on {
-            let occupancy = machine.stash_len();
-            if occupancy > cfg.oram.stash_limit {
-                dump_stash_breach(
-                    &instruments.flight,
-                    &flight,
-                    &cfg.kind.name(),
-                    machine.executor.now(),
-                    occupancy,
-                    cfg.oram.stash_limit,
-                    pid,
-                );
-            }
-        }
-
         // All records consumed and every chain finished: stop the clock
         // (trailing protocol cleanup does not delay the program).
         if idx >= records.len() && chains.is_empty() {
@@ -499,6 +480,8 @@ pub fn run_with(
         }
     }
 
+    // This worker's staged events reach the ring before the cell ends.
+    instruments.sink.flush();
     let cycles = machine.executor.now();
     let energy = machine.executor.energy();
     let stash_peak = machine.stash_peak() as u64;

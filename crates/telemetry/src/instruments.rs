@@ -1,26 +1,26 @@
 //! The [`Instruments`] bundle: every observability handle a simulation
 //! run can carry, in one cheaply clonable struct.
 //!
-//! PR 2 threaded a single [`TraceSink`] through the stack; this PR adds
-//! three more handles (flight recorder hub, cycle profiler, live
-//! dashboard). Rather than growing every `run_*` signature by three
-//! parameters, the stack passes one `Instruments` value. Every handle
-//! follows the same discipline: the disabled form is a `None` inside,
-//! so a fully disabled bundle costs one branch per instrumentation
-//! site and nothing else.
+//! The stack passes one `Instruments` value instead of one parameter per
+//! subsystem. Every handle follows the same discipline: the disabled
+//! form is a `None` inside, so a fully disabled bundle costs one branch
+//! per instrumentation site and nothing else.
 
 use crate::dashboard::LiveProgress;
 use crate::profile::CycleProfiler;
-use crate::recorder::FlightRecorderHub;
 use crate::trace::TraceSink;
 
 /// Bundle of all observability handles for a run.
 #[derive(Debug, Clone, Default)]
 pub struct Instruments {
-    /// Chrome trace-event sink (PR 2).
+    /// The run's event ring, shared by every cell (each records under
+    /// its own trace pid).
     pub sink: TraceSink,
-    /// Per-cell flight recorders for black-box dumps.
-    pub flight: FlightRecorderHub,
+    /// Black-box dump prefix: when set, a stash breach, a DDR violation
+    /// or a panic writes the affected cell's newest events as
+    /// `<prefix>-pid<N>.blackbox.txt` and `.trace.json`. Needs an
+    /// enabled `sink`.
+    pub blackbox: Option<String>,
     /// Folded-stack cycle-attribution profiler.
     pub profiler: CycleProfiler,
     /// Live dashboard shared state.
@@ -32,7 +32,7 @@ impl Instruments {
     pub fn disabled() -> Self {
         Instruments {
             sink: TraceSink::disabled(),
-            flight: FlightRecorderHub::disabled(),
+            blackbox: None,
             profiler: CycleProfiler::disabled(),
             live: LiveProgress::disabled(),
         }
@@ -43,14 +43,6 @@ impl Instruments {
     pub fn with_sink(sink: TraceSink) -> Self {
         Instruments { sink, ..Instruments::disabled() }
     }
-
-    /// True when at least one subsystem records anything.
-    pub fn any_enabled(&self) -> bool {
-        self.sink.is_enabled()
-            || self.flight.is_enabled()
-            || self.profiler.is_enabled()
-            || self.live.is_enabled()
-    }
 }
 
 #[cfg(test)]
@@ -60,15 +52,15 @@ mod tests {
     #[test]
     fn disabled_bundle_reports_nothing_enabled() {
         let i = Instruments::disabled();
-        assert!(!i.any_enabled());
+        assert!(!i.sink.is_enabled() && i.blackbox.is_none());
+        assert!(!i.profiler.is_enabled() && !i.live.is_enabled());
         assert!(Instruments::default().sink.export_chrome_json().is_none());
     }
 
     #[test]
     fn with_sink_enables_only_the_sink() {
         let i = Instruments::with_sink(TraceSink::enabled());
-        assert!(i.any_enabled());
         assert!(i.sink.is_enabled());
-        assert!(!i.flight.is_enabled() && !i.profiler.is_enabled() && !i.live.is_enabled());
+        assert!(i.blackbox.is_none() && !i.profiler.is_enabled() && !i.live.is_enabled());
     }
 }

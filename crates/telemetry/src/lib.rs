@@ -9,23 +9,23 @@
 //! * [`registry::MetricsRegistry`] — a named collection of counters,
 //!   gauges, and histograms with a stable (sorted-key) JSON snapshot
 //!   serializer, so every bench binary can dump machine-readable metrics.
-//! * [`trace::TraceSink`] — a cheaply clonable handle to a bounded ring
-//!   buffer of timestamped spans and instant events, exported as Chrome
-//!   trace-event JSON loadable in Perfetto / `chrome://tracing`. The
-//!   disabled sink is a `None` handle: every record call is a single
-//!   branch, so instrumentation can stay compiled-in unconditionally.
+//! * [`trace::TraceSink`] — a cheaply clonable handle to the run's one
+//!   bounded ring of small `Copy` [`Event`]s (DDR commands, ORAM phase
+//!   completions, stash ticks, backend decisions, in-flight changes).
+//!   The engine records into it through a per-cell [`CellTrace`] stamped
+//!   from the executor's [`SharedCycle`]. The ring renders two ways: a
+//!   Chrome trace-event export loadable in Perfetto, and the black box
+//!   ([`recorder`]) that a stash breach, a DDR violation or a panic
+//!   writes for one cell. The disabled sink is a `None` handle: every
+//!   record call is a single branch, so instrumentation can stay
+//!   compiled-in unconditionally.
 //!
 //! The simulator's cycle counters stand in for the trace timebase (one
 //! cycle = one microsecond in the exported trace), which keeps exported
 //! timelines deterministic across runs.
 //!
-//! On top of those primitives sit three run-introspection subsystems
-//! (this crate's second layer):
+//! Two more run-introspection subsystems sit beside the ring:
 //!
-//! * [`recorder::FlightRecorder`] — an always-on bounded ring of recent
-//!   structured events (DDR commands, phase completions, stash ticks,
-//!   scheduler decisions) dumped as a black-box report plus Chrome
-//!   trace slice on audit violations, stash breaches, or panics.
 //! * [`profile::CycleProfiler`] — a simulated-time sampling profiler
 //!   accumulating folded stacks (`protocol;Split;path_read;dram;ch0`)
 //!   for flamegraph tooling; deterministic because it never consults
@@ -35,7 +35,7 @@
 //!   choke-point writer.
 //!
 //! [`instruments::Instruments`] bundles all handles for threading
-//! through `run_*` entry points.
+//! through the runner.
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
@@ -55,8 +55,6 @@ pub use dashboard::{LiveProgress, LiveSnapshot};
 pub use histogram::LatencyHistogram;
 pub use instruments::Instruments;
 pub use profile::CycleProfiler;
-pub use recorder::{
-    BackendDecision, DdrCmdKind, FlightEvent, FlightEventKind, FlightRecorder, FlightRecorderHub,
-};
+pub use recorder::{BackendDecision, DdrCmdKind, DdrEvent, Event, EventKind};
 pub use registry::{MetricValue, MetricsRegistry};
-pub use trace::TraceSink;
+pub use trace::{CellTrace, SharedCycle, TraceSink};

@@ -1,42 +1,23 @@
-//! Flight recorder: an always-on bounded ring of recent structured
-//! events, dumped as a "black box" report when something goes wrong.
+//! The events the ring records, and its black-box rendering (the flight
+//! recorder).
 //!
 //! The figure matrices replay millions of DDR commands per cell; when a
-//! run aborts 3M commands in (an `audit-strict` violation, a stash-bound
+//! run goes wrong 3M commands in (a DDR timing violation, a stash-bound
 //! breach, a panic), end-of-run aggregates say nothing about *what was
-//! happening right then*. A [`FlightRecorder`] keeps the last few
-//! thousand structured events — DDR commands, ORAM phase completions,
-//! stash occupancy ticks, backend scheduling decisions — in a fixed-size
-//! ring, and on demand renders them as both a human-readable black-box
-//! report and a Chrome trace slice loadable next to the main trace.
+//! happening right then*. The [`TraceSink`] ring already holds the
+//! structured events — DDR commands, ORAM phase completions, stash
+//! occupancy ticks, backend scheduling decisions — so the black box is
+//! one cell's newest [`BLACKBOX_EVENTS`] of them, rendered as a
+//! human-readable report plus a Chrome trace slice loadable next to the
+//! main trace. A per-pid latch makes one triggering condition produce
+//! one dump.
 //!
-//! Like [`crate::trace::TraceSink`], the disabled recorder is a `None`
-//! handle: every record call is a single branch, so the instrumentation
-//! stays compiled in unconditionally. Unlike `TraceSink`, events are
-//! small `Copy` structs — recording never allocates, which is what makes
-//! an *always-on* ring affordable (<5% on the enabled path, gated by the
-//! `telemetry_overhead` bench).
-//!
-//! Timestamps are simulated cycles. Layers that have no clock of their
-//! own (the stash, the DRAM command log tap) read the recorder's shared
-//! cycle register, which the executor refreshes every tick via
-//! [`FlightRecorder::set_clock`].
-//!
-//! Recording stages events per thread and takes the ring lock once per
-//! `STAGE_BATCH` events. A thread's stage is flushed when it records
-//! into a different recorder, when it reads any recorder (so a dump from
-//! the panic hook, which runs on the panicking thread, includes that
-//! thread's latest events), and at thread exit. A read on one thread
-//! does not see the up to `STAGE_BATCH - 1` events still staged by
-//! another live thread.
+//! Every event is a small `Copy` value, so recording never allocates
+//! (<5% on the enabled path, gated by the `telemetry_overhead` bench).
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use crate::trace::{chrome_json, TraceSink};
 
-use crate::json::escape;
-
-/// DDR command mnemonic carried by a [`FlightEventKind::DdrCmd`] event.
+/// DDR command mnemonic carried by a [`DdrEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DdrCmdKind {
     /// Row activate.
@@ -70,7 +51,7 @@ impl DdrCmdKind {
     }
 }
 
-/// Backend-arbiter decision carried by [`FlightEventKind::Backend`].
+/// Backend-arbiter decision carried by [`EventKind::Backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendDecision {
     /// The request wants the shared ORAM backend but it is busy.
@@ -92,31 +73,44 @@ impl BackendDecision {
     }
 }
 
-/// One structured flight-recorder event. All variants are `Copy` and
-/// allocation-free so the enabled record path stays cheap.
+/// A DDR command issued on a channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightEventKind {
-    /// A DDR command issued on a channel (tapped from the cmdlog stream).
-    DdrCmd {
-        /// Channel index.
-        channel: u8,
-        /// Rank within the channel.
-        rank: u8,
-        /// Bank within the rank (0 for rank-level commands).
-        bank: u8,
-        /// Row for `Act` commands (0 otherwise).
-        row: u32,
-        /// Command mnemonic.
-        kind: DdrCmdKind,
-    },
+pub struct DdrEvent {
+    /// Channel index.
+    pub channel: u8,
+    /// Rank within the channel.
+    pub rank: u8,
+    /// Bank within the rank (0 for rank-level commands).
+    pub bank: u8,
+    /// Row for `Act`, `Rd` and `Wr` commands (0 otherwise).
+    pub row: u32,
+    /// Command mnemonic.
+    pub kind: DdrCmdKind,
+    /// A `Pre` that closes a row because a queued request needs another
+    /// one (a row conflict).
+    pub conflict: bool,
+    /// For `Rd`/`Wr`: cycles the request queued before this CAS.
+    pub waited: u32,
+    /// For `Rd`/`Wr`: cycles from this CAS to the end of its data burst.
+    pub data: u16,
+}
+
+/// One structured event. All variants are `Copy`, allocation-free and
+/// narrow (an [`Event`] is 32 bytes), so the enabled record path stays
+/// cheap: a full ring is written once per event, and memory traffic is
+/// most of that cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// A DDR command issued on a channel.
+    DdrCmd(DdrEvent),
     /// An ORAM access phase completed on the executor.
     Phase {
         /// Request id (executor-assigned, monotone).
-        request: u64,
+        request: u32,
         /// Zero-based phase index within the request's chain.
         phase: u32,
-        /// Cycle the phase started.
-        started: u64,
+        /// Cycles since the phase started.
+        dur: u32,
     },
     /// Stash occupancy after an insert (one tick per block stashed).
     StashTick {
@@ -128,14 +122,14 @@ pub enum FlightEventKind {
     /// A scheduler decision on the shared ORAM backend.
     Backend {
         /// Request id contending for the backend.
-        request: u64,
+        request: u32,
         /// What the arbiter decided.
         decision: BackendDecision,
     },
-    /// A free-form marker (run boundaries, dump reasons).
-    Marker {
-        /// Static label; markers never format strings on the hot path.
-        tag: &'static str,
+    /// The executor's in-flight request count changed.
+    InFlight {
+        /// Requests in flight after the change.
+        count: u32,
     },
     /// A victim row's disturbance window crossed the standard's
     /// RowHammer threshold (raised by the wear tracker, once per
@@ -154,20 +148,22 @@ pub enum FlightEventKind {
     },
 }
 
-/// A timestamped flight-recorder event.
+/// A timestamped event of one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// Simulated cycle the event was recorded at.
+pub struct Event {
+    /// Simulated cycle the event happened at.
     pub ts: u64,
+    /// Trace process id of the cell that recorded it.
+    pub pid: u32,
     /// Structured payload.
-    pub kind: FlightEventKind,
+    pub kind: EventKind,
 }
 
-impl FlightEvent {
+impl Event {
     /// One-line human-readable rendering used by black-box reports.
     pub fn describe(&self) -> String {
         match self.kind {
-            FlightEventKind::DdrCmd { channel, rank, bank, row, kind } => match kind {
+            EventKind::DdrCmd(DdrEvent { channel, rank, bank, row, kind, .. }) => match kind {
                 DdrCmdKind::Act => format!(
                     "ddr  ch{channel} rank{rank} {:<3} bank{bank} row 0x{row:05x}",
                     kind.mnemonic()
@@ -177,281 +173,69 @@ impl FlightEvent {
                 }
                 _ => format!("ddr  ch{channel} rank{rank} {:<3}", kind.mnemonic()),
             },
-            FlightEventKind::Phase { request, phase, started } => format!(
-                "exec req#{request} phase {phase} complete (started cycle {started}, +{} cycles)",
-                self.ts.saturating_sub(started)
+            EventKind::Phase { request, phase, dur } => format!(
+                "exec req#{request} phase {phase} complete (started cycle {}, +{dur} cycles)",
+                self.ts.saturating_sub(u64::from(dur))
             ),
-            FlightEventKind::StashTick { backend, occupancy } => {
+            EventKind::StashTick { backend, occupancy } => {
                 format!("oram backend{backend} stash occupancy {occupancy}")
             }
-            FlightEventKind::Backend { request, decision } => {
+            EventKind::Backend { request, decision } => {
                 format!("sched req#{request} backend {}", decision.verb())
             }
-            FlightEventKind::Marker { tag } => format!("mark {tag}"),
-            FlightEventKind::HammerAlarm { channel, rank, bank, row, window } => format!(
+            EventKind::InFlight { count } => format!("exec {count} requests in flight"),
+            EventKind::HammerAlarm { channel, rank, bank, row, window } => format!(
                 "wear ch{channel} rank{rank} bank{bank} row 0x{row:05x} \
                  disturbance window {window} crossed hammer threshold"
             ),
         }
     }
-
-    /// Short event name for the Chrome trace slice.
-    fn trace_name(&self) -> String {
-        match self.kind {
-            FlightEventKind::DdrCmd { bank, kind, .. } => match kind {
-                DdrCmdKind::Refresh | DdrCmdKind::PowerDown | DdrCmdKind::PowerUp => {
-                    kind.mnemonic().to_string()
-                }
-                _ => format!("{} b{bank}", kind.mnemonic()),
-            },
-            FlightEventKind::Phase { phase, .. } => format!("phase {phase}"),
-            FlightEventKind::StashTick { occupancy, .. } => format!("stash {occupancy}"),
-            FlightEventKind::Backend { decision, .. } => format!("backend {}", decision.verb()),
-            FlightEventKind::Marker { tag } => tag.to_string(),
-            FlightEventKind::HammerAlarm { row, .. } => format!("hammer 0x{row:05x}"),
-        }
-    }
-
-    /// Track id for the Chrome trace slice: DDR events per channel,
-    /// then one lane each for phases, stash ticks, scheduling, markers,
-    /// and hammer alarms.
-    fn trace_tid(&self) -> u32 {
-        match self.kind {
-            FlightEventKind::DdrCmd { channel, .. } => u32::from(channel),
-            FlightEventKind::Phase { .. } => 32,
-            FlightEventKind::StashTick { .. } => 33,
-            FlightEventKind::Backend { .. } => 34,
-            FlightEventKind::Marker { .. } => 35,
-            FlightEventKind::HammerAlarm { .. } => 36,
-        }
-    }
 }
 
-/// Fixed-size event storage. Overwrites the oldest event once full and
-/// counts the overwrites.
-#[derive(Debug)]
-struct FlightRing {
-    events: Vec<FlightEvent>,
-    head: usize,
-    capacity: usize,
-    dropped: u64,
-}
+/// Events a black box holds: deep enough for several full ORAM
+/// accesses' worth of DDR commands around a fault.
+pub const BLACKBOX_EVENTS: usize = 4096;
 
-impl FlightRing {
-    /// Appends `batch` in order, overwriting the oldest events once full.
-    fn extend(&mut self, batch: &[FlightEvent]) {
-        let (fill, mut rest) = batch.split_at(batch.len().min(self.capacity - self.events.len()));
-        self.events.extend_from_slice(fill);
-        while !rest.is_empty() {
-            let n = rest.len().min(self.capacity - self.head);
-            self.events[self.head..self.head + n].copy_from_slice(&rest[..n]);
-            self.head = (self.head + n) % self.capacity;
-            self.dropped += n as u64;
-            rest = &rest[n..];
-        }
+impl TraceSink {
+    /// `pid`'s newest [`BLACKBOX_EVENTS`] events oldest first, and how
+    /// many older events the black box cannot show: those the ring
+    /// overwrote (counted over every cell sharing it) plus `pid`'s
+    /// buffered events beyond the cap. `None` for a disabled sink.
+    fn blackbox(&self, pid: u32) -> Option<(Vec<Event>, u64)> {
+        let ring = self.ring()?;
+        let mut events: Vec<Event> =
+            ring.ordered().rev().filter(|e| e.pid == pid).take(BLACKBOX_EVENTS).copied().collect();
+        events.reverse();
+        let older =
+            ring.dropped + (ring.ordered().filter(|e| e.pid == pid).count() - events.len()) as u64;
+        Some((events, older))
     }
 
-    /// Buffered events, oldest first.
-    fn ordered(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::with_capacity(self.events.len());
-        out.extend_from_slice(&self.events[self.head..]);
-        out.extend_from_slice(&self.events[..self.head]);
-        out
-    }
-}
-
-#[derive(Debug)]
-struct RecInner {
-    ring: Mutex<FlightRing>,
-    /// Shared cycle register: refreshed by the executor each tick so
-    /// clock-less layers (stash, cmdlog tap) can timestamp events.
-    clock: AtomicU64,
-    /// Dump latch: ensures one triggering condition produces one dump.
-    dumped: AtomicBool,
-}
-
-/// Default ring capacity: deep enough to hold several full ORAM
-/// accesses' worth of DDR commands around a fault, small enough that a
-/// per-cell recorder costs ~100 KiB.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
-
-/// Events a thread stages before taking the ring lock once for all of
-/// them (see the module docs for when a stage is flushed early).
-const STAGE_BATCH: usize = 64;
-
-/// One thread's staged events and the recorder they belong to.
-#[derive(Debug, Default)]
-struct Stage {
-    owner: Option<Arc<RecInner>>,
-    events: Vec<FlightEvent>,
-}
-
-impl Stage {
-    /// Moves the staged events into their recorder's ring.
-    fn flush(&mut self) {
-        if let (Some(owner), false) = (&self.owner, self.events.is_empty()) {
-            // Never panic here: this also runs in thread-exit destructors.
-            owner.ring.lock().unwrap_or_else(PoisonError::into_inner).extend(&self.events);
-            self.events.clear();
-        }
-    }
-}
-
-impl Drop for Stage {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-thread_local! {
-    static STAGE: RefCell<Stage> = RefCell::default();
-}
-
-/// Flushes the calling thread's stage, whichever recorder it belongs
-/// to. A no-op while the stage is busy or already torn down.
-fn flush_stage() {
-    let _ = STAGE.try_with(|stage| stage.try_borrow_mut().map(|mut s| s.flush()));
-}
-
-/// Cheaply clonable handle to a bounded ring of recent flight events.
-///
-/// `FlightRecorder::disabled()` records nothing and costs one branch
-/// per call; see the module docs for the full contract.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRecorder(Option<Arc<RecInner>>);
-
-impl FlightRecorder {
-    /// A recorder with the [`DEFAULT_FLIGHT_CAPACITY`] ring.
-    pub fn enabled() -> Self {
-        Self::with_capacity(DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    /// A recorder whose ring holds at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        FlightRecorder(Some(Arc::new(RecInner {
-            ring: Mutex::new(FlightRing {
-                events: Vec::new(),
-                head: 0,
-                capacity: capacity.max(1),
-                dropped: 0,
-            }),
-            clock: AtomicU64::new(0),
-            dumped: AtomicBool::new(false),
-        })))
-    }
-
-    /// The no-op recorder: records nothing, single branch per call.
-    pub fn disabled() -> Self {
-        FlightRecorder(None)
-    }
-
-    /// True when events are actually being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Publishes the current simulated cycle so clock-less layers can
-    /// timestamp events. Called by the executor once per tick batch.
-    #[inline]
-    pub fn set_clock(&self, cycle: u64) {
-        if let Some(inner) = &self.0 {
-            inner.clock.store(cycle, Ordering::Relaxed);
-        }
-    }
-
-    /// The most recently published simulated cycle (0 when disabled).
-    #[inline]
-    pub fn clock(&self) -> u64 {
-        self.0.as_ref().map_or(0, |inner| inner.clock.load(Ordering::Relaxed))
-    }
-
-    /// Records `kind` at an explicit cycle.
-    #[inline]
-    pub fn record_at(&self, ts: u64, kind: FlightEventKind) {
-        if let Some(inner) = &self.0 {
-            Self::stage(inner, FlightEvent { ts, kind });
-        }
-    }
-
-    /// Records `kind` at the shared clock's current cycle.
-    #[inline]
-    pub fn record(&self, kind: FlightEventKind) {
-        if let Some(inner) = &self.0 {
-            let ts = inner.clock.load(Ordering::Relaxed);
-            Self::stage(inner, FlightEvent { ts, kind });
-        }
-    }
-
-    /// Appends `e` to the calling thread's stage, flushing the stage
-    /// first if it holds another recorder's events and after it fills.
-    /// Pushes straight into the ring if the stage is unavailable.
-    fn stage(inner: &Arc<RecInner>, e: FlightEvent) {
-        let staged = STAGE.try_with(|stage| {
-            let Ok(mut s) = stage.try_borrow_mut() else { return false };
-            if !s.owner.as_ref().is_some_and(|o| Arc::ptr_eq(o, inner)) {
-                s.flush();
-                s.owner = Some(Arc::clone(inner));
-            }
-            s.events.push(e);
-            if s.events.len() >= STAGE_BATCH {
-                s.flush();
-            }
-            true
-        });
-        if staged != Ok(true) {
-            inner.ring.lock().unwrap_or_else(PoisonError::into_inner).extend(&[e]);
-        }
-    }
-
-    /// Number of events currently buffered (0 for a disabled recorder).
-    pub fn len(&self) -> usize {
-        flush_stage();
-        // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-        self.0.as_ref().map_or(0, |inner| inner.ring.lock().unwrap().events.len())
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        flush_stage();
-        // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-        self.0.as_ref().map_or(0, |inner| inner.ring.lock().unwrap().dropped)
-    }
-
-    /// Buffered events oldest-first. Empty for a disabled recorder.
-    pub fn events(&self) -> Vec<FlightEvent> {
-        flush_stage();
-        // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-        self.0.as_ref().map_or_else(Vec::new, |inner| inner.ring.lock().unwrap().ordered())
-    }
-
-    /// Latches the dump flag. Returns `true` exactly once per recorder,
+    /// Latches `pid`'s dump flag. Returns `true` exactly once per pid,
     /// so a cascade of triggering conditions (breach → panic hook)
-    /// yields a single dump.
-    pub fn arm_dump(&self) -> bool {
-        self.0.as_ref().is_some_and(|inner| !inner.dumped.swap(true, Ordering::SeqCst))
+    /// yields a single dump. Always `false` for a disabled sink.
+    pub fn arm_dump(&self, pid: u32) -> bool {
+        let Some(mut ring) = self.ring() else { return false };
+        if ring.dumped.contains(&pid) {
+            return false;
+        }
+        ring.dumped.push(pid);
+        true
     }
 
-    /// Renders the ring as a human-readable black-box report, oldest
-    /// event first, in the actual-vs-expected style of `crates/audit`
-    /// diagnostics. `None` for a disabled recorder.
-    pub fn blackbox_report(&self, reason: &str) -> Option<String> {
-        self.0.as_ref()?;
-        let events = self.events();
+    /// Renders `pid`'s black box as a human-readable report, oldest event
+    /// first, in the actual-vs-expected style of `crates/audit`
+    /// diagnostics. `None` for a disabled sink.
+    pub fn blackbox_report(&self, pid: u32, reason: &str) -> Option<String> {
+        let (events, older) = self.blackbox(pid)?;
         let mut out = String::new();
         out.push_str("=== SDIMM flight recorder · black box ===\n");
         out.push_str(&format!("reason   : {reason}\n"));
         out.push_str(&format!(
-            "captured : {} events ({} older events overwritten)\n",
-            events.len(),
-            self.dropped()
+            "captured : {} events ({older} older events overwritten)\n",
+            events.len()
         ));
-        out.push_str(&format!("clock    : cycle {}\n\n", self.clock()));
+        out.push_str(&format!("clock    : cycle {}\n\n", events.last().map_or(0, |e| e.ts)));
         for e in &events {
             out.push_str(&format!("  cycle {:>12}  {}\n", e.ts, e.describe()));
         }
@@ -459,49 +243,29 @@ impl FlightRecorder {
         Some(out)
     }
 
-    /// Renders the ring as a Chrome trace-event JSON slice (instant
-    /// events on per-source tracks under process `pid`), loadable in
-    /// Perfetto next to the main `TraceSink` export. `None` for a
-    /// disabled recorder.
-    pub fn chrome_slice_json(&self, reason: &str, pid: u32) -> Option<String> {
-        self.0.as_ref()?;
-        let events = self.events();
-        let mut out = String::from("{\"traceEvents\": [\n");
-        out.push_str(&format!(
-            "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {pid}, \
-             \"args\": {{\"name\": \"flight recorder: {}\"}}}}",
-            escape(reason)
-        ));
-        for e in &events {
-            out.push_str(",\n");
-            out.push_str(&format!(
-                "{{\"ph\": \"i\", \"name\": \"{}\", \"cat\": \"flight\", \"ts\": {}, \
-                 \"pid\": {pid}, \"tid\": {}, \"s\": \"t\"}}",
-                escape(&e.trace_name()),
-                e.ts,
-                e.trace_tid()
-            ));
-        }
-        out.push_str(&format!(
-            "\n], \"displayTimeUnit\": \"ns\", \"droppedEventCount\": {}}}\n",
-            self.dropped()
-        ));
-        Some(out)
+    /// Renders `pid`'s black box as a Chrome trace slice under process
+    /// name `flight recorder: <reason>`, loadable in Perfetto next to the
+    /// main export. `None` for a disabled sink.
+    pub fn blackbox_chrome_json(&self, pid: u32, reason: &str) -> Option<String> {
+        let (events, older) = self.blackbox(pid)?;
+        let process = [(pid, None, format!("flight recorder: {reason}"))];
+        Some(chrome_json(&process, &[], &events.iter().collect::<Vec<_>>(), older))
     }
 
-    /// Writes the black-box report and Chrome slice next to `prefix`
+    /// Writes `pid`'s black-box report and Chrome slice next to `prefix`
     /// (`<prefix>.blackbox.txt` / `<prefix>.trace.json`), each via a
     /// temp-file-then-rename so an interrupted dump never leaves a
     /// truncated file. Returns the two paths written. `None` for a
-    /// disabled recorder; `Err` on I/O failure.
+    /// disabled sink; `Err` on I/O failure. Does not consult the latch
+    /// ([`arm_dump`](Self::arm_dump)).
     pub fn dump_to_files(
         &self,
         prefix: &str,
         reason: &str,
         pid: u32,
     ) -> Option<std::io::Result<(String, String)>> {
-        let report = self.blackbox_report(reason)?;
-        let slice = self.chrome_slice_json(reason, pid)?;
+        let report = self.blackbox_report(pid, reason)?;
+        let slice = self.blackbox_chrome_json(pid, reason)?;
         let txt_path = format!("{prefix}.blackbox.txt");
         let json_path = format!("{prefix}.trace.json");
         let write = || -> std::io::Result<()> {
@@ -509,6 +273,31 @@ impl FlightRecorder {
             write_atomic(&json_path, &slice)
         };
         Some(write().map(|()| (txt_path, json_path)))
+    }
+
+    /// Dumps the black box of every cell with buffered events that has
+    /// not already dumped, to `<prefix>-pid<N>.*`. Returns the paths
+    /// written; I/O errors are reported inline in the returned list
+    /// rather than aborting the remaining dumps (this runs inside panic
+    /// hooks, where propagating is not an option).
+    pub fn dump_all(&self, prefix: &str, reason: &str) -> Vec<String> {
+        let mut pids: Vec<u32> = self.ring().map_or_else(Vec::new, |ring| {
+            let mut pids: Vec<u32> = ring.ordered().map(|e| e.pid).collect();
+            pids.sort_unstable();
+            pids.dedup();
+            pids
+        });
+        pids.retain(|&pid| self.arm_dump(pid));
+        let mut written = Vec::new();
+        for pid in pids {
+            let cell = format!("{prefix}-pid{pid}");
+            match self.dump_to_files(&cell, reason, pid) {
+                Some(Ok((txt, json))) => written.extend([txt, json]),
+                Some(Err(e)) => written.push(format!("<write failed for {cell}: {e}>")),
+                None => {}
+            }
+        }
+        written
     }
 }
 
@@ -520,138 +309,64 @@ pub fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-#[derive(Debug)]
-struct HubInner {
-    capacity: usize,
-    prefix: String,
-    recorders: Mutex<Vec<(u32, FlightRecorder)>>,
-}
-
-/// Registry of per-cell flight recorders for a matrix run.
-///
-/// Each matrix cell simulates on its own worker thread with its own
-/// clock, so cells get their own recorder (keyed by the cell's trace
-/// `pid`) rather than interleaving into one ring. The hub hands out
-/// recorders and dumps every live ring at once when a panic hook or
-/// strict-audit abort fires.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRecorderHub(Option<Arc<HubInner>>);
-
-impl FlightRecorderHub {
-    /// A hub whose recorders dump to `<prefix>-pid<N>.*` files and hold
-    /// `capacity` events each.
-    pub fn enabled(prefix: &str, capacity: usize) -> Self {
-        FlightRecorderHub(Some(Arc::new(HubInner {
-            capacity: capacity.max(1),
-            prefix: prefix.to_string(),
-            recorders: Mutex::new(Vec::new()),
-        })))
-    }
-
-    /// The no-op hub: hands out disabled recorders.
-    pub fn disabled() -> Self {
-        FlightRecorderHub(None)
-    }
-
-    /// True when the hub hands out recording recorders.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// The dump-path prefix ("" when disabled).
-    pub fn prefix(&self) -> &str {
-        self.0.as_ref().map_or("", |inner| inner.prefix.as_str())
-    }
-
-    /// The recorder for cell `pid`, creating it on first use. Returns a
-    /// disabled recorder when the hub is disabled.
-    pub fn recorder_for(&self, pid: u32) -> FlightRecorder {
-        let Some(inner) = &self.0 else {
-            return FlightRecorder::disabled();
-        };
-        // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-        let mut recorders = inner.recorders.lock().unwrap();
-        if let Some((_, rec)) = recorders.iter().find(|(p, _)| *p == pid) {
-            return rec.clone();
-        }
-        let rec = FlightRecorder::with_capacity(inner.capacity);
-        recorders.push((pid, rec.clone()));
-        rec
-    }
-
-    /// Snapshot of `(pid, recorder)` pairs registered so far.
-    pub fn recorders(&self) -> Vec<(u32, FlightRecorder)> {
-        // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-        self.0.as_ref().map_or_else(Vec::new, |inner| inner.recorders.lock().unwrap().clone())
-    }
-
-    /// Dumps every registered recorder that has not already dumped.
-    /// Returns the paths written; I/O errors are reported inline in the
-    /// returned list rather than aborting the remaining dumps (the hub
-    /// runs inside panic hooks, where propagating is not an option).
-    pub fn dump_all(&self, reason: &str) -> Vec<String> {
-        let Some(inner) = &self.0 else {
-            return Vec::new();
-        };
-        let mut written = Vec::new();
-        for (pid, rec) in self.recorders() {
-            if !rec.arm_dump() {
-                continue;
-            }
-            let prefix = format!("{}-pid{pid}", inner.prefix);
-            match rec.dump_to_files(&prefix, reason, pid) {
-                Some(Ok((txt, json))) => {
-                    written.push(txt);
-                    written.push(json);
-                }
-                Some(Err(e)) => written.push(format!("<write failed for {prefix}: {e}>")),
-                None => {}
-            }
-        }
-        written
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::SharedCycle;
 
-    fn ddr(ch: u8, kind: DdrCmdKind) -> FlightEventKind {
-        FlightEventKind::DdrCmd { channel: ch, rank: 0, bank: 3, row: 0x1a2, kind }
+    fn ddr(ch: u8, kind: DdrCmdKind) -> EventKind {
+        EventKind::DdrCmd(DdrEvent {
+            channel: ch,
+            rank: 0,
+            bank: 3,
+            row: 0x1a2,
+            kind,
+            conflict: false,
+            waited: 0,
+            data: 0,
+        })
+    }
+
+    /// Fresh per-test scratch directory (std-only, no tempdir dependency).
+    fn scratch(tag: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("sdimm-recorder-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        dir.to_string_lossy().into_owned()
     }
 
     #[test]
     fn disabled_recorder_is_a_noop() {
-        let r = FlightRecorder::disabled();
-        assert!(!r.is_enabled());
-        r.set_clock(10);
-        r.record(ddr(0, DdrCmdKind::Act));
-        r.record_at(5, FlightEventKind::Marker { tag: "x" });
-        assert!(r.is_empty());
-        assert_eq!(r.clock(), 0);
-        assert_eq!(r.blackbox_report("r"), None);
-        assert_eq!(r.chrome_slice_json("r", 0), None);
-        assert!(!r.arm_dump());
+        let s = TraceSink::disabled();
+        let cell = s.cell(0, SharedCycle::new());
+        cell.record(ddr(0, DdrCmdKind::Act));
+        cell.record_at(5, EventKind::InFlight { count: 1 });
+        assert!(s.events().is_empty());
+        assert_eq!(s.blackbox_report(0, "r"), None);
+        assert_eq!(s.blackbox_chrome_json(0, "r"), None);
+        assert!(!s.arm_dump(0));
+        assert!(s.dump_all("unused", "r").is_empty());
     }
 
     #[test]
     fn ring_wraps_and_dump_is_oldest_first_with_monotonic_timestamps() {
-        let r = FlightRecorder::with_capacity(8);
+        let s = TraceSink::with_capacity(8);
+        let clock = SharedCycle::new();
+        let cell = s.cell(0, clock.clone());
         for i in 0..20u64 {
-            r.set_clock(i * 10);
-            r.record(ddr((i % 2) as u8, DdrCmdKind::Act));
+            clock.publish(i * 10);
+            cell.record(ddr((i % 2) as u8, DdrCmdKind::Act));
         }
-        assert_eq!(r.len(), 8);
-        assert_eq!(r.dropped(), 12);
-        let events = r.events();
+        assert_eq!(s.len(), 8);
+        assert_eq!(s.dropped(), 12);
+        let events = s.events();
         // Oldest surviving event first (cycle 120), newest last (190).
         assert_eq!(events.first().unwrap().ts, 120);
         assert_eq!(events.last().unwrap().ts, 190);
         assert!(events.windows(2).all(|w| w[0].ts <= w[1].ts), "dump must be time-ordered");
 
-        let report = r.blackbox_report("[tRCD] cycle 190 rank 0: test").unwrap();
+        let report = s.blackbox_report(0, "[tRCD] cycle 190 rank 0: test").unwrap();
         assert!(report.contains("8 events (12 older events overwritten)"));
+        assert!(report.contains("clock    : cycle 190"));
         let oldest = report.find("120  ddr").unwrap();
         let newest = report.find("190  ddr").unwrap();
         assert!(oldest < newest);
@@ -660,79 +375,102 @@ mod tests {
 
     #[test]
     fn staged_events_reach_the_ring_on_switch_batch_and_thread_exit() {
-        let (a, b) = (FlightRecorder::enabled(), FlightRecorder::enabled());
+        let (a, b) = (TraceSink::enabled(), TraceSink::enabled());
         let (staged_tx, staged_rx) = std::sync::mpsc::channel();
         let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
-        let (wa, wb) = (a.clone(), b.clone());
+        let (wa, wb) = (a.cell(0, SharedCycle::new()), b.cell(0, SharedCycle::new()));
         let worker = std::thread::spawn(move || {
-            wa.record_at(1, FlightEventKind::Marker { tag: "a" });
-            for i in 0..=STAGE_BATCH as u64 {
-                wb.record_at(i, FlightEventKind::Marker { tag: "b" });
+            wa.record_at(1, EventKind::InFlight { count: 1 });
+            for i in 0..=64u64 {
+                wb.record_at(i, EventKind::InFlight { count: 2 });
             }
             staged_tx.send(()).unwrap();
             exit_rx.recv().unwrap();
         });
         staged_rx.recv().unwrap();
-        assert_eq!(a.len(), 1, "switching recorders flushes the stage");
-        assert_eq!(b.len(), STAGE_BATCH, "a full stage flushes; the rest stays staged");
+        assert_eq!(a.len(), 1, "switching rings flushes the stage");
+        assert_eq!(b.len(), 64, "a full stage flushes; the rest stays staged");
         exit_tx.send(()).unwrap();
         worker.join().unwrap();
-        assert_eq!(b.len(), STAGE_BATCH + 1, "thread exit flushes the stage");
+        assert_eq!(b.len(), 65, "thread exit flushes the stage");
     }
 
     #[test]
     fn clock_register_timestamps_clockless_events() {
-        let r = FlightRecorder::enabled();
-        r.set_clock(777);
-        r.record(FlightEventKind::StashTick { backend: 1, occupancy: 42 });
-        let events = r.events();
+        let s = TraceSink::enabled();
+        let clock = SharedCycle::new();
+        let cell = s.cell(4, clock.clone());
+        clock.publish(777);
+        cell.record(EventKind::StashTick { backend: 1, occupancy: 42 });
+        let events = s.events();
         assert_eq!(events[0].ts, 777);
-        assert_eq!(r.clock(), 777);
+        assert_eq!(events[0].pid, 4, "events carry their cell's pid");
     }
 
     #[test]
     fn chrome_slice_is_valid_json() {
-        let r = FlightRecorder::enabled();
-        r.set_clock(5);
-        r.record(ddr(1, DdrCmdKind::Rd));
-        r.record(FlightEventKind::Phase { request: 3, phase: 2, started: 1 });
-        r.record(FlightEventKind::Backend { request: 3, decision: BackendDecision::Acquire });
-        let json = r.chrome_slice_json("stash bound breached", 9).unwrap();
+        let s = TraceSink::enabled();
+        let cell = s.cell(9, SharedCycle::new());
+        cell.record_at(5, ddr(1, DdrCmdKind::Rd));
+        cell.record_at(5, EventKind::Phase { request: 3, phase: 2, dur: 4 });
+        cell.record_at(5, EventKind::Backend { request: 3, decision: BackendDecision::Acquire });
+        let json = s.blackbox_chrome_json(9, "stash bound breached").unwrap();
         crate::json::validate(&json).expect("flight slice must be valid JSON");
         assert!(json.contains("flight recorder: stash bound breached"));
         assert!(json.contains("\"pid\": 9"));
+        assert!(json.contains("dram.chan1"), "the slice names its tracks");
     }
 
     #[test]
     fn arm_dump_latches_once() {
-        let r = FlightRecorder::enabled();
-        assert!(r.arm_dump());
-        assert!(!r.arm_dump());
+        let s = TraceSink::enabled();
+        assert!(s.arm_dump(0));
+        assert!(!s.arm_dump(0));
+        assert!(s.arm_dump(1), "each pid has its own latch");
     }
 
     #[test]
-    fn hub_hands_out_one_recorder_per_pid() {
-        let hub = FlightRecorderHub::enabled("/tmp/fr-test", 16);
-        let a = hub.recorder_for(1);
-        let b = hub.recorder_for(1);
-        a.record_at(1, FlightEventKind::Marker { tag: "shared" });
-        assert_eq!(b.len(), 1, "same pid must share a ring");
-        let c = hub.recorder_for(2);
-        assert!(c.is_empty(), "different pid gets its own ring");
-        assert_eq!(hub.recorders().len(), 2);
+    fn each_cell_dumps_only_its_own_events() {
+        let s = TraceSink::enabled();
+        let (a, b) = (s.cell(1, SharedCycle::new()), s.cell(2, SharedCycle::new()));
+        a.record_at(1, EventKind::StashTick { backend: 1, occupancy: 5 });
+        b.record_at(2, EventKind::StashTick { backend: 2, occupancy: 6 });
+        a.record_at(3, EventKind::StashTick { backend: 1, occupancy: 7 });
+        let report = s.blackbox_report(1, "r").unwrap();
+        assert!(report.contains("captured : 2 events"), "{report}");
+        assert!(report.contains("backend1") && !report.contains("backend2"), "{report}");
     }
 
     #[test]
-    fn disabled_hub_hands_out_disabled_recorders() {
-        let hub = FlightRecorderHub::disabled();
-        assert!(!hub.recorder_for(0).is_enabled());
-        assert!(hub.dump_all("r").is_empty());
-        assert_eq!(hub.prefix(), "");
+    fn panic_dump_writes_one_pair_per_cell_once() {
+        let s = TraceSink::enabled();
+        for pid in [3, 5] {
+            s.cell(pid, SharedCycle::new()).record_at(10, EventKind::InFlight { count: 1 });
+        }
+        let prefix = format!("{}/panic", scratch("panic"));
+        let written = s.dump_all(&prefix, "panic");
+        let expected: Vec<String> = [3, 5]
+            .iter()
+            .flat_map(|pid| {
+                [format!("{prefix}-pid{pid}.blackbox.txt"), format!("{prefix}-pid{pid}.trace.json")]
+            })
+            .collect();
+        assert_eq!(written, expected);
+        for path in &written {
+            assert!(std::path::Path::new(path).exists(), "{path} written");
+        }
+        assert!(s.dump_all(&prefix, "panic").is_empty(), "a second call writes nothing");
+    }
+
+    #[test]
+    fn events_stay_32_bytes() {
+        // Recording cost is mostly the bytes written into the ring.
+        assert_eq!(std::mem::size_of::<Event>(), 32);
     }
 
     #[test]
     fn describe_mentions_the_command_fields() {
-        let e = FlightEvent { ts: 10, kind: ddr(2, DdrCmdKind::Act) };
+        let e = Event { ts: 10, pid: 0, kind: ddr(2, DdrCmdKind::Act) };
         let d = e.describe();
         assert!(d.contains("ch2") && d.contains("ACT") && d.contains("bank3"));
         assert!(d.contains("0x001a2"));
@@ -740,19 +478,15 @@ mod tests {
 
     #[test]
     fn hammer_alarms_name_the_victim_and_get_their_own_lane() {
-        let e = FlightEvent {
-            ts: 99,
-            kind: FlightEventKind::HammerAlarm {
-                channel: 1,
-                rank: 2,
-                bank: 3,
-                row: 0x40,
-                window: 50_000,
-            },
-        };
-        let d = e.describe();
+        let kind =
+            EventKind::HammerAlarm { channel: 1, rank: 2, bank: 3, row: 0x40, window: 50_000 };
+        let d = Event { ts: 99, pid: 0, kind }.describe();
         assert!(d.contains("ch1") && d.contains("rank2") && d.contains("bank3"), "{d}");
         assert!(d.contains("0x00040") && d.contains("50000"), "{d}");
-        assert_eq!(e.trace_tid(), 36, "alarms must not share the marker lane");
+        let s = TraceSink::enabled();
+        s.cell(0, SharedCycle::new()).record_at(99, kind);
+        let json = s.export_chrome_json().unwrap();
+        let tid = format!("\"tid\": {}", crate::trace::WEAR_TID);
+        assert!(json.contains(&tid), "alarms must not share the marker lane: {json}");
     }
 }

@@ -25,12 +25,9 @@ cargo run --release -q -p sdimm-lint -- --pass l6 --json target/lint-l6.json > /
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> telemetry overhead gate (disabled sink/wear <2%, enabled recorder/wear <5%)"
+echo "==> telemetry overhead gate (disabled ring/wear <2%, armed black-box ring/wear <5%)"
 cargo run --release -q -p sdimm-bench --bin telemetry_overhead -- \
   --json target/telemetry-overhead.json
-
-echo "==> audit-strict feature compiles"
-cargo check -q -p sdimm-bench --features audit-strict
 
 echo "==> audited quick-scale fig6 (DDR replay + ORAM oracle must be clean)"
 # Build first so the timing below measures the run, not compilation.

@@ -11,7 +11,7 @@ use sdimm_audit::oracle::{check_all_protocols, check_protocol, ProtocolKind};
 use sdimm_audit::DdrAuditor;
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner::{run, run_audited, run_with, Capture};
-use sdimm_telemetry::{Instruments, TraceSink};
+use sdimm_telemetry::{CycleProfiler, Instruments, LiveProgress, TraceSink};
 use workloads::spec;
 
 /// Runs a fig6-quick-style window on `kind` with command capture and
@@ -71,7 +71,8 @@ fn indep_split_streams_replay_clean() {
 
 /// Every capture at once, on every machine kind: recording command
 /// streams, observables and wear must not perturb a single headline
-/// number, and a run that captures nothing returns nothing.
+/// number, and a run that captures nothing returns nothing — even with
+/// every instrument on, which takes the plain run's time jumps.
 #[test]
 fn audited_run_matches_plain_run_exactly() {
     let trace = spec::generate("soplex-like", 1200, 3);
@@ -87,9 +88,21 @@ fn audited_run_matches_plain_run_exactly() {
         let name = kind.name();
         let cfg = SystemConfig::small(kind);
         let plain = run(&cfg, &trace, 200, 400);
+        let instrumented = Instruments {
+            sink: TraceSink::enabled(),
+            blackbox: Some(std::env::temp_dir().join("sdimm-audit-bare").display().to_string()),
+            profiler: CycleProfiler::enabled(),
+            live: LiveProgress::enabled(),
+        };
         let (bare, nothing) =
-            run_with(&cfg, &trace, 200, 400, &Instruments::disabled(), 0, Capture::default());
-        assert_eq!(plain.cycles, bare.cycles, "{name}");
+            run_with(&cfg, &trace, 200, 400, &instrumented, 0, Capture::default());
+        assert!(!instrumented.sink.is_empty(), "{name}: the ring records");
+        assert_eq!(plain.cycles, bare.cycles, "{name}: instruments must not perturb timing");
+        assert_eq!(plain.llc_misses, bare.llc_misses, "{name}");
+        assert_eq!(plain.miss_latency_p50, bare.miss_latency_p50, "{name}");
+        assert_eq!(plain.miss_latency_p99, bare.miss_latency_p99, "{name}");
+        assert_eq!(plain.energy.total_nj(), bare.energy.total_nj(), "{name}");
+        assert_eq!(plain.metrics.to_json(), bare.metrics.to_json(), "{name}");
         assert!(nothing.streams.is_empty(), "{name}");
         assert!(nothing.observables.is_empty(), "{name}");
         assert!(nothing.wear.is_empty(), "{name}");

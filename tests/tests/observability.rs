@@ -1,5 +1,5 @@
 //! Cross-crate observability checks: the cycle-attribution profiler
-//! conserves sampled time on a real run, the flight recorder captures
+//! conserves sampled time on a real run, the event ring captures
 //! every event family with a monotonic clock, an injected DDR timing
 //! violation yields an ordered black-box dump with deep context, a
 //! stash-bound breach dumps a black box exactly once, and the live
@@ -9,9 +9,7 @@ use dram_sim::cmdlog::{CmdRecord, DdrCmd};
 use sdimm_audit::ddr::{violation_recorder, DdrAuditor, BLACKBOX_CONTEXT};
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner::{dump_stash_breach, run_audited, run_with, Capture, RunResult};
-use sdimm_telemetry::{
-    CycleProfiler, FlightEventKind, FlightRecorderHub, Instruments, LiveProgress, TraceSink,
-};
+use sdimm_telemetry::{CycleProfiler, EventKind, Instruments, LiveProgress, TraceSink};
 use workloads::spec;
 
 fn small_run(instruments: &Instruments) -> RunResult {
@@ -52,24 +50,26 @@ fn profiler_attributes_every_sampled_cycle_on_a_real_run() {
 
 #[test]
 fn flight_recorder_sees_all_event_families_with_monotonic_clock() {
-    let hub = FlightRecorderHub::enabled(&format!("{}/flight", scratch("families")), 1 << 14);
-    let instruments = Instruments { flight: hub.clone(), ..Instruments::disabled() };
+    let instruments = Instruments {
+        sink: TraceSink::with_capacity(1 << 14),
+        blackbox: Some(format!("{}/flight", scratch("families"))),
+        ..Instruments::disabled()
+    };
     small_run(&instruments);
 
-    let recorder = hub.recorder_for(0);
-    let events = recorder.events();
+    let events = instruments.sink.events();
     assert!(events.len() > 100, "expected real traffic, got {} events", events.len());
     assert!(
         events.windows(2).all(|w| w[0].ts <= w[1].ts),
         "ring must replay oldest-first with a monotonic sim clock"
     );
-    let has = |name: &str, pred: fn(&FlightEventKind) -> bool| {
+    let has = |name: &str, pred: fn(&EventKind) -> bool| {
         assert!(events.iter().any(|e| pred(&e.kind)), "no {name} events captured");
     };
-    has("DDR-command", |k| matches!(k, FlightEventKind::DdrCmd { .. }));
-    has("phase-transition", |k| matches!(k, FlightEventKind::Phase { .. }));
-    has("stash-tick", |k| matches!(k, FlightEventKind::StashTick { .. }));
-    has("scheduler-decision", |k| matches!(k, FlightEventKind::Backend { .. }));
+    has("DDR-command", |k| matches!(k, EventKind::DdrCmd(..)));
+    has("phase-transition", |k| matches!(k, EventKind::Phase { .. }));
+    has("stash-tick", |k| matches!(k, EventKind::StashTick { .. }));
+    has("scheduler-decision", |k| matches!(k, EventKind::Backend { .. }));
 }
 
 #[test]
@@ -107,13 +107,13 @@ fn injected_timing_violation_yields_ordered_blackbox_with_context() {
     assert!(events.windows(2).all(|w| w[0].ts <= w[1].ts), "dump is oldest-first");
     assert_eq!(events.last().expect("non-empty").ts, act_cycle + 1);
 
-    let report = recorder.blackbox_report(&v.to_string()).expect("enabled recorder reports");
+    let report = recorder.blackbox_report(0, &v.to_string()).expect("enabled recorder reports");
     assert!(report.contains("tRCD"), "reason carries the rule:\n{report}");
     let last_line = report.lines().rev().find(|l| l.contains("ddr")).expect("ddr lines");
     assert!(last_line.contains("RD"), "last DDR line is the violating read: {last_line}");
 
     let prefix = format!("{}/case", scratch("blackbox"));
-    assert!(recorder.arm_dump(), "first dump arms");
+    assert!(recorder.arm_dump(0), "first dump arms");
     let (txt, json) = recorder
         .dump_to_files(&prefix, &v.to_string(), 0)
         .expect("enabled recorder dumps")
@@ -131,12 +131,14 @@ fn stash_bound_breach_dumps_a_black_box_once() {
     // cannot breach steadily — background eviction drains the stash by
     // every poll point — so the trigger is driven directly here.)
     let prefix = format!("{}/breach", scratch("stash"));
-    let hub = FlightRecorderHub::enabled(&prefix, 4096);
-    let instruments = Instruments { flight: hub.clone(), ..Instruments::disabled() };
+    let instruments = Instruments {
+        sink: TraceSink::enabled(),
+        blackbox: Some(prefix),
+        ..Instruments::disabled()
+    };
     small_run(&instruments);
 
-    let flight = hub.recorder_for(0);
-    let (txt, json) = dump_stash_breach(&hub, &flight, "FREECURSIVE-1ch", 123_456, 65, 64, 0)
+    let (txt, json) = dump_stash_breach(&instruments, "FREECURSIVE-1ch", 123_456, 65, 64, 0)
         .expect("enabled recorder dumps on first breach");
     let body = std::fs::read_to_string(&txt).expect("read black-box report");
     assert!(body.contains("[stash-bound]"), "reason names the breach:\n{body}");
@@ -149,8 +151,8 @@ fn stash_bound_breach_dumps_a_black_box_once() {
     sdimm_telemetry::json::validate(&slice).expect("chrome slice is strict JSON");
 
     // The arm latch makes a later breach in the same run a no-op: one
-    // black box per recorder, never a dump storm.
-    assert!(dump_stash_breach(&hub, &flight, "FREECURSIVE-1ch", 200_000, 70, 64, 0).is_none());
+    // black box per cell, never a dump storm.
+    assert!(dump_stash_breach(&instruments, "FREECURSIVE-1ch", 200_000, 70, 64, 0).is_none());
 }
 
 #[test]

@@ -34,7 +34,9 @@
 #![allow(clippy::disallowed_methods)]
 
 use dram_sim::spec::DramStandard;
+use sdimm_bench::cli::write_or_die;
 use sdimm_bench::provenance::Provenance;
+use sdimm_bench::Scale;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -44,6 +46,7 @@ use sdimm_crypto::mac::Cmac;
 use sdimm_crypto::pmmac::BucketAuth;
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner::run;
+use sdimm_telemetry::json::{self, Value};
 use sdimm_telemetry::LatencyHistogram;
 use workloads::spec as wl;
 
@@ -201,7 +204,7 @@ fn crypto_benchmarks() -> Vec<Measurement> {
 /// that slows the scheduler shows up here long before a full figure
 /// regeneration would notice.
 fn sim_benchmarks() -> Vec<Measurement> {
-    let scale = sdimm_bench::Scale::Quick;
+    let scale = Scale::Quick;
     let trace = wl::generate("milc-like", scale.trace_len(), 42);
     let warmup = scale.warmup();
     let window = scale.measure();
@@ -230,53 +233,47 @@ fn sim_benchmarks() -> Vec<Measurement> {
     out
 }
 
-/// Serializes measurements in the (hand-rolled, dependency-free) report
-/// format shared with the committed baseline. [`parse_baseline`] skips
-/// the provenance object because it contains neither a `"name"` nor an
-/// `"ops_per_sec"` key.
-fn to_json(results: &[Measurement], prov: &Provenance) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"provenance\": {},\n", prov.to_json_object()));
-    s.push_str("  \"benchmarks\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let sep = if i + 1 == results.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ops_per_sec\": {:.3}, \"wall_time_s\": {:.6}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"sim_cycles_per_sec\": {:.1}}}{sep}\n",
-            m.name, m.ops_per_sec, m.wall_time_s, m.p50_ns, m.p99_ns, m.sim_cycles_per_sec
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// The report, in the format the committed baselines share: provenance,
+/// then one row per benchmark.
+fn report(results: &[Measurement], prov: &Provenance) -> Value {
+    let rows = results.iter().map(|m| {
+        Value::object([
+            ("name", m.name.into()),
+            ("ops_per_sec", m.ops_per_sec.into()),
+            ("wall_time_s", m.wall_time_s.into()),
+            ("p50_ns", m.p50_ns.into()),
+            ("p99_ns", m.p99_ns.into()),
+            ("sim_cycles_per_sec", m.sim_cycles_per_sec.into()),
+        ])
+    });
+    Value::object([("provenance", prov.to_value()), ("benchmarks", rows.collect())])
 }
 
-/// Extracts `(name, ops_per_sec)` pairs from a report produced by
-/// [`to_json`]. A minimal scanner, not a general JSON parser: it walks the
-/// whole text pairing each `"name"` with the next `"ops_per_sec"`, so it
-/// tolerates reformatting (e.g. a pretty-printer splitting objects across
-/// lines) as long as the key order inside each object is preserved.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(name_pos) = rest.find("\"name\":") {
-        rest = &rest[name_pos + 7..];
-        let Some(open) = rest.find('"') else { break };
-        let Some(close) = rest[open + 1..].find('"') else { break };
-        let name = rest[open + 1..open + 1 + close].to_string();
-        rest = &rest[open + 2 + close..];
-        let Some(ops_pos) = rest.find("\"ops_per_sec\":") else { break };
-        let num: String = rest[ops_pos + 14..]
-            .chars()
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| {
-                c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == 'E' || *c == '+'
-            })
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((name, v));
+/// Reads the `(name, ops_per_sec)` rows of a baseline's `benchmarks`
+/// array. Every row needs a string `name` no other row has and a
+/// positive numeric `ops_per_sec`; the error names the first row that
+/// does not, since a misread baseline would gate the wrong numbers.
+fn baseline_rows(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = json::parse(text)?;
+    let rows = doc
+        .get("benchmarks")
+        .and_then(Value::as_array)
+        .filter(|rows| !rows.is_empty())
+        .ok_or("no non-empty `benchmarks` array")?;
+    let mut out: Vec<(String, f64)> = Vec::with_capacity(rows.len());
+    for (i, row) in rows.iter().enumerate() {
+        let Some(name) = row.get("name").and_then(Value::as_str) else {
+            return Err(format!("benchmarks[{i}] has no string `name`"));
+        };
+        let Some(ops) = row.get("ops_per_sec").and_then(Value::as_f64).filter(|x| *x > 0.0) else {
+            return Err(format!("benchmarks[{i}] (`{name}`) has no positive `ops_per_sec`"));
+        };
+        if out.iter().any(|(n, _)| n == name) {
+            return Err(format!("benchmarks[{i}] repeats the name `{name}`"));
         }
+        out.push((name.to_string(), ops));
     }
-    out
+    Ok(out)
 }
 
 fn human_rate(ops: f64) -> String {
@@ -319,15 +316,12 @@ fn run_suite(
         );
     }
 
-    let report = to_json(&results, prov);
-    std::fs::write(report_path, &report).unwrap_or_else(|e| panic!("write {report_path}: {e}"));
+    let report = report(&results, prov).render();
+    write_or_die(report_path, &report, &format!("{label} report"));
     println!("  report written to {report_path}");
 
     if update_baseline {
-        if let Some(dir) = std::path::Path::new(baseline_path).parent() {
-            std::fs::create_dir_all(dir).expect("create baselines dir");
-        }
-        std::fs::write(baseline_path, &report).expect("write baseline");
+        write_or_die(baseline_path, &report, &format!("{label} baseline"));
         println!("  baseline updated at {baseline_path}");
         return 0;
     }
@@ -338,14 +332,13 @@ fn run_suite(
         );
         std::process::exit(2);
     };
-    let baseline = parse_baseline(&baseline_text);
-    if baseline.is_empty() {
+    let baseline = baseline_rows(&baseline_text).unwrap_or_else(|e| {
         eprintln!(
-            "bench_compare: baseline at {baseline_path} has no parseable entries; \
+            "bench_compare: cannot read the baseline at {baseline_path}: {e}; \
              regenerate it with --update-baseline"
         );
         std::process::exit(2);
-    }
+    });
     let measured: Vec<&str> = results.iter().map(|m| m.name).collect();
     if let Err(mismatch) = check_row_set(&measured, &baseline) {
         eprintln!(
@@ -422,7 +415,7 @@ fn main() {
         update_baseline,
         &crypto_benchmarks,
         crypto_results,
-        &Provenance::new("quick", ""),
+        &Provenance::new(Scale::Quick, ""),
     );
     println!("\n  T-table vs spec AES speedup: {speedup:.2}x (acceptance floor: 4x)");
 
@@ -434,7 +427,7 @@ fn main() {
         update_baseline,
         &sim_benchmarks,
         sim_benchmarks(),
-        &Provenance::new("quick", "nonsecure,freecursive,indep2,split2"),
+        &Provenance::new(Scale::Quick, "nonsecure,freecursive,indep2,split2"),
     );
 
     if regressions > 0 {
@@ -493,5 +486,44 @@ mod tests {
         assert!(err.contains("not measured: [gone]"), "{err}");
         let err = check_row_set(&["a", "b"], &baseline(&["a"])).unwrap_err();
         assert!(err.contains("without a baseline: [b]"), "{err}");
+    }
+
+    #[test]
+    fn malformed_baselines_are_rejected() {
+        let rows = |rows: &str| format!(r#"{{"benchmarks": [{rows}]}}"#);
+        for (text, expected) in [
+            // Row `a` lacks its number; it must not take row `b`'s.
+            (
+                rows(r#"{"name": "a", "x": 1}, {"name": "b", "ops_per_sec": 5.0}"#),
+                "[0] (`a`) has no",
+            ),
+            (r#"[{"name": "a", "ops_per_sec": 5.0}]"#.to_string(), "no non-empty `benchmarks`"),
+            (rows(r#"{"ops_per_sec": 1}"#), "benchmarks[0] has no string `name`"),
+            (
+                rows(r#"{"name": "a", "ops_per_sec": 1}, {"name": "a", "ops_per_sec": 2}"#),
+                "repeats",
+            ),
+            // Cut off mid-number.
+            (rows(r#"{"name": "a", "ops_per_sec": 2."#).replace("]}", ""), "bad fraction"),
+        ] {
+            let err = baseline_rows(&text).expect_err(&text);
+            assert!(err.contains(expected), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn committed_baselines_and_written_reports_parse() {
+        for path in [BASELINE_PATH, SIM_BASELINE_PATH] {
+            let text = std::fs::read_to_string(path).expect("committed baseline");
+            let rows = baseline_rows(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert!(rows.len() >= 4, "{path}: {rows:?}");
+        }
+        // What `--update-baseline` writes, the next run reads back.
+        let m = measure_once("aes128_encrypt_block", 1, || ());
+        let text = report(std::slice::from_ref(&m), &Provenance::new(Scale::Quick, "")).render();
+        let read = baseline_rows(&text).expect("a written report reads back");
+        assert_eq!(read.len(), 1);
+        assert_eq!(read[0].0, m.name);
+        assert!((read[0].1 / m.ops_per_sec - 1.0).abs() < 1e-6, "{read:?} vs {m:?}");
     }
 }

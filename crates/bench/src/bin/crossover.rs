@@ -22,10 +22,11 @@
 //! — check.sh verifies exactly that.
 
 use dram_sim::spec::DramStandard;
+use sdimm_bench::cli::write_or_die;
 use sdimm_bench::provenance::Provenance;
 use sdimm_bench::{harness, table, Scale, TelemetryArgs};
 use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_telemetry::recorder::write_atomic;
+use sdimm_telemetry::json::Value;
 use workloads::spec as wl;
 
 /// Report written into the invoking directory, following the
@@ -116,18 +117,8 @@ fn main() {
 
     print_crossover_table(&kinds, &columns);
 
-    let scale_name = match scale {
-        Scale::Quick => "quick",
-        Scale::Full => "full",
-    };
-    let prov = Provenance::new(scale_name, "nonsecure,freecursive,indep2,split2");
-    let report = to_json(&prov, &columns);
-    if let Err(e) = write_atomic(REPORT_PATH, &report) {
-        eprintln!("failed to write crossover report to {REPORT_PATH}: {e}");
-        // Sanctioned exit: losing the figure's report must fail the run.
-        #[allow(clippy::disallowed_methods)]
-        std::process::exit(1);
-    }
+    let prov = Provenance::new(scale, "nonsecure,freecursive,indep2,split2");
+    write_or_die(REPORT_PATH, &report(&prov, &columns).render(), "crossover report");
     println!("\ncrossover report written to {REPORT_PATH}");
 
     sdimm_bench::leakage::write_if_requested(&telemetry, &kinds, scale, &instruments);
@@ -152,26 +143,23 @@ fn print_crossover_table(kinds: &[MachineKind], columns: &[Column]) {
     }
 }
 
-/// Serializes the report: provenance, the workload subset, then one
-/// entry per standard with per-machine geomean cycles/record and
-/// slowdown. Cycle-derived values only — byte-stable across runs.
-fn to_json(prov: &Provenance, columns: &[Column]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"provenance\": {},\n", prov.to_json_object()));
-    s.push_str(&format!("  \"workloads\": \"{}\",\n", wl::CROSSOVER.join(",")));
-    s.push_str("  \"standards\": [\n");
-    for (ci, col) in columns.iter().enumerate() {
-        let outer_sep = if ci + 1 == columns.len() { "" } else { "," };
-        s.push_str(&format!("    {{\"standard\": \"{}\", \"machines\": [\n", col.standard.name()));
-        for (ri, (name, cpr, slowdown)) in col.rows.iter().enumerate() {
-            let sep = if ri + 1 == col.rows.len() { "" } else { "," };
-            s.push_str(&format!(
-                "      {{\"machine\": \"{name}\", \"geomean_cycles_per_record\": {cpr:.4}, \
-                 \"slowdown_vs_nonsecure\": {slowdown:.4}}}{sep}\n"
-            ));
-        }
-        s.push_str(&format!("    ]}}{outer_sep}\n"));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// The report: provenance, the workload subset, then one entry per
+/// standard with per-machine geomean cycles/record and slowdown.
+/// Cycle-derived values only, so it is byte-stable across runs.
+fn report(prov: &Provenance, columns: &[Column]) -> Value {
+    let standards = columns.iter().map(|col| {
+        let machines = col.rows.iter().map(|(name, cpr, slowdown)| {
+            Value::object([
+                ("machine", name.as_str().into()),
+                ("geomean_cycles_per_record", (*cpr).into()),
+                ("slowdown_vs_nonsecure", (*slowdown).into()),
+            ])
+        });
+        Value::object([("standard", col.standard.name().into()), ("machines", machines.collect())])
+    });
+    Value::object([
+        ("provenance", prov.to_value()),
+        ("workloads", wl::CROSSOVER.join(",").into()),
+        ("standards", standards.collect()),
+    ])
 }

@@ -17,8 +17,8 @@
 //! two back-to-back runs produce byte-identical reports (check.sh
 //! verifies exactly that).
 
+use sdimm_bench::cli::write_or_die;
 use sdimm_bench::{hammer, Scale};
-use sdimm_telemetry::recorder::write_atomic;
 use sdimm_telemetry::TraceSink;
 
 fn main() {
@@ -59,29 +59,15 @@ fn main() {
     let report = hammer::run_report(&hammer::gate_points(), &hammer::gate_workloads(), scale);
     report.print_table();
 
-    if let Err(e) = write_atomic(&report_path, &report.to_json()) {
-        eprintln!("failed to write hammer report to {report_path}: {e}");
-        // Sanctioned exit: losing the report must fail the run.
-        #[allow(clippy::disallowed_methods)]
-        std::process::exit(1);
-    }
+    write_or_die(&report_path, &report.to_value().render(), "hammer report");
     println!("hammer report written to {report_path}");
 
     if let Some(path) = trace_path {
         let sink = TraceSink::enabled();
         report.annotate(&sink, 9_100);
-        match sink.export_chrome_json() {
-            Some(json) => {
-                if let Err(e) = write_atomic(&path, &json) {
-                    eprintln!("failed to write hammer trace to {path}: {e}");
-                    // Sanctioned exit: losing a requested output must fail.
-                    #[allow(clippy::disallowed_methods)]
-                    std::process::exit(1);
-                }
-                println!("hammer annotation trace written to {path}");
-            }
-            None => eprintln!("hammer_report: trace sink produced no export"),
-        }
+        let json = sink.export_chrome_json().expect("an enabled sink exports");
+        write_or_die(&path, &json, "hammer trace");
+        println!("hammer annotation trace written to {path}");
     }
 
     if !report.audit_pass() {

@@ -20,8 +20,8 @@
 //! reports (check.sh verifies exactly that).
 
 use dram_sim::spec::DramStandard;
+use sdimm_bench::cli::write_or_die;
 use sdimm_bench::{leakage, Scale};
-use sdimm_telemetry::recorder::write_atomic;
 
 fn main() {
     let mut report_path = "target/leakage-report.json".to_string();
@@ -55,12 +55,7 @@ fn main() {
     let report = leakage::run_report(&leakage::gate_kinds(), scale, DramStandard::default());
     leakage::print_table(&report);
 
-    if let Err(e) = write_atomic(&report_path, &report.to_json()) {
-        eprintln!("failed to write leakage report to {report_path}: {e}");
-        // Sanctioned exit: losing the report must fail the gate.
-        #[allow(clippy::disallowed_methods)]
-        std::process::exit(1);
-    }
+    write_or_die(&report_path, &report.to_value().render(), "leakage report");
     println!("leakage report written to {report_path}");
 
     if !report.gate_pass() {

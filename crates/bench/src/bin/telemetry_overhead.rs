@@ -24,7 +24,7 @@
 //! then project `events x per-call-cost` against the run's wall time and
 //! exit nonzero above the budget.
 //!
-//! Both gate numbers are also written as JSON (atomic write) when
+//! The gate numbers are also written as a JSON report when
 //! `--json <path>` is given, so CI can archive the trend.
 
 // Wall-clock overhead gate: `Instant` is the measurement, and a blown budget exits nonzero.
@@ -34,10 +34,11 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use dram_sim::wear::{RowPressure, WearConfig};
+use sdimm_bench::cli::write_or_die;
 use sdimm_bench::TelemetryArgs;
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner::{run, run_with, Capture};
-use sdimm_telemetry::recorder::write_atomic;
+use sdimm_telemetry::json::Value;
 use sdimm_telemetry::{CellTrace, EventKind, Instruments, SharedCycle, TraceSink};
 use workloads::spec as wl;
 
@@ -209,21 +210,22 @@ fn main() {
     println!("  wear on overhead    {wear_enabled_pct:.4}% (budget {MAX_RECORDER_OVERHEAD_PCT}%)");
 
     if let Some(path) = &json_path {
-        let json = format!(
-            "{{\n  \"disabled_ns_per_call\": {per_call_ns:.4},\n  \"events_per_run\": {events},\n  \
-             \"disabled_overhead_pct\": {pct:.5},\n  \"disabled_budget_pct\": {MAX_OVERHEAD_PCT},\n  \
-             \"recorder_ns_per_event\": {per_event_ns:.4},\n  \
-             \"recorder_overhead_pct\": {recorder_pct:.5},\n  \"recorder_budget_pct\": {MAX_RECORDER_OVERHEAD_PCT},\n  \
-             \"wear_disabled_ns_per_touch\": {wear_disabled_ns:.4},\n  \"wear_enabled_ns_per_event\": {wear_enabled_ns:.4},\n  \
-             \"wear_touches\": {wear_touches},\n  \"wear_disabled_overhead_pct\": {wear_disabled_pct:.5},\n  \
-             \"wear_enabled_overhead_pct\": {wear_enabled_pct:.5},\n  \
-             \"wall_ms_best_of_3\": {:.4}\n}}\n",
-            best_wall_ns / 1e6
-        );
-        if let Err(e) = write_atomic(path, &json) {
-            eprintln!("telemetry_overhead: failed to write {path}: {e}");
-            std::process::exit(1);
-        }
+        let json = Value::object([
+            ("disabled_ns_per_call", per_call_ns.into()),
+            ("events_per_run", events.into()),
+            ("disabled_overhead_pct", pct.into()),
+            ("disabled_budget_pct", MAX_OVERHEAD_PCT.into()),
+            ("recorder_ns_per_event", per_event_ns.into()),
+            ("recorder_overhead_pct", recorder_pct.into()),
+            ("recorder_budget_pct", MAX_RECORDER_OVERHEAD_PCT.into()),
+            ("wear_disabled_ns_per_touch", wear_disabled_ns.into()),
+            ("wear_enabled_ns_per_event", wear_enabled_ns.into()),
+            ("wear_touches", wear_touches.into()),
+            ("wear_disabled_overhead_pct", wear_disabled_pct.into()),
+            ("wear_enabled_overhead_pct", wear_enabled_pct.into()),
+            ("wall_ms_best_of_3", (best_wall_ns / 1e6).into()),
+        ]);
+        write_or_die(path, &json.render(), "telemetry overhead report");
         println!("  gate numbers written to {path}");
     }
 

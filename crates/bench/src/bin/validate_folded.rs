@@ -20,19 +20,11 @@
 
 use std::process::ExitCode;
 
+use sdimm_telemetry::json::{self, Value};
+
 fn fail(msg: &str) -> ExitCode {
     eprintln!("validate_folded: {msg}");
     ExitCode::from(1)
-}
-
-/// Pulls an integer field out of the (flat, known-shape) meta sidecar
-/// without a JSON dependency.
-fn meta_field(meta: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\"");
-    let rest = &meta[meta.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 fn main() -> ExitCode {
@@ -71,12 +63,13 @@ fn main() -> ExitCode {
         stacks += 1;
     }
 
-    let meta = match std::fs::read_to_string(&meta_path) {
-        Ok(s) => s,
+    let meta = match std::fs::read_to_string(&meta_path).map(|text| json::parse(&text)) {
+        Ok(Ok(meta)) => meta,
+        Ok(Err(e)) => return fail(&format!("{meta_path}: {e}")),
         Err(e) => return fail(&format!("cannot read sidecar {meta_path}: {e}")),
     };
-    let Some(sampled) = meta_field(&meta, "sampled_cycles") else {
-        return fail(&format!("{meta_path}: no `sampled_cycles` field"));
+    let Some(sampled) = meta.get("sampled_cycles").and_then(Value::as_u64) else {
+        return fail(&format!("{meta_path}: no integer `sampled_cycles` field"));
     };
     if total != sampled {
         return fail(&format!(
@@ -84,7 +77,7 @@ fn main() -> ExitCode {
              lost or double-counted simulated time"
         ));
     }
-    if let Some(meta_stacks) = meta_field(&meta, "stacks") {
+    if let Some(meta_stacks) = meta.get("stacks").and_then(Value::as_u64) {
         if meta_stacks != stacks {
             return fail(&format!("{stacks} stacks in {path} but sidecar claims {meta_stacks}"));
         }

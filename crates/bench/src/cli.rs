@@ -30,6 +30,7 @@
 //! never silently run a multi-minute experiment with telemetry dropped.
 
 use dram_sim::spec::DramStandard;
+use sdimm_telemetry::json::Value;
 use sdimm_telemetry::recorder::{write_atomic, BLACKBOX_EVENTS};
 use sdimm_telemetry::{CycleProfiler, Instruments, LiveProgress, MetricsRegistry, TraceSink};
 
@@ -170,12 +171,8 @@ impl TelemetryArgs {
 
     /// Writes whichever outputs were requested: the merged metrics
     /// snapshot of `cells`, the Chrome trace, and/or the folded
-    /// cycle-attribution profile (with its top-k table on stdout).
-    ///
-    /// Every file goes through an atomic temp-file-then-rename write,
-    /// so a crash mid-write never leaves a truncated JSON behind; any
-    /// I/O failure prints the path and exits nonzero (a bench run that
-    /// silently loses its telemetry is worse than one that dies).
+    /// cycle-attribution profile (with its top-k table on stdout), each
+    /// through [`write_or_die`].
     pub fn write_outputs(&self, cells: &[Cell], instruments: &Instruments) {
         if let Some(path) = &self.metrics_json {
             let merged = merge_metrics(cells);
@@ -222,13 +219,13 @@ impl TelemetryArgs {
         };
         write_or_die(path, &folded, "folded profile");
         let sampled = profiler.sampled_cycles();
-        let meta = format!(
-            "{{\n  \"sampled_cycles\": {sampled},\n  \"sample_interval\": {},\n  \"stacks\": {}\n}}\n",
-            profiler.interval(),
-            profiler.stack_count()
-        );
+        let meta = Value::object([
+            ("sampled_cycles", sampled.into()),
+            ("sample_interval", profiler.interval().into()),
+            ("stacks", profiler.stack_count().into()),
+        ]);
         let meta_path = format!("{path}.meta.json");
-        write_or_die(&meta_path, &meta, "profile metadata");
+        write_or_die(&meta_path, &meta.render(), "profile metadata");
         println!(
             "\nfolded profile written to {path} ({} stacks, {sampled} sampled cycles; \
              meta in {meta_path})",
@@ -242,9 +239,11 @@ impl TelemetryArgs {
     }
 }
 
-/// Atomic write with the shared "print the path and exit nonzero"
-/// failure path used by every requested output file.
-fn write_or_die(path: &str, contents: &str, what: &str) {
+/// Writes `contents` to `path` through a temp file and a rename, so a
+/// crash never leaves a truncated file. Every report and output file the
+/// bench binaries write goes through here; a failure prints `what` and
+/// the path and exits 1, since a run that loses its output must fail.
+pub fn write_or_die(path: &str, contents: &str, what: &str) {
     if let Err(e) = write_atomic(path, contents) {
         eprintln!("failed to write {what} to {path}: {e}");
         // Sanctioned exit: losing a requested output file must fail the run.

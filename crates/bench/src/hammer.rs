@@ -12,6 +12,7 @@ use dram_sim::spec::DramStandard;
 use sdimm_audit::recount::{check_against_snapshot, recount_channel};
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner::{self, Capture};
+use sdimm_telemetry::json::Value;
 use sdimm_telemetry::{Instruments, TraceSink};
 use workloads::{spec, Trace};
 
@@ -121,14 +122,50 @@ impl HammerCell {
     pub fn threshold_crossed(&self) -> bool {
         self.peak_window >= self.hammer_threshold
     }
+
+    fn to_value(&self) -> Value {
+        let hot_rows = self.hot_rows.iter().map(|h| {
+            Value::object([
+                ("channel", h.channel.into()),
+                ("rank", h.rank.into()),
+                ("bank", h.bank.into()),
+                ("row", h.row.into()),
+                ("acts", h.acts.into()),
+                ("writes", h.writes.into()),
+                ("levels", h.levels.iter().copied().collect()),
+            ])
+        });
+        let mut members = vec![
+            ("machine", self.machine.as_str().into()),
+            ("standard", self.standard.into()),
+            ("workload", self.workload.as_str().into()),
+            ("low_power", self.low_power.into()),
+            ("hammer_threshold", self.hammer_threshold.into()),
+            ("total_acts", self.total_acts.into()),
+            ("total_writes", self.total_writes.into()),
+            ("peak_window", self.peak_window.into()),
+            ("threshold_crossed", self.threshold_crossed().into()),
+            ("alarms", self.alarms.into()),
+            ("per_rank_acts", self.per_rank_acts.iter().copied().collect()),
+            ("rank_act_max_over_mean", self.rank_act_max_over_mean.into()),
+            ("rank_act_gini", self.rank_act_gini.into()),
+            ("level_line_writes", self.level_line_writes.iter().copied().collect()),
+            ("per_bucket_writes", self.per_bucket_writes.iter().copied().collect()),
+            ("root_leaf_ratio", self.root_leaf_ratio.into()),
+            ("hot_rows", hot_rows.collect()),
+            ("audit_acts_match", self.audit_acts_match.into()),
+        ];
+        if let Some(e) = &self.audit_error {
+            members.push(("audit_error", e.as_str().into()));
+        }
+        Value::object(members)
+    }
 }
 
 /// The full report.
 #[derive(Debug)]
 pub struct HammerReport {
-    /// Scale the matrix ran at.
-    pub scale: &'static str,
-    /// Build provenance.
+    /// Build provenance, including the scale the matrix ran at.
     pub provenance: Provenance,
     /// Cells in matrix order (points outer, workloads inner).
     pub cells: Vec<HammerCell>,
@@ -236,15 +273,7 @@ pub fn run_report(points: &[HammerPoint], workloads: &[&str], scale: Scale) -> H
         let trace = spec::generate(workload, scale.trace_len(), 3);
         run_cell(&cfg, &trace, scale.warmup(), scale.measure())
     });
-    let scale_name = match scale {
-        Scale::Quick => "quick",
-        Scale::Full => "full",
-    };
-    HammerReport {
-        scale: scale_name,
-        provenance: Provenance::new(scale_name, "pathoram,independent"),
-        cells,
-    }
+    HammerReport { provenance: Provenance::new(scale, "pathoram,independent"), cells }
 }
 
 impl HammerReport {
@@ -254,62 +283,16 @@ impl HammerReport {
         self.cells.iter().all(|c| c.audit_acts_match)
     }
 
-    /// Renders the report as byte-stable JSON (fixed key order,
-    /// deterministic number formatting).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1 << 14);
-        out.push_str("{\n  \"schema\": \"sdimm-hammer-v1\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        out.push_str(&format!("  \"provenance\": {},\n", self.provenance.to_json_object()));
-        out.push_str(&format!("  \"audit_pass\": {},\n", self.audit_pass()));
-        out.push_str("  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"machine\": \"{}\",\n", c.machine));
-            out.push_str(&format!("      \"standard\": \"{}\",\n", c.standard));
-            out.push_str(&format!("      \"workload\": \"{}\",\n", c.workload));
-            out.push_str(&format!("      \"low_power\": {},\n", c.low_power));
-            out.push_str(&format!("      \"hammer_threshold\": {},\n", c.hammer_threshold));
-            out.push_str(&format!("      \"total_acts\": {},\n", c.total_acts));
-            out.push_str(&format!("      \"total_writes\": {},\n", c.total_writes));
-            out.push_str(&format!("      \"peak_window\": {},\n", c.peak_window));
-            out.push_str(&format!("      \"threshold_crossed\": {},\n", c.threshold_crossed()));
-            out.push_str(&format!("      \"alarms\": {},\n", c.alarms));
-            out.push_str(&format!("      \"per_rank_acts\": {:?},\n", c.per_rank_acts));
-            out.push_str(&format!(
-                "      \"rank_act_max_over_mean\": {},\n",
-                fmt_f64(c.rank_act_max_over_mean)
-            ));
-            out.push_str(&format!("      \"rank_act_gini\": {},\n", fmt_f64(c.rank_act_gini)));
-            out.push_str(&format!("      \"level_line_writes\": {:?},\n", c.level_line_writes));
-            out.push_str(&format!(
-                "      \"per_bucket_writes\": [{}],\n",
-                c.per_bucket_writes.iter().map(|&x| fmt_f64(x)).collect::<Vec<_>>().join(", ")
-            ));
-            out.push_str(&format!("      \"root_leaf_ratio\": {},\n", fmt_f64(c.root_leaf_ratio)));
-            out.push_str("      \"hot_rows\": [");
-            for (j, h) in c.hot_rows.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n        {{\"channel\": {}, \"rank\": {}, \"bank\": {}, \"row\": {}, \
-                     \"acts\": {}, \"writes\": {}, \"levels\": {:?}}}",
-                    h.channel, h.rank, h.bank, h.row, h.acts, h.writes, h.levels
-                ));
-            }
-            out.push_str("\n      ],\n");
-            out.push_str(&format!("      \"audit_acts_match\": {}", c.audit_acts_match));
-            if let Some(e) = &c.audit_error {
-                out.push_str(&format!(",\n      \"audit_error\": \"{}\"", e.replace('"', "'")));
-            }
-            out.push_str("\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+    /// The report as a byte-stable JSON value (fixed key order, one
+    /// float format).
+    pub fn to_value(&self) -> Value {
+        Value::object([
+            ("schema", "sdimm-hammer-v1".into()),
+            ("scale", self.provenance.scale.name().into()),
+            ("provenance", self.provenance.to_value()),
+            ("audit_pass", self.audit_pass().into()),
+            ("cells", self.cells.iter().map(HammerCell::to_value).collect()),
+        ])
     }
 
     /// Emits one Perfetto slice per cell plus an instant per hot row
@@ -347,7 +330,10 @@ impl HammerReport {
 
     /// Prints the human verdict table.
     pub fn print_table(&self) {
-        println!("\nReliability observatory ({} scale, top {TOP_K} rows per cell)", self.scale);
+        println!(
+            "\nReliability observatory ({} scale, top {TOP_K} rows per cell)",
+            self.provenance.scale.name()
+        );
         println!(
             "{:<14} {:<12} {:<12} {:<5} {:>12} {:>10} {:>9} {:>7} {:>10} audit",
             "machine",
@@ -379,14 +365,6 @@ impl HammerReport {
             }
         }
         println!("audit: {}", if self.audit_pass() { "PASS" } else { "FAIL" });
-    }
-}
-
-fn fmt_f64(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_string()
-    } else {
-        format!("{x:.6e}")
     }
 }
 
@@ -425,18 +403,18 @@ mod tests {
         };
         let trace = spec::generate("hotrow-adv", 1200, 3);
         let report = HammerReport {
-            scale: "quick",
-            provenance: Provenance::new("quick", "independent"),
+            provenance: Provenance::new(Scale::Quick, "independent"),
             cells: vec![run_cell(&cfg, &trace, 200, 400)],
         };
         assert!(report.audit_pass(), "engine wear counts must survive the independent recount");
         // Per-bucket load halves with every level below the first
         // uncached one: 2^(levels - cached_levels - 1).
         assert_eq!(report.cells[0].root_leaf_ratio, 2048.0);
-        let json = report.to_json();
-        sdimm_telemetry::json::validate(&json).expect("report is valid JSON");
-        assert_eq!(json, report.to_json(), "serialization is deterministic");
-        assert!(json.contains("\"root_leaf_ratio\""));
+        let json = report.to_value().render();
+        assert_eq!(json, report.to_value().render(), "serialization is deterministic");
+        let doc = sdimm_telemetry::json::parse(&json).expect("report is valid JSON");
+        let cell = &doc.get("cells").and_then(Value::as_array).expect("cells")[0];
+        assert_eq!(cell.get("root_leaf_ratio").and_then(Value::as_f64), Some(2048.0));
 
         let sink = TraceSink::enabled();
         report.annotate(&sink, 99);

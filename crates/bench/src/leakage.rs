@@ -16,11 +16,11 @@ use dram_sim::spec::DramStandard;
 use sdimm_leakage::{analyze_pair, AnalysisConfig, Capture, EntryReport, LeakageReport};
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner;
-use sdimm_telemetry::recorder::write_atomic;
 use sdimm_telemetry::Instruments;
 use workloads::leakage::{pairs, required_blocks, LeakagePair};
 use workloads::Trace;
 
+use crate::cli::write_or_die;
 use crate::harness::par_map;
 use crate::{Scale, TelemetryArgs};
 
@@ -107,11 +107,7 @@ pub fn run_report(kinds: &[MachineKind], scale: Scale, standard: DramStandard) -
             expected_distinguishable: !is_secure(&kind),
         }
     });
-    let scale_name = match scale {
-        Scale::Quick => "quick",
-        Scale::Full => "full",
-    };
-    LeakageReport { scale: scale_name.to_string(), alpha_family: acfg.alpha_family, entries }
+    LeakageReport { scale: scale.name().to_string(), alpha_family: acfg.alpha_family, entries }
 }
 
 /// Prints the verdict matrix as a human table.
@@ -158,12 +154,7 @@ pub fn write_if_requested(
     let report = run_report(kinds, scale, telemetry.standard);
     print_table(&report);
     report.annotate(&instruments.sink, ANNOTATION_PID);
-    if let Err(e) = write_atomic(path, &report.to_json()) {
-        eprintln!("failed to write leakage report to {path}: {e}");
-        // Sanctioned exit: losing a requested output file must fail the run.
-        #[allow(clippy::disallowed_methods)]
-        std::process::exit(1);
-    }
+    write_or_die(path, &report.to_value().render(), "leakage report");
     println!("leakage report written to {path}");
 }
 

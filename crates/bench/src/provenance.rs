@@ -1,11 +1,14 @@
 //! Run provenance embedded in every deterministic benchmark report.
 //!
-//! Shared by `bench_compare` (`BENCH_crypto.json` / `BENCH_sim.json`)
-//! and `crossover` (`BENCH_crossover.json`): enough context to answer
-//! "which build produced these numbers" when a stale report surfaces in
-//! a CI artifact bucket, without anything that would break byte
-//! stability between two runs on one checkout (no timestamps, no host
-//! names, no wall-clock values).
+//! Shared by `bench_compare` (`BENCH_crypto.json` / `BENCH_sim.json`),
+//! `crossover` (`BENCH_crossover.json`) and `hammer_report`
+//! (`BENCH_hammer.json`): enough context to answer "which build produced
+//! these numbers" when a stale report surfaces in a CI artifact bucket,
+//! without anything that would break byte stability between two runs on
+//! one checkout (no timestamps, no host names, no wall-clock values).
+
+use crate::Scale;
+use sdimm_telemetry::json::Value;
 
 /// The provenance object serialized at the top of a report.
 #[derive(Debug, Clone)]
@@ -13,8 +16,8 @@ pub struct Provenance {
     /// Abbreviated commit SHA of the working tree, or `unknown` outside
     /// a git checkout (e.g. a source tarball).
     pub git_sha: String,
-    /// Scale the suite ran at (`quick` or `full`).
-    pub scale: &'static str,
+    /// Scale the suite ran at.
+    pub scale: Scale,
     /// Execution-engine version the measurements were taken on.
     pub engine: &'static str,
     /// Comma-separated protocol/machine set exercised by the suite.
@@ -23,17 +26,18 @@ pub struct Provenance {
 
 impl Provenance {
     /// Provenance for the current checkout at `scale` over `protocols`.
-    pub fn new(scale: &'static str, protocols: &'static str) -> Self {
+    pub fn new(scale: Scale, protocols: &'static str) -> Self {
         Self { git_sha: git_sha(), scale, engine: sdimm_system::ENGINE_VERSION, protocols }
     }
 
-    /// The inline JSON object (no trailing newline or comma) every
-    /// report embeds under its `"provenance"` key.
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"git_sha\": \"{}\", \"scale\": \"{}\", \"engine\": \"{}\", \"protocols\": \"{}\"}}",
-            self.git_sha, self.scale, self.engine, self.protocols
-        )
+    /// The object every report embeds under its `"provenance"` key.
+    pub fn to_value(&self) -> Value {
+        Value::object([
+            ("git_sha", self.git_sha.as_str().into()),
+            ("scale", self.scale.name().into()),
+            ("engine", self.engine.into()),
+            ("protocols", self.protocols.into()),
+        ])
     }
 }
 
@@ -59,15 +63,13 @@ mod tests {
     fn json_object_is_flat_and_carries_every_field() {
         let p = Provenance {
             git_sha: "abc123".into(),
-            scale: "quick",
+            scale: Scale::Quick,
             engine: "test-engine",
             protocols: "nonsecure",
         };
-        let json = p.to_json_object();
-        for key in ["git_sha", "scale", "engine", "protocols"] {
-            assert!(json.contains(&format!("\"{key}\"")), "{json}");
-        }
-        assert!(!json.contains('\n'), "inline object embeds in one report line");
+        let json = Value::object([("provenance", p.to_value())]).render();
+        let block = r#"{"git_sha": "abc123", "scale": "quick", "engine": "test-engine", "protocols": "nonsecure"}"#;
+        assert_eq!(json, format!("{{\n  \"provenance\": {block}\n}}\n"));
     }
 
     #[test]

@@ -37,6 +37,15 @@ impl Scale {
         })
     }
 
+    /// The scale's name as `SDIMM_BENCH_SCALE` spells it and reports
+    /// record it: `quick` or `full`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
+        }
+    }
+
     /// The global ORAM tree for this scale, with `cached_levels` of
     /// on-chip ORAM caching (0 or 7 in the paper's sweeps).
     pub fn oram(&self, cached_levels: u32) -> OramConfig {
@@ -96,6 +105,9 @@ mod tests {
         assert_eq!(Scale::parse("QUICK"), Ok(Scale::Quick));
         assert_eq!(Scale::parse("full"), Ok(Scale::Full));
         assert_eq!(Scale::parse("FULL"), Ok(Scale::Full));
+        for scale in [Scale::Quick, Scale::Full] {
+            assert_eq!(Scale::parse(scale.name()), Ok(scale));
+        }
         for bad in ["Full", "fulll", "", " full"] {
             let err = Scale::parse(bad).unwrap_err();
             assert!(err.contains("quick") && err.contains("full"), "{err}");

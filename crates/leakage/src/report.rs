@@ -1,13 +1,13 @@
-//! Leakage-report rendering: byte-stable JSON (hand-rolled, fixed key
-//! order, deterministic float formatting) and Perfetto annotation
-//! slices.
+//! Leakage-report rendering: a byte-stable JSON value (fixed key order,
+//! the one float format of `sdimm_telemetry::json`) and Perfetto
+//! annotation slices.
 //!
 //! Byte stability matters because the CI gate runs the matrix twice and
 //! `cmp`s the two reports — any nondeterminism in the engine, the
 //! statistics, or the formatting fails the build.
 
 use crate::analysis::{FeatureTest, PairAnalysis};
-use sdimm_telemetry::json::escape;
+use sdimm_telemetry::json::Value;
 use sdimm_telemetry::TraceSink;
 
 /// One machine × workload-pair row of the report.
@@ -34,6 +34,20 @@ impl EntryReport {
     pub fn pass(&self) -> bool {
         self.analysis.distinguishable == self.expected_distinguishable
     }
+
+    fn to_value(&self) -> Value {
+        Value::object([
+            ("machine", self.machine.as_str().into()),
+            ("secure", self.secure.into()),
+            ("pair", self.pair.as_str().into()),
+            ("contrast", self.contrast.as_str().into()),
+            ("alpha_per_test", self.analysis.alpha_per_test.into()),
+            ("distinguishable", self.analysis.distinguishable.into()),
+            ("expected_distinguishable", self.expected_distinguishable.into()),
+            ("pass", self.pass().into()),
+            ("tests", self.analysis.tests.iter().map(test_value).collect()),
+        ])
+    }
 }
 
 /// The full leakage report for one gate run.
@@ -45,16 +59,6 @@ pub struct LeakageReport {
     pub alpha_family: f64,
     /// All machine × pair rows.
     pub entries: Vec<EntryReport>,
-}
-
-/// Deterministic float rendering: scientific notation with a fixed
-/// mantissa width, valid JSON, bit-stable for equal inputs.
-fn fmt_f64(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_string()
-    } else {
-        format!("{x:.6e}")
-    }
 }
 
 impl LeakageReport {
@@ -75,52 +79,21 @@ impl LeakageReport {
         self.entries.iter().filter(|e| !e.secure && !e.analysis.distinguishable).count()
     }
 
-    /// Renders the report as a byte-stable JSON document (fixed key
-    /// order, deterministic number formatting, no trailing newline
-    /// variance — callers append exactly one).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"sdimm-leakage-v1\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", escape(&self.scale)));
-        out.push_str(&format!("  \"alpha_family\": {},\n", fmt_f64(self.alpha_family)));
-        out.push_str(&format!(
-            "  \"gate\": {{\"pass\": {}, \"secure_failures\": {}, \"power_failures\": {}}},\n",
-            self.gate_pass(),
-            self.secure_failures(),
-            self.power_failures()
-        ));
-        out.push_str("  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"machine\": \"{}\",\n", escape(&e.machine)));
-            out.push_str(&format!("      \"secure\": {},\n", e.secure));
-            out.push_str(&format!("      \"pair\": \"{}\",\n", escape(&e.pair)));
-            out.push_str(&format!("      \"contrast\": \"{}\",\n", escape(&e.contrast)));
-            out.push_str(&format!(
-                "      \"alpha_per_test\": {},\n",
-                fmt_f64(e.analysis.alpha_per_test)
-            ));
-            out.push_str(&format!("      \"distinguishable\": {},\n", e.analysis.distinguishable));
-            out.push_str(&format!(
-                "      \"expected_distinguishable\": {},\n",
-                e.expected_distinguishable
-            ));
-            out.push_str(&format!("      \"pass\": {},\n", e.pass()));
-            out.push_str("      \"tests\": [");
-            for (j, t) in e.analysis.tests.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        ");
-                out.push_str(&test_json(t));
-            }
-            out.push_str("\n      ]\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+    /// The report as a byte-stable JSON value (fixed key order, one
+    /// float format).
+    pub fn to_value(&self) -> Value {
+        let gate = Value::object([
+            ("pass", self.gate_pass().into()),
+            ("secure_failures", self.secure_failures().into()),
+            ("power_failures", self.power_failures().into()),
+        ]);
+        Value::object([
+            ("schema", "sdimm-leakage-v1".into()),
+            ("scale", self.scale.as_str().into()),
+            ("alpha_family", self.alpha_family.into()),
+            ("gate", gate),
+            ("entries", self.entries.iter().map(EntryReport::to_value).collect()),
+        ])
     }
 
     /// Emits one Perfetto slice per report row (category `leakage`) into
@@ -155,21 +128,18 @@ impl LeakageReport {
     }
 }
 
-fn test_json(t: &FeatureTest) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"method\": \"{}\", \"n_a\": {}, \"n_b\": {}, \
-         \"statistic\": {}, \"p\": {}, \"effect\": {}, \"effect_floor\": {}, \
-         \"significant\": {}}}",
-        escape(t.name),
-        escape(t.method),
-        t.n_a,
-        t.n_b,
-        fmt_f64(t.statistic),
-        fmt_f64(t.p),
-        fmt_f64(t.effect),
-        fmt_f64(t.effect_floor),
-        t.significant
-    )
+fn test_value(t: &FeatureTest) -> Value {
+    Value::object([
+        ("name", t.name.into()),
+        ("method", t.method.into()),
+        ("n_a", t.n_a.into()),
+        ("n_b", t.n_b.into()),
+        ("statistic", t.statistic.into()),
+        ("p", t.p.into()),
+        ("effect", t.effect.into()),
+        ("effect_floor", t.effect_floor.into()),
+        ("significant", t.significant.into()),
+    ])
 }
 
 #[cfg(test)]
@@ -222,12 +192,15 @@ mod tests {
     #[test]
     fn json_is_valid_and_stable() {
         let r = sample_report();
-        let a = r.to_json();
-        let b = r.to_json();
-        assert_eq!(a, b);
-        sdimm_telemetry::json::validate(&a).expect("valid json");
-        assert!(a.contains("\"pass\": true"));
-        assert!(a.contains("sdimm-leakage-v1"));
+        let a = r.to_value().render();
+        assert_eq!(a, r.to_value().render());
+        let doc = sdimm_telemetry::json::parse(&a).expect("valid json");
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some("sdimm-leakage-v1"));
+        assert_eq!(doc.get("gate").and_then(|g| g.get("pass")), Some(&Value::Bool(true)));
+        let entries = doc.get("entries").and_then(Value::as_array).expect("entries");
+        assert_eq!(entries.len(), 2);
+        let tests = entries[0].get("tests").and_then(Value::as_array).expect("tests");
+        assert_eq!(tests[0].get("p").and_then(Value::as_f64), Some(1.2e-100));
     }
 
     #[test]

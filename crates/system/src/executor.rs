@@ -86,7 +86,12 @@ pub struct ExecStats {
     pub ext_commands: u64,
     /// DRAM line requests issued to the internal channels.
     pub dram_lines: u64,
-    /// Peak number of concurrently in-flight traces.
+    /// Peak number of concurrently running traces: those that hold
+    /// their ORAM backend, have released it, or claim none. A trace
+    /// queued behind a busy backend is not running yet and is counted by
+    /// `max_backend_queue` instead, so a machine whose one backend
+    /// serializes every access (Freecursive, Split) peaks at 1. The
+    /// `inflight` trace counter tracks the same count.
     pub max_inflight: u64,
     /// Peak depth of any serialized-backend wait queue.
     pub max_backend_queue: u64,
@@ -307,8 +312,9 @@ impl Executor {
         self.now
     }
 
-    /// Number of requests still in flight (including traces queued on a
-    /// busy backend).
+    /// Number of traces not finished yet: the running ones that
+    /// [`ExecStats::max_inflight`] counts plus those queued on a busy
+    /// backend.
     pub fn active(&self) -> usize {
         self.inflight.len() + self.backend_waiting.values().map(|q| q.len()).sum::<usize>()
     }
@@ -860,6 +866,8 @@ mod tests {
         let ta = done.iter().find(|(i, _)| *i == a).unwrap().1;
         let tb = done.iter().find(|(i, _)| *i == b).unwrap().1;
         assert!(tb > ta, "backend must serialize: {ta} vs {tb}");
+        let stats = ex.exec_stats();
+        assert_eq!((stats.max_inflight, stats.max_backend_queue), (1, 1));
     }
 
     #[test]

@@ -369,7 +369,8 @@ impl Machine {
     }
 
     /// Maps a physical line address onto (channel, channel-local address)
-    /// for baseline machines (line interleaving, as in `MemorySystem`).
+    /// for baseline machines: consecutive lines interleave across the
+    /// channels.
     fn split_lines(lines: &[u64], channels: usize) -> Vec<(usize, Vec<u64>)> {
         let mut per: Vec<Vec<u64>> = vec![Vec::new(); channels];
         for &addr in lines {

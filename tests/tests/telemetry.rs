@@ -1,12 +1,15 @@
 //! Cross-crate telemetry checks: the Chrome trace a real run exports is
 //! valid JSON with monotonic timestamps, the metrics snapshot carries
-//! the figures' headline statistics, and warm-up traffic cannot leak
-//! into measured channel stats.
+//! the figures' headline statistics, warm-up traffic cannot leak into
+//! measured channel stats, and the report writer and parser round-trip
+//! every value.
 
 use dram_sim::channel::DramChannel;
 use dram_sim::config::ChannelConfig;
+use proptest::prelude::*;
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner::{run, run_with, Capture, RunResult};
+use sdimm_telemetry::json::{self, Value};
 use sdimm_telemetry::{Instruments, TraceSink};
 use workloads::spec;
 
@@ -20,24 +23,6 @@ fn traced_run(
     run_with(cfg, trace, 200, 400, &Instruments::with_sink(sink), pid, Capture::default()).0
 }
 
-/// Extracts every `"ts"` value from a Chrome trace in document order.
-fn ts_values(json: &str) -> Vec<u64> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find("\"ts\":") {
-        rest = &rest[at + 5..];
-        let num: String = rest
-            .chars()
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        if let Ok(v) = num.parse::<u64>() {
-            out.push(v);
-        }
-    }
-    out
-}
-
 #[test]
 fn fig6_style_run_exports_perfetto_loadable_trace() {
     let cfg = SystemConfig::small(MachineKind::Freecursive { channels: 1 });
@@ -47,22 +32,21 @@ fn fig6_style_run_exports_perfetto_loadable_trace() {
     assert!(!sink.is_empty(), "a measured run must emit trace events");
 
     let json = sink.export_chrome_json().expect("enabled sink exports");
-    sdimm_telemetry::json::validate(&json).expect("chrome trace must be strict JSON");
-    assert!(json.contains("\"traceEvents\""));
-    assert!(json.contains("\"ph\": \"X\""), "phase/DRAM spans should be present");
+    let doc = json::parse(&json).expect("chrome trace must be strict JSON");
+    let events = doc.get("traceEvents").and_then(Value::as_array).expect("a traceEvents array");
+    let span = Value::from("X");
+    assert!(events.iter().any(|e| e.get("ph") == Some(&span)), "spans should be present");
 
-    let ts = ts_values(&json);
+    let ts: Vec<u64> = events.iter().filter_map(|e| e.get("ts")?.as_u64()).collect();
     assert!(ts.len() > 100, "expected many timestamped events, got {}", ts.len());
     assert!(ts.windows(2).all(|w| w[0] <= w[1]), "timestamps must be monotonic");
 
     // The metrics snapshot the same run produces carries the acceptance
     // statistics: channel read-latency percentiles, stash peak, PLB hits.
-    let snapshot = result.metrics.to_json();
-    sdimm_telemetry::json::validate(&snapshot).expect("metrics snapshot must be strict JSON");
-    assert!(snapshot.contains("dram.chan0.read_latency"));
-    assert!(snapshot.contains("\"p99\""));
-    assert!(snapshot.contains("oram.stash_peak"));
-    assert!(snapshot.contains("plb.hit_rate"));
+    let snapshot = json::parse(&result.metrics.to_json()).expect("metrics snapshot is strict JSON");
+    let p99 = snapshot.get("dram.chan0.read_latency").and_then(|h| h.get("p99"));
+    assert!(p99.and_then(Value::as_u64).is_some(), "channel read-latency p99");
+    assert!(snapshot.get("oram.stash_peak").is_some() && snapshot.get("plb.hit_rate").is_some());
 }
 
 #[test]
@@ -114,4 +98,67 @@ fn warmup_traffic_does_not_leak_into_measured_channel_stats() {
         "measured stats must reflect only measured traffic"
     );
     assert_eq!(warmed.stats().read_latency_hist.count(), fresh.stats().read_latency_hist.count());
+}
+
+/// Characters a report string must survive: JSON's escapes, raw control
+/// characters, and non-ASCII text up to a four-byte scalar.
+const PALETTE: [char; 10] = ['a', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{7f}', 'é', '😀'];
+
+/// Builds one value from an entropy tape: scalars of every kind (integer
+/// extremes, `-0.0`, subnormal and huge floats, strings over
+/// [`PALETTE`]) and arrays and objects, empty ones included, nested up
+/// to `depth`.
+fn build(tape: &mut impl Iterator<Item = u64>, depth: u32) -> Value {
+    let r = tape.next().unwrap_or(0);
+    let x = r >> 3;
+    let text = |n: u64| -> String {
+        (0..n % 6).map(|i| PALETTE[((r >> (4 * i)) % 10) as usize]).collect()
+    };
+    let floats = [-0.0, f64::from_bits(x >> 12), f64::MAX / (1 + x % 7) as f64, -(x as f64).sqrt()];
+    match r % if depth == 0 { 6 } else { 8 } {
+        0 => Value::Null,
+        1 => Value::Bool(x & 1 == 1),
+        2 => Value::from([0, u64::MAX, x][(x % 3) as usize]),
+        3 => Value::Int([i64::MIN, -1, -((x >> 2) as i64)][(x % 3) as usize].into()),
+        4 => Value::Float(floats[(x % 4) as usize]),
+        5 => Value::Str(text(x)),
+        6 => (0..x % 4).map(|_| build(tape, depth - 1)).collect(),
+        _ => Value::Object(
+            (0..x % 4).map(|i| (format!("{}{i}", text(x >> 2)), build(tape, depth - 1))).collect(),
+        ),
+    }
+}
+
+/// `v` with every float replaced by `null`: what must come back exactly.
+fn without_floats(v: &Value) -> Value {
+    match v {
+        Value::Float(_) => Value::Null,
+        Value::Array(items) => items.iter().map(without_floats).collect(),
+        Value::Object(m) => {
+            Value::Object(m.iter().map(|(k, v)| (k.clone(), without_floats(v))).collect())
+        }
+        v => v.clone(),
+    }
+}
+
+proptest! {
+    /// `parse(render(v))` gives back `v`'s strings, integers, booleans
+    /// and structure exactly and its floats to the rendered digits
+    /// (rendering is a fixed point after one round trip), rendering is
+    /// deterministic, and a non-finite float is `null`.
+    #[test]
+    fn writer_and_parser_round_trip(
+        tape in proptest::collection::vec(any::<u64>(), 1..48),
+        non_finite in 0usize..3,
+    ) {
+        let v = build(&mut tape.into_iter(), 3);
+        let text = v.render();
+        prop_assert_eq!(&text, &v.render());
+        let back = json::parse(&text).map_err(|e| TestCaseError::Fail(format!("{e}: {text}")))?;
+        prop_assert_eq!(without_floats(&back), without_floats(&v));
+        prop_assert_eq!(back.render(), text);
+
+        let x = Value::Float([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][non_finite]);
+        prop_assert_eq!(Value::object([("x", x)]).render(), "{\n  \"x\": null\n}\n");
+    }
 }

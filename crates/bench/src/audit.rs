@@ -1,23 +1,14 @@
-//! `--audit` routing for the figure binaries.
-//!
-//! When the flag is absent this is a pass-through to
-//! [`harness::run_matrix`]. When present, every cell's DRAM
-//! command streams are replayed through the differential DDR3 auditor
-//! as it finishes, and each ORAM protocol kind appearing in the matrix
-//! is additionally lockstep-checked against a shadow memory. Any
-//! violation fails the process (exit 1), after a black box per violating
-//! channel and whichever of `--trace-json`, `--metrics-json` and
-//! `--profile-folded` were requested have been written.
+//! The `--audit` check a figure runs on each panel
+//! ([`Figure::panel`](crate::Figure::panel)): the DDR replay findings of
+//! the panel's cells, then one ORAM oracle lockstep run per distinct
+//! protocol among its machines.
 
 use std::collections::HashSet;
 
 use sdimm_audit::oracle::{check_protocol, ProtocolKind};
-use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_telemetry::Instruments;
+use sdimm_system::machine::MachineKind;
 
-use crate::cli::TelemetryArgs;
-use crate::harness::{self, Cell};
-use crate::scale::Scale;
+use crate::harness::DdrAuditLog;
 
 /// Tree depth of the oracle's lockstep runs: deep enough to exercise
 /// recursion and eviction, small enough to stay a per-run rounding
@@ -28,46 +19,20 @@ const ORACLE_LEVELS: u32 = 10;
 const ORACLE_BLOCKS: u64 = 512;
 const ORACLE_STEPS: usize = 300;
 
-/// Runs the matrix, honoring `--audit`: pass-through when the flag is
-/// off; full differential audit (DDR replay + ORAM oracle) when on.
-///
-/// On a violation, prints every finding, writes the requested outputs
-/// for this matrix's cells (so the Chrome trace of the failing run is
-/// there to inspect) and exits with status 1 so an audited figure run
-/// can gate CI.
-pub fn run_matrix_maybe_audited(
-    args: &TelemetryArgs,
-    workload_names: &[&str],
-    kinds: &[MachineKind],
-    scale: Scale,
-    make_cfg: impl Fn(MachineKind) -> SystemConfig + Sync,
-    instruments: &Instruments,
-    pid_base: u32,
-) -> Vec<Cell> {
-    let (cells, ddr) = harness::run_matrix(
-        workload_names,
-        kinds,
-        scale,
-        make_cfg,
-        instruments,
-        pid_base,
-        args.audit,
-    );
-    if !args.audit {
-        return cells;
-    }
-
-    let mut failed = false;
+/// Prints a panel's DDR violations and black-box paths from `ddr`, then
+/// runs one oracle lockstep per distinct protocol among `kinds` (the
+/// non-secure baseline has no ORAM to check). Returns whether the panel
+/// is clean; a clean panel also gets its one-line summary.
+pub(crate) fn check_panel(ddr: &DdrAuditLog, kinds: &[MachineKind]) -> bool {
+    let mut clean = true;
     for v in &ddr.violations {
         eprintln!("audit: DDR violation: {v}");
-        failed = true;
+        clean = false;
     }
     for p in &ddr.blackbox_dumps {
         eprintln!("audit: black box at {p}");
     }
 
-    // One oracle lockstep run per distinct protocol in the matrix. The
-    // non-secure baseline has no ORAM to check.
     let mut seen: HashSet<String> = HashSet::new();
     let oracle_cfg = oram::types::OramConfig {
         levels: ORACLE_LEVELS,
@@ -86,26 +51,21 @@ pub fn run_matrix_maybe_audited(
             ),
             Err(m) => {
                 eprintln!("audit: ORACLE MISMATCH: {m}");
-                failed = true;
+                clean = false;
             }
         }
     }
 
-    if failed {
-        args.write_outputs(&cells, instruments);
-        eprintln!("audit: FAILED — see violations above");
-        // Sanctioned exit: the audit gate failing must fail the run.
-        #[allow(clippy::disallowed_methods)]
-        std::process::exit(1);
+    if clean {
+        eprintln!(
+            "audit: clean — {} cells, {} DDR commands replayed ({} refreshes), {} protocol(s) in lockstep",
+            ddr.cells,
+            ddr.commands,
+            ddr.refreshes,
+            seen.len()
+        );
     }
-    eprintln!(
-        "audit: clean — {} cells, {} DDR commands replayed ({} refreshes), {} protocol(s) in lockstep",
-        ddr.cells,
-        ddr.commands,
-        ddr.refreshes,
-        seen.len()
-    );
-    cells
+    clean
 }
 
 /// The oracle configuration matching a machine kind, if it has an ORAM.

@@ -24,8 +24,8 @@
 use dram_sim::spec::DramStandard;
 use sdimm_bench::cli::write_or_die;
 use sdimm_bench::provenance::Provenance;
-use sdimm_bench::{harness, table, Scale, TelemetryArgs};
-use sdimm_system::machine::{MachineKind, SystemConfig};
+use sdimm_bench::{harness, table, Figure};
+use sdimm_system::machine::MachineKind;
 use sdimm_telemetry::json::Value;
 use workloads::spec as wl;
 
@@ -64,34 +64,17 @@ struct Column {
 }
 
 fn main() {
-    let telemetry = TelemetryArgs::from_env("crossover");
-    let instruments = telemetry.instruments();
-    let _live = sdimm_bench::LiveView::spawn(instruments.live.clone());
-    let scale = Scale::from_env();
+    let mut fig = Figure::start("crossover");
+    let scale = fig.scale();
     let kinds = kinds();
 
-    let mut all_cells = Vec::new();
     let mut columns = Vec::new();
     for standard in STANDARDS {
-        let cells = sdimm_bench::run_matrix_maybe_audited(
-            &telemetry,
-            &wl::CROSSOVER,
-            &kinds,
-            scale,
-            |kind| SystemConfig {
-                kind,
-                oram: scale.oram(7),
-                data_blocks: scale.data_blocks(),
-                standard,
-                low_power: false,
-                seed: 1,
-            },
-            &instruments,
-            all_cells.len() as u32,
-        );
+        let cells =
+            fig.panel(standard.name(), &wl::CROSSOVER, &kinds, |kind| scale.config(kind, standard));
         table::print_normalized(
             &format!("Crossover: slowdown vs non-secure on {}", standard.name()),
-            &cells,
+            cells,
             &kinds[0].name(),
             |c| c.result.cycles_per_record(),
         );
@@ -112,7 +95,6 @@ fn main() {
             standard,
             rows: rows.into_iter().map(|(n, v)| (n, v, v / base)).collect(),
         });
-        all_cells.extend(cells);
     }
 
     print_crossover_table(&kinds, &columns);
@@ -121,8 +103,7 @@ fn main() {
     write_or_die(REPORT_PATH, &report(&prov, &columns).render(), "crossover report");
     println!("\ncrossover report written to {REPORT_PATH}");
 
-    sdimm_bench::leakage::write_if_requested(&telemetry, &kinds, scale, &instruments);
-    telemetry.write_outputs(&all_cells, &instruments);
+    fig.finish();
 }
 
 /// The machine × standard summary table: one slowdown per cell, so the

@@ -3,21 +3,24 @@
 //! single channel and 47-49% double channel).
 
 use oram::types::OramConfig;
-use sdimm_bench::{table, Scale, TelemetryArgs};
+use sdimm_bench::{table, Figure, Scale};
 use sdimm_system::machine::{MachineKind, SystemConfig};
 
 fn main() {
-    let telemetry = TelemetryArgs::from_env("fig11");
-    let instruments = telemetry.instruments();
-    let _live = sdimm_bench::LiveView::spawn(instruments.live.clone());
-    let mut all_cells = Vec::new();
-    let scale = Scale::from_env();
+    let mut fig = Figure::start("fig11");
+    let (scale, standard) = (fig.scale(), fig.standard());
     // A subset of workloads keeps the sweep fast while preserving the mix.
     let wl = ["mcf-like", "libquantum-like", "gromacs-like", "GemsFDTD-like"];
     let levels_sweep: &[u32] = match scale {
         Scale::Quick => &[14, 16, 18, 20],
         Scale::Full => &[16, 20, 24, 28],
     };
+    let single =
+        [MachineKind::Freecursive { channels: 1 }, MachineKind::Split { ways: 2, channels: 1 }];
+    let double = [
+        MachineKind::Freecursive { channels: 2 },
+        MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 },
+    ];
 
     for levels in levels_sweep {
         let oram = OramConfig { levels: *levels, cached_levels: 7, ..OramConfig::default() };
@@ -25,66 +28,22 @@ fn main() {
         // the sweep (distributed subtrees have half the capacity plus
         // imbalance headroom).
         let data_blocks = (1u64 << (levels - 4)).min(scale.data_blocks());
-        let single =
-            [MachineKind::Freecursive { channels: 1 }, MachineKind::Split { ways: 2, channels: 1 }];
-        let cells = sdimm_bench::run_matrix_maybe_audited(
-            &telemetry,
-            &wl,
-            &single,
-            scale,
-            |kind| SystemConfig {
-                kind,
+        for (ch, kinds, title, base) in [
+            ("1ch", &single, "SPLIT-2", "FREECURSIVE-1ch"),
+            ("2ch", &double, "INDEP-SPLIT", "FREECURSIVE-2ch"),
+        ] {
+            let cells = fig.panel(&format!("L{levels}-{ch}"), &wl, kinds, |kind| SystemConfig {
                 oram: oram.clone(),
                 data_blocks,
-                standard: telemetry.standard,
-                low_power: false,
-                seed: 1,
-            },
-            &instruments,
-            all_cells.len() as u32,
-        );
-        table::print_normalized(
-            &format!("Fig 11 (1ch): SPLIT-2 vs Freecursive, L{levels}"),
-            &cells,
-            "FREECURSIVE-1ch",
-            |c| c.result.cycles_per_record(),
-        );
-        all_cells.extend(cells);
-
-        let double = [
-            MachineKind::Freecursive { channels: 2 },
-            MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 },
-        ];
-        let cells = sdimm_bench::run_matrix_maybe_audited(
-            &telemetry,
-            &wl,
-            &double,
-            scale,
-            |kind| SystemConfig {
-                kind,
-                oram: oram.clone(),
-                data_blocks,
-                standard: telemetry.standard,
-                low_power: false,
-                seed: 1,
-            },
-            &instruments,
-            all_cells.len() as u32,
-        );
-        table::print_normalized(
-            &format!("Fig 11 (2ch): INDEP-SPLIT vs Freecursive, L{levels}"),
-            &cells,
-            "FREECURSIVE-2ch",
-            |c| c.result.cycles_per_record(),
-        );
-        all_cells.extend(cells);
+                ..scale.config(kind, standard)
+            });
+            table::print_normalized(
+                &format!("Fig 11 ({ch}): {title} vs Freecursive, L{levels}"),
+                cells,
+                base,
+                |c| c.result.cycles_per_record(),
+            );
+        }
     }
-    let leakage_kinds = [
-        MachineKind::Freecursive { channels: 1 },
-        MachineKind::Split { ways: 2, channels: 1 },
-        MachineKind::Freecursive { channels: 2 },
-        MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 },
-    ];
-    sdimm_bench::leakage::write_if_requested(&telemetry, &leakage_kinds, scale, &instruments);
-    telemetry.write_outputs(&all_cells, &instruments);
+    fig.finish();
 }

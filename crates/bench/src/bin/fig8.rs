@@ -2,47 +2,30 @@
 //! (INDEP-2, SPLIT-2) vs Freecursive, with and without the 7-level
 //! on-chip ORAM cache (paper: ~32-35.7% reduction).
 
-use sdimm_bench::{table, Scale, TelemetryArgs};
+use sdimm_bench::{table, Figure};
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use workloads::spec;
 
 fn main() {
-    let telemetry = TelemetryArgs::from_env("fig8");
-    let instruments = telemetry.instruments();
-    let _live = sdimm_bench::LiveView::spawn(instruments.live.clone());
-    let scale = Scale::from_env();
+    let mut fig = Figure::start("fig8");
+    let (scale, standard) = (fig.scale(), fig.standard());
     let kinds = [
         MachineKind::Freecursive { channels: 1 },
         MachineKind::Independent { sdimms: 2, channels: 1 },
         MachineKind::Split { ways: 2, channels: 1 },
     ];
-    let mut all_cells = Vec::new();
     for cached in [7u32, 0] {
-        let cells = sdimm_bench::run_matrix_maybe_audited(
-            &telemetry,
-            &spec::ALL,
-            &kinds,
-            scale,
-            |kind| SystemConfig {
-                kind,
-                oram: scale.oram(cached),
-                data_blocks: scale.data_blocks(),
-                standard: telemetry.standard,
-                low_power: false,
-                seed: 1,
-            },
-            &instruments,
-            all_cells.len() as u32,
-        );
+        let cells = fig.panel(&format!("cache{cached}"), &spec::ALL, &kinds, |kind| SystemConfig {
+            oram: scale.oram(cached),
+            ..scale.config(kind, standard)
+        });
         table::print_normalized(
             &format!("Fig 8: single-channel SDIMM designs, {cached}-level ORAM cache"),
-            &cells,
+            cells,
             "FREECURSIVE-1ch",
             |c| c.result.cycles_per_record(),
         );
-        table::print_latency_percentiles(&format!("Fig 8, {cached}-level ORAM cache"), &cells);
-        all_cells.extend(cells);
+        table::print_latency_percentiles(&format!("Fig 8, {cached}-level ORAM cache"), cells);
     }
-    sdimm_bench::leakage::write_if_requested(&telemetry, &kinds, scale, &instruments);
-    telemetry.write_outputs(&all_cells, &instruments);
+    fig.finish();
 }

@@ -1,49 +1,32 @@
-//! Experiment X2 (IV-B): the low-power rank-localized layout costs <=4%
-//! performance while letting idle ranks power down.
+//! Experiment X2 (IV-B): the low-power mode costs <=4% performance
+//! while letting idle ranks power down.
 
-use sdimm_bench::{table, Scale, TelemetryArgs};
+use sdimm_bench::{table, Figure};
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use workloads::spec;
 
 fn main() {
-    let telemetry = TelemetryArgs::from_env("lowpower");
-    let instruments = telemetry.instruments();
-    let _live = sdimm_bench::LiveView::spawn(instruments.live.clone());
-    let mut all_cells = Vec::new();
-    let scale = Scale::from_env();
+    let mut fig = Figure::start("lowpower");
+    let (scale, standard) = (fig.scale(), fig.standard());
     let kind = MachineKind::Independent { sdimms: 2, channels: 1 };
 
-    for low_power in [false, true] {
-        let cells = sdimm_bench::run_matrix_maybe_audited(
-            &telemetry,
-            &spec::ALL[..5],
-            &[kind],
-            scale,
-            |kind| SystemConfig {
-                kind,
-                oram: scale.oram(7),
-                data_blocks: scale.data_blocks(),
-                standard: telemetry.standard,
-                low_power,
-                seed: 1,
-            },
-            &instruments,
-            all_cells.len() as u32,
-        );
+    for (key, low_power) in [("lp-off", false), ("lp-on", true)] {
+        let cells = fig.panel(key, &spec::ALL[..5], &[kind], |kind| SystemConfig {
+            low_power,
+            ..scale.config(kind, standard)
+        });
         table::print_raw(
             &format!("X2: INDEP-2, low_power={low_power}"),
-            &cells,
+            cells,
             "bus cycles / record",
             |c| c.result.cycles_per_record(),
         );
         table::print_raw(
             &format!("X2: INDEP-2 energy, low_power={low_power}"),
-            &cells,
+            cells,
             "nJ / record",
             |c| c.result.energy_per_record_nj(),
         );
-        all_cells.extend(cells);
     }
-    sdimm_bench::leakage::write_if_requested(&telemetry, &[kind], scale, &instruments);
-    telemetry.write_outputs(&all_cells, &instruments);
+    fig.finish();
 }

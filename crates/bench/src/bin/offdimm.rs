@@ -4,14 +4,12 @@
 //! message-count model and the cycle-level simulation's bus counters.
 
 use sdimm_analytic::bandwidth::{self, TrafficParams};
-use sdimm_bench::{Scale, TelemetryArgs};
-use sdimm_system::machine::{MachineKind, SystemConfig};
+use sdimm_bench::Figure;
+use sdimm_system::machine::MachineKind;
 
 fn main() {
-    let telemetry = TelemetryArgs::from_env("offdimm");
-    let instruments = telemetry.instruments();
-    let _live = sdimm_bench::LiveView::spawn(instruments.live.clone());
-    let scale = Scale::from_env();
+    let mut fig = Figure::start("offdimm");
+    let (scale, standard) = (fig.scale(), fig.standard());
 
     println!("== X1 (analytic): off-DIMM traffic as fraction of baseline ==");
     for (label, levels_in_memory) in [("with 7-level ORAM cache", 21u64), ("no ORAM cache", 28)] {
@@ -32,22 +30,7 @@ fn main() {
         MachineKind::Independent { sdimms: 2, channels: 1 },
         MachineKind::Split { ways: 2, channels: 1 },
     ];
-    let cells = sdimm_bench::run_matrix_maybe_audited(
-        &telemetry,
-        &wl,
-        &kinds,
-        scale,
-        |kind| SystemConfig {
-            kind,
-            oram: scale.oram(7),
-            data_blocks: scale.data_blocks(),
-            standard: telemetry.standard,
-            low_power: false,
-            seed: 1,
-        },
-        &instruments,
-        0,
-    );
+    let cells = fig.panel("x1", &wl, &kinds, |kind| scale.config(kind, standard));
     for w in wl {
         let base = cells
             .iter()
@@ -63,6 +46,5 @@ fn main() {
             );
         }
     }
-    sdimm_bench::leakage::write_if_requested(&telemetry, &kinds, scale, &instruments);
-    telemetry.write_outputs(&cells, &instruments);
+    fig.finish();
 }

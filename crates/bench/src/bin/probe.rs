@@ -3,18 +3,11 @@
 
 use dram_sim::spec::DramStandard;
 use sdimm_system::executor::ExecEvent;
-use sdimm_system::machine::{Machine, MachineKind, SystemConfig};
+use sdimm_system::machine::{Machine, MachineKind};
 
 fn probe(kind: MachineKind) {
     let scale = sdimm_bench::Scale::from_env();
-    let cfg = SystemConfig {
-        kind,
-        oram: scale.oram(7),
-        data_blocks: scale.data_blocks(),
-        standard: DramStandard::default(),
-        low_power: false,
-        seed: 1,
-    };
+    let cfg = scale.config(kind, DramStandard::default());
     let mut m = Machine::new(cfg.clone());
     // Warm PLB.
     for i in 0..64u64 {

@@ -8,15 +8,9 @@ use workloads::spec;
 fn main() {
     let scale = sdimm_bench::Scale::from_env();
     let trace = spec::generate("milc-like", scale.trace_len(), 42);
+    let kind = MachineKind::Independent { sdimms: 2, channels: 1 };
     for low_power in [false, true] {
-        let cfg = SystemConfig {
-            kind: MachineKind::Independent { sdimms: 2, channels: 1 },
-            oram: scale.oram(7),
-            data_blocks: scale.data_blocks(),
-            standard: DramStandard::default(),
-            low_power,
-            seed: 1,
-        };
+        let cfg = SystemConfig { low_power, ..scale.config(kind, DramStandard::default()) };
         let r = run(&cfg, &trace, scale.warmup(), scale.measure());
         let e = &r.energy;
         println!(

@@ -1,9 +1,11 @@
 //! Shared telemetry CLI flags for the figure binaries.
 //!
-//! Every `run_matrix`-style binary accepts the same optional flags:
+//! Every figure binary accepts the same optional flags, parsed by
+//! [`Figure::start`](crate::Figure::start):
 //!
 //! ```text
-//! --metrics-json <path>     write the merged metrics snapshot (JSON)
+//! --metrics-json <path>     write the metrics snapshot of every cell,
+//!                           keyed <panel>.<workload>.<machine>. (JSON)
 //! --trace-json <path>       record the event ring and write it as a
 //!                           Chrome trace (open in Perfetto)
 //! --audit                   replay every DRAM command stream through the
@@ -30,19 +32,15 @@
 //! never silently run a multi-minute experiment with telemetry dropped.
 
 use dram_sim::spec::DramStandard;
-use sdimm_telemetry::json::Value;
 use sdimm_telemetry::recorder::{write_atomic, BLACKBOX_EVENTS};
-use sdimm_telemetry::{CycleProfiler, Instruments, LiveProgress, MetricsRegistry, TraceSink};
+use sdimm_telemetry::{CycleProfiler, Instruments, LiveProgress, TraceSink};
 
-use crate::harness::{max_workers, Cell};
-
-/// Stacks shown in the profiler's top-k table after a profiled run.
-const PROFILE_TOP_K: usize = 10;
+use crate::harness::max_workers;
 
 /// Parsed telemetry flags shared by every figure binary.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryArgs {
-    /// Destination for the merged metrics snapshot, if requested.
+    /// Destination for the metrics snapshot, if requested.
     pub metrics_json: Option<String>,
     /// Destination for the Chrome trace, if requested.
     pub trace_json: Option<String>,
@@ -168,75 +166,6 @@ impl TelemetryArgs {
         }
         instruments
     }
-
-    /// Writes whichever outputs were requested: the merged metrics
-    /// snapshot of `cells`, the Chrome trace, and/or the folded
-    /// cycle-attribution profile (with its top-k table on stdout), each
-    /// through [`write_or_die`].
-    pub fn write_outputs(&self, cells: &[Cell], instruments: &Instruments) {
-        if let Some(path) = &self.metrics_json {
-            let merged = merge_metrics(cells);
-            write_or_die(path, &merged.to_json(), "metrics snapshot");
-            println!("\nmetrics snapshot written to {path}");
-        }
-        if let Some(path) = &self.trace_json {
-            let sink = &instruments.sink;
-            let Some(json) = sink.export_chrome_json() else {
-                eprintln!("--trace-json {path}: the event ring is disabled, nothing to export");
-                // Sanctioned exit: a requested output that cannot be produced must fail the run.
-                #[allow(clippy::disallowed_methods)]
-                std::process::exit(1);
-            };
-            write_or_die(path, &json, "chrome trace");
-            println!(
-                "chrome trace written to {path} ({} events, {} dropped) — open in Perfetto",
-                sink.len(),
-                sink.dropped()
-            );
-        }
-        if let Some(path) = &self.profile_folded {
-            self.write_profile(path, instruments);
-        }
-        if let Some(prefix) = &self.flight_recorder {
-            println!(
-                "flight recorder armed ({} cells, prefix {prefix}): dumps written only on audit \
-                 violation, stash breach, or panic",
-                cells.len()
-            );
-        }
-    }
-
-    /// Folded-profile output: the collapsed-stack file, its
-    /// `.meta.json` sidecar (sampled-cycle total for validation), and
-    /// the top-k attribution table on stdout.
-    fn write_profile(&self, path: &str, instruments: &Instruments) {
-        let profiler = &instruments.profiler;
-        let Some(folded) = profiler.export_folded() else {
-            eprintln!("--profile-folded {path}: profiler is disabled, nothing to export");
-            // Sanctioned exit: a requested output that cannot be produced must fail the run.
-            #[allow(clippy::disallowed_methods)]
-            std::process::exit(1);
-        };
-        write_or_die(path, &folded, "folded profile");
-        let sampled = profiler.sampled_cycles();
-        let meta = Value::object([
-            ("sampled_cycles", sampled.into()),
-            ("sample_interval", profiler.interval().into()),
-            ("stacks", profiler.stack_count().into()),
-        ]);
-        let meta_path = format!("{path}.meta.json");
-        write_or_die(&meta_path, &meta.render(), "profile metadata");
-        println!(
-            "\nfolded profile written to {path} ({} stacks, {sampled} sampled cycles; \
-             meta in {meta_path})",
-            profiler.stack_count()
-        );
-        println!("cycle attribution (top {PROFILE_TOP_K}):");
-        for (stack, weight) in profiler.top_k(PROFILE_TOP_K) {
-            let share = if sampled > 0 { weight as f64 / sampled as f64 * 100.0 } else { 0.0 };
-            println!("  {weight:>14} cyc  {share:5.1}%  {stack}");
-        }
-    }
 }
 
 /// Writes `contents` to `path` through a temp file and a rename, so a
@@ -264,17 +193,6 @@ fn install_flight_panic_hook(sink: &TraceSink, prefix: &str) {
         }
         prev(info);
     }));
-}
-
-/// Merges every cell's metrics snapshot into one registry, namespaced
-/// `"<workload>.<machine>."` so a matrix of runs stays one flat JSON
-/// document with byte-stable key order.
-pub fn merge_metrics(cells: &[Cell]) -> MetricsRegistry {
-    let mut merged = MetricsRegistry::new();
-    for c in cells {
-        merged.absorb(&format!("{}.{}", c.workload, c.machine), &c.result.metrics);
-    }
-    merged
 }
 
 #[cfg(test)]

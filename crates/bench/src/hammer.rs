@@ -262,14 +262,8 @@ pub fn run_report(points: &[HammerPoint], workloads: &[&str], scale: Scale) -> H
             workload,
             if point.low_power { " (low-power)" } else { "" }
         );
-        let cfg = SystemConfig {
-            kind: point.kind,
-            oram: scale.oram(7),
-            data_blocks: scale.data_blocks(),
-            standard: point.standard,
-            low_power: point.low_power,
-            seed: 1,
-        };
+        let cfg =
+            SystemConfig { low_power: point.low_power, ..scale.config(point.kind, point.standard) };
         let trace = spec::generate(workload, scale.trace_len(), 3);
         run_cell(&cfg, &trace, scale.warmup(), scale.measure())
     });

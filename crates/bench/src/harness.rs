@@ -1,5 +1,5 @@
-//! Parallel experiment matrices: the ordered worker pool [`par_map`]
-//! and the figure matrix [`run_matrix`] built on it.
+//! Parallel experiment matrices: the ordered worker pool `par_map` and
+//! the figure panel's matrix `run_matrix` built on it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -55,6 +55,8 @@ pub(crate) fn par_map<J: Sync, T: Send>(
 /// One measured cell of an experiment matrix.
 #[derive(Debug, Clone)]
 pub struct Cell {
+    /// Key of the figure panel the cell belongs to.
+    pub panel: String,
     /// Workload name.
     pub workload: String,
     /// Machine/design-point name.
@@ -63,24 +65,23 @@ pub struct Cell {
     pub result: RunResult,
 }
 
-/// Runs every (workload × machine) combination on [`par_map`] and
-/// returns the cells in deterministic (workload-major) order.
+/// Runs every (workload × machine) combination of figure panel `panel`
+/// on [`par_map`] and returns the cells in deterministic
+/// (workload-major) order.
 ///
 /// `make_cfg` builds the system configuration for a machine kind —
 /// letting callers vary cached levels, low-power mode, etc. Each cell
 /// gets its own trace process id (`pid_base` + its matrix order), named
 /// `"<machine> / <workload>"`, so the run's one ring (its Chrome trace
 /// and its per-cell black boxes) holds the whole matrix side by side.
-/// Callers running several matrices on one bundle should advance
-/// `pid_base` past the previous matrix's cell count to keep process ids
-/// distinct. Pass [`Instruments::disabled`] for the plain path — every
-/// disabled handle costs one branch per touchpoint.
 ///
 /// With `audit`, every cell's DRAM command streams are replayed through
 /// [`DdrAuditor`] inside the worker as the cell finishes and dropped
 /// there, so memory stays bounded by one cell's traffic per worker
 /// rather than the whole matrix's. Without it the log is empty.
-pub fn run_matrix(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_matrix(
+    panel: &str,
     workload_names: &[&str],
     kinds: &[MachineKind],
     scale: Scale,
@@ -110,7 +111,12 @@ pub fn run_matrix(
                 pid,
                 capture,
             );
-            let cell = Cell { workload: wname.to_string(), machine: kind.name(), result };
+            let cell = Cell {
+                panel: panel.to_string(),
+                workload: wname.to_string(),
+                machine: kind.name(),
+                result,
+            };
             let log = if audit {
                 audit_cell(&cell, &captured, instruments, pid)
             } else {
@@ -133,7 +139,7 @@ pub fn run_matrix(
 /// Aggregate result of replaying a matrix's DRAM command streams
 /// through the differential DDR3 auditor.
 #[derive(Debug, Clone, Default)]
-pub struct DdrAuditLog {
+pub(crate) struct DdrAuditLog {
     /// Matrix cells audited.
     pub cells: u64,
     /// DDR commands replayed across every channel of every cell.

@@ -8,21 +8,22 @@
 //! * the `leakage_gate` binary runs [`gate_kinds`] and fails the build
 //!   when any secure protocol is distinguishable *or* the NonSecure
 //!   baseline is not (the battery's power check);
-//! * every `run_matrix` figure binary accepts `--leakage <report.json>`
-//!   and calls [`write_if_requested`] with its own protocol set, so any
-//!   figure's design points can be re-audited for timing leakage.
+//! * every figure binary accepts `--leakage <report.json>`, and its
+//!   [`Figure::finish`](crate::Figure::finish) calls `write_report`
+//!   with the machines its panels named, so any figure's design points
+//!   can be re-audited for timing leakage.
 
 use dram_sim::spec::DramStandard;
 use sdimm_leakage::{analyze_pair, AnalysisConfig, Capture, EntryReport, LeakageReport};
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner;
-use sdimm_telemetry::Instruments;
+use sdimm_telemetry::{Instruments, TraceSink};
 use workloads::leakage::{pairs, required_blocks, LeakagePair};
 use workloads::Trace;
 
 use crate::cli::write_or_die;
 use crate::harness::par_map;
-use crate::{Scale, TelemetryArgs};
+use crate::Scale;
 
 /// Synthetic Perfetto pid for the report's annotation slices (far above
 /// any cell pid a figure matrix allocates).
@@ -88,14 +89,7 @@ pub fn run_report(kinds: &[MachineKind], scale: Scale, standard: DramStandard) -
         kinds.iter().flat_map(|&kind| pair_set.iter().map(move |pair| (kind, pair))).collect();
     let entries = par_map(&jobs, |_, &(kind, pair)| {
         eprintln!("leakage: {} × {} ...", kind.name(), pair.name);
-        let cfg = SystemConfig {
-            kind,
-            oram: scale.oram(7),
-            data_blocks: scale.data_blocks(),
-            standard,
-            low_power: false,
-            seed: 1,
-        };
+        let cfg = scale.config(kind, standard);
         let a = capture(&cfg, &pair.a, warmup, measure);
         let b = capture(&cfg, &pair.b, warmup, measure);
         EntryReport {
@@ -137,23 +131,20 @@ pub fn print_table(report: &LeakageReport) {
     );
 }
 
-/// Figure-binary hook for `--leakage <report.json>`: when the flag was
-/// given, runs the leakage matrix over this figure's design points,
-/// writes the byte-stable report, and (if a trace is being captured)
-/// adds the verdict slices to the Perfetto export. No-op without the
-/// flag.
-pub fn write_if_requested(
-    telemetry: &TelemetryArgs,
+/// A figure's `--leakage <path>`: runs the leakage matrix over the
+/// figure's design points on `standard`, writes the byte-stable report
+/// to `path`, and adds the verdict slices to `sink` (a no-op when no
+/// trace is being captured).
+pub(crate) fn write_report(
+    path: &str,
     kinds: &[MachineKind],
     scale: Scale,
-    instruments: &Instruments,
+    standard: DramStandard,
+    sink: &TraceSink,
 ) {
-    let Some(path) = &telemetry.leakage else {
-        return;
-    };
-    let report = run_report(kinds, scale, telemetry.standard);
+    let report = run_report(kinds, scale, standard);
     print_table(&report);
-    report.annotate(&instruments.sink, ANNOTATION_PID);
+    report.annotate(sink, ANNOTATION_PID);
     write_or_die(path, &report.to_value().render(), "leakage report");
     println!("leakage report written to {path}");
 }

@@ -9,7 +9,7 @@
 //! sanctioned choke point.
 //!
 //! A [`LiveView`] spawned from a disabled [`LiveProgress`] is a no-op
-//! handle, so figure binaries can construct one unconditionally.
+//! handle, so the figure session starts one unconditionally.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use sdimm_telemetry::{LiveProgress, LiveSnapshot};
 const REDRAW: Duration = Duration::from_millis(250);
 
 /// Background status-line renderer; stops (and erases the line) when
-/// dropped or explicitly [`finish`](LiveView::finish)ed.
+/// dropped.
 #[derive(Debug)]
 pub struct LiveView {
     stop: Arc<AtomicBool>,
@@ -55,11 +55,6 @@ impl LiveView {
             }
         });
         LiveView { stop, handle: Some(handle), live }
-    }
-
-    /// Stops the renderer and erases the status line.
-    pub fn finish(mut self) {
-        self.shutdown();
     }
 
     fn shutdown(&mut self) {
@@ -130,6 +125,6 @@ mod tests {
     fn disabled_view_is_inert() {
         let view = LiveView::spawn(LiveProgress::disabled());
         assert!(view.handle.is_none());
-        view.finish();
+        drop(view);
     }
 }

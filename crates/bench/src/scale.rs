@@ -1,6 +1,8 @@
 //! Run-scale selection for the figure binaries.
 
+use dram_sim::spec::DramStandard;
 use oram::types::OramConfig;
+use sdimm_system::machine::{MachineKind, SystemConfig};
 
 /// How big a run the figure binaries perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +63,21 @@ impl Scale {
         match self {
             Scale::Quick => 1 << 15,
             Scale::Full => 1 << 19,
+        }
+    }
+
+    /// The system every bench run starts from: `kind` on `standard`
+    /// with this scale's tree and its 7-level on-chip ORAM cache, this
+    /// scale's data blocks, low power off and seed 1. Callers override
+    /// fields with struct-update syntax where a panel differs.
+    pub fn config(&self, kind: MachineKind, standard: DramStandard) -> SystemConfig {
+        SystemConfig {
+            kind,
+            oram: self.oram(7),
+            data_blocks: self.data_blocks(),
+            standard,
+            low_power: false,
+            seed: 1,
         }
     }
 

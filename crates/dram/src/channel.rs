@@ -362,11 +362,6 @@ impl DramChannel {
         &self.mapper
     }
 
-    /// Read-queue occupancy.
-    pub fn read_queue_len(&self) -> usize {
-        self.read_q.len
-    }
-
     /// Write-queue occupancy.
     pub fn write_queue_len(&self) -> usize {
         self.write_q.len

@@ -131,16 +131,6 @@ impl Timing {
         }
     }
 
-    /// Read command to start of data on the bus.
-    pub fn read_data_start(&self) -> Cycle {
-        self.cl
-    }
-
-    /// Write command to start of data on the bus.
-    pub fn write_data_start(&self) -> Cycle {
-        self.cwl
-    }
-
     /// Write command to earliest same-bank PRE: CWL + tBURST + tWR (write
     /// recovery is measured from the end of the data burst).
     pub fn write_to_pre(&self) -> Cycle {

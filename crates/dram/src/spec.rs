@@ -68,17 +68,6 @@ impl DramStandard {
         DramStandard::ALL.into_iter().find(|std| std.name() == norm)
     }
 
-    /// Memory-clock period in nanoseconds (for latency reporting).
-    pub fn t_ck_ns(&self) -> f64 {
-        match self {
-            DramStandard::Ddr3_1600 => 1.25,
-            DramStandard::Ddr3_800 => 2.5,
-            DramStandard::Ddr4_2400 => 1.0 / 1.2,
-            DramStandard::Lpddr4_3200 => 0.625,
-            DramStandard::Hbm2 => 1.0,
-        }
-    }
-
     /// The full spec table for this standard.
     pub fn spec(&self) -> DramSpec {
         match self {

@@ -73,29 +73,9 @@ impl ChannelStats {
         }
     }
 
-    /// Adds another stats block into this one.
-    pub fn merge(&mut self, o: &ChannelStats) {
-        self.reads_completed += o.reads_completed;
-        self.writes_completed += o.writes_completed;
-        self.row_hits += o.row_hits;
-        self.row_misses += o.row_misses;
-        self.row_conflicts += o.row_conflicts;
-        self.read_latency_sum += o.read_latency_sum;
-        self.read_latency_max = self.read_latency_max.max(o.read_latency_max);
-        self.read_latency_hist.merge(&o.read_latency_hist);
-        self.data_bus_busy_cycles =
-            self.data_bus_busy_cycles.saturating_add(o.data_bus_busy_cycles);
-        self.refreshes += o.refreshes;
-        self.activations += o.activations;
-        self.hammer_alarms += o.hammer_alarms;
-        self.stalled_cycles = self.stalled_cycles.saturating_add(o.stalled_cycles);
-        self.scheduler_invocations += o.scheduler_invocations;
-    }
-
-    /// Clears every counter and the latency histogram — the inverse of
-    /// [`merge`](Self::merge). Callers use this between a warm-up window
-    /// and the measured window so warm-up traffic cannot leak into
-    /// reported statistics.
+    /// Clears every counter and the latency histogram. Callers use this
+    /// between a warm-up window and the measured window so warm-up
+    /// traffic cannot leak into reported statistics.
     pub fn reset(&mut self) {
         *self = ChannelStats::default();
     }
@@ -151,25 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_keeps_max_latency() {
-        let mut a = ChannelStats { read_latency_max: 10, ..Default::default() };
-        let b = ChannelStats { read_latency_max: 99, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.read_latency_max, 99);
-    }
-
-    #[test]
-    fn merge_combines_latency_histograms() {
-        let mut a = ChannelStats::default();
-        let mut b = ChannelStats::default();
-        a.read_latency_hist.record(10);
-        b.read_latency_hist.record(1000);
-        a.merge(&b);
-        assert_eq!(a.read_latency_hist.count(), 2);
-        assert_eq!(a.read_latency_hist.max(), 1000);
-    }
-
-    #[test]
     fn reset_is_the_inverse_of_merge() {
         let mut a = ChannelStats {
             reads_completed: 5,
@@ -188,15 +149,10 @@ mod tests {
 
     #[test]
     fn wear_counters_survive_merge_and_export() {
-        // Warm-up boundary regression (same pattern as PR 2): the wear
-        // counters must participate in merge/to_metrics like every other
-        // field, so a reset at the measurement boundary actually zeroes
-        // them and the per-channel export reports them.
-        let mut a = ChannelStats { activations: 2, hammer_alarms: 1, ..Default::default() };
-        let b = ChannelStats { activations: 3, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.activations, 5);
-        assert_eq!(a.hammer_alarms, 1);
+        // Warm-up boundary regression: the wear counters must take part
+        // in to_metrics like every other field, so the per-channel
+        // export reports them.
+        let a = ChannelStats { activations: 5, hammer_alarms: 1, ..Default::default() };
         let m = a.to_metrics().to_json();
         assert!(m.contains("\"activations\": 5"), "{m}");
         assert!(m.contains("\"hammer_alarms\": 1"), "{m}");

@@ -183,11 +183,6 @@ impl PathOram {
         &self.layout
     }
 
-    /// Number of logical blocks.
-    pub fn block_count(&self) -> u64 {
-        self.blocks
-    }
-
     /// Current stash occupancy.
     pub fn stash_len(&self) -> usize {
         self.stash.len()

@@ -92,14 +92,6 @@ impl MachineKind {
         }
     }
 
-    /// The per-channel DRAM configuration this machine runs on the
-    /// default (Table II DDR3-1600) standard. Shorthand for
-    /// [`channel_config_for`](Self::channel_config_for) with
-    /// [`DramStandard::default`].
-    pub fn channel_config(&self) -> ChannelConfig {
-        self.channel_config_for(DramStandard::default())
-    }
-
     /// The per-channel DRAM configuration this machine runs under
     /// `standard`: main-memory channels for the baselines, the
     /// SDIMM-internal channel otherwise, refresh enabled in both.

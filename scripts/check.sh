@@ -51,6 +51,12 @@ SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig6 -- \
 echo "==> audited quick-scale fig9 (every SDIMM protocol: DDR replay + ORAM oracle must be clean)"
 SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig9 -- --audit > /dev/null
 
+echo "==> audited quick-scale fig8, fig10, fig11, lowpower and offdimm (every panel must be clean)"
+cargo build --release -q -p sdimm-bench --bin fig8 --bin fig10 --bin fig11 --bin lowpower --bin offdimm
+for bin in fig8 fig10 fig11 lowpower offdimm; do
+  SDIMM_BENCH_SCALE=quick "./target/release/$bin" --audit > /dev/null
+done
+
 echo "==> protocol-crossover figure (all four standards; byte-stable across runs)"
 # Two runs from sibling directories, compared byte-for-byte: the report
 # must be a pure function of the simulated streams (provenance + cycles,

@@ -804,14 +804,15 @@ impl DdrAuditor {
 /// command was issued into (several full path accesses at quick scale).
 pub const BLACKBOX_CONTEXT: usize = 128;
 
-/// Builds a ring holding the violating command (at `index` in `stream`)
-/// plus up to `context` preceding commands, in issue order, under pid 0,
-/// ready for a black-box dump: pair with [`TraceSink::blackbox_report`]
-/// or [`TraceSink::dump_to_files`], passing the [`Violation`]'s
-/// `Display` form as the reason so the report shows the
-/// actual-vs-required arithmetic next to the command history.
+/// Builds a sink whose one finished cell, pid 0, holds the violating
+/// command (at `index` in `stream`) plus up to `context` preceding
+/// commands, in issue order, ready for a black-box dump: pair with
+/// [`TraceSink::blackbox_report`] or [`TraceSink::dump_to_files`],
+/// passing the [`Violation`]'s `Display` form as the reason so the
+/// report shows the actual-vs-required arithmetic next to the command
+/// history.
 ///
-/// Works from the captured stream rather than the run's live ring so the
+/// Works from the captured stream rather than the run's cell ring so the
 /// context window is guaranteed present even when the ring was disabled
 /// or had wrapped past the offending window.
 pub fn violation_recorder(
@@ -831,6 +832,7 @@ pub fn violation_recorder(
         let rank = rec.rank.min(u8::MAX as usize) as u8;
         cell.record_at(rec.cycle, EventKind::DdrCmd(rec.cmd.flight_kind(channel, rank)));
     }
+    drop(cell);
     recorder
 }
 

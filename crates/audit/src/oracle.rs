@@ -306,14 +306,14 @@ fn check_path_oram(
             ));
         }
         let path = oram.layout().path_lines(plan.leaf);
-        if plan.read_lines != path {
+        if plan.lines != path {
             return Err(mismatch(
                 kind,
                 step,
                 id,
                 format!(
                     "fetched {} lines but the claimed path {} has {}",
-                    plan.read_lines.len(),
+                    plan.lines.len(),
                     plan.leaf,
                     path.len()
                 ),
@@ -396,7 +396,7 @@ fn check_freecursive(
         }
         for plan in &plans {
             let path = f.backend().layout().path_lines(plan.leaf);
-            if plan.read_lines != path {
+            if plan.lines != path {
                 return Err(mismatch(
                     kind,
                     step,

@@ -1,23 +1,22 @@
 //! `telemetry_overhead` — the telemetry overhead gate.
 //!
-//! The telemetry layer makes two promises about its one event ring,
+//! The telemetry layer makes two promises about its event rings,
 //! which this binary checks empirically against a quick-scale
 //! fig6-style Freecursive window:
 //!
 //! * a **disabled** ring costs one branch per touchpoint, keeping
 //!   instrumented simulation within 2% of un-instrumented speed, and
-//! * an **enabled** black-box ring (what `--flight-recorder` records
-//!   into) is cheap enough to leave armed on long runs: under 5% of run
-//!   time.
+//! * an **enabled** cell ring (what `--flight-recorder` records into) is
+//!   cheap enough to leave armed on long runs: under 5% of run time.
 //!
 //! Method:
 //!
 //! 1. measure the per-call wall cost of the primitive for each row
 //!    (record calls on a disabled [`CellTrace`]; record calls on an
-//!    enabled one pushing into a full black-box ring, which is the steady
-//!    state of a bounded ring),
-//! 2. count the events one run records (one census run with the ring
-//!    enabled: ring length + dropped count). Every event is one
+//!    enabled one pushing into a cell's ring, which wraps many times
+//!    over: the steady state of a bounded ring),
+//! 2. count the events one run records (one census run with the sink
+//!    enabled: kept events + dropped count). Every event is one
 //!    touchpoint call, so the count serves both rows,
 //! 3. time the same window un-instrumented (best of three),
 //!
@@ -46,8 +45,8 @@ use workloads::spec as wl;
 /// quick-scale fig6 wall time.
 const MAX_OVERHEAD_PCT: f64 = 2.0;
 
-/// Gate: projected cost of an *enabled* black-box ring must stay under
-/// this share of the same run's wall time.
+/// Gate: projected cost of an *enabled* cell ring with its black box
+/// armed must stay under this share of the same run's wall time.
 const MAX_RECORDER_OVERHEAD_PCT: f64 = 5.0;
 
 /// Calls per shape when timing the disabled ring. Large enough that the
@@ -128,17 +127,18 @@ fn wear_enabled_ns_per_event() -> f64 {
     ns
 }
 
-/// Per-event cost of recording into the ring `--flight-recorder` arms.
+/// Per-event cost of recording into the cell ring `--flight-recorder`
+/// arms, handing the events to the sink at the cell's end included.
 fn recorder_ns_per_event() -> f64 {
     let args = TelemetryArgs { flight_recorder: Some(String::new()), ..TelemetryArgs::default() };
     let sink = args.sink();
-    let cell = sink.cell(0, SharedCycle::new());
     let start = Instant::now();
+    let cell = sink.cell(0, SharedCycle::new());
     for i in 0..RECORDER_CALLS {
         let kind = EventKind::StashTick { backend: 0, occupancy: black_box(i as u32) };
         cell.record_at(black_box(i), kind);
     }
-    sink.flush();
+    drop(cell);
     start.elapsed().as_nanos() as f64 / RECORDER_CALLS as f64
 }
 
@@ -165,9 +165,9 @@ fn main() {
     let wear_disabled_ns = wear_disabled_ns_per_touch();
     let wear_enabled_ns = wear_enabled_ns_per_event();
 
-    // Census: the events one run records (ring length plus everything
-    // that wrapped past). Each is one call the disabled path branches
-    // through and one push the enabled ring absorbs.
+    // Census: the events one run records (those its ring kept plus
+    // everything that wrapped past). Each is one call the disabled path
+    // branches through and one push the enabled ring absorbs.
     let census = Instruments::with_sink(TraceSink::enabled());
     run_with(&cfg, &trace, warmup, window, &census, 0, Capture::default());
     let events = census.sink.len() as u64 + census.sink.dropped();

@@ -6,13 +6,13 @@
 //! ```text
 //! --metrics-json <path>     write the metrics snapshot of every cell,
 //!                           keyed <panel>.<workload>.<machine>. (JSON)
-//! --trace-json <path>       record the event ring and write it as a
-//!                           Chrome trace (open in Perfetto)
+//! --trace-json <path>       record each cell's newest events and write
+//!                           them as a Chrome trace (open in Perfetto)
 //! --audit                   replay every DRAM command stream through the
 //!                           differential DDR3 auditor and lockstep-check
 //!                           the ORAM protocols against a shadow memory
-//! --flight-recorder <pfx>   record the event ring and write a cell's
-//!                           newest events as <pfx>-pid<N>.blackbox.txt
+//! --flight-recorder <pfx>   record each cell's newest events and dump a
+//!                           cell's black box as <pfx>-pid<N>.blackbox.txt
 //!                           (+ .trace.json) on violations, stash
 //!                           breaches, or panics
 //! --profile-folded <path>   sample the executor every K simulated
@@ -32,10 +32,8 @@
 //! never silently run a multi-minute experiment with telemetry dropped.
 
 use dram_sim::spec::DramStandard;
-use sdimm_telemetry::recorder::{write_atomic, BLACKBOX_EVENTS};
+use sdimm_telemetry::recorder::write_atomic;
 use sdimm_telemetry::{CycleProfiler, Instruments, LiveProgress, TraceSink};
-
-use crate::harness::max_workers;
 
 /// Parsed telemetry flags shared by every figure binary.
 #[derive(Debug, Clone, Default)]
@@ -48,9 +46,9 @@ pub struct TelemetryArgs {
     /// experiment: DDR3 command-stream replay audit plus the ORAM
     /// shadow-memory oracle. Any violation fails the run.
     pub audit: bool,
-    /// Black-box dump prefix: when set, the run records the event ring
-    /// and a cell's newest events are dumped as a black-box report on
-    /// violations, stash breaches, or panics.
+    /// Black-box dump prefix: when set, the run records each cell's
+    /// events and a cell's newest ones are dumped as a black-box report
+    /// on violations, stash breaches, or panics.
     pub flight_recorder: Option<String>,
     /// Destination for the collapsed-stack (folded) cycle-attribution
     /// profile, if requested. A `<path>.meta.json` sidecar records the
@@ -127,44 +125,33 @@ impl TelemetryArgs {
         out
     }
 
-    /// The ring the experiment should record into: enabled only when
+    /// The sink the experiment records into: enabled only when
     /// `--trace-json` or `--flight-recorder` was given, so the default run
-    /// pays one branch per telemetry touchpoint and nothing else. A trace
-    /// gets the deep default ring. The black box alone needs only each
-    /// running cell's newest [`BLACKBOX_EVENTS`], so its ring holds that
-    /// many per worker and stays cache-resident, which keeps an armed
-    /// black box as cheap as its gate requires.
+    /// pays one branch per telemetry touchpoint and nothing else. Either
+    /// flag gives each cell a ring of its newest 2^14 events;
+    /// `--flight-recorder` also arms each cell's black box, which a stash
+    /// breach or the cell's panic writes.
     pub fn sink(&self) -> TraceSink {
-        if self.trace_json.is_some() {
-            TraceSink::enabled()
-        } else if self.flight_recorder.is_some() {
-            TraceSink::with_capacity(BLACKBOX_EVENTS * max_workers())
-        } else {
-            TraceSink::disabled()
+        match (&self.flight_recorder, &self.trace_json) {
+            (Some(prefix), _) => TraceSink::with_blackbox(prefix),
+            (None, Some(_)) => TraceSink::enabled(),
+            (None, None) => TraceSink::disabled(),
         }
     }
 
-    /// The full observability bundle for these flags: event ring,
-    /// black-box prefix, cycle profiler, and live-dashboard state — each
-    /// enabled only by its flag. With a black-box prefix, this also
-    /// installs a panic hook (chaining the previous one) that dumps every
-    /// cell's black box before the panic message, so even a crashed run
-    /// leaves its last events behind.
+    /// The full observability bundle for these flags: trace sink (with
+    /// its black-box prefix), cycle profiler, and live-dashboard state —
+    /// each enabled only by its flag.
     pub fn instruments(&self) -> Instruments {
-        let instruments = Instruments {
+        Instruments {
             sink: self.sink(),
-            blackbox: self.flight_recorder.clone(),
             profiler: if self.profile_folded.is_some() {
                 CycleProfiler::enabled()
             } else {
                 CycleProfiler::disabled()
             },
             live: if self.live { LiveProgress::enabled() } else { LiveProgress::disabled() },
-        };
-        if let Some(prefix) = &instruments.blackbox {
-            install_flight_panic_hook(&instruments.sink, prefix);
         }
-        instruments
     }
 }
 
@@ -179,20 +166,6 @@ pub fn write_or_die(path: &str, contents: &str, what: &str) {
         #[allow(clippy::disallowed_methods)]
         std::process::exit(1);
     }
-}
-
-/// Chains a panic hook that dumps the black box of every cell in `sink`
-/// to `<prefix>-pid<N>.*` before the default (or previously installed)
-/// panic output runs.
-fn install_flight_panic_hook(sink: &TraceSink, prefix: &str) {
-    let (sink, prefix) = (sink.clone(), prefix.to_string());
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        for line in sink.dump_all(&prefix, "panic") {
-            eprintln!("flight recorder: {line}");
-        }
-        prev(info);
-    }));
 }
 
 #[cfg(test)]
@@ -212,13 +185,14 @@ mod tests {
             ..TelemetryArgs::default()
         };
         assert!(args.sink().is_enabled());
+        assert!(args.sink().blackbox_prefix().is_none(), "a trace alone arms no black box");
     }
 
     #[test]
     fn default_args_build_fully_disabled_instruments() {
         let ins = TelemetryArgs::default().instruments();
         // No flag set means every handle is a one-branch no-op.
-        assert!(!ins.sink.is_enabled() && ins.blackbox.is_none());
+        assert!(!ins.sink.is_enabled() && ins.sink.blackbox_prefix().is_none());
         assert!(!ins.profiler.is_enabled() && !ins.live.is_enabled());
     }
 
@@ -231,8 +205,8 @@ mod tests {
             ..TelemetryArgs::default()
         }
         .instruments();
-        assert!(ins.sink.is_enabled(), "the black box renders the event ring");
-        assert_eq!(ins.blackbox.as_deref(), Some("/tmp/fr"));
+        assert!(ins.sink.is_enabled(), "the black box renders each cell's ring");
+        assert_eq!(ins.sink.blackbox_prefix(), Some("/tmp/fr"));
         assert!(ins.profiler.is_enabled());
         assert!(ins.live.is_enabled());
     }

@@ -32,9 +32,8 @@ pub struct Figure {
 
 impl Figure {
     /// Opens the session of binary `bin`: parses the shared flags (exit 2
-    /// on a bad one), builds their instruments (and the black box's panic
-    /// hook), starts the live view and reads `SDIMM_BENCH_SCALE` (exit 2
-    /// on a bad value).
+    /// on a bad one), builds their instruments, starts the live view and
+    /// reads `SDIMM_BENCH_SCALE` (exit 2 on a bad value).
     pub fn start(bin: &str) -> Figure {
         let args = TelemetryArgs::from_env(bin);
         let instruments = args.instruments();
@@ -121,7 +120,7 @@ impl Figure {
         if let Some(path) = &args.trace_json {
             let sink = &self.instruments.sink;
             let Some(json) = sink.export_chrome_json() else {
-                eprintln!("--trace-json {path}: the event ring is disabled, nothing to export");
+                eprintln!("--trace-json {path}: the trace sink is disabled, nothing to export");
                 // Sanctioned exit: a requested output that cannot be produced must fail the run.
                 #[allow(clippy::disallowed_methods)]
                 std::process::exit(1);

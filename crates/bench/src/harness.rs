@@ -11,23 +11,27 @@ use workloads::spec;
 
 use crate::scale::Scale;
 
-/// Most workers [`par_map`] runs at once: the machine's cores.
-pub(crate) fn max_workers() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
-}
-
 /// Runs `work(index, job)` for every job on a pool of scoped workers
 /// and returns the results in job order.
 ///
-/// Concurrency is bounded by [`max_workers`]: workers pull the next job
-/// index from a shared cursor, so a large matrix never spawns more
-/// threads than the machine has cores. A worker's panic propagates to
-/// the caller.
+/// Concurrency is bounded by the machine's cores: workers pull the next
+/// job index from a shared cursor, so a large matrix never spawns more
+/// threads than that. A worker's panic propagates to the caller.
 pub(crate) fn par_map<J: Sync, T: Send>(
     jobs: &[J],
     work: impl Fn(usize, &J) -> T + Sync,
 ) -> Vec<T> {
-    let workers = max_workers().min(jobs.len());
+    let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+    par_map_on(cores, jobs, work)
+}
+
+/// [`par_map`] on at most `workers` workers.
+fn par_map_on<J: Sync, T: Send>(
+    workers: usize,
+    jobs: &[J],
+    work: impl Fn(usize, &J) -> T + Sync,
+) -> Vec<T> {
+    let workers = workers.min(jobs.len());
     let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
         let pool: Vec<_> = (0..workers)
@@ -72,8 +76,8 @@ pub struct Cell {
 /// `make_cfg` builds the system configuration for a machine kind —
 /// letting callers vary cached levels, low-power mode, etc. Each cell
 /// gets its own trace process id (`pid_base` + its matrix order), named
-/// `"<machine> / <workload>"`, so the run's one ring (its Chrome trace
-/// and its per-cell black boxes) holds the whole matrix side by side.
+/// `"<machine> / <workload>"`, and records into a ring of its own, so
+/// the run's Chrome trace shows the whole matrix side by side.
 ///
 /// With `audit`, every cell's DRAM command streams are replayed through
 /// [`DdrAuditor`] inside the worker as the cell finishes and dropped
@@ -166,8 +170,8 @@ impl DdrAuditLog {
 
 /// Replays one cell's captured command streams through [`DdrAuditor`].
 /// A violating channel gets a black box cut from its captured stream
-/// (not the run's live ring: the context window is present even if the
-/// ring was disabled or had wrapped past the offending commands).
+/// (not the cell's ring: the context window is present even if the ring
+/// was disabled or had wrapped past the offending commands).
 fn audit_cell(
     cell: &Cell,
     captured: &Captured,
@@ -187,7 +191,7 @@ fn audit_cell(
         let line = format!("{} / {} channel {ch}: {v}", cell.machine, cell.workload);
         let recorder =
             violation_recorder(stream, ch.min(u8::MAX as usize) as u8, idx, BLACKBOX_CONTEXT);
-        let prefix = match &instruments.blackbox {
+        let prefix = match instruments.sink.blackbox_prefix() {
             Some(prefix) => format!("{prefix}-violation-pid{pid}"),
             None => format!("audit-violation-pid{pid}"),
         };
@@ -213,6 +217,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdimm_telemetry::TraceSink;
 
     #[test]
     fn par_map_returns_results_in_job_order_and_runs_each_job_once() {
@@ -229,6 +234,35 @@ mod tests {
         let expected: Vec<(usize, u64)> = jobs.iter().map(|&j| (j as usize, j * 3)).collect();
         assert_eq!(out, expected);
         assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn traced_matrix_exports_equal_bytes_and_every_cell() {
+        let kinds = [
+            MachineKind::NonSecure { channels: 1 },
+            MachineKind::Freecursive { channels: 1 },
+            MachineKind::Independent { sdimms: 2, channels: 1 },
+            MachineKind::Split { ways: 2, channels: 1 },
+        ];
+        let trace = spec::generate("milc-like", 700, 3);
+        // Rings far smaller than a cell's output, so each cell shows only
+        // if it keeps its own newest events.
+        let export = || {
+            let instruments = Instruments::with_sink(TraceSink::with_capacity(1024));
+            par_map_on(2, &kinds, |pid, &kind| {
+                let cfg = SystemConfig::small(kind);
+                run_with(&cfg, &trace, 200, 400, &instruments, pid as u32, Capture::default());
+            });
+            instruments.sink.export_chrome_json().expect("an enabled sink exports")
+        };
+        let first = export();
+        assert!(first == export(), "two equal runs must export equal bytes");
+        for pid in 0..kinds.len() {
+            let track = format!("\"pid\": {pid}, \"tid\"");
+            let records = first.lines().filter(|l| l.contains(&track) && !l.contains("\"M\""));
+            let records = records.count();
+            assert!(records >= 1024, "pid {pid} keeps its newest events, has {records} records");
+        }
     }
 
     #[test]

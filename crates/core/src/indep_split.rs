@@ -220,7 +220,7 @@ impl Protocol for IndepSplitOram {
         if self.groups[dest].queue.maybe_force_drain(&mut self.rng) {
             let plan = self.groups[dest].oram.background_evict();
             self.stats.drain_accesses += 1;
-            let shares = stripe(&plan.read_lines, k, self.cfg.subtree.lines_per_bucket());
+            let shares = stripe(&plan.lines, k, self.cfg.subtree.lines_per_bucket());
             let mut pd = Phase::default();
             let mut pd_writes = Phase::default();
             for (m, share) in self.members(dest).zip(shares) {

@@ -220,24 +220,25 @@ impl Protocol for IndependentOram {
                 read_phase.par.push(Activity::WakeRank { channel: home, rank });
             }
         }
+        let path_lines = plan.total_lines() as u64;
         read_phase.par.push(Activity::Dram {
             channel: home,
-            reads: plan.read_lines.clone(),
+            reads: plan.lines.clone(),
             writes: Vec::new(),
         });
-        read_phase.par.push(Activity::Crypto { units: plan.read_lines.len() as u32 });
+        read_phase.par.push(Activity::Crypto { units: plan.lines.len() as u32 });
         phases.push(read_phase);
         phases.push(Phase::one(Activity::Dram {
             channel: home,
             reads: Vec::new(),
-            writes: plan.write_lines.clone(),
+            writes: plan.lines,
         }));
         // The secure buffer can accept its next ACCESS once the path
         // write-back retires; PROBE/FETCH_RESULT and the APPEND fan-out
         // are CPU-side actions.
         let backend_release_phase = phases.len() - 1;
-        self.stats.internal_lines += plan.total_lines() as u64;
-        self.record(Observable::InternalPath { sdimm: home, lines: plan.total_lines() as u64 });
+        self.stats.internal_lines += path_lines;
+        self.record(Observable::InternalPath { sdimm: home, lines: path_lines });
 
         // Step 5: PROBE then FETCH_RESULT — the response block (real data,
         // or a dummy when a write stayed local).
@@ -279,13 +280,13 @@ impl Protocol for IndependentOram {
             self.record(Observable::InternalPath { sdimm: dest, lines: plan.total_lines() as u64 });
             phases.push(Phase::one(Activity::Dram {
                 channel: dest,
-                reads: plan.read_lines,
+                reads: plan.lines.clone(),
                 writes: Vec::new(),
             }));
             phases.push(Phase::one(Activity::Dram {
                 channel: dest,
                 reads: Vec::new(),
-                writes: plan.write_lines,
+                writes: plan.lines,
             }));
         }
 

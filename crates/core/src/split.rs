@@ -214,7 +214,7 @@ pub(crate) fn striped_phases(
     // Step 2: every SDIMM reads its data share of the path into its
     // local stash, concurrently; decryption overlaps.
     let mut p2 = Phase::default();
-    for (m, share) in members.clone().zip(stripe_data_lines(&plan.read_lines, k, per_bucket)) {
+    for (m, share) in members.clone().zip(stripe_data_lines(&plan.lines, k, per_bucket)) {
         internal_lines += share.len() as u64;
         record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
         if low_power {
@@ -222,7 +222,7 @@ pub(crate) fn striped_phases(
         }
         p2.par.push(Activity::Dram { channel: m, reads: share, writes: Vec::new() });
     }
-    p2.par.push(Activity::Crypto { units: (plan.read_lines.len() / k.max(1)) as u32 });
+    p2.par.push(Activity::Crypto { units: (plan.lines.len() / k.max(1)) as u32 });
     phases.push(p2);
 
     // Step 3: the CPU issues conventional reads for the metadata
@@ -232,7 +232,7 @@ pub(crate) fn striped_phases(
     // protocol step.
     let meta_bytes = lm * META_BYTES_PER_BUCKET / k as u64;
     let mut p3 = Phase::default();
-    for (m, share) in members.clone().zip(stripe_meta_lines(&plan.read_lines, k, per_bucket)) {
+    for (m, share) in members.clone().zip(stripe_meta_lines(&plan.lines, k, per_bucket)) {
         internal_lines += share.len() as u64;
         record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
         p3.par.push(Activity::Dram { channel: m, reads: share, writes: Vec::new() });
@@ -257,12 +257,12 @@ pub(crate) fn striped_phases(
 
     // Step 6: concurrent local write-back with re-encryption/MAC.
     let mut p6 = Phase::default();
-    for (m, share) in members.zip(stripe(&plan.write_lines, k, per_bucket)) {
+    for (m, share) in members.zip(stripe(&plan.lines, k, per_bucket)) {
         internal_lines += share.len() as u64;
         record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
         p6.par.push(Activity::Dram { channel: m, reads: Vec::new(), writes: share });
     }
-    p6.par.push(Activity::Crypto { units: (plan.write_lines.len() / k.max(1)) as u32 });
+    p6.par.push(Activity::Crypto { units: (plan.lines.len() / k.max(1)) as u32 });
     phases.push(p6);
 
     (phases, data_ready_phase, internal_lines)

@@ -1,17 +1,17 @@
 //! Configuration for the DRAM memory-system model.
 //!
-//! The defaults reproduce Table II of the paper: a Micron MT41J256M8-class
-//! x8 part, 8 banks/chip, 32768 rows/bank, an 8 KB row buffer per rank,
-//! 9 devices per 72-bit rank, up to 8 ranks per channel, and a 1600 MT/s
-//! (800 MHz clock) bus. All timing values are expressed in memory-clock
-//! cycles (tCK = 1.25 ns at DDR3-1600).
+//! The DDR3-1600 configuration reproduces Table II of the paper: a Micron
+//! MT41J256M8-class x8 part, 8 banks/chip, 32768 rows/bank, an 8 KB row
+//! buffer per rank, 9 devices per 72-bit rank, up to 8 ranks per channel,
+//! and a 1600 MT/s (800 MHz clock) bus. All timing values are expressed in
+//! memory-clock cycles (tCK = 1.25 ns at DDR3-1600).
 //!
-//! Standards other than DDR3 are described by [`crate::spec::DramSpec`]
-//! tables; [`ChannelConfig::table2_for`] / [`ChannelConfig::sdimm_internal_for`]
-//! build the equivalent channel configurations for any supported
-//! [`crate::spec::DramStandard`].
+//! Every standard, DDR3-1600 included, is one [`crate::spec::DramSpec`]
+//! table: [`ChannelConfig::table2_for`] / [`ChannelConfig::sdimm_internal_for`]
+//! build its channel configurations, and [`ChannelConfig::table2`] /
+//! [`ChannelConfig::sdimm_internal`] are the DDR3-1600 ones.
 
-use crate::spec::DramStandard;
+use crate::spec::{DramSpec, DramStandard};
 
 /// A point in simulated time, in memory-clock cycles (800 MHz ⇒ 1.25 ns).
 pub type Cycle = u64;
@@ -160,26 +160,12 @@ pub struct Topology {
 impl Topology {
     /// The Table II channel: 8 ranks × 8 banks × 32768 rows × 8 KB rows.
     pub fn table2_channel() -> Self {
-        Topology {
-            ranks: 8,
-            banks: 8,
-            bank_groups: 1,
-            rows: 32768,
-            row_bytes: 8192,
-            line_bytes: 64,
-        }
+        DramSpec::ddr3_1600().topology(8)
     }
 
     /// One SDIMM's internal channel: a quad-rank DIMM.
     pub fn sdimm_internal() -> Self {
-        Topology {
-            ranks: 4,
-            banks: 8,
-            bank_groups: 1,
-            rows: 32768,
-            row_bytes: 8192,
-            line_bytes: 64,
-        }
+        DramSpec::ddr3_1600().topology(4)
     }
 
     /// Banks in each bank group (all banks for group-less standards).
@@ -298,12 +284,6 @@ impl PowerParams {
     }
 }
 
-impl Default for PowerParams {
-    fn default() -> Self {
-        PowerParams::ddr3_1600_x8()
-    }
-}
-
 /// Where a channel physically lives, which selects the I/O energy constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChannelLocation {
@@ -316,7 +296,7 @@ pub enum ChannelLocation {
 }
 
 /// Complete configuration for one simulated channel.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ChannelConfig {
     /// The memory standard this channel models. Carried alongside the
     /// expanded `timing`/`topology` so replay auditors and report
@@ -342,55 +322,26 @@ pub struct ChannelConfig {
     pub refresh_enabled: bool,
 }
 
-impl Default for Timing {
-    fn default() -> Self {
-        Timing::ddr3_1600()
-    }
-}
-
-impl Default for Topology {
-    fn default() -> Self {
-        Topology::table2_channel()
-    }
-}
-
 impl ChannelConfig {
     /// The Table II baseline channel configuration.
     pub fn table2() -> Self {
-        ChannelConfig {
-            standard: DramStandard::Ddr3_1600,
-            timing: Timing::ddr3_1600(),
-            topology: Topology::table2_channel(),
-            scheduler: SchedulerPolicy::FrFcfs,
-            write_drain: WriteDrain::default(),
-            power_policy: PowerPolicy::AlwaysOn,
-            power: PowerParams::ddr3_1600_x8(),
-            location: ChannelLocation::OffDimm,
-            read_queue_capacity: 64,
-            refresh_enabled: true,
-        }
+        ChannelConfig::table2_for(DramStandard::Ddr3_1600)
     }
 
     /// An SDIMM internal channel: quad-rank, on-DIMM I/O energy, and the
     /// low-power rank policy available.
     pub fn sdimm_internal() -> Self {
-        ChannelConfig {
-            topology: Topology::sdimm_internal(),
-            location: ChannelLocation::OnDimm,
-            ..ChannelConfig::table2()
-        }
+        ChannelConfig::sdimm_internal_for(DramStandard::Ddr3_1600)
     }
 
     /// The Table II-class main channel (8 ranks, off-DIMM) for any
-    /// supported memory standard. `table2_for(DramStandard::Ddr3_1600)`
-    /// is identical to [`ChannelConfig::table2`].
+    /// supported memory standard.
     pub fn table2_for(standard: DramStandard) -> Self {
         standard.spec().main_channel()
     }
 
     /// The SDIMM internal channel (4 ranks, on-DIMM) for any supported
-    /// memory standard. `sdimm_internal_for(DramStandard::Ddr3_1600)` is
-    /// identical to [`ChannelConfig::sdimm_internal`].
+    /// memory standard.
     pub fn sdimm_internal_for(standard: DramStandard) -> Self {
         standard.spec().sdimm_internal_channel()
     }

@@ -490,21 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn ddr3_spec_reproduces_the_legacy_constructors() {
-        let spec = DramSpec::ddr3_1600();
-        assert_eq!(spec.timing, Timing::ddr3_1600());
-        assert_eq!(spec.topology(8), Topology::table2_channel());
-        assert_eq!(spec.topology(4), Topology::sdimm_internal());
-        // The spec-built channels match the legacy constructors exactly
-        // (field-wise; ChannelConfig has no PartialEq).
-        let a = format!("{:?}", ChannelConfig::table2_for(DramStandard::Ddr3_1600));
-        let b = format!("{:?}", ChannelConfig::table2());
-        assert_eq!(a, b);
-        let a = format!("{:?}", ChannelConfig::sdimm_internal_for(DramStandard::Ddr3_1600));
-        assert_eq!(a, format!("{:?}", ChannelConfig::sdimm_internal()));
-    }
-
-    #[test]
     fn parse_round_trips_and_accepts_dashes() {
         for std in DramStandard::ALL {
             assert_eq!(DramStandard::parse(std.name()), Some(std));

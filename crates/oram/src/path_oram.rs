@@ -70,28 +70,7 @@ impl PathOram {
     /// Panics if `cfg` is invalid or `blocks` exceeds half the tree's
     /// capacity (Path ORAM needs slack to keep the stash bounded).
     pub fn new(cfg: OramConfig, blocks: u64, seed: u64) -> Self {
-        cfg.validate();
-        assert!(
-            blocks <= cfg.block_capacity() / 2,
-            "utilization too high: {blocks} blocks in a tree holding {}",
-            cfg.block_capacity()
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let posmap = FlatPosMap::new(blocks, cfg.leaf_count(), &mut rng);
-        let layout = TreeLayout::subtree_packed(&cfg, 4);
-        PathOram {
-            geo: Geometry::from_config(&cfg),
-            layout,
-            tree: HashMap::new(),
-            sealed: None,
-            stash: Stash::new(),
-            posmap,
-            rng,
-            blocks,
-            level_wear: LevelWear::new(cfg.levels),
-            cfg,
-            stats: OramStats::default(),
-        }
+        Self::with_id_space(cfg, blocks, blocks, seed)
     }
 
     /// Creates an ORAM whose position map covers `id_space` block ids but
@@ -233,7 +212,7 @@ impl PathOram {
     }
 
     /// Records one full path's read+write-back into the level-wear
-    /// counters — called wherever a plan's `read_lines`/`write_lines`
+    /// counters — called wherever a plan's `lines`
     /// are built, so logical wear always mirrors the planned traffic.
     fn record_path_wear(&mut self) {
         self.level_wear.record_path(
@@ -286,7 +265,7 @@ impl PathOram {
         assert!(id.0 < self.blocks, "block {id} out of range");
         // lint: declassify(the caller-supplied remap is recorded before the path write-back, so this old leaf is disclosed to memory exactly once and never correlates with the block's next access)
         let revealed_leaf = self.posmap.get(id);
-        let read_lines = self.layout.path_lines(revealed_leaf);
+        let lines = self.layout.path_lines(revealed_leaf);
         self.record_path_wear();
         self.fetch_path(revealed_leaf);
         let data = self.serve(id, op, new_data);
@@ -307,8 +286,7 @@ impl PathOram {
         self.stats.accesses += 1;
         let plan = AccessPlan {
             leaf: revealed_leaf,
-            write_lines: read_lines.clone(),
-            read_lines,
+            lines,
             stash_after: self.stash.len(),
             kind: PlanKind::Demand,
         };
@@ -332,18 +310,12 @@ impl PathOram {
         revealed_leaf: Leaf,
         kind: PlanKind,
     ) -> (Vec<u8>, AccessPlan) {
-        let read_lines = self.layout.path_lines(revealed_leaf);
+        let lines = self.layout.path_lines(revealed_leaf);
         self.record_path_wear();
         self.fetch_path(revealed_leaf);
         let data = self.serve(id, op, new_data);
         self.evict_path(revealed_leaf);
-        let plan = AccessPlan {
-            leaf: revealed_leaf,
-            write_lines: read_lines.clone(),
-            read_lines,
-            stash_after: self.stash.len(),
-            kind,
-        };
+        let plan = AccessPlan { leaf: revealed_leaf, lines, stash_after: self.stash.len(), kind };
         (data, plan)
     }
 
@@ -439,7 +411,7 @@ impl PathOram {
     /// [`SealedTree::store_path`] call so the serialization scratch buffer
     /// is reused and each bucket is one batched keystream sweep.
     fn writeback_path(&mut self, revealed_leaf: Leaf, count_writebacks: bool) {
-        let per_level = self.stash.evict_for_path(&self.geo, revealed_leaf, self.cfg.z, 0);
+        let per_level = self.stash.evict_for_path(&self.geo, revealed_leaf, self.cfg.z);
         if let Some(sealed) = &mut self.sealed {
             let mut path: Vec<(BucketIdx, Bucket)> = Vec::with_capacity(per_level.len());
             for (level, blocks) in per_level.into_iter().enumerate() {
@@ -479,15 +451,14 @@ impl PathOram {
     pub fn background_evict(&mut self) -> AccessPlan {
         // A dummy path is drawn fresh and uniformly: public by construction.
         let revealed_leaf = Leaf(self.rng.gen_range(0..self.cfg.leaf_count()));
-        let read_lines = self.layout.path_lines(revealed_leaf);
+        let lines = self.layout.path_lines(revealed_leaf);
         self.record_path_wear();
         self.drain_path_into_stash(revealed_leaf, false, false);
         self.writeback_path(revealed_leaf, false);
         self.stats.background_evictions += 1;
         AccessPlan {
             leaf: revealed_leaf,
-            write_lines: read_lines.clone(),
-            read_lines,
+            lines,
             stash_after: self.stash.len(),
             kind: PlanKind::BackgroundEvict,
         }
@@ -608,7 +579,6 @@ mod tests {
         let (_, plan) = o.access(BlockId(0), Op::Read, None);
         let expected = o.config().lines_per_access();
         assert_eq!(plan.total_lines(), expected);
-        assert_eq!(plan.read_lines, plan.write_lines);
     }
 
     #[test]

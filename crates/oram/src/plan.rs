@@ -23,11 +23,9 @@ pub enum PlanKind {
 pub struct AccessPlan {
     /// The (old) leaf whose path was touched.
     pub leaf: Leaf,
-    /// Line addresses read, path order (root → leaf, skipping cached
-    /// levels).
-    pub read_lines: Vec<u64>,
-    /// Line addresses written back (same path, re-encrypted).
-    pub write_lines: Vec<u64>,
+    /// Line addresses of the path, root → leaf, skipping cached levels:
+    /// each is read, then written back re-encrypted.
+    pub lines: Vec<u64>,
     /// Stash occupancy after the access (overflow monitoring).
     pub stash_after: usize,
     /// What triggered this access.
@@ -35,9 +33,10 @@ pub struct AccessPlan {
 }
 
 impl AccessPlan {
-    /// Total number of line transfers in the plan.
+    /// Total number of line transfers in the plan: every line is read
+    /// once and written once.
     pub fn total_lines(&self) -> usize {
-        self.read_lines.len() + self.write_lines.len()
+        2 * self.lines.len()
     }
 }
 
@@ -49,11 +48,10 @@ mod tests {
     fn total_counts_both_directions() {
         let p = AccessPlan {
             leaf: Leaf(0),
-            read_lines: vec![0, 64],
-            write_lines: vec![0, 64, 128],
+            lines: vec![0, 64, 128],
             stash_after: 1,
             kind: PlanKind::Demand,
         };
-        assert_eq!(p.total_lines(), 5);
+        assert_eq!(p.total_lines(), 6);
     }
 }

@@ -103,21 +103,16 @@ impl Stash {
     /// from the **deepest** up, pick up to `z` stash blocks whose own leaf
     /// path still passes through that bucket, removing them from the
     /// stash. Returns, per level (index 0 = root), the chosen blocks.
-    ///
-    /// Levels shallower than `min_level` are skipped (used when top levels
-    /// live in the on-chip ORAM cache but the stash must not evict into
-    /// them — pass 0 to use the whole path).
     pub fn evict_for_path(
         &mut self,
         geo: &Geometry,
         revealed_leaf: Leaf,
         z: usize,
-        min_level: u32,
     ) -> Vec<Vec<BlockEntry>> {
         let depth = geo.levels();
         let mut result: Vec<Vec<BlockEntry>> = vec![Vec::new(); depth as usize + 1];
         // Deepest-first: blocks go as far down as their leaf allows.
-        for level in (min_level..=depth).rev() {
+        for level in (0..=depth).rev() {
             if self.entries.is_empty() {
                 break;
             }
@@ -191,7 +186,7 @@ mod tests {
         let mut s = Stash::new();
         s.insert(entry(1, 0)); // shares entire path with leaf 0
         s.insert(entry(2, 7)); // only the root is common with leaf 0
-        let per_level = s.evict_for_path(&geo, Leaf(0), 4, 0);
+        let per_level = s.evict_for_path(&geo, Leaf(0), 4);
         // Block 1 must land at the leaf level; block 2 only at the root.
         assert!(per_level[3].iter().any(|e| e.id == BlockId(1)));
         assert!(per_level[0].iter().any(|e| e.id == BlockId(2)));
@@ -207,20 +202,10 @@ mod tests {
         for i in 0..6 {
             s.insert(entry(i, 0));
         }
-        let per_level = s.evict_for_path(&geo, Leaf(0), 4, 0);
+        let per_level = s.evict_for_path(&geo, Leaf(0), 4);
         assert_eq!(per_level[3].len(), 4);
         assert_eq!(per_level.iter().map(Vec::len).sum::<usize>(), 6);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn min_level_blocks_shallow_eviction() {
-        let geo = Geometry::new(3);
-        let mut s = Stash::new();
-        s.insert(entry(1, 7)); // vs path of leaf 0: shares only the root
-        let per_level = s.evict_for_path(&geo, Leaf(0), 4, 1);
-        assert!(per_level.iter().all(Vec::is_empty), "root eviction forbidden by min_level");
-        assert_eq!(s.len(), 1, "block stays in stash");
     }
 
     #[test]
@@ -230,7 +215,7 @@ mod tests {
         for i in 0..16 {
             s.insert(entry(i, i % 16));
         }
-        let per_level = s.evict_for_path(&geo, Leaf(5), 4, 0);
+        let per_level = s.evict_for_path(&geo, Leaf(5), 4);
         for (level, blocks) in per_level.iter().enumerate() {
             let target = geo.bucket_at(Leaf(5), level as u32);
             for b in blocks {

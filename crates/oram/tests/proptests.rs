@@ -25,7 +25,7 @@ proptest! {
             stash.insert(BlockEntry { id: BlockId(i as u64), leaf: Leaf(*leaf), data: vec![] });
         }
         let before = stash.len();
-        let per_level = stash.evict_for_path(&geo, Leaf(target), 4, 0);
+        let per_level = stash.evict_for_path(&geo, Leaf(target), 4);
         let evicted: usize = per_level.iter().map(Vec::len).sum();
         prop_assert_eq!(evicted + stash.len(), before);
         for (level, blocks) in per_level.iter().enumerate() {

@@ -431,13 +431,13 @@ impl Machine {
     fn baseline_path_trace(plan: &oram::plan::AccessPlan, channels: usize) -> RequestTrace {
         let mut phases = Vec::new();
         let mut read_phase = Phase::default();
-        for (ch, lines) in Self::split_lines(&plan.read_lines, channels) {
+        for (ch, lines) in Self::split_lines(&plan.lines, channels) {
             read_phase.par.push(Activity::Dram { channel: ch, reads: lines, writes: vec![] });
         }
-        read_phase.par.push(Activity::Crypto { units: plan.read_lines.len() as u32 });
+        read_phase.par.push(Activity::Crypto { units: plan.lines.len() as u32 });
         phases.push(read_phase);
         let mut write_phase = Phase::default();
-        for (ch, lines) in Self::split_lines(&plan.write_lines, channels) {
+        for (ch, lines) in Self::split_lines(&plan.lines, channels) {
             write_phase.par.push(Activity::Dram { channel: ch, reads: vec![], writes: lines });
         }
         phases.push(write_phase);

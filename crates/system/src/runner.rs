@@ -14,7 +14,9 @@ use dram_sim::address::Coords;
 use dram_sim::config::Cycle;
 use dram_sim::power::EnergyBreakdown;
 use dram_sim::wear::{RowWear, WearSnapshot};
-use sdimm_telemetry::{imbalance, Instruments, LatencyHistogram, MetricsRegistry, TraceSink};
+use sdimm_telemetry::{
+    imbalance, CellTrace, Instruments, LatencyHistogram, MetricsRegistry, TraceSink,
+};
 use workloads::Trace;
 
 use crate::executor::ExecEvent;
@@ -214,47 +216,44 @@ fn harvest_wear(machine: &Machine, top_k: usize, captured: &mut Captured) {
     captured.level_wear = machine.level_wear();
 }
 
-/// Dumps cell `pid`'s black box for a stash-bound breach: the runner
-/// calls this the moment a machine's stash occupancy escapes the
-/// configured bound, naming the cycle the breaching access was issued
-/// at, and it fires at most once per cell (the ring's per-pid dump
-/// latch). Returns the `(report, trace-slice)` paths when the dump was
-/// written, `None` when no black-box prefix is set, the cell already
-/// dumped, or the write failed (failure is reported on stderr — the run
-/// itself must not die because a diagnostic could not be saved).
+/// Dumps `cell`'s black box for a stash-bound breach: the runner calls
+/// this the moment a machine's stash occupancy escapes the configured
+/// bound, naming the cycle the breaching access was issued at, and it
+/// fires at most once per cell (the cell's dump latch, which a later
+/// panic of the cell respects too). Returns the `(report, trace-slice)`
+/// paths when the dump was written, `None` when the sink has no
+/// black-box prefix, the cell already dumped, or the write failed
+/// (failure is reported on stderr — the run itself must not die because
+/// a diagnostic could not be saved).
 pub fn dump_stash_breach(
-    instruments: &Instruments,
+    cell: &CellTrace,
     machine: &str,
     cycle: Cycle,
     occupancy: usize,
     bound: usize,
-    pid: u32,
 ) -> Option<(String, String)> {
-    let prefix = instruments.blackbox.as_deref()?;
-    if !instruments.sink.arm_dump(pid) {
+    if !cell.arm_dump() {
         return None;
     }
     let reason = format!(
         "[stash-bound] cycle {cycle} machine {machine}: \
          occupancy {occupancy} blocks, bound {bound} blocks"
     );
-    let prefix = format!("{prefix}-pid{pid}");
-    match instruments.sink.dump_to_files(&prefix, &reason, pid) {
-        Some(Ok((txt, json))) => {
+    match cell.dump_blackbox(&reason)? {
+        Ok((txt, json)) => {
             eprintln!("flight recorder: {reason}; dumped {txt} and {json}");
             Some((txt, json))
         }
-        Some(Err(e)) => {
+        Err(e) => {
             eprintln!("flight recorder: {reason}; dump failed: {e}");
             None
         }
-        None => None,
     }
 }
 
 /// The one run loop behind [`run`] and [`run_audited`]: [`run`], with
-/// the full [`Instruments`] bundle attached (the event ring, recorded
-/// under process id `pid`, and its black box; cycle-attribution
+/// the full [`Instruments`] bundle attached (the cell's event ring,
+/// recorded under process id `pid`, and its black box; cycle-attribution
 /// profiler; live-dashboard state) and whatever `capture` asks for
 /// recorded. Disabled instruments and captures cost one branch per
 /// touch point, and no instrument perturbs timing: an instrumented run
@@ -288,14 +287,15 @@ pub fn run_with(
     if capture.observables {
         machine.set_observable_recorder();
     }
-    // The cell records into the run's ring under its own pid, stamped
-    // from this machine's clock.
+    // The cell records into its own ring under its own pid, stamped from
+    // this machine's clock; the events reach the sink when the machine
+    // and `cell` drop at the end of the run.
     let cell = instruments.sink.cell(pid, machine.executor.shared_clock());
     if cell.is_enabled() {
         instruments.sink.process_name(pid, &format!("{} / {}", cfg.kind.name(), trace.name));
         machine.set_trace(cell.clone());
     }
-    let blackbox = cell.is_enabled() && instruments.blackbox.is_some();
+    let blackbox = instruments.sink.blackbox_prefix().is_some();
     if instruments.profiler.is_enabled() {
         machine.set_profiler(instruments.profiler.clone());
     }
@@ -412,7 +412,7 @@ pub fn run_with(
         // every breach at the cycle its access was issued.
         if blackbox && machine.stash_len() > cfg.oram.stash_limit {
             let (occupancy, bound) = (machine.stash_len(), cfg.oram.stash_limit);
-            dump_stash_breach(instruments, &cfg.kind.name(), now, occupancy, bound, pid);
+            dump_stash_breach(&cell, &cfg.kind.name(), now, occupancy, bound);
         }
 
         // Advance time. The loop observes the executor on an absolute
@@ -480,8 +480,6 @@ pub fn run_with(
         }
     }
 
-    // This worker's staged events reach the ring before the cell ends.
-    instruments.sink.flush();
     let cycles = machine.executor.now();
     let energy = machine.executor.energy();
     let stash_peak = machine.stash_peak() as u64;

@@ -9,10 +9,11 @@
 //! allowed) keeps library crates clean under the L3 lint and the
 //! clippy `Instant::now` ban.
 //!
-//! The one sanctioned stderr write in this crate is
-//! [`LiveProgress::write_status`]: a single choke-point function the
-//! lint waives explicitly, so any other `eprint!` that creeps into the
-//! telemetry crate is a lint error.
+//! The sanctioned stderr writes in this crate are
+//! [`LiveProgress::write_status`], a single choke-point function the
+//! lint waives explicitly, and the one line a panicking cell's black-box
+//! dump reports (`trace.rs`), so any other `eprint!` that creeps into
+//! the telemetry crate is a lint error.
 //!
 //! Like the other telemetry handles, `LiveProgress::disabled()` costs
 //! one branch per call.
@@ -143,8 +144,9 @@ impl LiveProgress {
 
     /// The sanctioned stderr choke point: redraws the status line in
     /// place (carriage return + erase-to-end). Every other write in
-    /// this crate must go through files or returned strings; the lint
-    /// self-scan enforces that this is the only waived site.
+    /// this crate must go through files or returned strings, except a
+    /// panicking cell's one black-box line; the lint self-scan enforces
+    /// that both are waived.
     pub fn write_status(&self, line: &str) {
         if self.0.is_none() {
             return;

@@ -13,14 +13,10 @@ use crate::trace::TraceSink;
 /// Bundle of all observability handles for a run.
 #[derive(Debug, Clone, Default)]
 pub struct Instruments {
-    /// The run's event ring, shared by every cell (each records under
-    /// its own trace pid).
+    /// The run's trace sink: each cell records into a ring of its own
+    /// under its own trace pid. A sink built with a black-box prefix
+    /// ([`TraceSink::with_blackbox`]) arms every cell's black box.
     pub sink: TraceSink,
-    /// Black-box dump prefix: when set, a stash breach, a DDR violation
-    /// or a panic writes the affected cell's newest events as
-    /// `<prefix>-pid<N>.blackbox.txt` and `.trace.json`. Needs an
-    /// enabled `sink`.
-    pub blackbox: Option<String>,
     /// Folded-stack cycle-attribution profiler.
     pub profiler: CycleProfiler,
     /// Live dashboard shared state.
@@ -32,7 +28,6 @@ impl Instruments {
     pub fn disabled() -> Self {
         Instruments {
             sink: TraceSink::disabled(),
-            blackbox: None,
             profiler: CycleProfiler::disabled(),
             live: LiveProgress::disabled(),
         }
@@ -52,7 +47,7 @@ mod tests {
     #[test]
     fn disabled_bundle_reports_nothing_enabled() {
         let i = Instruments::disabled();
-        assert!(!i.sink.is_enabled() && i.blackbox.is_none());
+        assert!(!i.sink.is_enabled() && i.sink.blackbox_prefix().is_none());
         assert!(!i.profiler.is_enabled() && !i.live.is_enabled());
         assert!(Instruments::default().sink.export_chrome_json().is_none());
     }
@@ -61,6 +56,7 @@ mod tests {
     fn with_sink_enables_only_the_sink() {
         let i = Instruments::with_sink(TraceSink::enabled());
         assert!(i.sink.is_enabled());
-        assert!(i.blackbox.is_none() && !i.profiler.is_enabled() && !i.live.is_enabled());
+        assert!(i.sink.blackbox_prefix().is_none());
+        assert!(!i.profiler.is_enabled() && !i.live.is_enabled());
     }
 }

@@ -9,22 +9,23 @@
 //! * [`registry::MetricsRegistry`] — a named collection of counters,
 //!   gauges, and histograms with a stable (sorted-key) JSON snapshot
 //!   serializer, so every bench binary can dump machine-readable metrics.
-//! * [`trace::TraceSink`] — a cheaply clonable handle to the run's one
-//!   bounded ring of small `Copy` [`Event`]s (DDR commands, ORAM phase
-//!   completions, stash ticks, backend decisions, in-flight changes).
-//!   The engine records into it through a per-cell [`CellTrace`] stamped
-//!   from the executor's [`SharedCycle`]. The ring renders two ways: a
-//!   Chrome trace-event export loadable in Perfetto, and the black box
-//!   ([`recorder`]) that a stash breach, a DDR violation or a panic
-//!   writes for one cell. The disabled sink is a `None` handle: every
-//!   record call is a single branch, so instrumentation can stay
-//!   compiled-in unconditionally.
+//! * [`trace::TraceSink`] — a cheaply clonable handle to the run's
+//!   trace store. Each simulated cell records small `Copy` [`Event`]s
+//!   (DDR commands, ORAM phase completions, stash ticks, backend
+//!   decisions, in-flight changes) into a bounded ring of its own,
+//!   through a [`CellTrace`] stamped from the executor's
+//!   [`SharedCycle`], and hands them to the sink when it ends. The
+//!   events render two ways: a Chrome trace-event export loadable in
+//!   Perfetto, and the black box ([`recorder`]) that a stash breach, a
+//!   DDR violation or a panic writes for one cell. The disabled sink is
+//!   a `None` handle: every record call is a single branch, so
+//!   instrumentation can stay compiled-in unconditionally.
 //!
 //! The simulator's cycle counters stand in for the trace timebase (one
 //! cycle = one microsecond in the exported trace), which keeps exported
 //! timelines deterministic across runs.
 //!
-//! Two more run-introspection subsystems sit beside the ring:
+//! Two more run-introspection subsystems sit beside the trace:
 //!
 //! * [`profile::CycleProfiler`] — a simulated-time sampling profiler
 //!   accumulating folded stacks (`protocol;Split;path_read;dram;ch0`)

@@ -1,21 +1,21 @@
-//! The events the ring records, and its black-box rendering (the flight
-//! recorder).
+//! The events a cell's ring records, and its black-box rendering (the
+//! flight recorder).
 //!
 //! The figure matrices replay millions of DDR commands per cell; when a
 //! run goes wrong 3M commands in (a DDR timing violation, a stash-bound
 //! breach, a panic), end-of-run aggregates say nothing about *what was
-//! happening right then*. The [`TraceSink`] ring already holds the
-//! structured events — DDR commands, ORAM phase completions, stash
-//! occupancy ticks, backend scheduling decisions — so the black box is
-//! one cell's newest [`BLACKBOX_EVENTS`] of them, rendered as a
-//! human-readable report plus a Chrome trace slice loadable next to the
-//! main trace. A per-pid latch makes one triggering condition produce
-//! one dump.
+//! happening right then*. Each cell's ring (see [`crate::trace`])
+//! already holds the structured events — DDR commands, ORAM phase
+//! completions, stash occupancy ticks, backend scheduling decisions — so
+//! the black box is the cell's newest [`BLACKBOX_EVENTS`] of them,
+//! rendered as a human-readable report plus a Chrome trace slice
+//! loadable next to the main trace. A per-cell latch makes one
+//! triggering condition produce one dump.
 //!
 //! Every event is a small `Copy` value, so recording never allocates
 //! (<5% on the enabled path, gated by the `telemetry_overhead` bench).
 
-use crate::trace::{chrome_json, TraceSink};
+use crate::trace::{chrome_json, Ring, TraceSink};
 
 /// DDR command mnemonic carried by a [`DdrEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,108 +196,89 @@ impl Event {
 /// accesses' worth of DDR commands around a fault.
 pub const BLACKBOX_EVENTS: usize = 4096;
 
-impl TraceSink {
-    /// `pid`'s newest [`BLACKBOX_EVENTS`] events oldest first, and how
-    /// many older events the black box cannot show: those the ring
-    /// overwrote (counted over every cell sharing it) plus `pid`'s
-    /// buffered events beyond the cap. `None` for a disabled sink.
-    fn blackbox(&self, pid: u32) -> Option<(Vec<Event>, u64)> {
-        let ring = self.ring()?;
-        let mut events: Vec<Event> =
-            ring.ordered().rev().filter(|e| e.pid == pid).take(BLACKBOX_EVENTS).copied().collect();
+/// One cell's black box: the newest [`BLACKBOX_EVENTS`] events of its
+/// ring, oldest first, and how many older events the cell recorded.
+#[derive(Debug, Default)]
+pub(crate) struct BlackBox {
+    events: Vec<Event>,
+    older: u64,
+}
+
+impl BlackBox {
+    /// The black box of the cell whose events are `ring`.
+    pub(crate) fn of(ring: &Ring) -> BlackBox {
+        let mut events: Vec<Event> = ring.ordered().rev().take(BLACKBOX_EVENTS).copied().collect();
         events.reverse();
-        let older =
-            ring.dropped + (ring.ordered().filter(|e| e.pid == pid).count() - events.len()) as u64;
-        Some((events, older))
+        let older = ring.dropped + (ring.len() - events.len()) as u64;
+        BlackBox { events, older }
     }
 
-    /// Latches `pid`'s dump flag. Returns `true` exactly once per pid,
-    /// so a cascade of triggering conditions (breach → panic hook)
-    /// yields a single dump. Always `false` for a disabled sink.
-    pub fn arm_dump(&self, pid: u32) -> bool {
-        let Some(mut ring) = self.ring() else { return false };
-        if ring.dumped.contains(&pid) {
-            return false;
-        }
-        ring.dumped.push(pid);
-        true
-    }
-
-    /// Renders `pid`'s black box as a human-readable report, oldest event
-    /// first, in the actual-vs-expected style of `crates/audit`
-    /// diagnostics. `None` for a disabled sink.
-    pub fn blackbox_report(&self, pid: u32, reason: &str) -> Option<String> {
-        let (events, older) = self.blackbox(pid)?;
+    /// A human-readable report, oldest event first, in the
+    /// actual-vs-expected style of `crates/audit` diagnostics.
+    fn report(&self, reason: &str) -> String {
         let mut out = String::new();
         out.push_str("=== SDIMM flight recorder · black box ===\n");
         out.push_str(&format!("reason   : {reason}\n"));
         out.push_str(&format!(
-            "captured : {} events ({older} older events overwritten)\n",
-            events.len()
+            "captured : {} events ({} older events overwritten)\n",
+            self.events.len(),
+            self.older
         ));
-        out.push_str(&format!("clock    : cycle {}\n\n", events.last().map_or(0, |e| e.ts)));
-        for e in &events {
+        out.push_str(&format!("clock    : cycle {}\n\n", self.events.last().map_or(0, |e| e.ts)));
+        for e in &self.events {
             out.push_str(&format!("  cycle {:>12}  {}\n", e.ts, e.describe()));
         }
         out.push_str("=== end of black box ===\n");
-        Some(out)
+        out
     }
 
-    /// Renders `pid`'s black box as a Chrome trace slice under process
-    /// name `flight recorder: <reason>`, loadable in Perfetto next to the
-    /// main export. `None` for a disabled sink.
-    pub fn blackbox_chrome_json(&self, pid: u32, reason: &str) -> Option<String> {
-        let (events, older) = self.blackbox(pid)?;
+    /// Writes the report as `<prefix>.blackbox.txt` and the same events
+    /// as a Chrome trace slice, under process name `flight recorder:
+    /// <reason>` and loadable in Perfetto next to the main export, as
+    /// `<prefix>.trace.json`. Each goes through [`write_atomic`], so an
+    /// interrupted dump never leaves a truncated file. Returns the two
+    /// paths.
+    pub(crate) fn write(
+        &self,
+        prefix: &str,
+        pid: u32,
+        reason: &str,
+    ) -> std::io::Result<(String, String)> {
+        let txt_path = format!("{prefix}.blackbox.txt");
+        let json_path = format!("{prefix}.trace.json");
+        write_atomic(&txt_path, &self.report(reason))?;
         let process = [(pid, None, format!("flight recorder: {reason}"))];
-        Some(chrome_json(&process, &[], &events.iter().collect::<Vec<_>>(), older))
+        let events: Vec<&Event> = self.events.iter().collect();
+        write_atomic(&json_path, &chrome_json(&process, &[], &events, self.older))?;
+        Ok((txt_path, json_path))
+    }
+}
+
+impl TraceSink {
+    /// Finished cell `pid`'s black box (empty if no such cell finished).
+    /// `None` for a disabled sink.
+    fn blackbox(&self, pid: u32) -> Option<BlackBox> {
+        Some(self.store()?.cells.get(&pid).map_or_else(BlackBox::default, BlackBox::of))
     }
 
-    /// Writes `pid`'s black-box report and Chrome slice next to `prefix`
-    /// (`<prefix>.blackbox.txt` / `<prefix>.trace.json`), each via a
-    /// temp-file-then-rename so an interrupted dump never leaves a
-    /// truncated file. Returns the two paths written. `None` for a
-    /// disabled sink; `Err` on I/O failure. Does not consult the latch
-    /// ([`arm_dump`](Self::arm_dump)).
+    /// Renders finished cell `pid`'s black box as a human-readable
+    /// report (see [`CellTrace::dump_blackbox`](crate::CellTrace::dump_blackbox)
+    /// for a live cell's). `None` for a disabled sink.
+    pub fn blackbox_report(&self, pid: u32, reason: &str) -> Option<String> {
+        Some(self.blackbox(pid)?.report(reason))
+    }
+
+    /// Writes finished cell `pid`'s black-box report and Chrome slice
+    /// (under process name `flight recorder: <reason>`) as
+    /// `<prefix>.blackbox.txt` / `<prefix>.trace.json` and returns the
+    /// two paths. `None` for a disabled sink; `Err` on I/O failure.
     pub fn dump_to_files(
         &self,
         prefix: &str,
         reason: &str,
         pid: u32,
     ) -> Option<std::io::Result<(String, String)>> {
-        let report = self.blackbox_report(pid, reason)?;
-        let slice = self.blackbox_chrome_json(pid, reason)?;
-        let txt_path = format!("{prefix}.blackbox.txt");
-        let json_path = format!("{prefix}.trace.json");
-        let write = || -> std::io::Result<()> {
-            write_atomic(&txt_path, &report)?;
-            write_atomic(&json_path, &slice)
-        };
-        Some(write().map(|()| (txt_path, json_path)))
-    }
-
-    /// Dumps the black box of every cell with buffered events that has
-    /// not already dumped, to `<prefix>-pid<N>.*`. Returns the paths
-    /// written; I/O errors are reported inline in the returned list
-    /// rather than aborting the remaining dumps (this runs inside panic
-    /// hooks, where propagating is not an option).
-    pub fn dump_all(&self, prefix: &str, reason: &str) -> Vec<String> {
-        let mut pids: Vec<u32> = self.ring().map_or_else(Vec::new, |ring| {
-            let mut pids: Vec<u32> = ring.ordered().map(|e| e.pid).collect();
-            pids.sort_unstable();
-            pids.dedup();
-            pids
-        });
-        pids.retain(|&pid| self.arm_dump(pid));
-        let mut written = Vec::new();
-        for pid in pids {
-            let cell = format!("{prefix}-pid{pid}");
-            match self.dump_to_files(&cell, reason, pid) {
-                Some(Ok((txt, json))) => written.extend([txt, json]),
-                Some(Err(e)) => written.push(format!("<write failed for {cell}: {e}>")),
-                None => {}
-            }
-        }
-        written
+        Some(self.blackbox(pid)?.write(prefix, pid, reason))
     }
 }
 
@@ -340,11 +321,12 @@ mod tests {
         let cell = s.cell(0, SharedCycle::new());
         cell.record(ddr(0, DdrCmdKind::Act));
         cell.record_at(5, EventKind::InFlight { count: 1 });
+        assert!(!cell.arm_dump());
+        assert!(cell.dump_blackbox("r").is_none());
+        drop(cell);
         assert!(s.events().is_empty());
         assert_eq!(s.blackbox_report(0, "r"), None);
-        assert_eq!(s.blackbox_chrome_json(0, "r"), None);
-        assert!(!s.arm_dump(0));
-        assert!(s.dump_all("unused", "r").is_empty());
+        assert!(s.dump_to_files("unused", "r", 0).is_none());
     }
 
     #[test]
@@ -356,6 +338,7 @@ mod tests {
             clock.publish(i * 10);
             cell.record(ddr((i % 2) as u8, DdrCmdKind::Act));
         }
+        drop(cell);
         assert_eq!(s.len(), 8);
         assert_eq!(s.dropped(), 12);
         let events = s.events();
@@ -374,25 +357,33 @@ mod tests {
     }
 
     #[test]
-    fn staged_events_reach_the_ring_on_switch_batch_and_thread_exit() {
-        let (a, b) = (TraceSink::enabled(), TraceSink::enabled());
-        let (staged_tx, staged_rx) = std::sync::mpsc::channel();
-        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
-        let (wa, wb) = (a.cell(0, SharedCycle::new()), b.cell(0, SharedCycle::new()));
-        let worker = std::thread::spawn(move || {
-            wa.record_at(1, EventKind::InFlight { count: 1 });
-            for i in 0..=64u64 {
-                wb.record_at(i, EventKind::InFlight { count: 2 });
+    fn each_black_box_holds_exactly_its_cells_newest_events() {
+        // Two cells on two threads, one recording ten times faster than
+        // the other, into rings smaller than the fast cell's output.
+        let s = TraceSink::with_capacity(2 * BLACKBOX_EVENTS);
+        std::thread::scope(|scope| {
+            for (pid, n) in [(1u32, 50_000u64), (2, 5_000)] {
+                let s = s.clone();
+                scope.spawn(move || {
+                    let cell = s.cell(pid, SharedCycle::new());
+                    for ts in 0..n {
+                        cell.record_at(ts, EventKind::InFlight { count: pid });
+                    }
+                });
             }
-            staged_tx.send(()).unwrap();
-            exit_rx.recv().unwrap();
         });
-        staged_rx.recv().unwrap();
-        assert_eq!(a.len(), 1, "switching rings flushes the stage");
-        assert_eq!(b.len(), 64, "a full stage flushes; the rest stays staged");
-        exit_tx.send(()).unwrap();
-        worker.join().unwrap();
-        assert_eq!(b.len(), 65, "thread exit flushes the stage");
+        for (pid, n) in [(1u32, 50_000u64), (2, 5_000)] {
+            let report = s.blackbox_report(pid, "r").unwrap();
+            let older = n - BLACKBOX_EVENTS as u64;
+            let captured = format!("captured : {BLACKBOX_EVENTS} events ({older} older events");
+            assert!(report.contains(&captured), "pid {pid}: {}", &report[..200]);
+            let cycles: Vec<u64> = report
+                .lines()
+                .filter_map(|l| l.trim_start().strip_prefix("cycle "))
+                .map(|l| l.split_whitespace().next().unwrap().parse().unwrap())
+                .collect();
+            assert_eq!(cycles, (older..n).collect::<Vec<_>>(), "pid {pid}: its newest events");
+        }
     }
 
     #[test]
@@ -402,6 +393,7 @@ mod tests {
         let cell = s.cell(4, clock.clone());
         clock.publish(777);
         cell.record(EventKind::StashTick { backend: 1, occupancy: 42 });
+        drop(cell);
         let events = s.events();
         assert_eq!(events[0].ts, 777);
         assert_eq!(events[0].pid, 4, "events carry their cell's pid");
@@ -414,7 +406,10 @@ mod tests {
         cell.record_at(5, ddr(1, DdrCmdKind::Rd));
         cell.record_at(5, EventKind::Phase { request: 3, phase: 2, dur: 4 });
         cell.record_at(5, EventKind::Backend { request: 3, decision: BackendDecision::Acquire });
-        let json = s.blackbox_chrome_json(9, "stash bound breached").unwrap();
+        drop(cell);
+        let prefix = format!("{}/slice", scratch("slice"));
+        let (_, path) = s.dump_to_files(&prefix, "stash bound breached", 9).unwrap().unwrap();
+        let json = std::fs::read_to_string(path).unwrap();
         crate::json::validate(&json).expect("flight slice must be valid JSON");
         assert!(json.contains("flight recorder: stash bound breached"));
         assert!(json.contains("\"pid\": 9"));
@@ -423,10 +418,13 @@ mod tests {
 
     #[test]
     fn arm_dump_latches_once() {
-        let s = TraceSink::enabled();
-        assert!(s.arm_dump(0));
-        assert!(!s.arm_dump(0));
-        assert!(s.arm_dump(1), "each pid has its own latch");
+        let s = TraceSink::with_blackbox(&format!("{}/latch", scratch("latch")));
+        let cell = s.cell(0, SharedCycle::new());
+        assert!(cell.arm_dump());
+        assert!(!cell.arm_dump());
+        assert!(!cell.clone().arm_dump(), "clones share the cell's latch");
+        assert!(s.cell(1, SharedCycle::new()).arm_dump(), "each cell has its own latch");
+        assert!(!TraceSink::enabled().cell(0, SharedCycle::new()).arm_dump(), "no prefix");
     }
 
     #[test]
@@ -436,6 +434,7 @@ mod tests {
         a.record_at(1, EventKind::StashTick { backend: 1, occupancy: 5 });
         b.record_at(2, EventKind::StashTick { backend: 2, occupancy: 6 });
         a.record_at(3, EventKind::StashTick { backend: 1, occupancy: 7 });
+        drop((a, b));
         let report = s.blackbox_report(1, "r").unwrap();
         assert!(report.contains("captured : 2 events"), "{report}");
         assert!(report.contains("backend1") && !report.contains("backend2"), "{report}");
@@ -443,23 +442,35 @@ mod tests {
 
     #[test]
     fn panic_dump_writes_one_pair_per_cell_once() {
-        let s = TraceSink::enabled();
-        for pid in [3, 5] {
-            s.cell(pid, SharedCycle::new()).record_at(10, EventKind::InFlight { count: 1 });
+        let dir = scratch("panic");
+        let s = TraceSink::with_blackbox(&format!("{dir}/panic"));
+        // Cell 3 just panics; cell 5 dumps a breach first, then panics.
+        for (pid, breach) in [(3u32, false), (5, true)] {
+            let s = s.clone();
+            let outcome = std::panic::catch_unwind(move || {
+                let cell = s.cell(pid, SharedCycle::new());
+                cell.record_at(10, EventKind::InFlight { count: 1 });
+                if breach && cell.arm_dump() {
+                    cell.dump_blackbox("breach").unwrap().unwrap();
+                }
+                panic!("cell {pid} fails");
+            });
+            assert!(outcome.is_err());
         }
-        let prefix = format!("{}/panic", scratch("panic"));
-        let written = s.dump_all(&prefix, "panic");
-        let expected: Vec<String> = [3, 5]
-            .iter()
-            .flat_map(|pid| {
-                [format!("{prefix}-pid{pid}.blackbox.txt"), format!("{prefix}-pid{pid}.trace.json")]
-            })
+        let mut written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        assert_eq!(written, expected);
-        for path in &written {
-            assert!(std::path::Path::new(path).exists(), "{path} written");
-        }
-        assert!(s.dump_all(&prefix, "panic").is_empty(), "a second call writes nothing");
+        written.sort();
+        let expected = ["3.blackbox.txt", "3.trace.json", "5.blackbox.txt", "5.trace.json"];
+        assert_eq!(written, expected.map(|f| format!("panic-pid{f}")));
+        let reason = |pid: u32| {
+            let body = std::fs::read_to_string(format!("{dir}/panic-pid{pid}.blackbox.txt"));
+            body.unwrap().lines().nth(1).unwrap().to_string()
+        };
+        assert_eq!(reason(3), "reason   : panic");
+        assert_eq!(reason(5), "reason   : breach", "the breach's dump is the cell's one pair");
+        assert_eq!(s.len(), 2, "panicking cells still hand over their events");
     }
 
     #[test]

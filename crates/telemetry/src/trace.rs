@@ -1,40 +1,40 @@
-//! The event ring: one bounded buffer of small `Copy` events per run.
+//! The event rings: one bounded buffer of small `Copy` events per
+//! simulated cell.
 //!
-//! A [`TraceSink`] is a cheaply clonable handle to the ring. The runner
-//! derives one [`CellTrace`] per simulated cell — the ring, the cell's
-//! trace `pid` and its executor's [`SharedCycle`] — and the engine layers
-//! (DRAM channels, the executor, the stashes) report each instrumented
-//! event once through it, as a typed [`Event`]. Recording never
-//! allocates. Process and thread names and the free-text annotations of
-//! the leakage and hammer reports ([`TraceSink::span`],
+//! A [`TraceSink`] is a cheaply clonable handle to a run's trace store.
+//! The runner opens one [`CellTrace`] per simulated cell
+//! ([`TraceSink::cell`]: the cell's trace `pid`, its executor's
+//! [`SharedCycle`] and a fresh ring of the sink's per-cell capacity), and
+//! the engine layers (DRAM channels, the executor, the stashes) report
+//! each instrumented event once through it, as a typed [`Event`]. The
+//! ring belongs to the cell's handles, on the thread that runs the cell,
+//! so recording is a push with no lock and no allocation. When the
+//! cell's last handle drops, its events move into the sink under one
+//! lock; if the thread is panicking, the cell first writes its black box
+//! (see [`crate::recorder`]). Process and thread names and the free-text
+//! annotations of the leakage and hammer reports ([`TraceSink::span`],
 //! [`TraceSink::instant`]) go in a side table that only setup and report
 //! code touches.
 //!
-//! The disabled sink holds no ring, so every record call is a single
+//! The disabled sink holds no store, so every record call is a single
 //! `Option` branch and the instrumentation stays compiled in
 //! unconditionally.
 //!
-//! The ring has two renderings: [`TraceSink::export_chrome_json`] writes
-//! everything as Chrome trace-event JSON for Perfetto (simulator cycles
-//! map 1:1 onto trace microseconds; the track layout is DESIGN.md §7),
-//! and the black box (see [`crate::recorder`]) writes one pid's newest
-//! events as a text report plus a Chrome slice.
-//!
-//! Recording stages events per thread and takes the ring lock once per
-//! `STAGE_BATCH` events. A thread's stage is flushed when it records
-//! into a different ring, when it reads any ring (so a dump from the
-//! panic hook, which runs on the panicking thread, includes that
-//! thread's latest events), at [`TraceSink::flush`] (the runner calls it
-//! as each cell ends) and at thread exit. A read on one thread does not
-//! see the up to `STAGE_BATCH - 1` events still staged by another live
-//! thread.
+//! The finished cells have two renderings: [`TraceSink::export_chrome_json`]
+//! writes them as Chrome trace-event JSON for Perfetto (simulator cycles
+//! map 1:1 onto trace microseconds; the track layout is DESIGN.md §7), and
+//! the black box writes one cell's newest events as a text report plus a
+//! Chrome slice. The export reads cells in pid order, so equal runs
+//! render equal bytes whatever order their cells finished in.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::json::escape;
-use crate::recorder::{Event, EventKind};
+use crate::recorder::{BlackBox, Event, EventKind};
 
 /// A shared simulated-cycle clock: the executor publishes its `now` each
 /// tick, and observers (stash ticks, the obliviousness recorder's cycle
@@ -61,9 +61,10 @@ impl SharedCycle {
     }
 }
 
-/// Default ring capacity: enough for a quick-scale figure run without
-/// unbounded growth on full-scale ones.
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
+/// Events each cell keeps by default: its newest 2^14 (512 KB), which a
+/// quick-scale cell fills many times over, so every cell of a figure
+/// shows its steady state.
+const CELL_CAPACITY: usize = 1 << 14;
 
 /// Thread id of executor lane 0. Phase spans and backend decisions of
 /// request `r` land on lane `r % LANES`, so concurrent requests render
@@ -85,38 +86,36 @@ fn track_name(tid: u32) -> String {
     }
 }
 
-/// Events a thread stages before taking the ring lock once for all of
-/// them (see the module docs for when a stage is flushed early).
-const STAGE_BATCH: usize = 64;
-
-/// Bounded event storage plus the side table.
-#[derive(Debug)]
+/// One cell's bounded event storage: its newest `capacity` events and
+/// how many older ones they overwrote.
+#[derive(Debug, Default)]
 pub(crate) struct Ring {
     events: Vec<Event>,
+    /// The oldest event once the ring is full: the next one overwrites it.
     head: usize,
     capacity: usize,
     /// Events overwritten because the ring was full.
     pub(crate) dropped: u64,
-    /// Track names: `(pid, None)` names a process, `(pid, Some(tid))` a
-    /// thread.
-    pub(crate) names: Vec<(u32, Option<u32>, String)>,
-    /// Free-text annotations, already rendered, keyed like events.
-    notes: Vec<((u64, u32, u32), String)>,
-    /// Pids whose black box has been written: one dump per cell.
-    pub(crate) dumped: Vec<u32>,
 }
 
 impl Ring {
-    /// Appends `batch` in order, overwriting the oldest events once full.
-    fn extend(&mut self, batch: &[Event]) {
-        let (fill, mut rest) = batch.split_at(batch.len().min(self.capacity - self.events.len()));
-        self.events.extend_from_slice(fill);
-        while !rest.is_empty() {
-            let n = rest.len().min(self.capacity - self.head);
-            self.events[self.head..self.head + n].copy_from_slice(&rest[..n]);
-            self.head = (self.head + n) % self.capacity;
-            self.dropped += n as u64;
-            rest = &rest[n..];
+    /// An empty ring bounded at `capacity` events, reserved up front so
+    /// recording never reallocates; the system only backs the pages
+    /// events actually reach.
+    fn new(capacity: usize) -> Ring {
+        let capacity = capacity.max(1);
+        Ring { events: Vec::with_capacity(capacity), head: 0, capacity, dropped: 0 }
+    }
+
+    /// Appends `e`, overwriting the oldest event once full.
+    #[inline]
+    fn push(&mut self, e: Event) {
+        if self.events.len() < self.capacity {
+            self.events.push(e);
+        } else {
+            self.events[self.head] = e;
+            self.head = if self.head + 1 == self.capacity { 0 } else { self.head + 1 };
+            self.dropped += 1;
         }
     }
 
@@ -124,96 +123,70 @@ impl Ring {
     pub(crate) fn ordered(&self) -> impl DoubleEndedIterator<Item = &Event> {
         self.events[self.head..].iter().chain(&self.events[..self.head])
     }
+
+    /// Number of buffered events.
+    pub(crate) fn len(&self) -> usize {
+        self.events.len()
+    }
 }
 
-type Shared = Arc<Mutex<Ring>>;
-
-/// Locks the ring. Poisoning is ignored: the ring holds plain data that
-/// no panic leaves half-written, and dumps must work inside panic hooks.
-pub(crate) fn lock(ring: &Mutex<Ring>) -> MutexGuard<'_, Ring> {
-    ring.lock().unwrap_or_else(PoisonError::into_inner)
+/// What a sink's handles share: its settings, and under one lock the
+/// finished cells and the side table.
+#[derive(Debug)]
+struct Shared {
+    /// Events each cell's ring keeps.
+    capacity: usize,
+    /// Black-box dump prefix (see [`TraceSink::with_blackbox`]).
+    blackbox: Option<String>,
+    store: Mutex<Store>,
 }
 
-/// One thread's staged events and the ring they belong to.
+/// The finished cells and the side table.
 #[derive(Debug, Default)]
-struct Stage {
-    owner: Option<Shared>,
-    events: Vec<Event>,
+pub(crate) struct Store {
+    /// Each finished cell's ring, by trace pid. Cells that share a pid
+    /// share its ring.
+    pub(crate) cells: BTreeMap<u32, Ring>,
+    /// Track names: `(pid, None)` names a process, `(pid, Some(tid))` a
+    /// thread.
+    names: Vec<(u32, Option<u32>, String)>,
+    /// Free-text annotations, already rendered, keyed like events.
+    notes: Vec<((u64, u32, u32), String)>,
 }
 
-impl Stage {
-    /// Moves the staged events into their ring.
-    fn flush(&mut self) {
-        if let (Some(owner), false) = (&self.owner, self.events.is_empty()) {
-            lock(owner).extend(&self.events);
-            self.events.clear();
-        }
-    }
+/// Locks the store. Poisoning is ignored: it holds plain data that no
+/// panic leaves half-written, and a panicking cell's drop must still
+/// hand over its events.
+fn lock(store: &Mutex<Store>) -> MutexGuard<'_, Store> {
+    store.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl Drop for Stage {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-thread_local! {
-    static STAGE: RefCell<Stage> = const { RefCell::new(Stage { owner: None, events: Vec::new() }) };
-}
-
-/// Flushes the calling thread's stage, whichever ring it belongs to. A
-/// no-op while the stage is busy or already torn down.
-fn flush_stage() {
-    let _ = STAGE.try_with(|stage| stage.try_borrow_mut().map(|mut s| s.flush()));
-}
-
-/// Appends `e` to the calling thread's stage, flushing the stage first
-/// if it holds another ring's events and after it fills. Pushes straight
-/// into the ring if the stage is unavailable.
-fn stage(ring: &Shared, e: Event) {
-    let staged = STAGE.try_with(|stage| {
-        let Ok(mut s) = stage.try_borrow_mut() else { return false };
-        if !s.owner.as_ref().is_some_and(|o| Arc::ptr_eq(o, ring)) {
-            s.flush();
-            s.owner = Some(Arc::clone(ring));
-        }
-        s.events.push(e);
-        if s.events.len() >= STAGE_BATCH {
-            s.flush();
-        }
-        true
-    });
-    if staged != Ok(true) {
-        lock(ring).extend(&[e]);
-    }
-}
-
-/// Handle to a shared event ring; `Clone` hands out another reference
-/// to the same ring. `TraceSink::disabled()` records nothing and costs
+/// Handle to a run's trace store; `Clone` hands out another reference
+/// to the same store. `TraceSink::disabled()` records nothing and costs
 /// one branch per call.
 #[derive(Debug, Clone, Default)]
-pub struct TraceSink(Option<Shared>);
+pub struct TraceSink(Option<Arc<Shared>>);
 
 impl TraceSink {
-    /// A sink recording into a ring of [`DEFAULT_CAPACITY`] events.
+    /// A sink whose cells each keep their newest 2^14 events.
     pub fn enabled() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
+        Self::with_capacity(CELL_CAPACITY)
     }
 
-    /// A sink recording into a ring bounded at `capacity` events. The
-    /// ring is reserved up front, so recording never reallocates; the
-    /// system only backs the pages events actually reach.
+    /// A sink whose cells each keep their newest `capacity` events.
     pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        TraceSink(Some(Arc::new(Mutex::new(Ring {
-            events: Vec::with_capacity(capacity),
-            head: 0,
-            capacity,
-            dropped: 0,
-            names: Vec::new(),
-            notes: Vec::new(),
-            dumped: Vec::new(),
-        }))))
+        Self::new(capacity, None)
+    }
+
+    /// [`TraceSink::enabled`], with every cell's black box armed: a
+    /// stash breach or a panic writes the cell's newest events under
+    /// `prefix` (see [`CellTrace::dump_blackbox`]).
+    pub fn with_blackbox(prefix: &str) -> Self {
+        Self::new(CELL_CAPACITY, Some(prefix.to_string()))
+    }
+
+    fn new(capacity: usize, blackbox: Option<String>) -> Self {
+        TraceSink(Some(Arc::new(Shared { capacity, blackbox, store: Mutex::default() })))
     }
 
     /// The no-op sink: records nothing, single branch per call.
@@ -228,38 +201,43 @@ impl TraceSink {
         self.0.is_some()
     }
 
-    /// The handle one cell records through: this ring, the cell's trace
-    /// process id, and the clock its clock-less layers stamp events from.
+    /// The black-box dump prefix, if the sink arms one.
+    pub fn blackbox_prefix(&self) -> Option<&str> {
+        self.0.as_ref()?.blackbox.as_deref()
+    }
+
+    /// The handle one cell records through: a fresh ring of the sink's
+    /// per-cell capacity, the cell's trace process id, and the clock its
+    /// clock-less layers stamp events from. Clones share the ring; the
+    /// last one to drop hands the events to this sink.
     pub fn cell(&self, pid: u32, clock: SharedCycle) -> CellTrace {
-        CellTrace { sink: self.clone(), pid, clock }
+        CellTrace(self.0.as_ref().map(|shared| {
+            Rc::new(Live {
+                pid,
+                clock,
+                ring: RefCell::new(Ring::new(shared.capacity)),
+                dumped: Cell::new(false),
+                shared: Arc::clone(shared),
+            })
+        }))
     }
 
-    /// Moves the calling thread's staged events into their ring.
-    pub fn flush(&self) {
-        if self.is_enabled() {
-            flush_stage();
-        }
-    }
-
-    /// The ring, with the calling thread's stage flushed into it. `None`
-    /// for a disabled sink.
-    pub(crate) fn ring(&self) -> Option<MutexGuard<'_, Ring>> {
-        let ring = self.0.as_ref()?;
-        flush_stage();
-        Some(lock(ring))
+    /// The store, locked. `None` for a disabled sink.
+    pub(crate) fn store(&self) -> Option<MutexGuard<'_, Store>> {
+        self.0.as_ref().map(|shared| lock(&shared.store))
     }
 
     /// Names the process track `pid` (side table).
     pub fn process_name(&self, pid: u32, name: &str) {
-        if let Some(ring) = &self.0 {
-            lock(ring).names.push((pid, None, name.to_string()));
+        if let Some(mut store) = self.store() {
+            store.names.push((pid, None, name.to_string()));
         }
     }
 
     /// Names the thread track `(pid, tid)` (side table).
     pub fn thread_name(&self, pid: u32, tid: u32, name: &str) {
-        if let Some(ring) = &self.0 {
-            lock(ring).names.push((pid, Some(tid), name.to_string()));
+        if let Some(mut store) = self.store() {
+            store.names.push((pid, Some(tid), name.to_string()));
         }
     }
 
@@ -278,53 +256,108 @@ impl TraceSink {
 
     #[allow(clippy::too_many_arguments)]
     fn note(&self, ph: char, cat: &str, name: &str, pid: u32, tid: u32, ts: u64, extra: &str) {
-        if let Some(ring) = &self.0 {
+        if let Some(mut store) = self.store() {
             let mut json = String::new();
             write_record(&mut json, ph, cat, name, ts, pid, tid, extra);
-            lock(ring).notes.push(((ts, pid, tid), json));
+            store.notes.push(((ts, pid, tid), json));
         }
     }
 
-    /// Number of events currently buffered (0 for a disabled sink).
+    /// Number of events the finished cells hold (0 for a disabled sink).
     pub fn len(&self) -> usize {
-        self.ring().map_or(0, |r| r.events.len())
+        self.store().map_or(0, |s| s.cells.values().map(Ring::len).sum())
     }
 
-    /// True when no events are buffered.
+    /// True when the finished cells hold no events.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Events overwritten because the ring was full.
+    /// Events the finished cells' rings overwrote because they were full.
     pub fn dropped(&self) -> u64 {
-        self.ring().map_or(0, |r| r.dropped)
+        self.store().map_or(0, |s| s.cells.values().map(|r| r.dropped).sum())
     }
 
-    /// Buffered events oldest-first. Empty for a disabled sink.
+    /// The finished cells' events: by pid, each cell's oldest first.
+    /// Empty for a disabled sink.
     pub fn events(&self) -> Vec<Event> {
-        self.ring().map_or_else(Vec::new, |r| r.ordered().copied().collect())
+        self.store()
+            .map_or_else(Vec::new, |s| s.cells.values().flat_map(Ring::ordered).copied().collect())
     }
 
-    /// Exports everything recorded so far — the side table's names and
-    /// annotations, then every buffered event — as a Chrome trace-event
-    /// JSON document, sorted by timestamp so the exported timeline is
-    /// monotone. Returns `None` for a disabled sink.
+    /// Exports the side table's names and annotations and every finished
+    /// cell's events as a Chrome trace-event JSON document, sorted by
+    /// timestamp so the exported timeline is monotone. Returns `None` for
+    /// a disabled sink.
     pub fn export_chrome_json(&self) -> Option<String> {
-        let ring = self.ring()?;
-        let events: Vec<&Event> = ring.ordered().collect();
-        Some(chrome_json(&ring.names, &ring.notes, &events, ring.dropped))
+        let store = self.store()?;
+        let events: Vec<&Event> = store.cells.values().flat_map(Ring::ordered).collect();
+        let dropped = store.cells.values().map(|r| r.dropped).sum();
+        Some(chrome_json(&store.names, &store.notes, &events, dropped))
     }
 }
 
-/// One cell's handle on the ring: the ring, the cell's trace process id
-/// and its executor's clock. Disabled (the default) costs one branch per
-/// record call.
-#[derive(Debug, Clone, Default)]
-pub struct CellTrace {
-    sink: TraceSink,
+/// One open cell: its ring and the latch of its one black box.
+#[derive(Debug)]
+struct Live {
     pid: u32,
     clock: SharedCycle,
+    ring: RefCell<Ring>,
+    /// Set once the cell's black box is armed: one dump per cell.
+    dumped: Cell<bool>,
+    shared: Arc<Shared>,
 }
+
+impl Live {
+    /// Latches the cell's one black box (see [`CellTrace::arm_dump`]).
+    fn arm(&self) -> bool {
+        self.shared.blackbox.is_some() && !self.dumped.replace(true)
+    }
+
+    /// Writes the cell's black box under the sink's prefix (see
+    /// [`CellTrace::dump_blackbox`]).
+    fn dump(&self, reason: &str) -> Option<std::io::Result<(String, String)>> {
+        let prefix = format!("{}-pid{}", self.shared.blackbox.as_deref()?, self.pid);
+        Some(BlackBox::of(&self.ring.borrow()).write(&prefix, self.pid, reason))
+    }
+}
+
+impl Drop for Live {
+    /// Hands the cell's events to the sink. A cell dropped by a panic
+    /// first writes its black box, unless it already dumped; a failed
+    /// write is reported, never raised, since a panic here would abort.
+    fn drop(&mut self) {
+        if std::thread::panicking() && self.arm() {
+            if let Some(written) = self.dump("panic") {
+                let line = match written {
+                    Ok((txt, json)) => format!("dumped {txt} and {json}"),
+                    Err(e) => format!("dump of pid {} failed: {e}", self.pid),
+                };
+                use std::io::Write;
+                // lint: print-ok(a panicking cell's drop has no caller to return its black box's paths to)
+                let _ = writeln!(std::io::stderr(), "flight recorder: panic; {line}");
+            }
+        }
+        let ring = self.ring.take();
+        match lock(&self.shared.store).cells.entry(self.pid) {
+            Entry::Vacant(slot) => {
+                slot.insert(ring);
+            }
+            Entry::Occupied(mut slot) => {
+                let kept = slot.get_mut();
+                kept.dropped += ring.dropped;
+                ring.ordered().for_each(|e| kept.push(*e));
+            }
+        }
+    }
+}
+
+/// One cell's handle on its ring: the ring, the cell's trace process id
+/// and its executor's clock. Clones share the ring, which never leaves
+/// the thread that runs the cell. Disabled (the default) costs one
+/// branch per record call.
+#[derive(Debug, Clone, Default)]
+pub struct CellTrace(Option<Rc<Live>>);
 
 impl CellTrace {
     /// The no-op handle.
@@ -335,14 +368,14 @@ impl CellTrace {
     /// True when events are actually being recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_enabled()
+        self.0.is_some()
     }
 
     /// Records `kind` at cycle `ts`.
     #[inline]
     pub fn record_at(&self, ts: u64, kind: EventKind) {
-        if let Some(ring) = &self.sink.0 {
-            stage(ring, Event { ts, pid: self.pid, kind });
+        if let Some(live) = &self.0 {
+            live.ring.borrow_mut().push(Event { ts, pid: live.pid, kind });
         }
     }
 
@@ -350,9 +383,28 @@ impl CellTrace {
     /// no clock of their own.
     #[inline]
     pub fn record(&self, kind: EventKind) {
-        if let Some(ring) = &self.sink.0 {
-            stage(ring, Event { ts: self.clock.now(), pid: self.pid, kind });
+        if let Some(live) = &self.0 {
+            live.ring.borrow_mut().push(Event { ts: live.clock.now(), pid: live.pid, kind });
         }
+    }
+
+    /// Latches the cell's one black box: `true` the first time it is
+    /// called on a cell whose sink has a black-box prefix, `false` after
+    /// that (clones included) and always without a prefix. A cascade of
+    /// triggering conditions (a stash breach, then a panic) so writes
+    /// one dump.
+    pub fn arm_dump(&self) -> bool {
+        self.0.as_ref().is_some_and(|live| live.arm())
+    }
+
+    /// Writes the cell's black box — its newest
+    /// [`BLACKBOX_EVENTS`](crate::recorder::BLACKBOX_EVENTS), with
+    /// `reason` up top — as `<prefix>-pid<N>.blackbox.txt` and
+    /// `.trace.json` under the sink's prefix, and returns the two paths.
+    /// `None` for a disabled handle or a sink without a prefix. Does not
+    /// consult the latch ([`arm_dump`](Self::arm_dump)).
+    pub fn dump_blackbox(&self, reason: &str) -> Option<std::io::Result<(String, String)>> {
+        self.0.as_ref()?.dump(reason)
     }
 }
 
@@ -371,10 +423,11 @@ type Emit<'a> = dyn FnMut(char, &str, &str, u64, u32, &str) + 'a;
 const INSTANT: &str = ", \"s\": \"t\"";
 
 /// Renders Chrome trace-event JSON: `names` and the names of every event
-/// track as metadata, then `notes` and `events` together, sorted by `(ts,
-/// pid, tid)` (stable, so ties keep recording order). Sorts small keys
-/// and formats each event's record straight into the output, so a full
-/// ring never exists twice as text.
+/// track as metadata, sorted by `(pid, tid)`, then `notes` and `events`
+/// together, sorted by `(ts, pid, tid)` (both stable, so ties keep their
+/// order: notes, then events in the order given). Sorts small keys and
+/// formats each event's record straight into the output, so the events
+/// never exist twice as text.
 pub(crate) fn chrome_json(
     names: &[(u32, Option<u32>, String)],
     notes: &[((u64, u32, u32), String)],
@@ -399,11 +452,14 @@ pub(crate) fn chrome_json(
     tracks.sort_unstable();
     tracks.dedup();
     let tracks = tracks.into_iter().map(|(pid, tid)| (pid, Some(tid), track_name(tid)));
+    let mut metadata: Vec<(u32, Option<u32>, String)> =
+        names.iter().cloned().chain(tracks).collect();
+    metadata.sort_by_key(|&(pid, tid, _)| (pid, tid));
 
     let mut out = String::with_capacity(96 * keys.len() + 128);
     out.push_str("{\"traceEvents\": [");
     let mut sep = "\n";
-    for (pid, tid, name) in names.iter().cloned().chain(tracks) {
+    for (pid, tid, name) in metadata {
         let (kind, tid_field) = match tid {
             None => ("process_name", String::new()),
             Some(tid) => ("thread_name", format!("\"tid\": {tid}, ")),
@@ -559,6 +615,7 @@ mod tests {
         cell.record_at(120, EventKind::InFlight { count: 4 });
         cell.record_at(140, cas(2, 30, 15));
         cell.record_at(260, EventKind::Backend { request: 3, decision: BackendDecision::Release });
+        drop(cell);
         s.span("leakage", "verdict", 9, 0, 0, 8);
         let json = s.export_chrome_json().unwrap();
         crate::json::validate(&json).expect("chrome trace must be valid JSON");
@@ -584,6 +641,8 @@ mod tests {
         for ts in 0..10u64 {
             cell.record_at(ts, EventKind::InFlight { count: 1 });
         }
+        assert!(s.is_empty(), "a cell's events reach the sink when it ends");
+        drop(cell);
         assert_eq!(s.len(), 4);
         assert_eq!(s.dropped(), 6);
         let json = s.export_chrome_json().unwrap();
@@ -601,5 +660,18 @@ mod tests {
         t.cell(7, SharedCycle::new()).record_at(1, EventKind::InFlight { count: 1 });
         assert_eq!(s.len(), 1);
         assert!(s.export_chrome_json().unwrap().contains("\"pid\": 7"));
+    }
+
+    #[test]
+    fn cells_sharing_a_pid_share_its_ring() {
+        let s = TraceSink::with_capacity(3);
+        for ts in [10, 20] {
+            let cell = s.cell(4, SharedCycle::new());
+            cell.record_at(ts, EventKind::InFlight { count: 1 });
+            cell.record_at(ts + 1, EventKind::InFlight { count: 2 });
+        }
+        let ts: Vec<u64> = s.events().iter().map(|e| e.ts).collect();
+        assert_eq!(ts, [11, 20, 21]);
+        assert_eq!(s.dropped(), 1);
     }
 }

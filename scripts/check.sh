@@ -29,20 +29,28 @@ echo "==> telemetry overhead gate (disabled ring/wear <2%, armed black-box ring/
 cargo run --release -q -p sdimm-bench --bin telemetry_overhead -- \
   --json target/telemetry-overhead.json
 
-echo "==> audited quick-scale fig6 (DDR replay + ORAM oracle must be clean)"
+echo "==> audited quick-scale fig6 (DDR replay + ORAM oracle must be clean; Chrome trace byte-stable across runs)"
 # Build first so the timing below measures the run, not compilation.
 cargo build --release -q -p sdimm-bench --bin fig6
+fig6_flags=(--audit --flight-recorder target/quick-fig6-flight
+  --profile-folded target/quick-fig6.folded --metrics-json target/quick-fig6.metrics.json)
 fig6_t0=$(date +%s%N)
-SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig6 -- --audit \
-  --flight-recorder target/quick-fig6-flight \
-  --profile-folded target/quick-fig6.folded \
-  --metrics-json target/quick-fig6.metrics.json \
+SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig6 -- "${fig6_flags[@]}" \
   --trace-json target/quick-fig6.trace.json > /dev/null
 fig6_t1=$(date +%s%N)
 # One-line wall-clock record for the audited run, kept as a CI artifact
 # so simulator-throughput trends are visible across commits.
 echo "audited_quick_fig6_wall_ms=$(( (fig6_t1 - fig6_t0) / 1000000 ))" \
   | tee target/quick-fig6.timing.txt
+# The same run again must write the same Chrome trace byte for byte:
+# every cell keeps its own newest events, and the export reads cells in
+# pid order, whatever order the workers finished them in. The first
+# run's trace is the CI artifact; the second copy is deleted.
+SDIMM_BENCH_SCALE=quick ./target/release/fig6 "${fig6_flags[@]}" \
+  --trace-json target/quick-fig6-2.trace.json > /dev/null
+cmp target/quick-fig6.trace.json target/quick-fig6-2.trace.json \
+  || { echo "fig6 Chrome traces differ between runs — the trace is nondeterministic"; exit 1; }
+rm target/quick-fig6-2.trace.json
 
 echo "==> audited quick-scale fig6 on DDR4-2400 (spec-driven backend: bank-group replay must be clean)"
 SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig6 -- \

@@ -93,12 +93,12 @@ fn subtree_packing_raises_row_hits_and_finishes_paths_sooner() {
         let (_, flat_plan) = flat.access(BlockId(1), Op::Read, None);
         let (_, packed_plan) = packed.access(BlockId(1), Op::Read, None);
         assert_eq!(flat_plan.leaf, packed_plan.leaf, "both layouts read the same path");
-        let f = replay(SchedulerPolicy::FrFcfs, &flat_plan.read_lines);
-        let p = replay(SchedulerPolicy::FrFcfs, &packed_plan.read_lines);
+        let f = replay(SchedulerPolicy::FrFcfs, &flat_plan.lines);
+        let p = replay(SchedulerPolicy::FrFcfs, &packed_plan.lines);
         println!(
             "layout path {access} ({} lines): 4 levels/row {} cycles (hit rate {:.2}), \
              1 level/row {} cycles (hit rate {:.2})",
-            packed_plan.read_lines.len(),
+            packed_plan.lines.len(),
             p.last_finish,
             p.row_hit_rate,
             f.last_finish,

@@ -89,8 +89,9 @@ fn audited_run_matches_plain_run_exactly() {
         let cfg = SystemConfig::small(kind);
         let plain = run(&cfg, &trace, 200, 400);
         let instrumented = Instruments {
-            sink: TraceSink::enabled(),
-            blackbox: Some(std::env::temp_dir().join("sdimm-audit-bare").display().to_string()),
+            sink: TraceSink::with_blackbox(
+                &std::env::temp_dir().join("sdimm-audit-bare").display().to_string(),
+            ),
             profiler: CycleProfiler::enabled(),
             live: LiveProgress::enabled(),
         };

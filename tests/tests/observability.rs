@@ -9,7 +9,9 @@ use dram_sim::cmdlog::{CmdRecord, DdrCmd};
 use sdimm_audit::ddr::{violation_recorder, DdrAuditor, BLACKBOX_CONTEXT};
 use sdimm_system::machine::{MachineKind, SystemConfig};
 use sdimm_system::runner::{dump_stash_breach, run_audited, run_with, Capture, RunResult};
-use sdimm_telemetry::{CycleProfiler, EventKind, Instruments, LiveProgress, TraceSink};
+use sdimm_telemetry::{
+    CycleProfiler, EventKind, Instruments, LiveProgress, SharedCycle, TraceSink,
+};
 use workloads::spec;
 
 fn small_run(instruments: &Instruments) -> RunResult {
@@ -50,11 +52,8 @@ fn profiler_attributes_every_sampled_cycle_on_a_real_run() {
 
 #[test]
 fn flight_recorder_sees_all_event_families_with_monotonic_clock() {
-    let instruments = Instruments {
-        sink: TraceSink::with_capacity(1 << 14),
-        blackbox: Some(format!("{}/flight", scratch("families"))),
-        ..Instruments::disabled()
-    };
+    let prefix = format!("{}/flight", scratch("families"));
+    let instruments = Instruments::with_sink(TraceSink::with_blackbox(&prefix));
     small_run(&instruments);
 
     let events = instruments.sink.events();
@@ -113,7 +112,6 @@ fn injected_timing_violation_yields_ordered_blackbox_with_context() {
     assert!(last_line.contains("RD"), "last DDR line is the violating read: {last_line}");
 
     let prefix = format!("{}/case", scratch("blackbox"));
-    assert!(recorder.arm_dump(0), "first dump arms");
     let (txt, json) = recorder
         .dump_to_files(&prefix, &v.to_string(), 0)
         .expect("enabled recorder dumps")
@@ -126,33 +124,47 @@ fn injected_timing_violation_yields_ordered_blackbox_with_context() {
 
 #[test]
 fn stash_bound_breach_dumps_a_black_box_once() {
-    // Fill the ring with real Freecursive traffic, then fire the exact
-    // breach path the runner's in-loop check calls. (A legal config
-    // cannot breach steadily — background eviction drains the stash by
-    // every poll point — so the trigger is driven directly here.)
-    let prefix = format!("{}/breach", scratch("stash"));
-    let instruments = Instruments {
-        sink: TraceSink::enabled(),
-        blackbox: Some(prefix),
-        ..Instruments::disabled()
-    };
-    small_run(&instruments);
+    // Fill a live cell's ring with a real Freecursive run's events, then
+    // fire the exact breach path the runner's in-loop check calls. (A
+    // legal config cannot breach steadily — background eviction drains
+    // the stash by every poll point — so the trigger is driven directly
+    // here.) The cell then panics, as a run that breached might.
+    let run = Instruments::with_sink(TraceSink::enabled());
+    small_run(&run);
+    let dir = scratch("stash");
+    let sink = TraceSink::with_blackbox(&format!("{dir}/breach"));
+    let outcome = std::panic::catch_unwind(|| {
+        let cell = sink.cell(0, SharedCycle::new());
+        for e in run.sink.events() {
+            cell.record_at(e.ts, e.kind);
+        }
+        let first = dump_stash_breach(&cell, "FREECURSIVE-1ch", 123_456, 65, 64);
+        assert!(first.is_some(), "the first breach dumps");
+        // The latch makes a later breach in the same cell a no-op: one
+        // black box per cell, never a dump storm.
+        let again = dump_stash_breach(&cell, "FREECURSIVE-1ch", 200_000, 70, 64);
+        assert!(again.is_none(), "a second breach must not dump");
+        panic!("the breached cell fails");
+    });
+    assert!(outcome.is_err());
 
-    let (txt, json) = dump_stash_breach(&instruments, "FREECURSIVE-1ch", 123_456, 65, 64, 0)
-        .expect("enabled recorder dumps on first breach");
-    let body = std::fs::read_to_string(&txt).expect("read black-box report");
-    assert!(body.contains("[stash-bound]"), "reason names the breach:\n{body}");
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list the dump directory")
+        .map(|f| f.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["breach-pid0.blackbox.txt", "breach-pid0.trace.json"], "one pair");
+    let body = std::fs::read_to_string(format!("{dir}/breach-pid0.blackbox.txt"))
+        .expect("read black-box report");
+    assert!(body.contains("[stash-bound]"), "the breach's dump, not the panic's:\n{body}");
     assert!(
         body.contains("occupancy 65 blocks") && body.contains("bound 64 blocks"),
         "actual-vs-expected reason:\n{body}"
     );
     assert!(body.contains("stash"), "stash trajectory events present:\n{body}");
-    let slice = std::fs::read_to_string(&json).expect("read chrome slice");
+    let slice = std::fs::read_to_string(format!("{dir}/breach-pid0.trace.json"))
+        .expect("read chrome slice");
     sdimm_telemetry::json::validate(&slice).expect("chrome slice is strict JSON");
-
-    // The arm latch makes a later breach in the same run a no-op: one
-    // black box per cell, never a dump storm.
-    assert!(dump_stash_breach(&instruments, "FREECURSIVE-1ch", 200_000, 70, 64, 0).is_none());
 }
 
 #[test]

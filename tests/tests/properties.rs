@@ -55,20 +55,19 @@ proptest! {
         oram.check_invariant();
     }
 
-    /// Every access plan covers exactly the configured path size and
-    /// reads and writes the same lines.
+    /// Every access plan covers exactly the configured path size, each
+    /// line once.
     #[test]
     fn access_plans_are_path_shaped(id in 0..BLOCKS, cached in 0u32..4) {
         let cfg = OramConfig { levels: 8, cached_levels: cached, ..OramConfig::tiny() };
         let mut oram = PathOram::new(cfg.clone(), BLOCKS, 6);
         let (_, plan) = oram.access(BlockId(id), Op::Read, None);
         prop_assert_eq!(plan.total_lines(), cfg.lines_per_access());
-        prop_assert_eq!(&plan.read_lines, &plan.write_lines);
         // No duplicate lines within the path.
-        let mut sorted = plan.read_lines.clone();
+        let mut sorted = plan.lines.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        prop_assert_eq!(sorted.len(), plan.read_lines.len());
+        prop_assert_eq!(sorted.len(), plan.lines.len());
     }
 
     /// CTR encryption round-trips for arbitrary payloads and never fixes

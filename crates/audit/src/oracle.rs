@@ -30,10 +30,7 @@ use oram::types::{BlockId, Op, OramConfig};
 use oram::{FreecursiveOram, PathOram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdimm::{
-    IndepSplitConfig, IndepSplitOram, IndependentConfig, IndependentOram, Protocol, SplitConfig,
-    SplitOram,
-};
+use sdimm::{IndependentConfig, IndependentOram, Protocol, SplitConfig, SplitOram};
 
 /// The trivially-correct reference memory.
 #[derive(Debug, Default)]
@@ -195,8 +192,7 @@ pub fn check_protocol(
             check_freecursive(kind, cfg, blocks, steps, seed, *tiny_plb)
         }
         ProtocolKind::Independent { sdimms } => {
-            let icfg = IndependentConfig::new(*sdimms, cfg);
-            let oram = IndependentOram::new(icfg, blocks, seed);
+            let oram = IndependentOram::new(IndependentConfig::new(*sdimms, 1, cfg), blocks, seed);
             check_request_trace_protocol(kind, cfg, blocks, steps, seed, oram)
         }
         ProtocolKind::Split { ways } => {
@@ -205,8 +201,8 @@ pub fn check_protocol(
             check_request_trace_protocol(kind, cfg, blocks, steps, seed, oram)
         }
         ProtocolKind::IndepSplit { groups, ways } => {
-            let iscfg = IndepSplitConfig::new(*groups, *ways, cfg);
-            let oram = IndepSplitOram::new(iscfg, blocks, seed);
+            let oram =
+                IndependentOram::new(IndependentConfig::new(*groups, *ways, cfg), blocks, seed);
             check_request_trace_protocol(kind, cfg, blocks, steps, seed, oram)
         }
     }

@@ -128,7 +128,7 @@ fn wear_enabled_ns_per_event() -> f64 {
 }
 
 /// Per-event cost of recording into the cell ring `--flight-recorder`
-/// arms, handing the events to the sink at the cell's end included.
+/// arms, freeing the ring at the cell's end included.
 fn recorder_ns_per_event() -> f64 {
     let args = TelemetryArgs { flight_recorder: Some(String::new()), ..TelemetryArgs::default() };
     let sink = args.sink();

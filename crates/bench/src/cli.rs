@@ -130,10 +130,12 @@ impl TelemetryArgs {
     /// pays one branch per telemetry touchpoint and nothing else. Either
     /// flag gives each cell a ring of its newest 2^14 events;
     /// `--flight-recorder` also arms each cell's black box, which a stash
-    /// breach or the cell's panic writes.
+    /// breach or the cell's panic writes. Finished cells are kept only
+    /// when `--trace-json` will export them.
     pub fn sink(&self) -> TraceSink {
         match (&self.flight_recorder, &self.trace_json) {
-            (Some(prefix), _) => TraceSink::with_blackbox(prefix),
+            (Some(prefix), Some(_)) => TraceSink::with_blackbox(prefix),
+            (Some(prefix), None) => TraceSink::blackbox_only(prefix),
             (None, Some(_)) => TraceSink::enabled(),
             (None, None) => TraceSink::disabled(),
         }
@@ -171,6 +173,7 @@ pub fn write_or_die(path: &str, contents: &str, what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdimm_telemetry::{EventKind, SharedCycle};
 
     #[test]
     fn default_args_have_disabled_sink() {
@@ -186,6 +189,17 @@ mod tests {
         };
         assert!(args.sink().is_enabled());
         assert!(args.sink().blackbox_prefix().is_none(), "a trace alone arms no black box");
+    }
+
+    #[test]
+    fn only_a_trace_export_keeps_finished_cells() {
+        for (trace_json, kept) in [(None, 0), (Some("/tmp/t.json".to_string()), 1)] {
+            let flight_recorder = Some("/tmp/fr".to_string());
+            let sink =
+                TelemetryArgs { flight_recorder, trace_json, ..TelemetryArgs::default() }.sink();
+            sink.cell(0, SharedCycle::new()).record_at(1, EventKind::InFlight { count: 1 });
+            assert_eq!(sink.len(), kept);
+        }
     }
 
     #[test]

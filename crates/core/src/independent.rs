@@ -1,61 +1,73 @@
-//! The Independent ORAM protocol (§III-C).
+//! The Independent ORAM protocol (§III-C) and, with Split's steps inside
+//! each group, the combined Indep-Split architecture (§III-D, Fig 7e).
 //!
-//! The address space is partitioned across SDIMMs by the most significant
-//! bits of the leaf ID; each SDIMM runs a full `accessORAM` backend over
-//! its own subtree. Per access: the CPU sends an encrypted `ACCESS`
-//! command (always followed by one block — a dummy on reads) to the
-//! owning SDIMM; the SDIMM walks its local path, generates a fresh random
-//! *global* leaf, keeps or extracts the block depending on whether the
-//! new leaf stays local, and hands the block (or a dummy) back through a
-//! `PROBE`/`FETCH_RESULT` pair. Finally the CPU issues one `APPEND` to
-//! **every** SDIMM — real payload to the block's new home, dummies
-//! elsewhere — so the destination is never revealed. Incoming blocks park
-//! in a transfer queue drained by stash vacancies or, with probability
-//! `p`, by an extra local `accessORAM` (§IV-C).
+//! The address space is partitioned across *groups* of SDIMMs by the most
+//! significant bits of the leaf ID; each group runs a full `accessORAM`
+//! backend over its own subtree, remaps the block to a fresh random
+//! *global* leaf, and keeps or extracts it depending on whether the new
+//! leaf stays local. With one SDIMM per group (INDEP-2, INDEP-4) that is
+//! Independent's `ACCESS`, path walk and `PROBE`/`FETCH_RESULT`; with
+//! `ways ≥ 2` (INDEP-SPLIT: 2 groups × 2-way) each bucket is byte-striped
+//! over the group's SDIMMs, which run Split's steps ([`crate::split`]).
+//! Finally the CPU issues one `APPEND` to **every** SDIMM — real payload
+//! to the block's new home, dummies elsewhere — so the destination is
+//! never revealed. Incoming blocks park in a transfer queue drained by
+//! stash vacancies or, with probability `p`, by an extra local
+//! `accessORAM` (§IV-C).
+
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use oram::layout::TreeLayout;
 use oram::path_oram::PathOram;
+use oram::plan::AccessPlan;
 use oram::types::{BlockId, Leaf, Op, OramConfig};
 use oram::wear::LevelWear;
 
 use crate::obliviousness::{Observable, Recorder};
+use crate::split::{stripe, striped_phases};
 use crate::trace::{Activity, Phase, RequestTrace};
 use crate::transfer_queue::TransferQueue;
 use crate::Protocol;
 
-/// Configuration for an Independent-protocol memory system.
+/// Configuration of a routed (Independent or Indep-Split) memory system.
 #[derive(Debug, Clone)]
 pub struct IndependentConfig {
-    /// Number of SDIMMs (a power of two).
-    pub sdimms: usize,
-    /// Per-SDIMM subtree configuration (levels = global levels − log₂ N).
+    /// Independent groups (a power of two), each owning a subtree.
+    pub groups: usize,
+    /// SDIMMs per group: 1 for the Independent protocol, otherwise the
+    /// Split arity within a group (2, 4 or 8).
+    pub ways: usize,
+    /// Per-group subtree (levels = global levels − log₂ groups).
     pub subtree: OramConfig,
-    /// Transfer-queue capacity in blocks (8 KB buffer ⇒ 128).
+    /// Transfer-queue capacity per group in blocks (8 KB buffer ⇒ 128).
     pub transfer_capacity: usize,
     /// Forced-drain probability `p`.
     pub drain_probability: f64,
-    /// Enable the low-power rank-localized layout (§III-E).
+    /// Enable the low-power scheme (§III-E).
     pub low_power: bool,
 }
 
 impl IndependentConfig {
-    /// Builds a config for `sdimms` SDIMMs sharing a *global* tree of
-    /// `global_levels` levels: each SDIMM owns a subtree with
-    /// `global_levels − log₂(sdimms)` levels.
+    /// Builds a config for `groups` groups of `ways` SDIMMs sharing a
+    /// *global* tree of `global.levels` levels: each group owns a subtree
+    /// with `global.levels − log₂(groups)` levels.
     ///
     /// # Panics
     ///
-    /// Panics unless `sdimms` is a power of two smaller than the tree.
-    pub fn new(sdimms: usize, global: &OramConfig) -> Self {
-        assert!(sdimms.is_power_of_two(), "SDIMM count must be a power of two");
-        let log = sdimms.trailing_zeros();
-        assert!(global.levels > log, "more SDIMMs than subtrees");
+    /// Panics unless `groups` is a power of two smaller than the tree and
+    /// `ways` is 1 or a supported split arity.
+    pub fn new(groups: usize, ways: usize, global: &OramConfig) -> Self {
+        assert!(groups.is_power_of_two(), "group count must be a power of two");
+        assert!(matches!(ways, 1 | 2 | 4 | 8), "unsupported split arity {ways}");
+        let log = groups.trailing_zeros();
+        assert!(global.levels > log, "more groups than subtrees");
         let subtree = OramConfig { levels: global.levels - log, ..global.clone() };
         IndependentConfig {
-            sdimms,
+            groups,
+            ways,
             subtree,
             transfer_capacity: 128,
             drain_probability: 0.1,
@@ -63,20 +75,25 @@ impl IndependentConfig {
         }
     }
 
-    /// Leaves per SDIMM subtree.
+    /// Total SDIMMs in the system.
+    pub fn sdimms(&self) -> usize {
+        self.groups * self.ways
+    }
+
+    /// Leaves per group subtree.
     pub fn local_leaves(&self) -> u64 {
         self.subtree.leaf_count()
     }
 
     /// Total leaves across the distributed tree.
     pub fn global_leaves(&self) -> u64 {
-        self.local_leaves() * self.sdimms as u64
+        self.local_leaves() * self.groups as u64
     }
 }
 
-/// One SDIMM's secure-buffer state for the Independent protocol.
+/// One group's secure-buffer state: its subtree and transfer queue.
 #[derive(Debug)]
-struct SdimmNode {
+struct Group {
     oram: PathOram,
     queue: TransferQueue,
 }
@@ -86,7 +103,7 @@ struct SdimmNode {
 pub struct IndependentStats {
     /// `accessORAM` operations executed.
     pub accesses: u64,
-    /// Blocks that migrated between SDIMMs.
+    /// Blocks that migrated between groups.
     pub migrations: u64,
     /// Extra local accesses spent draining transfer queues.
     pub drain_accesses: u64,
@@ -98,12 +115,11 @@ pub struct IndependentStats {
     pub internal_lines: u64,
 }
 
-/// The distributed Independent ORAM: CPU-side router plus N secure
-/// buffers.
+/// The distributed ORAM: CPU-side router plus one backend per group.
 #[derive(Debug)]
 pub struct IndependentOram {
     cfg: IndependentConfig,
-    nodes: Vec<SdimmNode>,
+    groups: Vec<Group>,
     /// CPU-side ground-truth position map over global leaves (in hardware
     /// this is the Freecursive recursion; the frontend models its traffic).
     posmap: Vec<Leaf>,
@@ -117,32 +133,39 @@ impl IndependentOram {
     ///
     /// # Panics
     ///
-    /// Panics if per-SDIMM expected residency exceeds subtree capacity.
+    /// Panics if per-group expected residency exceeds subtree capacity.
     pub fn new(cfg: IndependentConfig, blocks: u64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let per_sdimm = blocks / cfg.sdimms as u64 + 1;
-        let mut nodes = Vec::with_capacity(cfg.sdimms);
-        for i in 0..cfg.sdimms {
-            let mut oram = PathOram::with_id_space(
-                cfg.subtree.clone(),
-                blocks,
-                per_sdimm * 2, // headroom for imbalance
-                seed ^ (0xD1D1 + i as u64),
-            );
-            if cfg.low_power {
-                let rank_bytes = rank_region_bytes(&cfg.subtree);
-                oram.set_layout(TreeLayout::rank_localized(&cfg.subtree, 2, rank_bytes));
-            }
-            nodes.push(SdimmNode {
-                oram,
-                queue: TransferQueue::new(cfg.transfer_capacity, cfg.drain_probability),
-            });
-        }
+        let per_group = blocks / cfg.groups as u64 + 1;
+        // The seed salt differs by arity only because the pinned streams
+        // of both protocols depend on it.
+        let salt = if cfg.ways == 1 { 0xD1D1 } else { 0xA5A5 };
+        let groups = (0..cfg.groups)
+            .map(|g| {
+                let mut oram = PathOram::with_id_space(
+                    cfg.subtree.clone(),
+                    blocks,
+                    per_group * 2, // headroom for imbalance
+                    seed ^ (salt + g as u64),
+                );
+                // Only a one-SDIMM group localizes its subtree in ranks;
+                // striped groups keep the packed layout and hint rank 0
+                // (the open question of DESIGN.md §6 item 7).
+                if cfg.low_power && cfg.ways == 1 {
+                    let rank_bytes = rank_region_bytes(&cfg.subtree);
+                    oram.set_layout(TreeLayout::rank_localized(&cfg.subtree, 2, rank_bytes));
+                }
+                Group {
+                    oram,
+                    queue: TransferQueue::new(cfg.transfer_capacity, cfg.drain_probability),
+                }
+            })
+            .collect();
         let global_leaves = cfg.global_leaves();
         let posmap = (0..blocks).map(|_| Leaf(rng.gen_range(0..global_leaves))).collect();
         IndependentOram {
             cfg,
-            nodes,
+            groups,
             posmap,
             rng,
             stats: IndependentStats::default(),
@@ -160,25 +183,26 @@ impl IndependentOram {
         self.stats
     }
 
-    /// Peak transfer-queue occupancy across SDIMMs.
+    /// Peak transfer-queue occupancy across groups.
     pub fn transfer_peak(&self) -> usize {
-        self.nodes.iter().map(|n| n.queue.peak()).max().unwrap_or(0)
+        self.groups.iter().map(|g| g.queue.peak()).max().unwrap_or(0)
     }
 
     /// Total transfer-queue overflows (should be zero with drain enabled).
     pub fn transfer_overflows(&self) -> u64 {
-        self.nodes.iter().map(|n| n.queue.overflows()).sum()
+        self.groups.iter().map(|g| g.queue.overflows()).sum()
     }
 
-    /// Stash occupancy of one SDIMM (tests).
-    pub fn stash_len(&self, sdimm: usize) -> usize {
-        self.nodes[sdimm].oram.stash_len()
-    }
-
-    /// Splits a global leaf into (owning SDIMM, local leaf).
+    /// Splits a global leaf into (owning group, local leaf).
     fn route(&self, global: Leaf) -> (usize, Leaf) {
         let local_leaves = self.cfg.local_leaves();
         ((global.0 / local_leaves) as usize, Leaf(global.0 % local_leaves))
+    }
+
+    /// SDIMM indices belonging to `group`, in way order.
+    fn members(&self, group: usize) -> Range<usize> {
+        let k = self.cfg.ways;
+        (group * k)..(group * k + k)
     }
 
     fn record(&mut self, ev: Observable) {
@@ -186,37 +210,28 @@ impl IndependentOram {
             rec.push(ev);
         }
     }
-}
 
-impl Protocol for IndependentOram {
-    fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace) {
-        let global_old = self.posmap[id.0 as usize];
-        let (home, local_old) = self.route(global_old);
-
-        // Step 1: encrypted ACCESS + one block (dummy on reads) to `home`.
+    /// Independent's steps 1–5 on the one SDIMM of group `home`, whose
+    /// path to `local_old` is `plan`: `ACCESS`, the path read, the
+    /// write-back, then `PROBE`/`FETCH_RESULT`. Returns the phases, the
+    /// data-ready phase and the phase whose completion frees the buffer.
+    fn own_path_steps(
+        &mut self,
+        home: usize,
+        local_old: Leaf,
+        plan: AccessPlan,
+    ) -> (Vec<Phase>, usize, usize) {
+        // Step 1: encrypted ACCESS + one block (dummy on reads).
         let mut phases = Vec::new();
         phases.push(Phase::one(Activity::ExtTransfer { sdimm: home, bytes: 64 }));
         self.record(Observable::LongCommand { sdimm: home });
 
-        // Step 2–4 on the SDIMM: path fetch, remap, write-back.
-        let global_new = Leaf(self.rng.gen_range(0..self.cfg.global_leaves()));
-        let (dest, local_new) = self.route(global_new);
-        let keep_local = dest == home;
-
-        // The SDIMM sets the block's (local) leaf; posmap updated CPU-side.
-        let node = &mut self.nodes[home];
-        let (data, moved, plan) =
-            node.oram.access_with_remap(id, op, new_data, local_new, keep_local);
-        self.posmap[id.0 as usize] = global_new;
-        self.stats.accesses += 1;
-
-        // Path read, then write-back, as two phases: the buffer cannot
-        // write a bucket before it has read and decrypted it, and the
-        // read and write of one bucket hit the same lines (bundling them
-        // would let the controller forward reads from queued writes).
+        // Steps 2–4: path read, then write-back, as two phases: a bucket
+        // is written only after it is read and decrypted, and bundling
+        // would let the controller forward reads from queued writes.
         let mut read_phase = Phase::default();
         if self.cfg.low_power {
-            if let Some(rank) = node.oram.layout().rank_of(local_old) {
+            if let Some(rank) = self.groups[home].oram.layout().rank_of(local_old) {
                 read_phase.par.push(Activity::WakeRank { channel: home, rank });
             }
         }
@@ -230,13 +245,12 @@ impl Protocol for IndependentOram {
         phases.push(read_phase);
         phases.push(Phase::one(Activity::Dram {
             channel: home,
-            reads: Vec::new(),
+            reads: vec![],
             writes: plan.lines,
         }));
-        // The secure buffer can accept its next ACCESS once the path
-        // write-back retires; PROBE/FETCH_RESULT and the APPEND fan-out
-        // are CPU-side actions.
-        let backend_release_phase = phases.len() - 1;
+        // The buffer accepts its next ACCESS once the write-back retires;
+        // PROBE/FETCH_RESULT and the APPEND fan-out are CPU-side actions.
+        let release = phases.len() - 1;
         self.stats.internal_lines += path_lines;
         self.record(Observable::InternalPath { sdimm: home, lines: path_lines });
 
@@ -250,61 +264,94 @@ impl Protocol for IndependentOram {
         });
         self.record(Observable::ShortCommand { sdimm: home });
         self.record(Observable::LongCommand { sdimm: home });
-        let data_ready_phase = phases.len() - 1;
+        let data_ready = phases.len() - 1;
+        (phases, data_ready, release)
+    }
+}
 
-        // The departing block opens a vacancy its queue can exploit.
-        if moved.is_some() {
-            self.nodes[home].queue.vacancy();
-        }
+impl Protocol for IndependentOram {
+    fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace) {
+        let k = self.cfg.ways;
+        let global_old = self.posmap[id.0 as usize];
+        let (home, local_old) = self.route(global_old);
 
-        // Step 6: APPEND to every SDIMM; only `dest` gets the real block.
+        // The home group remaps the block to a fresh global leaf and sets
+        // its local leaf; the posmap is updated CPU-side.
+        let global_new = Leaf(self.rng.gen_range(0..self.cfg.global_leaves()));
+        let (dest, local_new) = self.route(global_new);
+        let keep_local = dest == home;
+        let (data, moved, plan) =
+            self.groups[home].oram.access_with_remap(id, op, new_data, local_new, keep_local);
+        self.posmap[id.0 as usize] = global_new;
+        self.stats.accesses += 1;
+
+        let (mut phases, data_ready_phase, backend_release_phase) = if k == 1 {
+            self.own_path_steps(home, local_old, plan)
+        } else {
+            let (phases, data_ready, lines) = striped_phases(
+                &plan,
+                self.members(home),
+                &self.cfg.subtree,
+                self.cfg.low_power,
+                &mut self.recorder,
+            );
+            self.stats.internal_lines += lines;
+            // The buffers are free after Split's last step, the write-back.
+            let release = phases.len() - 1;
+            (phases, data_ready, release)
+        };
+
+        // Step 6: APPEND to every SDIMM of every group, striped as k
+        // pieces of 64/k bytes; only `dest`'s members get the real block.
         let mut append = Phase::default();
-        for i in 0..self.cfg.sdimms {
-            append.par.push(Activity::ExtTransfer { sdimm: i, bytes: 64 });
-            self.record(Observable::LongCommand { sdimm: i });
+        for sdimm in 0..self.cfg.sdimms() {
+            append.par.push(Activity::ExtTransfer { sdimm, bytes: 64 / k as u64 });
+            self.record(Observable::LongCommand { sdimm });
         }
         phases.push(append);
 
-        // The block left with its new local leaf already set.
+        // The departing block opens a vacancy home's queue can exploit,
+        // and left with its new local leaf already set.
         if let Some(entry) = moved {
+            self.groups[home].queue.vacancy();
             self.stats.migrations += 1;
-            self.nodes[dest].queue.arrive();
-            self.nodes[dest].oram.append(entry);
+            self.groups[dest].queue.arrive();
+            self.groups[dest].oram.append(entry);
         }
 
-        // Occasional forced drain: an extra local accessORAM at `dest`.
-        if self.nodes[dest].queue.maybe_force_drain(&mut self.rng) {
-            let plan = self.nodes[dest].oram.background_evict();
+        // Occasional forced drain: an extra local accessORAM at `dest`,
+        // striped over its members.
+        if self.groups[dest].queue.maybe_force_drain(&mut self.rng) {
+            let plan = self.groups[dest].oram.background_evict();
             self.stats.drain_accesses += 1;
-            self.stats.internal_lines += plan.total_lines() as u64;
-            self.record(Observable::InternalPath { sdimm: dest, lines: plan.total_lines() as u64 });
-            phases.push(Phase::one(Activity::Dram {
-                channel: dest,
-                reads: plan.lines.clone(),
-                writes: Vec::new(),
-            }));
-            phases.push(Phase::one(Activity::Dram {
-                channel: dest,
-                reads: Vec::new(),
-                writes: plan.lines,
-            }));
+            let shares = stripe(&plan.lines, k, self.cfg.subtree.lines_per_bucket());
+            let (mut reads, mut writes) = (Phase::default(), Phase::default());
+            for (m, share) in self.members(dest).zip(shares) {
+                let lines = 2 * share.len() as u64;
+                self.stats.internal_lines += lines;
+                self.record(Observable::InternalPath { sdimm: m, lines });
+                reads.par.push(Activity::Dram { channel: m, reads: share.clone(), writes: vec![] });
+                writes.par.push(Activity::Dram { channel: m, reads: vec![], writes: share });
+            }
+            phases.push(reads);
+            phases.push(writes);
         }
 
         let mut trace = RequestTrace::new(phases);
         trace.data_ready_phase = data_ready_phase;
         trace.backend_release_phase = backend_release_phase;
-        trace.backend = Some(home);
+        trace.backend = Some(home); // one backend per group
         self.stats.external_bytes += trace.external_bytes();
         self.stats.external_commands += trace.external_commands();
         (data, trace)
     }
 
     fn max_stash_len(&self) -> usize {
-        self.nodes.iter().map(|n| n.oram.stash_len()).max().unwrap_or(0)
+        self.groups.iter().map(|g| g.oram.stash_len()).max().unwrap_or(0)
     }
 
     fn stash_peak(&self) -> usize {
-        self.nodes.iter().map(|n| n.oram.stash_len().max(n.oram.stash_peak())).max().unwrap_or(0)
+        self.groups.iter().map(|g| g.oram.stash_peak()).max().unwrap_or(0)
     }
 
     fn set_recorder(&mut self, rec: Recorder) {
@@ -315,18 +362,21 @@ impl Protocol for IndependentOram {
         self.recorder.take()
     }
 
-    /// Backend tag = SDIMM index.
+    /// Backend tag = group index.
     fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace) {
-        for (i, n) in self.nodes.iter_mut().enumerate() {
-            n.oram.set_trace(trace.clone(), i.min(u8::MAX as usize) as u8);
+        for (i, g) in self.groups.iter_mut().enumerate() {
+            g.oram.set_trace(trace.clone(), i.min(u8::MAX as usize) as u8);
         }
     }
 
-    /// Per-SDIMM ORAM metrics (`sdimm<i>.*`) plus transfer-queue peaks.
+    /// Per-group ORAM metrics plus transfer-queue peaks and overflows.
     fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
+        // The label differs by arity only because Independent's
+        // `sdimm<i>.*` keys are hashed into a pinned ledger fingerprint.
+        let label = if self.cfg.ways == 1 { "sdimm" } else { "group" };
         let mut m = sdimm_telemetry::MetricsRegistry::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            m.absorb(&format!("sdimm{i}"), &n.oram.metrics());
+        for (i, g) in self.groups.iter().enumerate() {
+            m.absorb(&format!("{label}{i}"), &g.oram.metrics());
         }
         m.gauge_max("stash_peak", self.stash_peak() as f64);
         m.gauge_max("transfer_peak", self.transfer_peak() as f64);
@@ -334,24 +384,26 @@ impl Protocol for IndependentOram {
         m
     }
 
-    /// Channel `sdimm`'s DRAM traffic is generated directly from that
-    /// SDIMM's private tree layout, so the inversion is per-node.
-    fn level_of_channel_line(&self, sdimm: usize, addr: u64) -> Option<u32> {
-        self.nodes.get(sdimm)?.oram.layout().level_of_line(addr)
+    /// Channel `ch` is way `ch % ways` of group `ch / ways`, and every
+    /// way of a group carries (a byte-striped share of) that group's own
+    /// layout addresses — so the inversion goes through the owning
+    /// group's layout.
+    fn level_of_channel_line(&self, ch: usize, addr: u64) -> Option<u32> {
+        self.groups.get(ch / self.cfg.ways)?.oram.layout().level_of_line(addr)
     }
 
     /// All trees share a geometry, so the merge is level-aligned.
     fn level_wear(&self) -> LevelWear {
         let mut total = LevelWear::default();
-        for n in &self.nodes {
-            total.merge(n.oram.level_wear());
+        for g in &self.groups {
+            total.merge(g.oram.level_wear());
         }
         total
     }
 
     fn check_invariants(&self) {
-        for n in &self.nodes {
-            n.oram.check_invariant();
+        for g in &self.groups {
+            g.oram.check_invariant();
         }
     }
 }
@@ -365,34 +417,45 @@ fn rank_region_bytes(cfg: &OramConfig) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
+    /// INDEP-2 over an 8-level tree (one SDIMM per group).
     fn small() -> IndependentOram {
         let global = OramConfig { levels: 8, ..OramConfig::tiny() };
-        IndependentOram::new(IndependentConfig::new(2, &global), 256, 7)
+        IndependentOram::new(IndependentConfig::new(2, 1, &global), 256, 7)
+    }
+
+    /// INDEP-SPLIT: 2 groups × 2-way Split over a 9-level tree.
+    fn combined() -> IndependentOram {
+        let global = OramConfig { levels: 9, ..OramConfig::tiny() };
+        IndependentOram::new(IndependentConfig::new(2, 2, &global), 256, 33)
     }
 
     #[test]
     fn read_your_writes_across_sdimms() {
-        let mut o = small();
-        for i in 0..64u64 {
-            o.access(BlockId(i), Op::Write, Some(&[i as u8; 16]));
+        for mut o in [small(), combined()] {
+            for i in 0..64u64 {
+                o.access(BlockId(i), Op::Write, Some(&[i as u8; 16]));
+            }
+            for i in 0..64u64 {
+                let (got, _) = o.access(BlockId(i), Op::Read, None);
+                assert_eq!(got, vec![i as u8; 16], "block {i}");
+            }
+            o.check_invariants();
         }
-        for i in 0..64u64 {
-            let (got, _) = o.access(BlockId(i), Op::Read, None);
-            assert_eq!(got, vec![i as u8; 16], "block {i}");
-        }
-        o.check_invariants();
     }
 
     #[test]
     fn blocks_migrate_between_sdimms() {
-        let mut o = small();
-        o.access(BlockId(0), Op::Write, Some(&[1]));
-        for _ in 0..50 {
-            o.access(BlockId(0), Op::Read, None);
+        for mut o in [small(), combined()] {
+            o.access(BlockId(0), Op::Write, Some(&[1]));
+            for _ in 0..50 {
+                o.access(BlockId(0), Op::Read, None);
+            }
+            assert!(o.stats().migrations > 10, "remaps should often cross groups");
         }
-        assert!(o.stats().migrations > 10, "remaps should often cross SDIMMs");
     }
 
     #[test]
@@ -402,7 +465,21 @@ mod tests {
         let appends =
             trace.iter_activities().filter(|a| matches!(a, Activity::ExtTransfer { .. })).count();
         // ACCESS + FETCH_RESULT + one APPEND per SDIMM.
-        assert!(appends >= 2 + o.config().sdimms);
+        assert!(appends >= 2 + o.config().sdimms());
+
+        // Striped groups append 64/k-byte pieces to every member of
+        // every group.
+        let mut o = combined();
+        assert_eq!(o.config().sdimms(), 4);
+        let (_, trace) = o.access(BlockId(1), Op::Read, None);
+        let append = trace.phases[trace.backend_release_phase + 1].par.iter();
+        let pieces: Vec<_> = append
+            .filter_map(|a| match a {
+                Activity::ExtTransfer { sdimm, bytes } => Some((*sdimm, *bytes)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pieces, [(0, 32), (1, 32), (2, 32), (3, 32)]);
     }
 
     #[test]
@@ -421,10 +498,38 @@ mod tests {
     }
 
     #[test]
+    fn external_traffic_between_split_and_independent() {
+        let global = OramConfig { levels: 9, ..OramConfig::tiny() };
+        let mut o = IndependentOram::new(IndependentConfig::new(2, 2, &global), 256, 34);
+        for i in 0..32u64 {
+            o.access(BlockId(i), Op::Read, None);
+        }
+        let st = o.stats();
+        let frac = (st.external_bytes as f64 / 64.0) / st.internal_lines as f64;
+        assert!(frac > 0.02 && frac < 0.5, "unexpected external fraction {frac}");
+    }
+
+    #[test]
+    fn access_engages_only_home_group_internally() {
+        let mut o = combined();
+        let (_, trace) = o.access(BlockId(0), Op::Read, None);
+        let groups: HashSet<usize> = trace.phases[..=trace.backend_release_phase]
+            .iter()
+            .flat_map(|p| p.par.iter())
+            .filter_map(|a| match a {
+                Activity::Dram { channel, .. } => Some(channel / 2),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(groups.len(), 1, "path work stays in the home group");
+    }
+
+    #[test]
     fn data_ready_before_appends() {
-        let mut o = small();
-        let (_, trace) = o.access(BlockId(1), Op::Read, None);
-        assert!(trace.data_ready_phase < trace.phases.len() - 1);
+        for mut o in [small(), combined()] {
+            let (_, trace) = o.access(BlockId(1), Op::Read, None);
+            assert!(trace.data_ready_phase < trace.phases.len() - 1);
+        }
     }
 
     #[test]
@@ -439,17 +544,18 @@ mod tests {
     #[test]
     fn four_sdimms_route_by_top_bits() {
         let global = OramConfig { levels: 8, ..OramConfig::tiny() };
-        let o = IndependentOram::new(IndependentConfig::new(4, &global), 128, 9);
+        let o = IndependentOram::new(IndependentConfig::new(4, 1, &global), 128, 9);
         assert_eq!(o.route(Leaf(0)).0, 0);
         assert_eq!(o.route(Leaf(255)).0, 3);
         assert_eq!(o.route(Leaf(64)).0, 1);
         assert_eq!(o.route(Leaf(64)).1, Leaf(0));
+        assert_eq!(combined().members(1), 2..4);
     }
 
     #[test]
     fn low_power_traces_carry_wake_hints() {
         let global = OramConfig { levels: 10, ..OramConfig::tiny() };
-        let mut cfg = IndependentConfig::new(2, &global);
+        let mut cfg = IndependentConfig::new(2, 1, &global);
         cfg.low_power = true;
         let mut o = IndependentOram::new(cfg, 128, 10);
         let (_, trace) = o.access(BlockId(5), Op::Read, None);

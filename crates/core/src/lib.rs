@@ -10,15 +10,15 @@
 //! * [`buffer`] — a wire-level secure-buffer model: the full encrypted
 //!   message exchange (`ACCESS`/`PROBE`/`FETCH_RESULT`/`APPEND`) running
 //!   against real per-SDIMM Path ORAMs, from boot-time authentication up.
-//! * [`independent`] — the Independent protocol: one subtree per SDIMM,
-//!   `ACCESS`/`PROBE`/`FETCH_RESULT`/`APPEND` flow, all-SDIMM append
-//!   fan-out, transfer queues.
+//! * [`independent`] — the routed protocols: one subtree per group of
+//!   SDIMMs, all-SDIMM `APPEND` fan-out, transfer queues. One SDIMM per
+//!   group is the Independent protocol (`ACCESS`/`PROBE`/`FETCH_RESULT`
+//!   flow); a Split group per subtree is the combined Indep-Split
+//!   architecture (2 groups × 2-way split).
 //! * [`split`] — the Split protocol: every bucket byte-striped across k
 //!   SDIMMs, CPU-side metadata reassembly, `FETCH_DATA`/`FETCH_STASH`/
 //!   `RECEIVE_LIST` flow.
-//! * [`indep_split`] — the combined architecture (2 groups × 2-way split):
-//!   Independent routing around Split's steps.
-//! * [`Protocol`] — the backend interface all three implement; the CPU-side
+//! * [`Protocol`] — the backend interface both implement; the CPU-side
 //!   frontend that plans their `accessORAM`s is `oram::freecursive::Frontend`.
 //! * [`transfer_queue`] — the §IV-C transfer queue with probabilistic
 //!   forced drain.
@@ -35,7 +35,7 @@
 //! use oram::types::{BlockId, Op, OramConfig};
 //!
 //! let global = OramConfig { levels: 8, ..OramConfig::tiny() };
-//! let mut oram = IndependentOram::new(IndependentConfig::new(2, &global), 128, 1);
+//! let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &global), 128, 1);
 //! oram.access(BlockId(3), Op::Write, Some(b"cloud secret"));
 //! let (data, trace) = oram.access(BlockId(3), Op::Read, None);
 //! assert_eq!(data, b"cloud secret");
@@ -49,7 +49,6 @@
 
 pub mod buffer;
 pub mod commands;
-pub mod indep_split;
 pub mod independent;
 pub mod obliviousness;
 pub mod split;
@@ -57,7 +56,6 @@ pub mod trace;
 pub mod transfer_queue;
 
 pub use commands::SdimmCommand;
-pub use indep_split::{IndepSplitConfig, IndepSplitOram};
 pub use independent::{IndependentConfig, IndependentOram};
 pub use split::{SplitConfig, SplitOram};
 pub use trace::{Activity, Phase, RequestTrace};
@@ -67,7 +65,9 @@ use oram::wear::LevelWear;
 
 /// The backend of an SDIMM machine: one `accessORAM` at a time, plus the
 /// observability hooks a simulated machine attaches to it. Implemented by
-/// the Independent, Split and Indep-Split ORAMs.
+/// [`SplitOram`] and by the routed [`IndependentOram`], which serves both
+/// Independent (one SDIMM per group) and Indep-Split (a Split group per
+/// subtree).
 pub trait Protocol: std::fmt::Debug {
     /// Executes one `accessORAM(id, op, data)`, returning the block's
     /// contents and the timing trace.

@@ -64,35 +64,6 @@ impl Activity {
     }
 }
 
-/// Resource attribution of a phase or whole trace: how much of each
-/// resource class (crypto pipeline, external bus, internal DRAM) the
-/// activities claim. The telemetry layer aggregates these per machine to
-/// break a run's work down by resource.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Attribution {
-    /// Crypto-pipeline busy cycles.
-    pub crypto_cycles: Cycle,
-    /// External-bus payload bytes.
-    pub ext_bytes: u64,
-    /// External-bus command slots (short + long).
-    pub ext_commands: u64,
-    /// DRAM lines read on internal channels.
-    pub dram_reads: u64,
-    /// DRAM lines written on internal channels.
-    pub dram_writes: u64,
-}
-
-impl Attribution {
-    /// Adds another attribution into this one.
-    pub fn merge(&mut self, o: &Attribution) {
-        self.crypto_cycles = self.crypto_cycles.saturating_add(o.crypto_cycles);
-        self.ext_bytes += o.ext_bytes;
-        self.ext_commands += o.ext_commands;
-        self.dram_reads += o.dram_reads;
-        self.dram_writes += o.dram_writes;
-    }
-}
-
 /// A set of activities that proceed concurrently.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Phase {
@@ -130,30 +101,6 @@ impl Phase {
             }
         }
         best
-    }
-
-    /// Attribution of this phase's activities by resource class.
-    pub fn attribution(&self) -> Attribution {
-        let mut a = Attribution::default();
-        for act in &self.par {
-            match act {
-                Activity::ExtShort { .. } => a.ext_commands += 1,
-                Activity::ExtTransfer { bytes, .. } => {
-                    a.ext_commands += 1;
-                    a.ext_bytes += bytes;
-                }
-                Activity::Crypto { units } => {
-                    a.crypto_cycles =
-                        a.crypto_cycles.saturating_add(Activity::crypto_cycles(*units))
-                }
-                Activity::Dram { reads, writes, .. } => {
-                    a.dram_reads += reads.len() as u64;
-                    a.dram_writes += writes.len() as u64;
-                }
-                Activity::WakeRank { .. } => {}
-            }
-        }
-        a
     }
 }
 
@@ -228,20 +175,6 @@ impl RequestTrace {
         self.phases.iter().flat_map(|p| p.par.iter())
     }
 
-    /// Whole-trace resource attribution (the sum over phases).
-    pub fn attribution(&self) -> Attribution {
-        let mut total = Attribution::default();
-        for p in &self.phases {
-            total.merge(&p.attribution());
-        }
-        total
-    }
-
-    /// Per-phase resource attribution, in phase order.
-    pub fn phase_attributions(&self) -> Vec<Attribution> {
-        self.phases.iter().map(Phase::attribution).collect()
-    }
-
     /// The protocol role of phase `idx`, as a profiler stack frame:
     /// everything up to and including the data-ready phase is the
     /// latency-critical `path_read`, phases up to the backend release
@@ -254,20 +187,6 @@ impl RequestTrace {
             "writeback"
         } else {
             "cleanup"
-        }
-    }
-
-    /// Appends another trace's phases after this one's (sequential
-    /// composition); data readiness moves to the appended trace's marker,
-    /// and the appended trace's backend claim (if any) wins — for a
-    /// chained LLC request that is the demand access's backend.
-    pub fn chain(&mut self, other: RequestTrace) {
-        let offset = self.phases.len();
-        self.data_ready_phase = offset + other.data_ready_phase;
-        self.backend_release_phase = offset + other.backend_release_phase;
-        self.phases.extend(other.phases);
-        if other.backend.is_some() {
-            self.backend = other.backend;
         }
     }
 }
@@ -304,16 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_concatenates_and_moves_marker() {
-        let mut a = sample();
-        let b = RequestTrace::new(vec![Phase::one(Activity::Crypto { units: 1 })]);
-        a.chain(b);
-        assert_eq!(a.phases.len(), 4);
-        assert_eq!(a.data_ready_phase, 3);
-        assert_eq!(a.external_commands(), 2);
-    }
-
-    #[test]
     fn crypto_latency_is_pipelined() {
         assert_eq!(Activity::crypto_cycles(1), CRYPTO_LATENCY);
         assert_eq!(Activity::crypto_cycles(10), CRYPTO_LATENCY + 9);
@@ -336,23 +245,5 @@ mod tests {
         assert_eq!(t.phase_role(0), "path_read");
         assert_eq!(t.phase_role(1), "writeback");
         assert_eq!(t.phase_role(2), "cleanup");
-    }
-
-    #[test]
-    fn attribution_splits_by_resource() {
-        let t = sample();
-        let total = t.attribution();
-        assert_eq!(total.ext_bytes, 64);
-        assert_eq!(total.ext_commands, 2);
-        assert_eq!(total.dram_reads, 2);
-        assert_eq!(total.dram_writes, 1);
-        assert_eq!(total.crypto_cycles, Activity::crypto_cycles(4));
-
-        // Per-phase attributions sum to the whole-trace one.
-        let mut sum = Attribution::default();
-        for a in t.phase_attributions() {
-            sum.merge(&a);
-        }
-        assert_eq!(sum, total);
     }
 }

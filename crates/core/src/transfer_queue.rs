@@ -23,8 +23,6 @@ pub struct TransferQueue {
     overflows: u64,
     /// Forced drains performed (each costs an accessORAM on that SDIMM).
     forced_drains: u64,
-    /// Vacancy-based transfers into the normal stash.
-    vacancy_drains: u64,
 }
 
 impl TransferQueue {
@@ -44,7 +42,6 @@ impl TransferQueue {
             peak: 0,
             overflows: 0,
             forced_drains: 0,
-            vacancy_drains: 0,
         }
     }
 
@@ -79,11 +76,6 @@ impl TransferQueue {
         self.forced_drains
     }
 
-    /// Number of vacancy-based drains performed.
-    pub fn vacancy_drains(&self) -> u64 {
-        self.vacancy_drains
-    }
-
     /// Records a block arriving from another SDIMM. Returns `true` when
     /// accepted, `false` on overflow (the block would need NACK/retry in
     /// hardware; the simulation counts it and drops).
@@ -102,7 +94,6 @@ impl TransferQueue {
     pub fn vacancy(&mut self) -> bool {
         if self.occupancy > 0 {
             self.occupancy -= 1;
-            self.vacancy_drains += 1;
             true
         } else {
             false

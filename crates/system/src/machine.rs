@@ -12,7 +12,6 @@ use oram::freecursive::{Frontend, PlannedAccess};
 use oram::path_oram::PathOram;
 use oram::types::{BlockId, Op, OramConfig};
 use oram::wear::LevelWear;
-use sdimm::indep_split::{IndepSplitConfig, IndepSplitOram};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::split::{SplitConfig, SplitOram};
 use sdimm::trace::{Activity, Phase, RequestTrace};
@@ -185,30 +184,27 @@ impl Machine {
         // The frontend's unified id space also holds the posmap levels.
         let blocks = frontend.as_ref().map_or(cfg.data_blocks, |f| f.id_space().total_blocks());
 
+        // Independent is the routed protocol with one SDIMM per group.
+        let routed = |groups, ways, channels| {
+            let mut icfg = IndependentConfig::new(groups, ways, &cfg.oram);
+            icfg.low_power = cfg.low_power;
+            let oram = IndependentOram::new(icfg, blocks, cfg.seed);
+            (Backend::Sdimm(Box::new(oram)), channels)
+        };
         let (backend, buses) = match kind {
             MachineKind::NonSecure { channels } => (Backend::NonSecure, channels),
             MachineKind::PathOram { channels } | MachineKind::Freecursive { channels } => {
                 let oram = Box::new(PathOram::new(cfg.oram.clone(), blocks, cfg.seed));
                 (Backend::Baseline { oram, channels }, channels)
             }
-            MachineKind::Independent { sdimms, channels } => {
-                let mut icfg = IndependentConfig::new(sdimms, &cfg.oram);
-                icfg.low_power = cfg.low_power;
-                let oram = IndependentOram::new(icfg, blocks, cfg.seed);
-                (Backend::Sdimm(Box::new(oram)), channels)
-            }
+            MachineKind::Independent { sdimms, channels } => routed(sdimms, 1, channels),
             MachineKind::Split { ways, channels } => {
                 let mut scfg = SplitConfig::new(ways, &cfg.oram);
                 scfg.low_power = cfg.low_power;
                 let oram = SplitOram::new(scfg, blocks, cfg.seed);
                 (Backend::Sdimm(Box::new(oram)), channels)
             }
-            MachineKind::IndepSplit { groups, ways, channels } => {
-                let mut ccfg = IndepSplitConfig::new(groups, ways, &cfg.oram);
-                ccfg.low_power = cfg.low_power;
-                let oram = IndepSplitOram::new(ccfg, blocks, cfg.seed);
-                (Backend::Sdimm(Box::new(oram)), channels)
-            }
+            MachineKind::IndepSplit { groups, ways, channels } => routed(groups, ways, channels),
         };
         let executor = if matches!(backend, Backend::Sdimm(_)) {
             let mut ex = Executor::new(n_exec, ch_cfg, &bus_assignment(n_exec, buses));
@@ -338,9 +334,9 @@ impl Machine {
     ///   channels (`global = local * channels + channel`, the inverse of
     ///   [`Machine::split_lines`]);
     /// * Independent sends each SDIMM's private layout addresses to its
-    ///   own channel;
-    /// * Split/IndepSplit byte-stripe one logical layout's addresses
-    ///   over the member ways.
+    ///   own channel, and IndepSplit byte-stripes each group's layout
+    ///   addresses over the group's ways;
+    /// * Split byte-stripes one logical layout's addresses over its ways.
     pub fn level_of_channel_line(&self, channel: usize, addr: u64) -> Option<u32> {
         let unsplit = |channels: usize| ((addr / 64) * channels as u64 + channel as u64) * 64;
         match &self.backend {

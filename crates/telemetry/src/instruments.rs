@@ -15,7 +15,8 @@ use crate::trace::TraceSink;
 pub struct Instruments {
     /// The run's trace sink: each cell records into a ring of its own
     /// under its own trace pid. A sink built with a black-box prefix
-    /// ([`TraceSink::with_blackbox`]) arms every cell's black box.
+    /// ([`TraceSink::with_blackbox`], [`TraceSink::blackbox_only`]) arms
+    /// every cell's black box.
     pub sink: TraceSink,
     /// Folded-stack cycle-attribution profiler.
     pub profiler: CycleProfiler,

@@ -474,6 +474,34 @@ mod tests {
     }
 
     #[test]
+    fn blackbox_only_sink_keeps_no_cell_but_dumps_a_panicking_one() {
+        let dir = scratch("boxonly");
+        let s = TraceSink::blackbox_only(&format!("{dir}/box"));
+        for pid in [1u32, 2] {
+            let s = s.clone();
+            let outcome = std::panic::catch_unwind(move || {
+                let cell = s.cell(pid, SharedCycle::new());
+                cell.record_at(10, EventKind::InFlight { count: pid });
+                if pid == 2 {
+                    panic!("cell 2 fails");
+                }
+            });
+            assert_eq!(outcome.is_err(), pid == 2);
+        }
+        assert!(s.is_empty(), "finished cells' rings are freed, not kept");
+        let written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(written.len(), 2, "only the panicking cell dumps: {written:?}");
+        let body = std::fs::read_to_string(format!("{dir}/box-pid2.blackbox.txt")).unwrap();
+        assert!(
+            body.contains("reason   : panic") && body.contains("captured : 1 events"),
+            "{body}"
+        );
+    }
+
+    #[test]
     fn events_stay_32_bytes() {
         // Recording cost is mostly the bytes written into the ring.
         assert_eq!(std::mem::size_of::<Event>(), 32);

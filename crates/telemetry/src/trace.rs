@@ -10,8 +10,9 @@
 //! ring belongs to the cell's handles, on the thread that runs the cell,
 //! so recording is a push with no lock and no allocation. When the
 //! cell's last handle drops, its events move into the sink under one
-//! lock; if the thread is panicking, the cell first writes its black box
-//! (see [`crate::recorder`]). Process and thread names and the free-text
+//! lock, unless the sink only arms black boxes; if the thread is
+//! panicking, the cell first writes its black box (see
+//! [`crate::recorder`]). Process and thread names and the free-text
 //! annotations of the leakage and hammer reports ([`TraceSink::span`],
 //! [`TraceSink::instant`]) go in a side table that only setup and report
 //! code touches.
@@ -138,6 +139,9 @@ struct Shared {
     capacity: usize,
     /// Black-box dump prefix (see [`TraceSink::with_blackbox`]).
     blackbox: Option<String>,
+    /// Whether finished cells' rings move into `store` for export; a
+    /// black-box-only sink frees each ring when its cell drops.
+    keep_cells: bool,
     store: Mutex<Store>,
 }
 
@@ -175,18 +179,27 @@ impl TraceSink {
 
     /// A sink whose cells each keep their newest `capacity` events.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::new(capacity, None)
+        Self::new(capacity, None, true)
     }
 
     /// [`TraceSink::enabled`], with every cell's black box armed: a
     /// stash breach or a panic writes the cell's newest events under
     /// `prefix` (see [`CellTrace::dump_blackbox`]).
     pub fn with_blackbox(prefix: &str) -> Self {
-        Self::new(CELL_CAPACITY, Some(prefix.to_string()))
+        Self::new(CELL_CAPACITY, Some(prefix.to_string()), true)
     }
 
-    fn new(capacity: usize, blackbox: Option<String>) -> Self {
-        TraceSink(Some(Arc::new(Shared { capacity, blackbox, store: Mutex::default() })))
+    /// [`TraceSink::with_blackbox`] for a run that exports nothing: each
+    /// cell's ring lives only while the cell runs, so its black box can
+    /// be written, and is freed when the cell drops. The sink holds no
+    /// events.
+    pub fn blackbox_only(prefix: &str) -> Self {
+        Self::new(CELL_CAPACITY, Some(prefix.to_string()), false)
+    }
+
+    fn new(capacity: usize, blackbox: Option<String>, keep_cells: bool) -> Self {
+        let store = Mutex::default();
+        TraceSink(Some(Arc::new(Shared { capacity, blackbox, keep_cells, store })))
     }
 
     /// The no-op sink: records nothing, single branch per call.
@@ -323,9 +336,10 @@ impl Live {
 }
 
 impl Drop for Live {
-    /// Hands the cell's events to the sink. A cell dropped by a panic
-    /// first writes its black box, unless it already dumped; a failed
-    /// write is reported, never raised, since a panic here would abort.
+    /// Hands the cell's events to the sink, if it keeps cells. A cell
+    /// dropped by a panic first writes its black box, unless it already
+    /// dumped; a failed write is reported, never raised, since a panic
+    /// here would abort.
     fn drop(&mut self) {
         if std::thread::panicking() && self.arm() {
             if let Some(written) = self.dump("panic") {
@@ -337,6 +351,9 @@ impl Drop for Live {
                 // lint: print-ok(a panicking cell's drop has no caller to return its black box's paths to)
                 let _ = writeln!(std::io::stderr(), "flight recorder: panic; {line}");
             }
+        }
+        if !self.shared.keep_cells {
+            return;
         }
         let ring = self.ring.take();
         match lock(&self.shared.store).cells.entry(self.pid) {

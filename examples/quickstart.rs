@@ -11,7 +11,7 @@ use sdimm::Protocol;
 fn main() {
     // A 2^10-leaf global tree partitioned across two Secure DIMMs.
     let tree = OramConfig { levels: 10, ..OramConfig::default() };
-    let mut oram = IndependentOram::new(IndependentConfig::new(2, &tree), 1024, 42);
+    let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree), 1024, 42);
     oram.set_recorder(Recorder::new());
 
     // Write a few secrets.

@@ -5,7 +5,6 @@
 use oram::types::{BlockId, Op, OramConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdimm::indep_split::{IndepSplitConfig, IndepSplitOram};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::obliviousness::{compare_shapes, target_skew, Recorder, ShapeVerdict};
 use sdimm::split::{SplitConfig, SplitOram};
@@ -31,7 +30,7 @@ fn contrast_patterns() -> (Pattern, Pattern) {
 #[test]
 fn independent_shapes_are_indistinguishable() {
     let run = |pattern: &[(u64, Op)], seed: u64| {
-        let mut oram = IndependentOram::new(IndependentConfig::new(2, &tree()), BLOCKS, seed);
+        let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, seed);
         // Drain randomness must be shape-neutral too: it is part of the
         // observable stream, so both runs use the same protocol RNG seed.
         oram.set_recorder(Recorder::new());
@@ -67,7 +66,7 @@ fn split_shapes_are_indistinguishable() {
 #[test]
 fn indep_split_shapes_are_indistinguishable() {
     let run = |pattern: &[(u64, Op)]| {
-        let mut oram = IndepSplitOram::new(IndepSplitConfig::new(2, 2, &tree()), BLOCKS, 80);
+        let mut oram = IndependentOram::new(IndependentConfig::new(2, 2, &tree()), BLOCKS, 80);
         oram.set_recorder(Recorder::new());
         for (id, op) in pattern {
             oram.access(BlockId(*id), *op, Some(&[3u8; 8]));
@@ -83,7 +82,7 @@ fn reads_and_writes_are_indistinguishable() {
     // ACCESS always carries one block (dummy on reads), so op type must
     // not alter the shape.
     let run = |op: Op| {
-        let mut oram = IndependentOram::new(IndependentConfig::new(2, &tree()), BLOCKS, 91);
+        let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, 91);
         oram.set_recorder(Recorder::new());
         for i in 0..N as u64 {
             oram.access(BlockId(i % BLOCKS), op, Some(&[4u8; 8]));
@@ -97,7 +96,7 @@ fn reads_and_writes_are_indistinguishable() {
 fn sdimm_targeting_is_uniform_even_for_hot_block() {
     // A single hot block keeps remapping to random SDIMMs; long-command
     // counts must stay balanced (the APPEND fan-out guarantees it).
-    let mut oram = IndependentOram::new(IndependentConfig::new(4, &tree()), BLOCKS, 13);
+    let mut oram = IndependentOram::new(IndependentConfig::new(4, 1, &tree()), BLOCKS, 13);
     oram.set_recorder(Recorder::new());
     for _ in 0..400 {
         oram.access(BlockId(3), Op::Read, None);
@@ -128,7 +127,7 @@ fn different_length_workloads_are_distinguishable_only_by_length() {
     // Sanity for the checker itself: N accesses vs N+1 accesses differ,
     // and the first difference is at the end (a pure length leak).
     let run = |n: usize| {
-        let mut oram = IndependentOram::new(IndependentConfig::new(2, &tree()), BLOCKS, 23);
+        let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, 23);
         oram.set_recorder(Recorder::new());
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..n {

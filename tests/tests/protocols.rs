@@ -6,7 +6,6 @@ use oram::types::{BlockId, Op, OramConfig};
 use oram::{FreecursiveOram, PathOram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdimm::indep_split::{IndepSplitConfig, IndepSplitOram};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::split::{SplitConfig, SplitOram};
 use sdimm::Protocol;
@@ -46,7 +45,7 @@ fn all_backends_agree_on_read_values() {
         workload(|id, op, data| oram.request(id, op, data).0)
     };
     let independent = {
-        let mut oram = IndependentOram::new(IndependentConfig::new(2, &tree()), BLOCKS, 9);
+        let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, 9);
         workload(|id, op, data| oram.access(BlockId(id), op, data).0)
     };
     let split = {
@@ -54,7 +53,7 @@ fn all_backends_agree_on_read_values() {
         workload(|id, op, data| oram.access(BlockId(id), op, data).0)
     };
     let indep_split = {
-        let mut oram = IndepSplitOram::new(IndepSplitConfig::new(2, 2, &tree()), BLOCKS, 9);
+        let mut oram = IndependentOram::new(IndependentConfig::new(2, 2, &tree()), BLOCKS, 9);
         workload(|id, op, data| oram.access(BlockId(id), op, data).0)
     };
 
@@ -77,9 +76,9 @@ fn all_backends_agree_on_read_values() {
 
 #[test]
 fn invariants_hold_everywhere_after_workload() {
-    let mut independent = IndependentOram::new(IndependentConfig::new(4, &tree()), BLOCKS, 5);
+    let mut independent = IndependentOram::new(IndependentConfig::new(4, 1, &tree()), BLOCKS, 5);
     let mut split = SplitOram::new(SplitConfig::new(2, &tree()), BLOCKS, 5);
-    let mut combined = IndepSplitOram::new(IndepSplitConfig::new(2, 2, &tree()), BLOCKS, 5);
+    let mut combined = IndependentOram::new(IndependentConfig::new(2, 2, &tree()), BLOCKS, 5);
     let mut rng = StdRng::seed_from_u64(77);
     for step in 0..500u64 {
         let id = BlockId(rng.gen_range(0..BLOCKS));
@@ -95,7 +94,7 @@ fn invariants_hold_everywhere_after_workload() {
 
 #[test]
 fn independent_transfer_queues_stay_bounded() {
-    let mut oram = IndependentOram::new(IndependentConfig::new(4, &tree()), BLOCKS, 6);
+    let mut oram = IndependentOram::new(IndependentConfig::new(4, 1, &tree()), BLOCKS, 6);
     let mut rng = StdRng::seed_from_u64(88);
     for _ in 0..2_000 {
         let id = BlockId(rng.gen_range(0..BLOCKS));

@@ -417,8 +417,6 @@ fn rank_region_bytes(cfg: &OramConfig) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
-
     use super::*;
 
     /// INDEP-2 over an 8-level tree (one SDIMM per group).
@@ -427,7 +425,8 @@ mod tests {
         IndependentOram::new(IndependentConfig::new(2, 1, &global), 256, 7)
     }
 
-    /// INDEP-SPLIT: 2 groups × 2-way Split over a 9-level tree.
+    /// INDEP-SPLIT: 2 groups × 2-way Split over a 9-level tree (its own
+    /// tests are in `crate::indep_split`).
     fn combined() -> IndependentOram {
         let global = OramConfig { levels: 9, ..OramConfig::tiny() };
         IndependentOram::new(IndependentConfig::new(2, 2, &global), 256, 33)
@@ -435,27 +434,25 @@ mod tests {
 
     #[test]
     fn read_your_writes_across_sdimms() {
-        for mut o in [small(), combined()] {
-            for i in 0..64u64 {
-                o.access(BlockId(i), Op::Write, Some(&[i as u8; 16]));
-            }
-            for i in 0..64u64 {
-                let (got, _) = o.access(BlockId(i), Op::Read, None);
-                assert_eq!(got, vec![i as u8; 16], "block {i}");
-            }
-            o.check_invariants();
+        let mut o = small();
+        for i in 0..64u64 {
+            o.access(BlockId(i), Op::Write, Some(&[i as u8; 16]));
         }
+        for i in 0..64u64 {
+            let (got, _) = o.access(BlockId(i), Op::Read, None);
+            assert_eq!(got, vec![i as u8; 16], "block {i}");
+        }
+        o.check_invariants();
     }
 
     #[test]
     fn blocks_migrate_between_sdimms() {
-        for mut o in [small(), combined()] {
-            o.access(BlockId(0), Op::Write, Some(&[1]));
-            for _ in 0..50 {
-                o.access(BlockId(0), Op::Read, None);
-            }
-            assert!(o.stats().migrations > 10, "remaps should often cross groups");
+        let mut o = small();
+        o.access(BlockId(0), Op::Write, Some(&[1]));
+        for _ in 0..50 {
+            o.access(BlockId(0), Op::Read, None);
         }
+        assert!(o.stats().migrations > 10, "remaps should often cross SDIMMs");
     }
 
     #[test]
@@ -466,20 +463,6 @@ mod tests {
             trace.iter_activities().filter(|a| matches!(a, Activity::ExtTransfer { .. })).count();
         // ACCESS + FETCH_RESULT + one APPEND per SDIMM.
         assert!(appends >= 2 + o.config().sdimms());
-
-        // Striped groups append 64/k-byte pieces to every member of
-        // every group.
-        let mut o = combined();
-        assert_eq!(o.config().sdimms(), 4);
-        let (_, trace) = o.access(BlockId(1), Op::Read, None);
-        let append = trace.phases[trace.backend_release_phase + 1].par.iter();
-        let pieces: Vec<_> = append
-            .filter_map(|a| match a {
-                Activity::ExtTransfer { sdimm, bytes } => Some((*sdimm, *bytes)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(pieces, [(0, 32), (1, 32), (2, 32), (3, 32)]);
     }
 
     #[test]
@@ -495,33 +478,6 @@ mod tests {
             "Independent should keep ≥90% of traffic on-DIMM: ext {ext_lines} vs int {}",
             s.internal_lines
         );
-    }
-
-    #[test]
-    fn external_traffic_between_split_and_independent() {
-        let global = OramConfig { levels: 9, ..OramConfig::tiny() };
-        let mut o = IndependentOram::new(IndependentConfig::new(2, 2, &global), 256, 34);
-        for i in 0..32u64 {
-            o.access(BlockId(i), Op::Read, None);
-        }
-        let st = o.stats();
-        let frac = (st.external_bytes as f64 / 64.0) / st.internal_lines as f64;
-        assert!(frac > 0.02 && frac < 0.5, "unexpected external fraction {frac}");
-    }
-
-    #[test]
-    fn access_engages_only_home_group_internally() {
-        let mut o = combined();
-        let (_, trace) = o.access(BlockId(0), Op::Read, None);
-        let groups: HashSet<usize> = trace.phases[..=trace.backend_release_phase]
-            .iter()
-            .flat_map(|p| p.par.iter())
-            .filter_map(|a| match a {
-                Activity::Dram { channel, .. } => Some(channel / 2),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(groups.len(), 1, "path work stays in the home group");
     }
 
     #[test]

@@ -49,6 +49,8 @@
 
 pub mod buffer;
 pub mod commands;
+#[cfg(test)]
+mod indep_split;
 pub mod independent;
 pub mod obliviousness;
 pub mod split;

@@ -841,7 +841,6 @@ mod tests {
     use super::*;
     use dram_sim::channel::DramChannel;
     use dram_sim::cmdlog::CmdLog;
-    use dram_sim::config::PowerPolicy;
     use dram_sim::spec::DramStandard;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1223,12 +1222,14 @@ mod tests {
 
     #[test]
     fn clean_power_down_stream_passes() {
-        // Rank power-down entries/exits interleaved with bursts of work.
-        let mut cfg = ChannelConfig::table2();
-        cfg.power_policy = PowerPolicy::PowerDown { idle_cycles: 300 };
+        // Rank power-down entries/exits interleaved with bursts of work:
+        // pinned ranks sleep, wake for requests and sleep again, and a
+        // rank is released and pinned again mid-run.
+        let cfg = ChannelConfig::table2();
         let mut ch = DramChannel::new(cfg.clone());
         let log = CmdLog::enabled();
         ch.set_cmd_log(log.clone());
+        ch.force_rank_down(2);
         ch.force_rank_down(3);
         let mut rng = StdRng::seed_from_u64(7);
         let rank_stride = (cfg.topology.row_bytes * cfg.topology.banks) as u64;
@@ -1240,6 +1241,9 @@ mod tests {
             }
             if burst == 5 {
                 ch.wake_rank(3);
+            }
+            if burst == 8 {
+                ch.force_rank_down(3);
             }
             ch.tick(3_000);
             let _ = ch.drain_completions();
@@ -1439,7 +1443,7 @@ mod tests {
             ch.set_cmd_log(log.clone());
             let mut rng = StdRng::seed_from_u64(0xD1A3 ^ standard as u64);
             let lines = cfg.topology.capacity_lines() as u64;
-            let line = cfg.topology.line_bytes as u64;
+            let line = dram_sim::config::LINE_BYTES as u64;
             for _ in 0..30 {
                 for _ in 0..16 {
                     let addr = rng.gen_range(0..lines / 64) * 64 * line;

@@ -26,7 +26,7 @@ use std::fmt;
 
 use oram::geometry::BucketIdx;
 use oram::plb::Plb;
-use oram::types::{BlockId, Op, OramConfig};
+use oram::types::{BlockId, Op, OramConfig, BLOCK_BYTES};
 use oram::{FreecursiveOram, PathOram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -271,14 +271,14 @@ fn check_path_oram(
     if sealed {
         oram.enable_sealing([0x5D; 16]);
     }
-    let mut shadow = ShadowMem::new(cfg.block_bytes);
+    let mut shadow = ShadowMem::new(BLOCK_BYTES);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0DDC0FFE);
     let mut counters: HashMap<BucketIdx, u64> = HashMap::new();
     let mut writes = 0;
 
     for step in 0..steps {
         let (id, op, _, _) = next_request(&mut rng, blocks, step);
-        let data = pattern(id, step, cfg.block_bytes);
+        let data = pattern(id, step, BLOCK_BYTES);
         let new_data = if op == Op::Write {
             writes += 1;
             Some(data.as_slice())
@@ -372,13 +372,13 @@ fn check_freecursive(
         // posmap block, exercising the write-back path.
         f.set_plb(Plb::new(16, 4));
     }
-    let mut shadow = ShadowMem::new(cfg.block_bytes);
+    let mut shadow = ShadowMem::new(BLOCK_BYTES);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0DDC0FFE);
     let mut writes = 0;
 
     for step in 0..steps {
         let (id, op, _, _) = next_request(&mut rng, blocks, step);
-        let data = pattern(id, step, cfg.block_bytes);
+        let data = pattern(id, step, BLOCK_BYTES);
         let new_data = if op == Op::Write {
             writes += 1;
             Some(data.as_slice())
@@ -436,13 +436,13 @@ fn check_request_trace_protocol<O: Protocol>(
     seed: u64,
     mut oram: O,
 ) -> Result<OracleReport, OracleMismatch> {
-    let mut shadow = ShadowMem::new(cfg.block_bytes);
+    let mut shadow = ShadowMem::new(BLOCK_BYTES);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0DDC0FFE);
     let mut writes = 0;
 
     for step in 0..steps {
         let (id, op, _, _) = next_request(&mut rng, blocks, step);
-        let data = pattern(id, step, cfg.block_bytes);
+        let data = pattern(id, step, BLOCK_BYTES);
         let new_data = if op == Op::Write {
             writes += 1;
             Some(data.as_slice())

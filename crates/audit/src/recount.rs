@@ -51,9 +51,6 @@ pub fn recount_channel(stream: &[CmdRecord]) -> ActRecount {
 /// Exact equality is the contract: the tracker attaches before traffic
 /// and warm-up never touches DRAM, so both sides see the same commands.
 /// Returns the first discrepancy as a human-readable message.
-///
-/// Only exact-row snapshots (`row_granularity == 1`, the default) can
-/// be compared per row; the caller guarantees that by construction.
 pub fn check_against_snapshot(rc: &ActRecount, snap: &WearSnapshot) -> Result<(), String> {
     if rc.total_acts != snap.total_acts {
         return Err(format!(
@@ -132,14 +129,7 @@ mod tests {
     }
 
     fn tiny_cfg() -> WearConfig {
-        WearConfig {
-            ranks: 2,
-            banks: 4,
-            rows: 64,
-            row_granularity: 1,
-            rows_per_refresh: 8,
-            hammer_threshold: 1000,
-        }
+        WearConfig { ranks: 2, banks: 4, rows: 64, rows_per_refresh: 8, hammer_threshold: 1000 }
     }
 
     #[test]

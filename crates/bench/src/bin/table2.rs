@@ -1,14 +1,13 @@
 //! Table II: simulator parameters in effect.
 
-use dram_sim::config::{ChannelConfig, Timing, Topology};
-use oram::types::OramConfig;
+use dram_sim::config::{Timing, Topology, WRITE_DRAIN_HI, WRITE_QUEUE_CAPACITY};
+use oram::types::{OramConfig, BLOCK_BYTES, MAX_RECURSION};
 use sdimm_bench::Scale;
 
 fn main() {
     let scale = Scale::from_env();
     let t = Timing::ddr3_1600();
     let topo = Topology::table2_channel();
-    let cfg = ChannelConfig::table2();
     let oram = scale.oram(7);
     let paper = OramConfig::default();
 
@@ -26,15 +25,14 @@ fn main() {
     println!("tRAS/tRC/tFAW:             {}/{}/{} cycles", t.t_ras, t.t_rc, t.t_faw);
     println!("tWR/tWTR/tRTRS:            {}/{}/{} cycles", t.t_wr, t.t_wtr, t.t_rtrs);
     println!(
-        "write queue:               {} entries, drain at {}",
-        cfg.write_drain.capacity, cfg.write_drain.hi
+        "write queue:               {WRITE_QUEUE_CAPACITY} entries, drain at {WRITE_DRAIN_HI}"
     );
     println!("-- Freecursive parameters --");
     println!("PLB size:                  64KB (1024 blocks, 8-way)");
     println!("blocks per bucket (Z):     {}", paper.z);
-    println!("data block size:           {} bytes", paper.block_bytes);
+    println!("data block size:           {BLOCK_BYTES} bytes");
     println!("encryption latency:        21 cycles");
-    println!("number of recursive maps:  {}", paper.max_recursion);
+    println!("number of recursive maps:  {MAX_RECURSION}");
     println!("-- This run's scale ({scale:?}) --");
     println!("ORAM tree levels:          {}", oram.levels);
     println!("cached ORAM levels:        {}", oram.cached_levels);

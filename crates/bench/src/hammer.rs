@@ -250,11 +250,12 @@ fn run_cell(cfg: &SystemConfig, trace: &Trace, warmup: usize, measure: usize) ->
 }
 
 /// Runs the full matrix at `scale` on the shared worker pool (cells in
-/// matrix order: points outer, workloads inner).
+/// matrix order: points outer, workloads inner). Each cell's progress
+/// line is printed up front, in that order, so stderr is byte-stable.
 pub fn run_report(points: &[HammerPoint], workloads: &[&str], scale: Scale) -> HammerReport {
     let jobs: Vec<(&HammerPoint, &str)> =
         points.iter().flat_map(|p| workloads.iter().map(move |&w| (p, w))).collect();
-    let cells = par_map(&jobs, |_, &(point, workload)| {
+    for (point, workload) in &jobs {
         eprintln!(
             "hammer: {} × {} × {}{} ...",
             point.kind.name(),
@@ -262,6 +263,8 @@ pub fn run_report(points: &[HammerPoint], workloads: &[&str], scale: Scale) -> H
             workload,
             if point.low_power { " (low-power)" } else { "" }
         );
+    }
+    let cells = par_map(&jobs, |_, &(point, workload)| {
         let cfg =
             SystemConfig { low_power: point.low_power, ..scale.config(point.kind, point.standard) };
         let trace = spec::generate(workload, scale.trace_len(), 3);

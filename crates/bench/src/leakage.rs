@@ -70,7 +70,8 @@ fn capture(cfg: &SystemConfig, trace: &Trace, warmup: usize, measure: usize) -> 
 
 /// Runs the machine × pair matrix at `scale` on `standard` on the
 /// shared worker pool and assembles the report (entries in matrix
-/// order: machines outer, pairs inner).
+/// order: machines outer, pairs inner). Each entry's progress line is
+/// printed up front, in that order, so stderr is byte-stable.
 ///
 /// # Panics
 ///
@@ -87,8 +88,10 @@ pub fn run_report(kinds: &[MachineKind], scale: Scale, standard: DramStandard) -
     let pair_set = pairs(warmup, measure);
     let jobs: Vec<(MachineKind, &LeakagePair)> =
         kinds.iter().flat_map(|&kind| pair_set.iter().map(move |pair| (kind, pair))).collect();
-    let entries = par_map(&jobs, |_, &(kind, pair)| {
+    for (kind, pair) in &jobs {
         eprintln!("leakage: {} × {} ...", kind.name(), pair.name);
+    }
+    let entries = par_map(&jobs, |_, &(kind, pair)| {
         let cfg = scale.config(kind, standard);
         let a = capture(&cfg, &pair.a, warmup, measure);
         let b = capture(&cfg, &pair.b, warmup, measure);

@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use oram::layout::TreeLayout;
 use oram::path_oram::PathOram;
 use oram::plan::AccessPlan;
-use oram::types::{BlockId, Leaf, Op, OramConfig};
+use oram::types::{BlockId, Leaf, Op, OramConfig, BLOCK_BYTES};
 use oram::wear::LevelWear;
 
 use crate::obliviousness::{Observable, Recorder};
@@ -40,14 +40,10 @@ pub struct IndependentConfig {
     /// SDIMMs per group: 1 for the Independent protocol, otherwise the
     /// Split arity within a group (2, 4 or 8).
     pub ways: usize,
-    /// Per-group subtree (levels = global levels − log₂ groups).
-    pub subtree: OramConfig,
-    /// Transfer-queue capacity per group in blocks (8 KB buffer ⇒ 128).
-    pub transfer_capacity: usize,
-    /// Forced-drain probability `p`.
-    pub drain_probability: f64,
     /// Enable the low-power scheme (§III-E).
     pub low_power: bool,
+    /// Per-group subtree (levels = global levels − log₂ groups).
+    subtree: OramConfig,
 }
 
 impl IndependentConfig {
@@ -65,14 +61,12 @@ impl IndependentConfig {
         let log = groups.trailing_zeros();
         assert!(global.levels > log, "more groups than subtrees");
         let subtree = OramConfig { levels: global.levels - log, ..global.clone() };
-        IndependentConfig {
-            groups,
-            ways,
-            subtree,
-            transfer_capacity: 128,
-            drain_probability: 0.1,
-            low_power: false,
-        }
+        IndependentConfig { groups, ways, low_power: false, subtree }
+    }
+
+    /// Per-group subtree (levels = global levels − log₂ groups).
+    pub fn subtree(&self) -> &OramConfig {
+        &self.subtree
     }
 
     /// Total SDIMMs in the system.
@@ -91,7 +85,8 @@ impl IndependentConfig {
     }
 }
 
-/// One group's secure-buffer state: its subtree and transfer queue.
+/// One group's secure-buffer state: its subtree and transfer queue
+/// ([`TransferQueue::paper_default`]).
 #[derive(Debug)]
 struct Group {
     oram: PathOram,
@@ -107,10 +102,6 @@ pub struct IndependentStats {
     pub migrations: u64,
     /// Extra local accesses spent draining transfer queues.
     pub drain_accesses: u64,
-    /// Total external-bus bytes.
-    pub external_bytes: u64,
-    /// Total external-bus commands.
-    pub external_commands: u64,
     /// Total internal DRAM line operations.
     pub internal_lines: u64,
 }
@@ -143,7 +134,7 @@ impl IndependentOram {
         let groups = (0..cfg.groups)
             .map(|g| {
                 let mut oram = PathOram::with_id_space(
-                    cfg.subtree.clone(),
+                    cfg.subtree().clone(),
                     blocks,
                     per_group * 2, // headroom for imbalance
                     seed ^ (salt + g as u64),
@@ -152,13 +143,10 @@ impl IndependentOram {
                 // striped groups keep the packed layout and hint rank 0
                 // (the open question of DESIGN.md §6 item 7).
                 if cfg.low_power && cfg.ways == 1 {
-                    let rank_bytes = rank_region_bytes(&cfg.subtree);
-                    oram.set_layout(TreeLayout::rank_localized(&cfg.subtree, 2, rank_bytes));
+                    let rank_bytes = rank_region_bytes(cfg.subtree());
+                    oram.set_layout(TreeLayout::rank_localized(cfg.subtree(), 2, rank_bytes));
                 }
-                Group {
-                    oram,
-                    queue: TransferQueue::new(cfg.transfer_capacity, cfg.drain_probability),
-                }
+                Group { oram, queue: TransferQueue::paper_default() }
             })
             .collect();
         let global_leaves = cfg.global_leaves();
@@ -291,7 +279,7 @@ impl Protocol for IndependentOram {
             let (phases, data_ready, lines) = striped_phases(
                 &plan,
                 self.members(home),
-                &self.cfg.subtree,
+                self.cfg.subtree(),
                 self.cfg.low_power,
                 &mut self.recorder,
             );
@@ -324,7 +312,7 @@ impl Protocol for IndependentOram {
         if self.groups[dest].queue.maybe_force_drain(&mut self.rng) {
             let plan = self.groups[dest].oram.background_evict();
             self.stats.drain_accesses += 1;
-            let shares = stripe(&plan.lines, k, self.cfg.subtree.lines_per_bucket());
+            let shares = stripe(&plan.lines, k, self.cfg.subtree().lines_per_bucket());
             let (mut reads, mut writes) = (Phase::default(), Phase::default());
             for (m, share) in self.members(dest).zip(shares) {
                 let lines = 2 * share.len() as u64;
@@ -341,8 +329,6 @@ impl Protocol for IndependentOram {
         trace.data_ready_phase = data_ready_phase;
         trace.backend_release_phase = backend_release_phase;
         trace.backend = Some(home); // one backend per group
-        self.stats.external_bytes += trace.external_bytes();
-        self.stats.external_commands += trace.external_commands();
         (data, trace)
     }
 
@@ -411,7 +397,7 @@ impl Protocol for IndependentOram {
 /// Rank region sized to hold one 2-level-split subtree of `cfg`.
 fn rank_region_bytes(cfg: &OramConfig) -> u64 {
     let subtree_buckets = (1u64 << (cfg.levels - 2 + 1)) - 1;
-    let need = subtree_buckets * cfg.lines_per_bucket() as u64 * cfg.block_bytes as u64;
+    let need = subtree_buckets * cfg.lines_per_bucket() as u64 * BLOCK_BYTES as u64;
     need.next_power_of_two()
 }
 
@@ -468,11 +454,10 @@ mod tests {
     #[test]
     fn external_traffic_is_tiny_compared_to_internal() {
         let mut o = small();
-        for i in 0..32u64 {
-            o.access(BlockId(i), Op::Read, None);
-        }
+        let ext_bytes: u64 =
+            (0..32u64).map(|i| o.access(BlockId(i), Op::Read, None).1.external_bytes()).sum();
         let s = o.stats();
-        let ext_lines = s.external_bytes / 64;
+        let ext_lines = ext_bytes / 64;
         assert!(
             ext_lines * 10 < s.internal_lines,
             "Independent should keep ≥90% of traffic on-DIMM: ext {ext_lines} vs int {}",

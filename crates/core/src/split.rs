@@ -67,10 +67,6 @@ impl SplitConfig {
 pub struct SplitStats {
     /// `accessORAM` operations executed.
     pub accesses: u64,
-    /// Total external-bus bytes (metadata + blocks + lists).
-    pub external_bytes: u64,
-    /// Total external-bus commands.
-    pub external_commands: u64,
     /// Total internal DRAM line operations (across all SDIMMs).
     pub internal_lines: u64,
 }
@@ -131,8 +127,6 @@ impl Protocol for SplitOram {
         let mut trace = RequestTrace::new(phases);
         trace.data_ready_phase = data_ready_phase;
         trace.backend = Some(0); // one logical backend spans all SDIMMs
-        self.stats.external_bytes += trace.external_bytes();
-        self.stats.external_commands += trace.external_commands();
         (data, trace)
     }
 
@@ -357,11 +351,10 @@ mod tests {
     #[test]
     fn external_traffic_is_metadata_scale() {
         let mut s = split(2);
-        for i in 0..16u64 {
-            s.access(BlockId(i), Op::Read, None);
-        }
+        let ext_bytes: u64 =
+            (0..16u64).map(|i| s.access(BlockId(i), Op::Read, None).1.external_bytes()).sum();
         let st = s.stats();
-        let ext_lines = st.external_bytes as f64 / 64.0;
+        let ext_lines = ext_bytes as f64 / 64.0;
         let frac = ext_lines / st.internal_lines as f64;
         assert!(
             frac > 0.02 && frac < 0.35,

@@ -46,8 +46,9 @@ pub enum Activity {
         /// Number of pipelined crypto operations.
         units: u32,
     },
-    /// Power hint: wake `rank` on `channel` now and allow the others to
-    /// drop into power-down (the low-power technique of §III-E).
+    /// Power hint: wake `rank` on `channel` now and pin the channel's
+    /// other ranks in power-down (the low-power technique of §III-E).
+    /// Only a protocol built with `low_power` emits it.
     WakeRank {
         /// Channel whose rank set is managed.
         channel: usize,
@@ -147,13 +148,6 @@ impl RequestTrace {
             .sum()
     }
 
-    /// Total external-bus command slots (short + long).
-    pub fn external_commands(&self) -> u64 {
-        self.iter_activities()
-            .filter(|a| matches!(a, Activity::ExtShort { .. } | Activity::ExtTransfer { .. }))
-            .count() as u64
-    }
-
     /// Total DRAM line operations (reads + writes) across all channels.
     pub fn dram_lines(&self) -> u64 {
         self.iter_activities()
@@ -212,7 +206,6 @@ mod tests {
     fn aggregates_count_correctly() {
         let t = sample();
         assert_eq!(t.external_bytes(), 64);
-        assert_eq!(t.external_commands(), 2);
         assert_eq!(t.dram_lines(), 3);
         assert!((t.external_line_equivalents() - 1.0).abs() < 1e-9);
     }

@@ -6,7 +6,7 @@
 //! path read enjoys row-buffer hits; the interleaving scheme chosen here
 //! decides how that contiguity maps onto banks and ranks.
 
-use crate::config::Topology;
+use crate::config::{Topology, LINE_BYTES};
 
 /// Decoded DRAM coordinates for one cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,7 +63,7 @@ impl AddressMapper {
     ///
     /// Panics if the address exceeds channel capacity.
     pub fn decode(&self, addr: u64) -> Coords {
-        let line = (addr as usize) / self.topo.line_bytes;
+        let line = (addr as usize) / LINE_BYTES;
         assert!(
             line < self.topo.capacity_lines(),
             "address {addr:#x} beyond channel capacity ({} lines)",
@@ -133,7 +133,7 @@ impl AddressMapper {
             }
             Interleave::RankContiguous => ((c.rank * rows + c.row) * banks + c.bank) * cols + c.col,
         };
-        (line * self.topo.line_bytes) as u64
+        (line * LINE_BYTES) as u64
     }
 }
 

@@ -15,7 +15,10 @@ use sdimm_telemetry::{CellTrace, DdrEvent, EventKind};
 use crate::address::{AddressMapper, Coords, Interleave};
 use crate::bank::{Bank, RowOutcome, RowState};
 use crate::cmdlog::{CmdLog, DdrCmd};
-use crate::config::{ChannelConfig, Cycle, PowerPolicy, SchedulerPolicy};
+use crate::config::{
+    ChannelConfig, Cycle, SchedulerPolicy, LINE_BYTES, READ_QUEUE_CAPACITY, WRITE_DRAIN_HI,
+    WRITE_DRAIN_LO, WRITE_QUEUE_CAPACITY,
+};
 use crate::power::{compute_energy, EnergyBreakdown, EnergyCounters};
 use crate::rank::{PowerState, Rank};
 use crate::request::{Completion, Request, RequestId, RequestKind};
@@ -151,7 +154,7 @@ enum Decision {
     },
     /// Precharge: for a queued request whose row conflicts with the open
     /// one (`conflict`), or for maintenance — ahead of a refresh, or to
-    /// close an idle rank's banks so it can enter power-down.
+    /// close a pinned rank's banks so it can enter power-down.
     Pre {
         rank: usize,
         bank: usize,
@@ -197,7 +200,8 @@ pub struct DramChannel {
     /// Earliest `next_refresh` over all ranks: before it, with no refresh
     /// owed, the refresh pass has nothing to do.
     refresh_next: Cycle,
-    /// Ranks pinned down by the low-power protocol (no auto-wake by policy).
+    /// Ranks pinned down by the low-power protocol: the only ranks that
+    /// power down.
     forced_down: Vec<bool>,
     /// Number of ranks with `forced_down` set.
     pinned: usize,
@@ -394,7 +398,7 @@ impl DramChannel {
     /// Enqueues a cache-line read. Returns `None` when the read queue is
     /// full (the caller must retry after ticking).
     pub fn enqueue_read(&mut self, addr: u64) -> Option<RequestId> {
-        if self.read_q.len >= self.cfg.read_queue_capacity {
+        if self.read_q.len >= READ_QUEUE_CAPACITY {
             return None;
         }
         let id = RequestId(self.next_id);
@@ -418,7 +422,7 @@ impl DramChannel {
     /// Enqueues a cache-line write. Returns `None` when the write queue is
     /// full.
     pub fn enqueue_write(&mut self, addr: u64) -> Option<RequestId> {
-        if self.write_q.len >= self.cfg.write_drain.capacity {
+        if self.write_q.len >= WRITE_QUEUE_CAPACITY {
             return None;
         }
         let id = RequestId(self.next_id);
@@ -627,12 +631,11 @@ impl DramChannel {
         }
     }
 
-    /// Whether any rank may power down: a power-down policy, or a rank
-    /// pinned by the low-power protocol. Otherwise every rank is active
-    /// (under `AlwaysOn` only a pin sends a rank down, and `wake_rank`
-    /// wakes it as it unpins it), so the power passes have nothing to do.
+    /// Whether any rank may power down: only a pin sends a rank down, and
+    /// `wake_rank` wakes it as it unpins it, so with no pin every rank is
+    /// active and the power passes have nothing to do.
     fn power_managed(&self) -> bool {
-        self.pinned > 0 || self.cfg.power_policy != PowerPolicy::AlwaysOn
+        self.pinned > 0
     }
 
     /// Cross-checks the incremental state (per-rank queued work and open
@@ -692,19 +695,13 @@ impl DramChannel {
 
     /// Whether `rank` should be heading toward power-down right now.
     fn wants_sleep(&self, rank: usize) -> bool {
-        let idle = match (self.forced_down[rank], self.cfg.power_policy) {
-            (true, _) => true,
-            (false, PowerPolicy::AlwaysOn) => false,
-            (false, PowerPolicy::PowerDown { idle_cycles }) => {
-                self.now.saturating_sub(self.ranks[rank].last_activity()) >= idle_cycles
-            }
-        };
-        idle && self.rank_queued[rank] == 0
+        self.forced_down[rank]
+            && self.rank_queued[rank] == 0
             && !self.refresh_pending[rank]
             && matches!(self.ranks[rank].power_state(), PowerState::Active)
     }
 
-    /// Applies the idle-rank power policy and wakes ranks with work.
+    /// Powers idle pinned ranks down and wakes ranks with work.
     /// Runs every scheduler invocation of a power-managed channel, so each
     /// rank's checks are O(1) against the incremental counters — no queue
     /// or bank scans.
@@ -946,8 +943,7 @@ impl DramChannel {
             }
         }
 
-        // Close open banks of ranks that want to power down (forced by
-        // the low-power protocol or eligible under the idle policy) so
+        // Close open banks of ranks the low-power protocol pinned down so
         // they can actually drop CKE.
         if self.power_managed() {
             for i in 0..self.ranks.len() {
@@ -966,9 +962,9 @@ impl DramChannel {
         // back mid-drain just because no write command is issuable this
         // cycle. Outside drain mode, reads always go first and writes
         // issue only when no read is queued.
-        if self.write_q.len >= self.cfg.write_drain.hi {
+        if self.write_q.len >= WRITE_DRAIN_HI {
             self.draining = true;
-        } else if self.write_q.len <= self.cfg.write_drain.lo {
+        } else if self.write_q.len <= WRITE_DRAIN_LO {
             self.draining = false;
         }
         let write = self.draining || self.read_q.len == 0;
@@ -976,26 +972,19 @@ impl DramChannel {
             return d;
         }
 
-        // Nothing issuable: wake for the next refresh deadline and for the
-        // moment an idle rank becomes eligible to power down.
+        // Nothing issuable: wake for the next refresh deadline, and next
+        // cycle while a pinned rank is still up.
         if self.cfg.refresh_enabled {
             best_retry = best_retry.min(self.refresh_next);
         }
-        if self.power_managed() {
-            for (i, r) in self.ranks.iter().enumerate() {
-                if matches!(r.power_state(), PowerState::Active) {
-                    let eligible_at = match (self.forced_down[i], self.cfg.power_policy) {
-                        (true, _) => Some(self.now.saturating_add(1)),
-                        (false, PowerPolicy::PowerDown { idle_cycles }) => {
-                            Some(r.last_activity().saturating_add(idle_cycles))
-                        }
-                        (false, PowerPolicy::AlwaysOn) => None,
-                    };
-                    if let Some(at) = eligible_at {
-                        best_retry = best_retry.min(at.max(self.now.saturating_add(1)));
-                    }
-                }
-            }
+        if self.power_managed()
+            && self
+                .ranks
+                .iter()
+                .zip(&self.forced_down)
+                .any(|(r, &pinned)| pinned && matches!(r.power_state(), PowerState::Active))
+        {
+            best_retry = best_retry.min(self.now.saturating_add(1));
         }
         if best_retry == Cycle::MAX {
             // Queues empty with nothing scheduled: sleep a long horizon.
@@ -1084,7 +1073,6 @@ impl DramChannel {
                 self.account_bg(rank);
                 self.log_cmd_as(rank, DdrCmd::Pre { bank }, |e| DdrEvent { conflict, ..e });
                 self.ranks[rank].bank_mut(bank).precharge(self.now, &t);
-                self.ranks[rank].record_activity(self.now);
                 self.rank_open_banks[rank] -= 1;
                 let bidx = rank * self.cfg.topology.banks + bank;
                 self.read_q.set_open_row(bidx, None);
@@ -1146,7 +1134,7 @@ impl DramChannel {
         self.bus_last_rank = Some(rank_idx);
         self.bus_last_write = Some(write);
         self.stats.data_bus_busy_cycles = self.stats.data_bus_busy_cycles.saturating_add(t.t_burst);
-        self.energy.io_bits += (self.cfg.topology.line_bytes * 8) as u64;
+        self.energy.io_bits += (LINE_BYTES * 8) as u64;
 
         self.pending.push(Pending {
             finish: data_end,
@@ -1160,7 +1148,7 @@ impl DramChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ChannelConfig, PowerPolicy, Timing};
+    use crate::config::{ChannelConfig, Timing};
 
     fn quiet_cfg() -> ChannelConfig {
         let mut cfg = ChannelConfig::table2();
@@ -1233,8 +1221,7 @@ mod tests {
         // queue drains to the low watermark — a read must not slip in on
         // cycles where no write command happens to be issuable.
         let mut ch = DramChannel::new(quiet_cfg());
-        let hi = ch.config().write_drain.hi;
-        let lo = ch.config().write_drain.lo;
+        let (hi, lo) = (WRITE_DRAIN_HI, WRITE_DRAIN_LO);
         let topo = ch.config().topology.clone();
         let row_stride = (topo.row_bytes * topo.banks * topo.ranks) as u64;
         // Every write targets its own row of one bank, so each is a row
@@ -1363,8 +1350,7 @@ mod tests {
     #[test]
     fn queue_capacity_enforced() {
         let mut ch = DramChannel::new(quiet_cfg());
-        let cap = ch.config().read_queue_capacity;
-        for i in 0..cap {
+        for i in 0..READ_QUEUE_CAPACITY {
             assert!(ch.enqueue_read((i * 64) as u64).is_some());
         }
         assert!(ch.enqueue_read(0xFFFF00).is_none(), "read queue must reject overflow");
@@ -1400,22 +1386,6 @@ mod tests {
         let mut ch = DramChannel::new(cfg);
         ch.tick(7_000); // past tREFI=6240
         assert!(ch.stats().refreshes >= 1, "refresh must fire after tREFI");
-    }
-
-    #[test]
-    fn idle_rank_powers_down_and_wakes_for_work() {
-        let mut cfg = quiet_cfg();
-        cfg.power_policy = PowerPolicy::PowerDown { idle_cycles: 100 };
-        let mut ch = DramChannel::new(cfg);
-        ch.tick(500);
-        assert!(
-            matches!(ch.rank_power_state(0), PowerState::PowerDown { .. }),
-            "idle rank should power down"
-        );
-        let id = ch.enqueue_read(0).unwrap();
-        let done = ch.run_until_idle(10_000);
-        assert!(done.iter().any(|c| c.id == id), "request must wake the rank");
-        assert!(ch.rank_powerdown_cycles(0) >= 300);
     }
 
     #[test]

@@ -10,11 +10,35 @@
 //! table: [`ChannelConfig::table2_for`] / [`ChannelConfig::sdimm_internal_for`]
 //! build its channel configurations, and [`ChannelConfig::table2`] /
 //! [`ChannelConfig::sdimm_internal`] are the DDR3-1600 ones.
+//!
+//! The values the paper fixes for every channel are constants, not
+//! fields: the 64-byte line ([`LINE_BYTES`]), the 64-entry read and write
+//! queues, and the write drain from 40 down to 20 entries (Table II,
+//! §IV-A). No rank powers down on its own: only the §III-E low-power
+//! protocol does, by pinning ranks
+//! ([`crate::channel::DramChannel::force_rank_down`]).
 
 use crate::spec::{DramSpec, DramStandard};
 
 /// A point in simulated time, in memory-clock cycles (800 MHz ⇒ 1.25 ns).
 pub type Cycle = u64;
+
+/// Cache-line / transfer size in bytes, common to every modeled spec.
+pub const LINE_BYTES: usize = 64;
+
+/// Read-queue capacity (Table II: 64); enqueues stall beyond it.
+pub const READ_QUEUE_CAPACITY: usize = 64;
+
+/// Write-queue capacity (Table II: 64); enqueues stall beyond it.
+pub const WRITE_QUEUE_CAPACITY: usize = 64;
+
+/// Write-queue depth that starts a drain (Table II / §IV-A: 40): reads
+/// are prioritized until the write queue reaches it, then writes drain
+/// until it falls to [`WRITE_DRAIN_LO`].
+pub const WRITE_DRAIN_HI: usize = 40;
+
+/// Write-queue depth at which a drain ends.
+pub const WRITE_DRAIN_LO: usize = 20;
 
 /// DRAM timing constraints, in memory-clock cycles.
 ///
@@ -153,8 +177,6 @@ pub struct Topology {
     pub rows: usize,
     /// Row-buffer (page) size in bytes per rank (8 KB in Table II).
     pub row_bytes: usize,
-    /// Cache-line / transfer size in bytes (64).
-    pub line_bytes: usize,
 }
 
 impl Topology {
@@ -175,7 +197,7 @@ impl Topology {
 
     /// Cache lines per row buffer.
     pub fn lines_per_row(&self) -> usize {
-        self.row_bytes / self.line_bytes
+        self.row_bytes / LINE_BYTES
     }
 
     /// Total capacity of the channel in bytes.
@@ -185,7 +207,7 @@ impl Topology {
 
     /// Total addressable cache lines on the channel.
     pub fn capacity_lines(&self) -> usize {
-        self.capacity_bytes() / self.line_bytes
+        self.capacity_bytes() / LINE_BYTES
     }
 }
 
@@ -198,39 +220,6 @@ pub enum SchedulerPolicy {
     FrFcfs,
     /// Strict first-come-first-served (ablation baseline).
     Fcfs,
-}
-
-/// Write-queue drain policy: reads are prioritized until the write queue
-/// exceeds `hi`, then writes drain until it falls to `lo`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteDrain {
-    /// Queue depth that triggers drain mode (Table II / §IV-A: 40).
-    pub hi: usize,
-    /// Queue depth at which drain mode ends.
-    pub lo: usize,
-    /// Write queue capacity (Table II: 64); enqueues stall beyond this.
-    pub capacity: usize,
-}
-
-impl Default for WriteDrain {
-    fn default() -> Self {
-        WriteDrain { hi: 40, lo: 20, capacity: 64 }
-    }
-}
-
-/// Power-state policy for idle ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PowerPolicy {
-    /// Ranks never power down (performance baseline).
-    #[default]
-    AlwaysOn,
-    /// A rank with no queued work enters precharge power-down after
-    /// `idle_cycles` of inactivity (the paper's low-power technique keeps
-    /// three of four SDIMM ranks in this mode).
-    PowerDown {
-        /// Idle cycles before CKE is dropped.
-        idle_cycles: Cycle,
-    },
 }
 
 /// DRAM device current/voltage parameters used by the energy model
@@ -308,16 +297,10 @@ pub struct ChannelConfig {
     pub topology: Topology,
     /// Scheduling policy.
     pub scheduler: SchedulerPolicy,
-    /// Write drain thresholds.
-    pub write_drain: WriteDrain,
-    /// Idle-rank power policy.
-    pub power_policy: PowerPolicy,
     /// Energy-model device parameters.
     pub power: PowerParams,
     /// Physical location (selects I/O energy constant).
     pub location: ChannelLocation,
-    /// Read queue capacity; enqueues stall beyond this.
-    pub read_queue_capacity: usize,
     /// Enable periodic refresh (tREFI/tRFC). Disable for microbenchmarks.
     pub refresh_enabled: bool,
 }
@@ -328,8 +311,7 @@ impl ChannelConfig {
         ChannelConfig::table2_for(DramStandard::Ddr3_1600)
     }
 
-    /// An SDIMM internal channel: quad-rank, on-DIMM I/O energy, and the
-    /// low-power rank policy available.
+    /// An SDIMM internal channel: quad-rank, on-DIMM I/O energy.
     pub fn sdimm_internal() -> Self {
         ChannelConfig::sdimm_internal_for(DramStandard::Ddr3_1600)
     }
@@ -397,10 +379,9 @@ mod tests {
 
     #[test]
     fn write_drain_defaults_match_paper() {
-        let wd = WriteDrain::default();
-        assert_eq!(wd.hi, 40);
-        assert_eq!(wd.capacity, 64);
-        assert!(wd.lo < wd.hi);
+        // Table II: a 64-entry write queue that drains from 40 down to 20.
+        assert_eq!((WRITE_QUEUE_CAPACITY, WRITE_DRAIN_HI, WRITE_DRAIN_LO), (64, 40, 20));
+        assert_eq!(READ_QUEUE_CAPACITY, 64);
     }
 
     #[test]

@@ -41,8 +41,6 @@ pub struct Rank {
     /// Next scheduled refresh.
     next_refresh: Cycle,
     power: PowerState,
-    /// Cycle of the most recent command activity (for idle detection).
-    last_activity: Cycle,
     /// Accumulated cycles spent in power-down (for the energy model).
     powerdown_cycles: Cycle,
     /// Count of power-down entries (each costs tCKE residency minimum).
@@ -65,7 +63,6 @@ impl Rank {
             ready_at: 0,
             next_refresh: t.t_refi,
             power: PowerState::Active,
-            last_activity: 0,
             powerdown_cycles: 0,
             powerdown_entries: 0,
         }
@@ -89,11 +86,6 @@ impl Rank {
     /// Current power state.
     pub fn power_state(&self) -> PowerState {
         self.power
-    }
-
-    /// Cycle of the last command directed at this rank.
-    pub fn last_activity(&self) -> Cycle {
-        self.last_activity
     }
 
     /// Total cycles this rank has spent in power-down so far.
@@ -167,7 +159,6 @@ impl Rank {
         self.group_next_act[group] = now.saturating_add(t.t_rrd_l);
         self.act_window.rotate_left(1);
         self.act_window[3] = Some(now);
-        self.last_activity = now;
     }
 
     /// Records a CAS at `now` in bank group `group`, arming the
@@ -176,12 +167,6 @@ impl Rank {
         debug_assert!(now >= self.cas_allowed_rank().max(self.cas_group_bound(group)));
         self.next_cas_ccd = now.saturating_add(t.t_ccd);
         self.group_next_cas[group] = now.saturating_add(t.t_ccd_l);
-        self.last_activity = self.last_activity.max(now);
-    }
-
-    /// Records any non-ACT command activity at `now` (CAS, PRE).
-    pub fn record_activity(&mut self, now: Cycle) {
-        self.last_activity = self.last_activity.max(now);
     }
 
     /// Whether a refresh is due at `now`.
@@ -204,7 +189,6 @@ impl Rank {
         }
         self.ready_at = self.ready_at.max(done);
         self.next_refresh = self.next_refresh.saturating_add(t.t_refi);
-        self.last_activity = now;
     }
 
     /// Drops CKE, entering precharge power-down.
@@ -228,7 +212,6 @@ impl Rank {
             self.powerdown_cycles = self.powerdown_cycles.saturating_add(now.saturating_sub(since));
             self.power = PowerState::Active;
             self.ready_at = self.ready_at.max(now.saturating_add(t.t_xp));
-            self.last_activity = now;
         }
         self.ready_at
     }

@@ -17,12 +17,9 @@
 //! occupancy vs CAS-gap timing.
 
 use crate::config::{
-    ChannelConfig, ChannelLocation, Cycle, PowerParams, PowerPolicy, SchedulerPolicy, Timing,
-    Topology, WriteDrain,
+    ChannelConfig, ChannelLocation, Cycle, PowerParams, SchedulerPolicy, Timing, Topology,
+    LINE_BYTES,
 };
-
-/// Cache-line / transfer size in bytes, common to every modeled spec.
-pub const LINE_BYTES: usize = 64;
 
 /// The memory standards this simulator ships timing tables for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -408,7 +405,6 @@ impl DramSpec {
             bank_groups: self.bank_groups,
             rows: self.rows,
             row_bytes: self.row_bytes,
-            line_bytes: LINE_BYTES,
         }
     }
 
@@ -429,11 +425,8 @@ impl DramSpec {
             timing: self.timing.clone(),
             topology: self.topology(ranks),
             scheduler: SchedulerPolicy::FrFcfs,
-            write_drain: WriteDrain::default(),
-            power_policy: PowerPolicy::AlwaysOn,
             power: self.power.clone(),
             location,
-            read_queue_capacity: 64,
             refresh_enabled: true,
         }
     }

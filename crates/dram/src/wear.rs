@@ -6,11 +6,10 @@
 //! command log: disabled by default, one branch per event) and
 //! maintains two views of row pressure:
 //!
-//! 1. **Lifetime wear** — per-row ACT and WR counts, optionally
-//!    bucketed to a coarser row granularity
-//!    ([`WearConfig::row_granularity`]) so million-row sweeps stay
-//!    cheap. This is the endurance/wear-leveling view: ORAM tree roots
-//!    show up here orders of magnitude hotter than leaves.
+//! 1. **Lifetime wear** — exact per-row ACT and WR counts, the only
+//!    granularity the `sdimm-audit` recount can check row by row. This
+//!    is the endurance/wear-leveling view: ORAM tree roots show up here
+//!    orders of magnitude hotter than leaves.
 //! 2. **Disturbance windows** — for each *victim* row, the activations
 //!    its physically adjacent rows (`row ± 1` in the same bank)
 //!    accumulate **between that row's own refreshes**. RowHammer flips
@@ -63,7 +62,7 @@ impl Hasher for KeyHasher {
 /// A map over simulator-internal `u64` keys, hashed with [`KeyHasher`].
 pub type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
-/// Lifetime counters of one accounting bucket.
+/// Lifetime counters of one row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Counts {
     acts: u64,
@@ -78,10 +77,10 @@ const CHUNK: u64 = 8;
 /// The counters of `CHUNK` consecutive row keys.
 #[derive(Debug, Clone, Copy, Default)]
 struct Chunk {
-    /// Lifetime ACT and write CAS counts, at each bucket's first row.
+    /// Lifetime ACT and write CAS counts per row.
     counts: [Counts; CHUNK as usize],
     /// Open disturbance windows: adjacent ACTs since each victim row's
-    /// last refresh. Exact-row, never bucketed.
+    /// last refresh.
     windows: [u64; CHUNK as usize],
 }
 
@@ -100,9 +99,6 @@ pub struct WearConfig {
     pub banks: usize,
     /// Rows per bank.
     pub rows: usize,
-    /// Rows folded into one lifetime-wear accounting bucket (1 = exact
-    /// per-row counts). Disturbance windows are always exact-row.
-    pub row_granularity: usize,
     /// Rows of every bank refreshed (round-robin) by one REF command.
     pub rows_per_refresh: usize,
     /// Adjacent-row activations per victim refresh window at which the
@@ -113,14 +109,13 @@ pub struct WearConfig {
 impl WearConfig {
     /// Derives the tracker configuration for a channel: geometry from
     /// its topology, refresh stride and hammer threshold from its
-    /// standard's spec table, exact per-row lifetime granularity.
+    /// standard's spec table.
     pub fn for_channel(cfg: &ChannelConfig) -> Self {
         let spec = cfg.standard.spec();
         WearConfig {
             ranks: cfg.topology.ranks,
             banks: cfg.topology.banks,
             rows: cfg.topology.rows,
-            row_granularity: 1,
             rows_per_refresh: spec.rows_per_refresh(),
             hammer_threshold: spec.hammer_threshold,
         }
@@ -149,8 +144,7 @@ pub struct RowId {
     pub rank: usize,
     /// Bank index within the rank.
     pub bank: usize,
-    /// Row index within the bank (bucket-aligned for lifetime counts
-    /// when `row_granularity > 1`).
+    /// Row index within the bank.
     pub row: usize,
 }
 
@@ -164,18 +158,18 @@ pub struct HammerAlarm {
     pub window: u64,
 }
 
-/// Lifetime wear of one accounting bucket.
+/// Lifetime wear of one row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowWear {
-    /// Bucket identity (row is bucket-aligned under coarse granularity).
+    /// The row.
     pub id: RowId,
-    /// ACT commands attributed to the bucket.
+    /// ACT commands on the row.
     pub acts: u64,
-    /// Write CAS commands attributed to the bucket.
+    /// Write CAS commands on the row.
     pub writes: u64,
 }
 
-/// Deterministic export of a tracker's state: all touched buckets in
+/// Deterministic export of a tracker's state: all touched rows in
 /// ascending physical order plus the aggregate disturbance verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WearSnapshot {
@@ -194,12 +188,12 @@ pub struct WearSnapshot {
     pub peak_victim: Option<RowId>,
     /// Threshold crossings raised over the tracked interval.
     pub alarms: u64,
-    /// Every touched bucket, sorted by (rank, bank, row).
+    /// Every touched row, sorted by (rank, bank, row).
     pub rows: Vec<RowWear>,
 }
 
 impl WearSnapshot {
-    /// The `k` highest-ACT buckets, ties broken by physical order (so
+    /// The `k` highest-ACT rows, ties broken by physical order (so
     /// the selection is deterministic and byte-stable in reports).
     pub fn hottest(&self, k: usize) -> Vec<RowWear> {
         let mut rows = self.rows.clone();
@@ -226,7 +220,6 @@ pub struct RowPressure {
 impl RowPressure {
     /// Creates an empty tracker.
     pub fn new(cfg: WearConfig) -> Self {
-        assert!(cfg.row_granularity > 0, "zero row granularity");
         assert!(cfg.rows_per_refresh > 0, "zero refresh stride");
         let ranks = cfg.ranks;
         RowPressure {
@@ -243,19 +236,14 @@ impl RowPressure {
         &self.cfg
     }
 
-    fn bucket_key(&self, rank: usize, bank: usize, row: usize) -> u64 {
-        let bucket = row - row % self.cfg.row_granularity;
-        self.cfg.key(rank, bank, bucket)
-    }
-
     /// Accounts one ACT to `(rank, bank, row)`: bumps the row's
     /// lifetime count and the disturbance windows of its two physical
     /// neighbors. Returns the alarms (at most one per neighbor) whose
     /// windows crossed the hammer threshold on this activation.
     pub fn on_act(&mut self, rank: usize, bank: usize, row: usize) -> [Option<HammerAlarm>; 2] {
-        let (mut at, bucket_slot) = chunk_of(self.bucket_key(rank, bank, row));
+        let (mut at, row_slot) = chunk_of(self.cfg.key(rank, bank, row));
         let mut chunk = self.chunks.entry(at).or_default();
-        chunk.counts[bucket_slot].acts += 1;
+        chunk.counts[row_slot].acts += 1;
         let mut out = [None, None];
         let below = row.checked_sub(1);
         let above = if row + 1 < self.cfg.rows { Some(row + 1) } else { None };
@@ -282,7 +270,7 @@ impl RowPressure {
 
     /// Accounts one write CAS to `(rank, bank, row)`.
     pub fn on_write(&mut self, rank: usize, bank: usize, row: usize) {
-        let (at, slot) = chunk_of(self.bucket_key(rank, bank, row));
+        let (at, slot) = chunk_of(self.cfg.key(rank, bank, row));
         self.chunks.entry(at).or_default().counts[slot].writes += 1;
     }
 
@@ -319,9 +307,9 @@ impl RowPressure {
         self.chunks.get(&at).map_or(0, |c| c.windows[slot])
     }
 
-    /// Lifetime ACTs of the bucket containing `(rank, bank, row)`.
+    /// Lifetime ACTs of `(rank, bank, row)`.
     pub fn acts(&self, rank: usize, bank: usize, row: usize) -> u64 {
-        let (at, slot) = chunk_of(self.bucket_key(rank, bank, row));
+        let (at, slot) = chunk_of(self.cfg.key(rank, bank, row));
         self.chunks.get(&at).map_or(0, |c| c.counts[slot].acts)
     }
 
@@ -374,14 +362,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> WearConfig {
-        WearConfig {
-            ranks: 2,
-            banks: 4,
-            rows: 64,
-            row_granularity: 1,
-            rows_per_refresh: 8,
-            hammer_threshold: 10,
-        }
+        WearConfig { ranks: 2, banks: 4, rows: 64, rows_per_refresh: 8, hammer_threshold: 10 }
     }
 
     #[test]
@@ -465,21 +446,6 @@ mod tests {
             rp.on_act(0, 0, 10);
         }
         assert_eq!(rp.alarms(), 4);
-    }
-
-    #[test]
-    fn coarse_granularity_buckets_lifetime_but_not_windows() {
-        let mut c = cfg();
-        c.row_granularity = 16;
-        let mut rp = RowPressure::new(c);
-        rp.on_act(0, 0, 3);
-        rp.on_act(0, 0, 12);
-        assert_eq!(rp.acts(0, 0, 0), 2, "both land in bucket 0");
-        assert_eq!(rp.window(0, 0, 2), 1, "windows stay exact-row");
-        assert_eq!(rp.window(0, 0, 11), 1);
-        let snap = rp.snapshot();
-        assert_eq!(snap.rows.len(), 1);
-        assert_eq!(snap.rows[0].id.row, 0);
     }
 
     #[test]

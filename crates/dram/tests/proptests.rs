@@ -1,12 +1,12 @@
 //! Property tests for the DRAM model: address-mapper bijectivity, timing
 //! monotonicity, conservation of requests through the channel, and
-//! split-invariance of the event-driven tick, with and without rank
-//! power management.
+//! split-invariance of the event-driven tick, with and without pinned
+//! ranks.
 
 use dram_sim::address::{AddressMapper, Coords, Interleave};
 use dram_sim::channel::{DramChannel, STARVATION_LIMIT};
 use dram_sim::cmdlog::CmdLog;
-use dram_sim::config::{ChannelConfig, PowerPolicy, SchedulerPolicy, Topology};
+use dram_sim::config::{ChannelConfig, SchedulerPolicy, Topology, WRITE_DRAIN_HI};
 use dram_sim::spec::DramStandard;
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -273,7 +273,7 @@ proptest! {
         done_b.extend(b.run_until_idle(10_000_000));
 
         prop_assert!(full[0] && full[1], "both queues must fill");
-        prop_assert!(peak_writes >= cfg.write_drain.hi, "write drain must trigger");
+        prop_assert!(peak_writes >= WRITE_DRAIN_HI, "write drain must trigger");
         prop_assert!(
             a.stats().read_latency_max > STARVATION_LIMIT,
             "a queue head must age past the starvation limit (spec {spec_pick}, fcfs {fcfs}, max {})",
@@ -293,8 +293,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The power-managed side of the scheduler: an SDIMM internal channel
-    /// on every standard, refresh on, under `PowerDown` or `AlwaysOn`,
-    /// with random ranks pinned down (`force_rank_down`) and released
+    /// on every standard, refresh on, with random ranks pinned down
+    /// (`force_rank_down`, the only way a rank powers down) and released
     /// (`wake_rank`) at the same points on both channels, requests fed in
     /// between. Every request completes exactly once, and slicing each
     /// quantum into smaller ticks changes no command, completion,
@@ -306,14 +306,10 @@ proptest! {
         writes in proptest::collection::vec(any::<bool>(), 32),
         pins in proptest::collection::vec((0usize..4, any::<bool>()), 1..16),
         splits in proptest::collection::vec(1u64..400, 2..6),
-        idle_cycles in 1u64..400,
-        power_down in any::<bool>(),
         spec_pick in 0usize..4,
     ) {
         let mut cfg = ChannelConfig::sdimm_internal_for(STANDARDS[spec_pick]);
         cfg.refresh_enabled = true;
-        cfg.power_policy =
-            if power_down { PowerPolicy::PowerDown { idle_cycles } } else { PowerPolicy::AlwaysOn };
         let ranks = cfg.topology.ranks;
         let (log_a, log_b) = (CmdLog::enabled(), CmdLog::enabled());
         let mut a = DramChannel::new(cfg.clone());

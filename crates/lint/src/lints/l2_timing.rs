@@ -54,7 +54,7 @@ pub fn check(input: &PassInput<'_>) -> Vec<Finding> {
             tok.line,
             format!("cycle-typed `{id}` compared against raw literal `{v}`"),
             "reference the named constant from `crates/dram/src/config.rs` \
-             (Timing/WriteDrain/…) so simulator and auditor share one source, \
+             (`Timing`, `WRITE_DRAIN_HI`, …) so simulator and auditor share one source, \
              or waive with `// lint: literal-ok(reason)`"
                 .to_string(),
         ) {

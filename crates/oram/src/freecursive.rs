@@ -20,7 +20,7 @@
 use crate::path_oram::PathOram;
 use crate::plan::{AccessPlan, PlanKind};
 use crate::plb::{Plb, PlbKey, PlbStats};
-use crate::types::{BlockId, Op, OramConfig};
+use crate::types::{BlockId, Op, OramConfig, MAX_RECURSION, POSMAP_ENTRIES_PER_BLOCK};
 
 /// Block-id space partitioning inside the unified tree: each recursion
 /// level owns a contiguous id region.
@@ -32,16 +32,17 @@ pub struct IdSpace {
 }
 
 impl IdSpace {
-    /// Computes level regions for `data_blocks` data blocks with the
-    /// given posmap fan-out and recursion cap.
-    pub fn new(data_blocks: u64, entries_per_block: u64, max_recursion: usize) -> Self {
+    /// Computes level regions for `data_blocks` data blocks, shrinking
+    /// by [`POSMAP_ENTRIES_PER_BLOCK`] per level for at most
+    /// [`MAX_RECURSION`] levels.
+    pub fn new(data_blocks: u64) -> Self {
         let mut bounds = vec![0u64];
         let mut level_blocks = data_blocks;
         let mut base = 0u64;
-        for _ in 0..=max_recursion {
+        for _ in 0..=MAX_RECURSION {
             base += level_blocks;
             bounds.push(base);
-            level_blocks = level_blocks.div_ceil(entries_per_block);
+            level_blocks = level_blocks.div_ceil(POSMAP_ENTRIES_PER_BLOCK);
             if level_blocks <= 1 {
                 break;
             }
@@ -128,17 +129,15 @@ impl FreecursiveStats {
 pub struct Frontend {
     plb: Plb,
     ids: IdSpace,
-    entries_per_block: u64,
     stats: FreecursiveStats,
 }
 
 impl Frontend {
-    /// Builds a frontend for `data_blocks` data blocks under `cfg`.
-    pub fn new(cfg: &OramConfig, data_blocks: u64) -> Self {
+    /// Builds a frontend for `data_blocks` data blocks.
+    pub fn new(data_blocks: u64) -> Self {
         Frontend {
             plb: Plb::table2(),
-            ids: IdSpace::new(data_blocks, cfg.posmap_entries_per_block as u64, cfg.max_recursion),
-            entries_per_block: cfg.posmap_entries_per_block as u64,
+            ids: IdSpace::new(data_blocks),
             stats: FreecursiveStats::default(),
         }
     }
@@ -166,7 +165,7 @@ impl Frontend {
     fn nth_parent(&self, index: u64, n: usize) -> u64 {
         let mut idx = index;
         for _ in 0..n {
-            idx /= self.entries_per_block;
+            idx /= POSMAP_ENTRIES_PER_BLOCK;
         }
         idx
     }
@@ -189,7 +188,7 @@ impl Frontend {
         let mut walk_to = memory_levels;
         let mut idx = index;
         for level in 1..=memory_levels {
-            idx /= self.entries_per_block;
+            idx /= POSMAP_ENTRIES_PER_BLOCK;
             if self.plb.lookup(PlbKey { level: level as u8, index: idx }) {
                 walk_to = level - 1;
                 break;
@@ -210,7 +209,7 @@ impl Frontend {
             if level < memory_levels {
                 self.plb.mark_dirty(PlbKey {
                     level: level as u8 + 1,
-                    index: pm_index / self.entries_per_block,
+                    index: pm_index / POSMAP_ENTRIES_PER_BLOCK,
                 });
             }
             if let Some((victim, dirty)) =
@@ -255,7 +254,7 @@ impl FreecursiveOram {
     /// Panics if the unified tree cannot hold all levels at ≤50%
     /// utilization under `cfg`.
     pub fn new(cfg: OramConfig, data_blocks: u64, seed: u64) -> Self {
-        let frontend = Frontend::new(&cfg, data_blocks);
+        let frontend = Frontend::new(data_blocks);
         let backend = PathOram::new(cfg, frontend.id_space().total_blocks(), seed);
         FreecursiveOram { frontend, backend, background_evictions: 0 }
     }
@@ -347,7 +346,7 @@ mod tests {
 
     #[test]
     fn id_space_levels_shrink_by_fanout() {
-        let ids = IdSpace::new(4096, 16, 5);
+        let ids = IdSpace::new(4096);
         assert_eq!(ids.level_blocks(0), 4096);
         assert_eq!(ids.level_blocks(1), 256);
         assert_eq!(ids.level_blocks(2), 16);
@@ -357,7 +356,7 @@ mod tests {
 
     #[test]
     fn id_space_regions_do_not_overlap() {
-        let ids = IdSpace::new(1000, 16, 5);
+        let ids = IdSpace::new(1000);
         let a = ids.block_id(0, 999);
         let b = ids.block_id(1, 0);
         assert!(a < b);
@@ -444,7 +443,7 @@ mod tests {
     }
 
     fn frontend() -> Frontend {
-        Frontend::new(&OramConfig { levels: 13, ..OramConfig::default() }, 8192)
+        Frontend::new(8192)
     }
 
     #[test]

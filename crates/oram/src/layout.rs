@@ -13,7 +13,7 @@
 //!   touches a single rank and the others can stay in power-down.
 
 use crate::geometry::{BucketIdx, Geometry};
-use crate::types::{Leaf, OramConfig};
+use crate::types::{Leaf, OramConfig, BLOCK_BYTES};
 
 /// How bucket indices map to line addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +35,6 @@ enum Scheme {
 pub struct TreeLayout {
     geo: Geometry,
     lines_per_bucket: usize,
-    line_bytes: usize,
     cached_levels: u32,
     scheme: Scheme,
 }
@@ -51,7 +50,6 @@ impl TreeLayout {
         TreeLayout {
             geo: Geometry::from_config(cfg),
             lines_per_bucket: cfg.lines_per_bucket(),
-            line_bytes: cfg.block_bytes,
             cached_levels: cfg.cached_levels,
             scheme: Scheme::SubtreePacked { subtree_levels },
         }
@@ -67,12 +65,11 @@ impl TreeLayout {
     pub fn rank_localized(cfg: &OramConfig, split_levels: u32, rank_bytes: u64) -> Self {
         assert!(split_levels >= 1 && split_levels < cfg.levels);
         let subtree_buckets = (1u64 << (cfg.levels - split_levels + 1)) - 1;
-        let need = subtree_buckets * cfg.lines_per_bucket() as u64 * cfg.block_bytes as u64;
+        let need = subtree_buckets * cfg.lines_per_bucket() as u64 * BLOCK_BYTES as u64;
         assert!(need <= rank_bytes, "subtree needs {need} bytes but a rank provides {rank_bytes}");
         TreeLayout {
             geo: Geometry::from_config(cfg),
             lines_per_bucket: cfg.lines_per_bucket(),
-            line_bytes: cfg.block_bytes,
             cached_levels: cfg.cached_levels.max(split_levels),
             scheme: Scheme::RankLocalized { split_levels, rank_bytes },
         }
@@ -133,7 +130,7 @@ impl TreeLayout {
         let slot = self.bucket_slot(b);
         let base = match self.scheme {
             Scheme::SubtreePacked { .. } => {
-                slot * self.lines_per_bucket as u64 * self.line_bytes as u64
+                slot * self.lines_per_bucket as u64 * BLOCK_BYTES as u64
             }
             Scheme::RankLocalized { split_levels, rank_bytes } => {
                 // Rank index is the subtree index: top bits of the slot.
@@ -141,10 +138,10 @@ impl TreeLayout {
                 let sub_size = (1u64 << sub_levels) - 1;
                 let rank = slot / sub_size;
                 let within = slot % sub_size;
-                rank * rank_bytes + within * self.lines_per_bucket as u64 * self.line_bytes as u64
+                rank * rank_bytes + within * self.lines_per_bucket as u64 * BLOCK_BYTES as u64
             }
         };
-        Some((0..self.lines_per_bucket as u64).map(|i| base + i * self.line_bytes as u64).collect())
+        Some((0..self.lines_per_bucket as u64).map(|i| base + i * BLOCK_BYTES as u64).collect())
     }
 
     /// Line addresses for an entire path (root→leaf), skipping cached
@@ -181,7 +178,7 @@ impl TreeLayout {
     /// rank-localized layout, the tail of a rank region past its
     /// subtree is unowned).
     pub fn level_of_line(&self, addr: u64) -> Option<u32> {
-        let bucket_bytes = self.lines_per_bucket as u64 * self.line_bytes as u64;
+        let bucket_bytes = self.lines_per_bucket as u64 * BLOCK_BYTES as u64;
         match self.scheme {
             Scheme::SubtreePacked { subtree_levels } => {
                 packed_level_of_slot(self.geo.levels(), subtree_levels, addr / bucket_bytes)
@@ -203,7 +200,7 @@ impl TreeLayout {
     pub fn footprint_bytes(&self) -> u64 {
         match self.scheme {
             Scheme::SubtreePacked { .. } => {
-                self.geo.bucket_count() * self.lines_per_bucket as u64 * self.line_bytes as u64
+                self.geo.bucket_count() * self.lines_per_bucket as u64 * BLOCK_BYTES as u64
             }
             Scheme::RankLocalized { split_levels, rank_bytes } => {
                 (1u64 << split_levels) * rank_bytes

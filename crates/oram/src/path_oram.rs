@@ -18,7 +18,7 @@ use crate::layout::TreeLayout;
 use crate::plan::{AccessPlan, PlanKind};
 use crate::posmap::FlatPosMap;
 use crate::stash::Stash;
-use crate::types::{BlockId, Leaf, Op, OramConfig};
+use crate::types::{BlockId, Leaf, Op, OramConfig, BLOCK_BYTES};
 use crate::wear::LevelWear;
 
 /// Statistics kept by a Path ORAM instance.
@@ -117,7 +117,7 @@ impl PathOram {
     /// the whole path through [`SealedTree::store_path`].
     ///
     /// Sealed images are fixed-size (dummies indistinguishable from real
-    /// blocks), so payloads shorter than `block_bytes` come back
+    /// blocks), so payloads shorter than [`BLOCK_BYTES`] come back
     /// zero-padded to full length after their first write-back — callers
     /// on this mode should write full blocks, as the wire layer does.
     ///
@@ -127,7 +127,7 @@ impl PathOram {
     /// sealing right after construction.
     pub fn enable_sealing(&mut self, master: [u8; 16]) {
         assert!(self.tree.is_empty(), "enable sealing before the first access");
-        self.sealed = Some(SealedTree::new(self.cfg.z, self.cfg.block_bytes, master));
+        self.sealed = Some(SealedTree::new(self.cfg.z, BLOCK_BYTES, master));
     }
 
     /// True when buckets are stored sealed rather than in plaintext.
@@ -388,7 +388,7 @@ impl PathOram {
         } else {
             let data = match op {
                 Op::Write => new_data.unwrap_or_default().to_vec(),
-                Op::Read => vec![0; self.cfg.block_bytes],
+                Op::Read => vec![0; BLOCK_BYTES],
             };
             self.stash.insert(BlockEntry { id, leaf: self.posmap.get(id), data: data.clone() });
             data
@@ -668,7 +668,7 @@ mod tests {
         assert!(o.is_sealed());
         // Full-size payloads: sealed images are fixed-size, so short
         // writes would come back zero-padded (see enable_sealing docs).
-        let bytes = o.config().block_bytes;
+        let bytes = BLOCK_BYTES;
         for i in 0..30u64 {
             o.access(BlockId(i), Op::Write, Some(&vec![i as u8; bytes]));
         }
@@ -689,7 +689,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         for step in 0..300 {
             let id = BlockId(rng.gen_range(0..100));
-            let payload = vec![step as u8; plain.config().block_bytes];
+            let payload = vec![step as u8; BLOCK_BYTES];
             let (a, pa) = if step % 3 == 0 {
                 plain.access(id, Op::Write, Some(&payload))
             } else {
@@ -751,7 +751,7 @@ mod tests {
         let (served, fresh, _) = a.access_with_remap(BlockId(9), Op::Read, None, Leaf(6), false);
         let fresh = fresh.expect("a never-written block leaves ORAM A");
         assert_eq!((fresh.id, fresh.leaf), (BlockId(9), Leaf(6)));
-        assert_eq!(served, vec![0; a.config().block_bytes]);
+        assert_eq!(served, vec![0; BLOCK_BYTES]);
         assert_eq!(fresh.data, served);
         a.check_invariant();
         b.check_invariant();

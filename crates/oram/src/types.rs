@@ -1,4 +1,9 @@
 //! Core identifiers and configuration for the ORAM layer.
+//!
+//! [`OramConfig`] holds the tree parameters runs vary (depth, Z, cached
+//! levels, stash limit). The values the paper fixes are constants: the
+//! 64-byte block ([`BLOCK_BYTES`]), 16 position-map entries per block
+//! and five recursive position maps (Table II).
 
 use std::fmt;
 
@@ -32,6 +37,16 @@ pub enum Op {
     Write,
 }
 
+/// Data block / cache line size in bytes (Table II: 64).
+pub const BLOCK_BYTES: usize = 64;
+
+/// Position-map entries per 64-byte position-map block (recursion
+/// fan-out; 16 four-byte leaf entries per block).
+pub const POSMAP_ENTRIES_PER_BLOCK: u64 = 16;
+
+/// Maximum recursion depth for Freecursive position maps (Table II: 5).
+pub const MAX_RECURSION: usize = 5;
+
 /// Static parameters of one Path ORAM tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OramConfig {
@@ -40,8 +55,6 @@ pub struct OramConfig {
     pub levels: u32,
     /// Blocks per bucket (Table II: Z = 4).
     pub z: usize,
-    /// Data block / cache line size in bytes (64).
-    pub block_bytes: usize,
     /// Number of top tree levels cached in the controller's on-chip ORAM
     /// cache (Fig 6/8/9 evaluate 0 and 7). Cached levels generate no
     /// memory traffic.
@@ -49,24 +62,11 @@ pub struct OramConfig {
     /// Stash capacity in blocks before background eviction kicks in
     /// (the paper cites ~200 entries).
     pub stash_limit: usize,
-    /// Position-map entries per 64-byte position-map block (recursion
-    /// fan-out; 16 four-byte leaf entries per block).
-    pub posmap_entries_per_block: usize,
-    /// Maximum recursion depth for Freecursive position maps (Table II: 5).
-    pub max_recursion: usize,
 }
 
 impl Default for OramConfig {
     fn default() -> Self {
-        OramConfig {
-            levels: 20,
-            z: 4,
-            block_bytes: 64,
-            cached_levels: 0,
-            stash_limit: 200,
-            posmap_entries_per_block: 16,
-            max_recursion: 5,
-        }
+        OramConfig { levels: 20, z: 4, cached_levels: 0, stash_limit: 200 }
     }
 }
 
@@ -115,7 +115,6 @@ impl OramConfig {
         assert!(self.z >= 1, "Z must be at least 1");
         assert!(self.levels >= 1 && self.levels <= 40, "levels out of range");
         assert!(self.cached_levels <= self.levels, "cannot cache more levels than the tree has");
-        assert!(self.posmap_entries_per_block >= 2, "recursion needs fan-out ≥ 2");
         assert!(self.stash_limit >= self.z, "stash must hold at least one bucket");
     }
 }

@@ -124,9 +124,6 @@ pub struct Executor {
     events: Vec<ExecEvent>,
     /// Off-DIMM I/O energy per bit for bus transfers (pJ).
     bus_pj_per_bit: f64,
-    /// When true, a `WakeRank` hint force-downs all other ranks
-    /// (the §III-E low-power policy).
-    lowpower_ranks: bool,
     /// Work-attribution counters (crypto/bus/DRAM split, queue peaks).
     exec_stats: ExecStats,
     /// Event-ring handle for this cell; disabled by default.
@@ -191,7 +188,6 @@ impl Executor {
             spare: Vec::new(),
             events: Vec::new(),
             bus_pj_per_bit,
-            lowpower_ranks: false,
             exec_stats: ExecStats::default(),
             trace: CellTrace::disabled(),
             traced_inflight: 0,
@@ -299,12 +295,6 @@ impl Executor {
             m.absorb(&format!("dram.chan{i}"), &ch.stats().to_metrics());
         }
         m
-    }
-
-    /// Enables the low-power rank policy: `WakeRank` hints wake the
-    /// target rank and push every other rank of that channel down.
-    pub fn set_lowpower_ranks(&mut self, on: bool) {
-        self.lowpower_ranks = on;
     }
 
     /// Current cycle.
@@ -442,12 +432,9 @@ impl Executor {
                 Activity::WakeRank { channel, rank } => {
                     let ch = &mut self.channels[*channel];
                     ch.wake_rank(*rank);
-                    if self.lowpower_ranks {
-                        let ranks = ch.config().topology.ranks;
-                        for r in 0..ranks {
-                            if r != *rank {
-                                ch.force_rank_down(r);
-                            }
+                    for r in 0..ch.config().topology.ranks {
+                        if r != *rank {
+                            ch.force_rank_down(r);
                         }
                     }
                 }
@@ -907,7 +894,6 @@ mod tests {
     #[test]
     fn lowpower_wakerank_forces_other_ranks_down() {
         let mut ex = Executor::new(1, quiet_cfg(), &[0]);
-        ex.set_lowpower_ranks(true);
         ex.submit(RequestTrace::new(vec![Phase {
             par: vec![
                 Activity::WakeRank { channel: 0, rank: 1 },

@@ -45,12 +45,14 @@ struct Line {
     lru: u64,
 }
 
+/// Cache line size in bytes: the DRAM line.
+const LINE_BYTES: u64 = dram_sim::config::LINE_BYTES as u64;
+
 /// A set-associative write-back, write-allocate cache.
 #[derive(Debug)]
 pub struct Llc {
     sets: Vec<Vec<Line>>,
     ways: usize,
-    line_bytes: u64,
     tick: u64,
     stats: LlcStats,
 }
@@ -63,12 +65,11 @@ impl Llc {
     ///
     /// Panics unless the set count works out to a power of two.
     pub fn new(capacity_bytes: usize, ways: usize) -> Self {
-        let line_bytes = 64u64;
-        let lines = capacity_bytes / line_bytes as usize;
+        let lines = capacity_bytes / LINE_BYTES as usize;
         assert!(ways >= 1 && lines.is_multiple_of(ways));
         let sets = lines / ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        Llc { sets: vec![Vec::new(); sets], ways, line_bytes, tick: 0, stats: LlcStats::default() }
+        Llc { sets: vec![Vec::new(); sets], ways, tick: 0, stats: LlcStats::default() }
     }
 
     /// The Table II LLC: 2 MB, 8-way.
@@ -85,11 +86,11 @@ impl Llc {
     }
 
     fn set_of(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes) as usize) & (self.sets.len() - 1)
+        ((addr / LINE_BYTES) as usize) & (self.sets.len() - 1)
     }
 
     fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes / self.sets.len() as u64
+        addr / LINE_BYTES / self.sets.len() as u64
     }
 
     /// Accesses `addr`; on a miss the line is filled (write-allocate) and
@@ -101,7 +102,6 @@ impl Llc {
         let tag = self.tag_of(addr);
         let ways = self.ways;
         let sets_len = self.sets.len() as u64;
-        let line_bytes = self.line_bytes;
         let set = &mut self.sets[set_idx];
 
         if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
@@ -124,7 +124,7 @@ impl Llc {
             let victim = set.swap_remove(victim_idx);
             if victim.dirty {
                 self.stats.writebacks += 1;
-                writeback = Some((victim.tag * sets_len + set_idx as u64) * line_bytes);
+                writeback = Some((victim.tag * sets_len + set_idx as u64) * LINE_BYTES);
             }
         }
         set.push(Line { tag, dirty: is_write, lru: tick });

@@ -6,11 +6,11 @@
 //! on 1/2 channels, and the SDIMM organizations of Fig 7
 //! (INDEP-2/SPLIT-2 on one channel, INDEP-4/SPLIT-4/INDEP-SPLIT on two).
 
-use dram_sim::config::ChannelConfig;
+use dram_sim::config::{ChannelConfig, LINE_BYTES};
 use dram_sim::spec::DramStandard;
 use oram::freecursive::{Frontend, PlannedAccess};
 use oram::path_oram::PathOram;
-use oram::types::{BlockId, Op, OramConfig};
+use oram::types::{BlockId, Op, OramConfig, BLOCK_BYTES};
 use oram::wear::LevelWear;
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::split::{SplitConfig, SplitOram};
@@ -93,18 +93,15 @@ impl MachineKind {
 
     /// The per-channel DRAM configuration this machine runs under
     /// `standard`: main-memory channels for the baselines, the
-    /// SDIMM-internal channel otherwise, refresh enabled in both.
-    /// Exposed so a replay auditor can rebuild the exact constraint
-    /// table the channels ran under.
+    /// SDIMM-internal channel otherwise. Exposed so a replay auditor can
+    /// rebuild the exact constraint table the channels ran under.
     pub fn channel_config_for(&self, standard: DramStandard) -> ChannelConfig {
-        let mut ch_cfg = match self {
+        match self {
             MachineKind::NonSecure { .. }
             | MachineKind::PathOram { .. }
             | MachineKind::Freecursive { .. } => ChannelConfig::table2_for(standard),
             _ => ChannelConfig::sdimm_internal_for(standard),
-        };
-        ch_cfg.refresh_enabled = true;
-        ch_cfg
+        }
     }
 }
 
@@ -179,7 +176,7 @@ impl Machine {
         let ch_cfg = kind.channel_config_for(cfg.standard);
         let frontend = match kind {
             MachineKind::NonSecure { .. } | MachineKind::PathOram { .. } => None,
-            _ => Some(Frontend::new(&cfg.oram, cfg.data_blocks)),
+            _ => Some(Frontend::new(cfg.data_blocks)),
         };
         // The frontend's unified id space also holds the posmap levels.
         let blocks = frontend.as_ref().map_or(cfg.data_blocks, |f| f.id_space().total_blocks());
@@ -207,9 +204,7 @@ impl Machine {
             MachineKind::IndepSplit { groups, ways, channels } => routed(groups, ways, channels),
         };
         let executor = if matches!(backend, Backend::Sdimm(_)) {
-            let mut ex = Executor::new(n_exec, ch_cfg, &bus_assignment(n_exec, buses));
-            ex.set_lowpower_ranks(cfg.low_power);
-            ex
+            Executor::new(n_exec, ch_cfg, &bus_assignment(n_exec, buses))
         } else {
             Executor::new(n_exec, ch_cfg, &[])
         };
@@ -338,7 +333,8 @@ impl Machine {
     ///   addresses over the group's ways;
     /// * Split byte-stripes one logical layout's addresses over its ways.
     pub fn level_of_channel_line(&self, channel: usize, addr: u64) -> Option<u32> {
-        let unsplit = |channels: usize| ((addr / 64) * channels as u64 + channel as u64) * 64;
+        let line = LINE_BYTES as u64;
+        let unsplit = |channels: usize| ((addr / line) * channels as u64 + channel as u64) * line;
         match &self.backend {
             Backend::NonSecure => None,
             Backend::Baseline { oram, channels } => oram.layout().level_of_line(unsplit(*channels)),
@@ -362,9 +358,9 @@ impl Machine {
     fn split_lines(lines: &[u64], channels: usize) -> Vec<(usize, Vec<u64>)> {
         let mut per: Vec<Vec<u64>> = vec![Vec::new(); channels];
         for &addr in lines {
-            let line = addr / 64;
+            let line = addr / LINE_BYTES as u64;
             let ch = (line % channels as u64) as usize;
-            per[ch].push((line / channels as u64) * 64);
+            per[ch].push((line / channels as u64) * LINE_BYTES as u64);
         }
         per.into_iter().enumerate().filter(|(_, v)| !v.is_empty()).collect()
     }
@@ -381,9 +377,9 @@ impl Machine {
         match &mut self.backend {
             Backend::NonSecure => {
                 let channels = self.executor.channel_count();
-                let line = addr / 64;
+                let line = addr / LINE_BYTES as u64;
                 let ch = (line % channels as u64) as usize;
-                let local = (line / channels as u64) * 64;
+                let local = (line / channels as u64) * LINE_BYTES as u64;
                 vec![RequestTrace::new(vec![Phase::one(Activity::Dram {
                     channel: ch,
                     reads: if is_write { vec![] } else { vec![local] },
@@ -391,7 +387,7 @@ impl Machine {
                 })])]
             }
             Backend::Baseline { oram, channels } => {
-                let index = (addr / 64) % self.cfg.data_blocks;
+                let index = (addr / BLOCK_BYTES as u64) % self.cfg.data_blocks;
                 Self::plan(self.frontend.as_mut(), index, op)
                     .into_iter()
                     .map(|p| {
@@ -401,7 +397,7 @@ impl Machine {
                     .collect()
             }
             Backend::Sdimm(oram) => {
-                let index = (addr / 64) % self.cfg.data_blocks;
+                let index = (addr / BLOCK_BYTES as u64) % self.cfg.data_blocks;
                 Self::plan(self.frontend.as_mut(), index, op)
                     .into_iter()
                     .map(|p| oram.access(p.id, p.op, Some(&[])).1)
@@ -463,6 +459,14 @@ mod tests {
         assert_eq!(bus_assignment(4, 2), vec![0, 0, 1, 1]);
         assert_eq!(bus_assignment(2, 1), vec![0, 0]);
         assert_eq!(bus_assignment(2, 2), vec![0, 1]);
+    }
+
+    #[test]
+    fn oram_block_is_one_dram_line() {
+        // `oram` and `dram_sim` each own a 64-byte constant; a layout's
+        // line addresses and the channels' decode agree only while the
+        // two are equal.
+        assert_eq!(BLOCK_BYTES, LINE_BYTES);
     }
 
     #[test]

@@ -82,28 +82,37 @@ cargo run --release -q -p sdimm-bench --bin validate_folded -- target/quick-fig6
 
 echo "==> RowHammer threat report (wear counts must match the replay recount; byte-stable)"
 # Two runs compared byte-for-byte, like the crossover figure: the wear
-# observatory's report must be a pure function of the simulated command
-# streams. The binary itself exits nonzero if any cell's per-row ACT
-# totals disagree with the auditor's independent recount.
+# observatory's report and its stderr must be pure functions of the
+# simulated command streams. The binary itself exits nonzero if any
+# cell's per-row ACT totals disagree with the auditor's independent
+# recount.
 cargo build --release -q -p sdimm-bench --bin hammer_report
 mkdir -p target/hammer-1 target/hammer-2
 SDIMM_BENCH_SCALE=quick ./target/release/hammer_report \
-  --report target/hammer-1/BENCH_hammer.json
+  --report target/hammer-1/BENCH_hammer.json 2> target/hammer-1/stderr \
+  || { cat target/hammer-1/stderr >&2; exit 1; }
 SDIMM_BENCH_SCALE=quick ./target/release/hammer_report \
-  --report target/hammer-2/BENCH_hammer.json > /dev/null
+  --report target/hammer-2/BENCH_hammer.json > /dev/null 2> target/hammer-2/stderr
 cmp target/hammer-1/BENCH_hammer.json target/hammer-2/BENCH_hammer.json \
   || { echo "hammer reports differ between runs — observatory is nondeterministic"; exit 1; }
+cmp target/hammer-1/stderr target/hammer-2/stderr \
+  || { echo "hammer_report stderr differs between runs — its progress lines are unordered"; exit 1; }
 cp target/hammer-1/BENCH_hammer.json target/BENCH_hammer.json
 
 echo "==> timing-leakage gate (secure protocols indistinguishable, NonSecure detected)"
-# Run twice and compare byte-for-byte: the verdict must be a pure
-# function of the simulated streams, never of host timing or entropy.
-SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin leakage_gate -- \
-  --report target/leakage-report.json
-SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin leakage_gate -- \
-  --report target/leakage-report-2.json > /dev/null
+# Run twice and compare byte-for-byte: the verdict and stderr must be
+# pure functions of the simulated streams, never of host timing or
+# entropy.
+cargo build --release -q -p sdimm-bench --bin leakage_gate
+SDIMM_BENCH_SCALE=quick ./target/release/leakage_gate \
+  --report target/leakage-report.json 2> target/leakage-gate.stderr \
+  || { cat target/leakage-gate.stderr >&2; exit 1; }
+SDIMM_BENCH_SCALE=quick ./target/release/leakage_gate \
+  --report target/leakage-report-2.json > /dev/null 2> target/leakage-gate-2.stderr
 cmp target/leakage-report.json target/leakage-report-2.json \
   || { echo "leakage reports differ between runs — gate is nondeterministic"; exit 1; }
+cmp target/leakage-gate.stderr target/leakage-gate-2.stderr \
+  || { echo "leakage_gate stderr differs between runs — its progress lines are unordered"; exit 1; }
 
 echo "==> ledger benchmark package builds standalone, the way BENCHMARK.json runs it"
 # The steps below build the sdimm-bench copy of the same main.rs; this

@@ -8,8 +8,8 @@
 # with its own target directory, and builds this checkout as it stands
 # (uncommitted edits included). Every binary of both builds runs in a
 # fresh directory outside any checkout, so report provenance reads
-# `unknown` on both sides. Compares stdout, stderr (as sorted lines), the
-# exit status and every file a run writes with `cmp`, prints one line per
+# `unknown` on both sides. Compares stdout, stderr, the exit status and
+# every file a run writes with `cmp`, prints one line per
 # output, and exits 1 if any output differs (2 on bad usage). The
 # temporary directory is removed on exit. Not a check.sh step: it needs a
 # second build.
@@ -28,7 +28,8 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/src"
 git archive "$rev" | tar -x -C "$tmp/src"
 
-bins=(fig6 fig8 fig9 fig10 fig11 lowpower offdimm crossover hammer_report leakage_gate)
+bins=(fig6 fig8 fig9 fig10 fig11 lowpower offdimm crossover hammer_report leakage_gate
+  table1 table2 fig13 area stash coresident probe probe2 calibrate)
 bin_flags=()
 for b in "${bins[@]}"; do bin_flags+=(--bin "$b"); done
 echo "==> building $(git rev-parse --short=12 "$rev") (old) and this checkout (new)"
@@ -54,6 +55,15 @@ cases=(
   "crossover|crossover"
   "hammer_report|hammer_report --report BENCH_hammer.json"
   "leakage_gate|leakage_gate --report leakage-report.json"
+  "table1|table1"
+  "table2|table2"
+  "fig13|fig13"
+  "area|area"
+  "stash|stash"
+  "coresident|coresident"
+  "probe|probe"
+  "probe2|probe2"
+  "calibrate|calibrate"
 )
 
 for case in "${cases[@]}"; do
@@ -67,11 +77,8 @@ for case in "${cases[@]}"; do
     [ "$side" = new ] && bin_dir=$new_bin
     status=0
     (cd "$dir" && SDIMM_BENCH_SCALE=quick "$bin_dir/${cmd[0]}" "${cmd[@]:1}" \
-      > "$dir/stdout" 2> "$tmp/stderr") || status=$?
+      > "$dir/stdout" 2> "$dir/stderr") || status=$?
     echo "$status" > "$dir/exit-status"
-    # hammer_report and leakage_gate print a progress line per cell from
-    # parallel workers, in whichever order the workers start them.
-    LC_ALL=C sort "$tmp/stderr" > "$dir/stderr-sorted"
   done
 done
 

@@ -410,7 +410,7 @@ fn main() {
         crypto_results,
         &Provenance::new(Scale::Quick, ""),
     );
-    println!("\n  T-table vs spec AES speedup: {speedup:.2}x (acceptance floor: 4x)");
+    println!("\n  T-table vs spec AES speedup: {speedup:.2}x (reported, not gated)");
 
     println!("\nsimulator throughput (quick fig6, one cell per machine kind)\n");
     regressions += run_suite(

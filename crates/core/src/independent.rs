@@ -24,7 +24,6 @@ use oram::layout::TreeLayout;
 use oram::path_oram::PathOram;
 use oram::plan::AccessPlan;
 use oram::types::{BlockId, Leaf, Op, OramConfig, BLOCK_BYTES};
-use oram::wear::LevelWear;
 
 use crate::obliviousness::{Observable, Recorder};
 use crate::split::{stripe, striped_phases};
@@ -85,37 +84,18 @@ impl IndependentConfig {
     }
 }
 
-/// One group's secure-buffer state: its subtree and transfer queue
-/// ([`TransferQueue::paper_default`]).
-#[derive(Debug)]
-struct Group {
-    oram: PathOram,
-    queue: TransferQueue,
-}
-
-/// Per-protocol statistics for the off-DIMM traffic experiment (X1).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct IndependentStats {
-    /// `accessORAM` operations executed.
-    pub accesses: u64,
-    /// Blocks that migrated between groups.
-    pub migrations: u64,
-    /// Extra local accesses spent draining transfer queues.
-    pub drain_accesses: u64,
-    /// Total internal DRAM line operations.
-    pub internal_lines: u64,
-}
-
 /// The distributed ORAM: CPU-side router plus one backend per group.
 #[derive(Debug)]
 pub struct IndependentOram {
     cfg: IndependentConfig,
-    groups: Vec<Group>,
+    /// Each group's subtree, by group.
+    trees: Vec<PathOram>,
+    /// Each group's transfer queue ([`TransferQueue::paper_default`]).
+    queues: Vec<TransferQueue>,
     /// CPU-side ground-truth position map over global leaves (in hardware
     /// this is the Freecursive recursion; the frontend models its traffic).
     posmap: Vec<Leaf>,
     rng: StdRng,
-    stats: IndependentStats,
     recorder: Option<Recorder>,
 }
 
@@ -131,7 +111,7 @@ impl IndependentOram {
         // The seed salt differs by arity only because the pinned streams
         // of both protocols depend on it.
         let salt = if cfg.ways == 1 { 0xD1D1 } else { 0xA5A5 };
-        let groups = (0..cfg.groups)
+        let trees = (0..cfg.groups)
             .map(|g| {
                 let mut oram = PathOram::with_id_space(
                     cfg.subtree().clone(),
@@ -146,19 +126,13 @@ impl IndependentOram {
                     let rank_bytes = rank_region_bytes(cfg.subtree());
                     oram.set_layout(TreeLayout::rank_localized(cfg.subtree(), 2, rank_bytes));
                 }
-                Group { oram, queue: TransferQueue::paper_default() }
+                oram
             })
             .collect();
+        let queues = (0..cfg.groups).map(|_| TransferQueue::paper_default()).collect();
         let global_leaves = cfg.global_leaves();
         let posmap = (0..blocks).map(|_| Leaf(rng.gen_range(0..global_leaves))).collect();
-        IndependentOram {
-            cfg,
-            groups,
-            posmap,
-            rng,
-            stats: IndependentStats::default(),
-            recorder: None,
-        }
+        IndependentOram { cfg, trees, queues, posmap, rng, recorder: None }
     }
 
     /// The configuration.
@@ -166,19 +140,14 @@ impl IndependentOram {
         &self.cfg
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> IndependentStats {
-        self.stats
-    }
-
     /// Peak transfer-queue occupancy across groups.
     pub fn transfer_peak(&self) -> usize {
-        self.groups.iter().map(|g| g.queue.peak()).max().unwrap_or(0)
+        self.queues.iter().map(TransferQueue::peak).max().unwrap_or(0)
     }
 
     /// Total transfer-queue overflows (should be zero with drain enabled).
     pub fn transfer_overflows(&self) -> u64 {
-        self.groups.iter().map(|g| g.queue.overflows()).sum()
+        self.queues.iter().map(TransferQueue::overflows).sum()
     }
 
     /// Splits a global leaf into (owning group, local leaf).
@@ -219,7 +188,7 @@ impl IndependentOram {
         // would let the controller forward reads from queued writes.
         let mut read_phase = Phase::default();
         if self.cfg.low_power {
-            if let Some(rank) = self.groups[home].oram.layout().rank_of(local_old) {
+            if let Some(rank) = self.trees[home].layout().rank_of(local_old) {
                 read_phase.par.push(Activity::WakeRank { channel: home, rank });
             }
         }
@@ -239,7 +208,6 @@ impl IndependentOram {
         // The buffer accepts its next ACCESS once the write-back retires;
         // PROBE/FETCH_RESULT and the APPEND fan-out are CPU-side actions.
         let release = phases.len() - 1;
-        self.stats.internal_lines += path_lines;
         self.record(Observable::InternalPath { sdimm: home, lines: path_lines });
 
         // Step 5: PROBE then FETCH_RESULT — the response block (real data,
@@ -269,21 +237,19 @@ impl Protocol for IndependentOram {
         let (dest, local_new) = self.route(global_new);
         let keep_local = dest == home;
         let (data, moved, plan) =
-            self.groups[home].oram.access_with_remap(id, op, new_data, local_new, keep_local);
+            self.trees[home].access_with_remap(id, op, new_data, local_new, keep_local);
         self.posmap[id.0 as usize] = global_new;
-        self.stats.accesses += 1;
 
         let (mut phases, data_ready_phase, backend_release_phase) = if k == 1 {
             self.own_path_steps(home, local_old, plan)
         } else {
-            let (phases, data_ready, lines) = striped_phases(
+            let (phases, data_ready) = striped_phases(
                 &plan,
                 self.members(home),
                 self.cfg.subtree(),
                 self.cfg.low_power,
                 &mut self.recorder,
             );
-            self.stats.internal_lines += lines;
             // The buffers are free after Split's last step, the write-back.
             let release = phases.len() - 1;
             (phases, data_ready, release)
@@ -301,22 +267,19 @@ impl Protocol for IndependentOram {
         // The departing block opens a vacancy home's queue can exploit,
         // and left with its new local leaf already set.
         if let Some(entry) = moved {
-            self.groups[home].queue.vacancy();
-            self.stats.migrations += 1;
-            self.groups[dest].queue.arrive();
-            self.groups[dest].oram.append(entry);
+            self.queues[home].vacancy();
+            self.queues[dest].arrive();
+            self.trees[dest].append(entry);
         }
 
         // Occasional forced drain: an extra local accessORAM at `dest`,
         // striped over its members.
-        if self.groups[dest].queue.maybe_force_drain(&mut self.rng) {
-            let plan = self.groups[dest].oram.background_evict();
-            self.stats.drain_accesses += 1;
+        if self.queues[dest].maybe_force_drain(&mut self.rng) {
+            let plan = self.trees[dest].background_evict();
             let shares = stripe(&plan.lines, k, self.cfg.subtree().lines_per_bucket());
             let (mut reads, mut writes) = (Phase::default(), Phase::default());
             for (m, share) in self.members(dest).zip(shares) {
                 let lines = 2 * share.len() as u64;
-                self.stats.internal_lines += lines;
                 self.record(Observable::InternalPath { sdimm: m, lines });
                 reads.par.push(Activity::Dram { channel: m, reads: share.clone(), writes: vec![] });
                 writes.par.push(Activity::Dram { channel: m, reads: vec![], writes: share });
@@ -332,27 +295,13 @@ impl Protocol for IndependentOram {
         (data, trace)
     }
 
-    fn max_stash_len(&self) -> usize {
-        self.groups.iter().map(|g| g.oram.stash_len()).max().unwrap_or(0)
+    /// One subtree per group, so the backend id is the group index.
+    fn trees(&self) -> &[PathOram] {
+        &self.trees
     }
 
-    fn stash_peak(&self) -> usize {
-        self.groups.iter().map(|g| g.oram.stash_peak()).max().unwrap_or(0)
-    }
-
-    fn set_recorder(&mut self, rec: Recorder) {
-        self.recorder = Some(rec);
-    }
-
-    fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
-    /// Backend tag = group index.
-    fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace) {
-        for (i, g) in self.groups.iter_mut().enumerate() {
-            g.oram.set_trace(trace.clone(), i.min(u8::MAX as usize) as u8);
-        }
+    fn trees_mut(&mut self) -> &mut [PathOram] {
+        &mut self.trees
     }
 
     /// Per-group ORAM metrics plus transfer-queue peaks and overflows.
@@ -361,8 +310,8 @@ impl Protocol for IndependentOram {
         // `sdimm<i>.*` keys are hashed into a pinned ledger fingerprint.
         let label = if self.cfg.ways == 1 { "sdimm" } else { "group" };
         let mut m = sdimm_telemetry::MetricsRegistry::new();
-        for (i, g) in self.groups.iter().enumerate() {
-            m.absorb(&format!("{label}{i}"), &g.oram.metrics());
+        for (i, tree) in self.trees.iter().enumerate() {
+            m.absorb(&format!("{label}{i}"), &tree.metrics());
         }
         m.gauge_max("stash_peak", self.stash_peak() as f64);
         m.gauge_max("transfer_peak", self.transfer_peak() as f64);
@@ -375,22 +324,15 @@ impl Protocol for IndependentOram {
     /// layout addresses — so the inversion goes through the owning
     /// group's layout.
     fn level_of_channel_line(&self, ch: usize, addr: u64) -> Option<u32> {
-        self.groups.get(ch / self.cfg.ways)?.oram.layout().level_of_line(addr)
+        self.trees.get(ch / self.cfg.ways)?.layout().level_of_line(addr)
     }
 
-    /// All trees share a geometry, so the merge is level-aligned.
-    fn level_wear(&self) -> LevelWear {
-        let mut total = LevelWear::default();
-        for g in &self.groups {
-            total.merge(g.oram.level_wear());
-        }
-        total
+    fn set_recorder(&mut self, rec: Recorder) {
+        self.recorder = Some(rec);
     }
 
-    fn check_invariants(&self) {
-        for g in &self.groups {
-            g.oram.check_invariant();
-        }
+    fn take_recorder(&mut self) -> Option<Recorder> {
+        self.recorder.take()
     }
 }
 
@@ -435,10 +377,12 @@ mod tests {
     fn blocks_migrate_between_sdimms() {
         let mut o = small();
         o.access(BlockId(0), Op::Write, Some(&[1]));
-        for _ in 0..50 {
-            o.access(BlockId(0), Op::Read, None);
-        }
-        assert!(o.stats().migrations > 10, "remaps should often cross SDIMMs");
+        // The home an access claims as its backend changes exactly when
+        // the previous access migrated the block.
+        let homes: Vec<_> =
+            (0..51).map(|_| o.access(BlockId(0), Op::Read, None).1.backend).collect();
+        let migrations = homes.windows(2).filter(|w| w[0] != w[1]).count();
+        assert!(migrations > 10, "remaps should often cross SDIMMs");
     }
 
     #[test]
@@ -454,14 +398,12 @@ mod tests {
     #[test]
     fn external_traffic_is_tiny_compared_to_internal() {
         let mut o = small();
-        let ext_bytes: u64 =
-            (0..32u64).map(|i| o.access(BlockId(i), Op::Read, None).1.external_bytes()).sum();
-        let s = o.stats();
-        let ext_lines = ext_bytes / 64;
+        let traces: Vec<_> = (0..32u64).map(|i| o.access(BlockId(i), Op::Read, None).1).collect();
+        let ext_lines = traces.iter().map(|t| t.external_bytes()).sum::<u64>() / 64;
+        let internal: u64 = traces.iter().map(|t| t.dram_lines()).sum();
         assert!(
-            ext_lines * 10 < s.internal_lines,
-            "Independent should keep ≥90% of traffic on-DIMM: ext {ext_lines} vs int {}",
-            s.internal_lines
+            ext_lines * 10 < internal,
+            "Independent should keep ≥90% of traffic on-DIMM: ext {ext_lines} vs int {internal}"
         );
     }
 

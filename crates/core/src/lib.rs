@@ -5,6 +5,9 @@
 //! buffer that runs the ORAM backend next to the DRAM devices. This crate
 //! implements:
 //!
+//! * [`baseline`] — the secure baselines the SDIMM designs are measured
+//!   against (plain Path ORAM and Freecursive): one tree whose whole
+//!   path is interleaved over the main-memory channels.
 //! * [`commands`] — the Table I command set shoehorned into the DDR
 //!   interface (reserved-address RAS/CAS encodings, short vs long).
 //! * [`buffer`] — a wire-level secure-buffer model: the full encrypted
@@ -18,8 +21,9 @@
 //! * [`split`] — the Split protocol: every bucket byte-striped across k
 //!   SDIMMs, CPU-side metadata reassembly, `FETCH_DATA`/`FETCH_STASH`/
 //!   `RECEIVE_LIST` flow.
-//! * [`Protocol`] — the backend interface both implement; the CPU-side
-//!   frontend that plans their `accessORAM`s is `oram::freecursive::Frontend`.
+//! * [`Protocol`] — the backend interface all three implement; the
+//!   CPU-side frontend that plans their `accessORAM`s is
+//!   `oram::freecursive::Frontend`.
 //! * [`transfer_queue`] — the §IV-C transfer queue with probabilistic
 //!   forced drain.
 //! * [`obliviousness`] — observable-trace recording and the
@@ -47,6 +51,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+pub mod baseline;
 pub mod buffer;
 pub mod commands;
 #[cfg(test)]
@@ -57,19 +62,28 @@ pub mod split;
 pub mod trace;
 pub mod transfer_queue;
 
+pub use baseline::BaselineOram;
 pub use commands::SdimmCommand;
 pub use independent::{IndependentConfig, IndependentOram};
 pub use split::{SplitConfig, SplitOram};
 pub use trace::{Activity, Phase, RequestTrace};
 
+use oram::path_oram::PathOram;
 use oram::types::{BlockId, Op};
 use oram::wear::LevelWear;
 
-/// The backend of an SDIMM machine: one `accessORAM` at a time, plus the
-/// observability hooks a simulated machine attaches to it. Implemented by
-/// [`SplitOram`] and by the routed [`IndependentOram`], which serves both
-/// Independent (one SDIMM per group) and Indep-Split (a Split group per
-/// subtree).
+/// The backend of a secure machine: one `accessORAM` at a time over one
+/// or more Path ORAM trees, plus the observability hooks a simulated
+/// machine attaches to it. Implemented by [`BaselineOram`] (the
+/// PATHORAM and FREECURSIVE baselines), [`SplitOram`], and the routed
+/// [`IndependentOram`], which serves both Independent (one SDIMM per
+/// group) and Indep-Split (a Split group per subtree).
+///
+/// A backend supplies only what differs between designs: `access`, its
+/// trees, its metrics, its channel-address inverse and, when it has an
+/// external SDIMM bus, the recorder hooks. Stash occupancy, trace
+/// attachment, level wear and invariant checks are written once, here,
+/// over [`Protocol::trees`].
 pub trait Protocol: std::fmt::Debug {
     /// Executes one `accessORAM(id, op, data)`, returning the block's
     /// contents and the timing trace.
@@ -79,22 +93,12 @@ pub trait Protocol: std::fmt::Debug {
     /// Panics if `id` is outside the id space given at construction.
     fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace);
 
-    /// Highest current stash occupancy across the backend's ORAM
-    /// instances (the value the per-instance stash bound applies to).
-    fn max_stash_len(&self) -> usize;
+    /// The backend's Path ORAM trees. Tree *i* is the backend the traces
+    /// of its accesses claim as `backend == Some(i)`.
+    fn trees(&self) -> &[PathOram];
 
-    /// Peak stash occupancy over the backend's ORAM instances.
-    fn stash_peak(&self) -> usize;
-
-    /// Attaches an obliviousness recorder to the external-bus tap.
-    fn set_recorder(&mut self, rec: obliviousness::Recorder);
-
-    /// Takes the recorder back (with its captured trace).
-    fn take_recorder(&mut self) -> Option<obliviousness::Recorder>;
-
-    /// Attaches a cell's trace handle to every stash, for occupancy
-    /// ticks.
-    fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace);
+    /// The same trees, mutably.
+    fn trees_mut(&mut self) -> &mut [PathOram];
 
     /// Exports the backend's ORAM metrics as a registry.
     fn metrics(&self) -> sdimm_telemetry::MetricsRegistry;
@@ -103,13 +107,54 @@ pub trait Protocol: std::fmt::Debug {
     /// ORAM tree level whose bucket owns it.
     fn level_of_channel_line(&self, channel: usize, addr: u64) -> Option<u32>;
 
-    /// Per-tree-level wear merged across the backend's trees.
-    fn level_wear(&self) -> LevelWear;
+    /// Attaches an obliviousness recorder to the external-bus tap. A
+    /// backend without an external SDIMM bus has nothing to record and
+    /// drops it.
+    fn set_recorder(&mut self, _rec: obliviousness::Recorder) {}
+
+    /// Takes the recorder back (with its captured trace), if one was
+    /// attached and kept.
+    fn take_recorder(&mut self) -> Option<obliviousness::Recorder> {
+        None
+    }
+
+    /// Highest current stash occupancy across the trees (the value the
+    /// per-tree stash bound applies to).
+    fn max_stash_len(&self) -> usize {
+        self.trees().iter().map(PathOram::stash_len).max().unwrap_or(0)
+    }
+
+    /// Peak stash occupancy over the trees.
+    fn stash_peak(&self) -> usize {
+        self.trees().iter().map(PathOram::stash_peak).max().unwrap_or(0)
+    }
+
+    /// Attaches a cell's trace handle to every stash, for occupancy
+    /// ticks; tree *i* records as backend *i*.
+    fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace) {
+        for (i, tree) in self.trees_mut().iter_mut().enumerate() {
+            tree.set_trace(trace.clone(), i.min(u8::MAX as usize) as u8);
+        }
+    }
+
+    /// Per-tree-level wear merged across the trees. They share a
+    /// geometry, so the merge is level-aligned.
+    fn level_wear(&self) -> LevelWear {
+        let mut total = LevelWear::default();
+        for tree in self.trees() {
+            total.merge(tree.level_wear());
+        }
+        total
+    }
 
     /// Verifies every tree's Path ORAM invariant (tests).
     ///
     /// # Panics
     ///
     /// Panics with a description of the first violation found.
-    fn check_invariants(&self);
+    fn check_invariants(&self) {
+        for tree in self.trees() {
+            tree.check_invariant();
+        }
+    }
 }

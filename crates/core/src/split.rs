@@ -21,8 +21,7 @@ use std::ops::Range;
 
 use oram::path_oram::PathOram;
 use oram::plan::AccessPlan;
-use oram::types::{BlockId, Leaf, Op, OramConfig};
-use oram::wear::LevelWear;
+use oram::types::{BlockId, Op, OramConfig};
 
 use crate::obliviousness::{Observable, Recorder};
 use crate::trace::{Activity, Phase, RequestTrace};
@@ -62,15 +61,6 @@ impl SplitConfig {
     }
 }
 
-/// Traffic statistics for the off-DIMM experiment (X1).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SplitStats {
-    /// `accessORAM` operations executed.
-    pub accesses: u64,
-    /// Total internal DRAM line operations (across all SDIMMs).
-    pub internal_lines: u64,
-}
-
 /// The Split ORAM: one logical Path ORAM whose physical traffic is
 /// striped over `k` internal channels.
 ///
@@ -83,7 +73,6 @@ pub struct SplitStats {
 pub struct SplitOram {
     cfg: SplitConfig,
     logical: PathOram,
-    stats: SplitStats,
     recorder: Option<Recorder>,
 }
 
@@ -91,52 +80,43 @@ impl SplitOram {
     /// Creates a `cfg.ways`-way Split ORAM holding `blocks` blocks.
     pub fn new(cfg: SplitConfig, blocks: u64, seed: u64) -> Self {
         let logical = PathOram::new(cfg.tree.clone(), blocks, seed);
-        SplitOram { cfg, logical, stats: SplitStats::default(), recorder: None }
+        SplitOram { cfg, logical, recorder: None }
     }
 
     /// The configuration.
     pub fn config(&self) -> &SplitConfig {
         &self.cfg
     }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> SplitStats {
-        self.stats
-    }
-
-    /// Current leaf of a block (tests).
-    pub fn leaf_of(&self, id: BlockId) -> Leaf {
-        self.logical.leaf_of(id)
-    }
 }
 
 impl Protocol for SplitOram {
     fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace) {
         let (data, plan) = self.logical.access(id, op, new_data);
-        self.stats.accesses += 1;
-
-        let (phases, data_ready_phase, internal_lines) = striped_phases(
+        let (phases, data_ready_phase) = striped_phases(
             &plan,
             0..self.cfg.ways,
             &self.cfg.tree,
             self.cfg.low_power,
             &mut self.recorder,
         );
-        self.stats.internal_lines += internal_lines;
-
         let mut trace = RequestTrace::new(phases);
         trace.data_ready_phase = data_ready_phase;
         trace.backend = Some(0); // one logical backend spans all SDIMMs
         (data, trace)
     }
 
-    /// Logical stash occupancy (the union of the SDIMM stash shares).
-    fn max_stash_len(&self) -> usize {
-        self.logical.stash_len()
+    /// The one logical tree: its stash is the union of the SDIMM stash
+    /// shares.
+    fn trees(&self) -> &[PathOram] {
+        std::slice::from_ref(&self.logical)
     }
 
-    fn stash_peak(&self) -> usize {
-        self.logical.stash_peak()
+    fn trees_mut(&mut self) -> &mut [PathOram] {
+        std::slice::from_mut(&mut self.logical)
+    }
+
+    fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
+        self.logical.metrics()
     }
 
     fn set_recorder(&mut self, rec: Recorder) {
@@ -147,45 +127,26 @@ impl Protocol for SplitOram {
         self.recorder.take()
     }
 
-    /// Attaches the trace to the logical stash (backend tag 0).
-    fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace) {
-        self.logical.set_trace(trace, 0);
-    }
-
-    fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
-        let mut m = self.logical.metrics();
-        m.gauge_max("stash_peak", self.stash_peak() as f64);
-        m
-    }
-
     /// Byte-striping hands every SDIMM a share of the *same* logical
     /// address stream, so the inversion goes through the single logical
     /// layout regardless of which channel carried the line.
     fn level_of_channel_line(&self, _channel: usize, addr: u64) -> Option<u32> {
         self.logical.layout().level_of_line(addr)
     }
-
-    fn level_wear(&self) -> LevelWear {
-        self.logical.level_wear().clone()
-    }
-
-    fn check_invariants(&self) {
-        self.logical.check_invariant();
-    }
 }
 
 /// Split's steps 1–6 for one `accessORAM` whose logical path traffic is
 /// `plan`, with every bucket of `tree` byte-striped over the SDIMMs
 /// `members` (in way order). Records each step's observables as it
-/// builds it and returns the phases, the phase after which the requested
-/// block is on the CPU, and the internal DRAM lines the SDIMMs moved.
+/// builds it and returns the phases and the phase after which the
+/// requested block is on the CPU.
 pub(crate) fn striped_phases(
     plan: &AccessPlan,
     members: Range<usize>,
     tree: &OramConfig,
     low_power: bool,
     recorder: &mut Option<Recorder>,
-) -> (Vec<Phase>, usize, u64) {
+) -> (Vec<Phase>, usize) {
     let k = members.len();
     let per_bucket = tree.lines_per_bucket();
     let lm = (tree.levels + 1 - tree.cached_levels) as u64;
@@ -194,7 +155,6 @@ pub(crate) fn striped_phases(
             rec.push(ev);
         }
     };
-    let mut internal_lines = 0;
     let mut phases = Vec::new();
 
     // Step 1: FETCH_DATA to all SDIMMs (short commands).
@@ -209,7 +169,6 @@ pub(crate) fn striped_phases(
     // local stash, concurrently; decryption overlaps.
     let mut p2 = Phase::default();
     for (m, share) in members.clone().zip(stripe_data_lines(&plan.lines, k, per_bucket)) {
-        internal_lines += share.len() as u64;
         record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
         if low_power {
             p2.par.push(Activity::WakeRank { channel: m, rank: 0 });
@@ -227,7 +186,6 @@ pub(crate) fn striped_phases(
     let meta_bytes = lm * META_BYTES_PER_BUCKET / k as u64;
     let mut p3 = Phase::default();
     for (m, share) in members.clone().zip(stripe_meta_lines(&plan.lines, k, per_bucket)) {
-        internal_lines += share.len() as u64;
         record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
         p3.par.push(Activity::Dram { channel: m, reads: share, writes: Vec::new() });
         p3.par.push(Activity::ExtTransfer { sdimm: m, bytes: meta_bytes });
@@ -252,14 +210,13 @@ pub(crate) fn striped_phases(
     // Step 6: concurrent local write-back with re-encryption/MAC.
     let mut p6 = Phase::default();
     for (m, share) in members.zip(stripe(&plan.lines, k, per_bucket)) {
-        internal_lines += share.len() as u64;
         record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
         p6.par.push(Activity::Dram { channel: m, reads: Vec::new(), writes: share });
     }
     p6.par.push(Activity::Crypto { units: (plan.lines.len() / k.max(1)) as u32 });
     phases.push(p6);
 
-    (phases, data_ready_phase, internal_lines)
+    (phases, data_ready_phase)
 }
 
 /// Distributes each `per_bucket`-line chunk round-robin over `k` shares
@@ -351,11 +308,9 @@ mod tests {
     #[test]
     fn external_traffic_is_metadata_scale() {
         let mut s = split(2);
-        let ext_bytes: u64 =
-            (0..16u64).map(|i| s.access(BlockId(i), Op::Read, None).1.external_bytes()).sum();
-        let st = s.stats();
-        let ext_lines = ext_bytes as f64 / 64.0;
-        let frac = ext_lines / st.internal_lines as f64;
+        let traces: Vec<_> = (0..16u64).map(|i| s.access(BlockId(i), Op::Read, None).1).collect();
+        let ext_lines = traces.iter().map(|t| t.external_bytes()).sum::<u64>() as f64 / 64.0;
+        let frac = ext_lines / traces.iter().map(|t| t.dram_lines()).sum::<u64>() as f64;
         assert!(
             frac > 0.02 && frac < 0.35,
             "Split external traffic should be ~10% of path traffic, got {frac}"

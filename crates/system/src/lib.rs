@@ -5,8 +5,9 @@
 //!
 //! * the CPU-side frontend (`oram::freecursive::Frontend`, the PLB +
 //!   recursion walk),
-//! * a functional ORAM backend (baseline `oram::PathOram` or one of the
-//!   SDIMM protocols behind `sdimm::Protocol`),
+//! * a functional ORAM backend behind `sdimm::Protocol` (the baselines'
+//!   interleaved Path ORAM or one of the SDIMM protocols; none for the
+//!   non-secure machine),
 //! * and the cycle-level [`executor::Executor`] over `dram-sim` channels
 //!   and buses.
 //!

@@ -6,12 +6,13 @@
 //! on 1/2 channels, and the SDIMM organizations of Fig 7
 //! (INDEP-2/SPLIT-2 on one channel, INDEP-4/SPLIT-4/INDEP-SPLIT on two).
 
-use dram_sim::config::{ChannelConfig, LINE_BYTES};
+use dram_sim::config::ChannelConfig;
 use dram_sim::spec::DramStandard;
 use oram::freecursive::{Frontend, PlannedAccess};
 use oram::path_oram::PathOram;
 use oram::types::{BlockId, Op, OramConfig, BLOCK_BYTES};
 use oram::wear::LevelWear;
+use sdimm::baseline::{interleave, BaselineOram};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::split::{SplitConfig, SplitOram};
 use sdimm::trace::{Activity, Phase, RequestTrace};
@@ -138,27 +139,15 @@ impl SystemConfig {
     }
 }
 
-/// The functional backend behind a machine.
-#[derive(Debug)]
-enum Backend {
-    NonSecure,
-    /// Path ORAM over the main-memory channels: plain (on-chip posmap,
-    /// one access per request) when the machine has no frontend,
-    /// Freecursive when it has one.
-    Baseline {
-        oram: Box<PathOram>,
-        channels: usize,
-    },
-    /// One of the SDIMM protocols.
-    Sdimm(Box<dyn Protocol>),
-}
-
 /// A complete simulated machine: frontend + backend + executor.
 #[derive(Debug)]
 pub struct Machine {
     cfg: SystemConfig,
+    /// The CPU-side Freecursive planner; `None` keeps the position map
+    /// on chip (plain Path ORAM) or has none (non-secure).
     frontend: Option<Frontend>,
-    backend: Backend,
+    /// The ORAM backend; `None` is the non-secure machine.
+    backend: Option<Box<dyn Protocol>>,
     /// Cycle-level resources.
     pub executor: Executor,
 }
@@ -182,32 +171,31 @@ impl Machine {
         let blocks = frontend.as_ref().map_or(cfg.data_blocks, |f| f.id_space().total_blocks());
 
         // Independent is the routed protocol with one SDIMM per group.
-        let routed = |groups, ways, channels| {
+        let routed = |groups, ways| -> Option<Box<dyn Protocol>> {
             let mut icfg = IndependentConfig::new(groups, ways, &cfg.oram);
             icfg.low_power = cfg.low_power;
-            let oram = IndependentOram::new(icfg, blocks, cfg.seed);
-            (Backend::Sdimm(Box::new(oram)), channels)
+            Some(Box::new(IndependentOram::new(icfg, blocks, cfg.seed)))
         };
-        let (backend, buses) = match kind {
-            MachineKind::NonSecure { channels } => (Backend::NonSecure, channels),
+        // The SDIMM designs share `channels` external buses; the
+        // baselines have none.
+        let bus_map = |channels| bus_assignment(n_exec, channels);
+        let (backend, buses): (Option<Box<dyn Protocol>>, _) = match kind {
+            MachineKind::NonSecure { .. } => (None, Vec::new()),
             MachineKind::PathOram { channels } | MachineKind::Freecursive { channels } => {
-                let oram = Box::new(PathOram::new(cfg.oram.clone(), blocks, cfg.seed));
-                (Backend::Baseline { oram, channels }, channels)
+                let tree = PathOram::new(cfg.oram.clone(), blocks, cfg.seed);
+                (Some(Box::new(BaselineOram::new(tree, channels))), Vec::new())
             }
-            MachineKind::Independent { sdimms, channels } => routed(sdimms, 1, channels),
+            MachineKind::Independent { sdimms, channels } => (routed(sdimms, 1), bus_map(channels)),
             MachineKind::Split { ways, channels } => {
                 let mut scfg = SplitConfig::new(ways, &cfg.oram);
                 scfg.low_power = cfg.low_power;
-                let oram = SplitOram::new(scfg, blocks, cfg.seed);
-                (Backend::Sdimm(Box::new(oram)), channels)
+                (Some(Box::new(SplitOram::new(scfg, blocks, cfg.seed))), bus_map(channels))
             }
-            MachineKind::IndepSplit { groups, ways, channels } => routed(groups, ways, channels),
+            MachineKind::IndepSplit { groups, ways, channels } => {
+                (routed(groups, ways), bus_map(channels))
+            }
         };
-        let executor = if matches!(backend, Backend::Sdimm(_)) {
-            Executor::new(n_exec, ch_cfg, &bus_assignment(n_exec, buses))
-        } else {
-            Executor::new(n_exec, ch_cfg, &[])
-        };
+        let executor = Executor::new(n_exec, ch_cfg, &buses);
 
         Machine { cfg, frontend, backend, executor }
     }
@@ -227,11 +215,7 @@ impl Machine {
     /// instances — the value the per-instance stash bound applies to),
     /// or 0 for the non-secure machine.
     pub fn stash_len(&self) -> usize {
-        match &self.backend {
-            Backend::NonSecure => 0,
-            Backend::Baseline { oram, .. } => oram.stash_len(),
-            Backend::Sdimm(o) => o.max_stash_len(),
-        }
+        self.backend.as_ref().map_or(0, |b| b.max_stash_len())
     }
 
     /// Attaches a cycle-stamping observable recorder to the backend's
@@ -240,8 +224,8 @@ impl Machine {
     /// (the baselines have no external SDIMM bus), so this is a no-op
     /// for NonSecure/PathOram/Freecursive machines.
     pub fn set_observable_recorder(&mut self) {
-        if let Backend::Sdimm(o) = &mut self.backend {
-            o.set_recorder(sdimm::obliviousness::Recorder::with_clock(
+        if let Some(b) = &mut self.backend {
+            b.set_recorder(sdimm::obliviousness::Recorder::with_clock(
                 self.executor.shared_clock(),
             ));
         }
@@ -250,10 +234,7 @@ impl Machine {
     /// Takes the observable recorder back from the backend, when one was
     /// attached and the backend has an external bus to observe.
     pub fn take_observable_recorder(&mut self) -> Option<sdimm::obliviousness::Recorder> {
-        match &mut self.backend {
-            Backend::Sdimm(o) => o.take_recorder(),
-            _ => None,
-        }
+        self.backend.as_mut()?.take_recorder()
     }
 
     /// Attaches a cell's trace handle to the executor (phase
@@ -261,10 +242,8 @@ impl Machine {
     /// commands) and to every backend stash (occupancy ticks).
     pub fn set_trace(&mut self, trace: sdimm_telemetry::CellTrace) {
         self.executor.set_trace(trace.clone());
-        match &mut self.backend {
-            Backend::NonSecure => {}
-            Backend::Baseline { oram, .. } => oram.set_trace(trace, 0),
-            Backend::Sdimm(o) => o.set_trace(trace),
+        if let Some(b) = &mut self.backend {
+            b.set_trace(trace);
         }
     }
 
@@ -278,11 +257,7 @@ impl Machine {
     /// Peak stash occupancy across the backend's ORAM instance(s), or 0
     /// for the non-secure machine.
     pub fn stash_peak(&self) -> usize {
-        match &self.backend {
-            Backend::NonSecure => 0,
-            Backend::Baseline { oram, .. } => oram.stash_peak(),
-            Backend::Sdimm(o) => o.stash_peak(),
-        }
+        self.backend.as_ref().map_or(0, |b| b.stash_peak())
     }
 
     /// PLB (PosMap Lookaside Buffer) hit rate, or 0 for the non-secure
@@ -304,11 +279,10 @@ impl Machine {
             m.gauge_set("plb.hit_rate", plb.hit_rate());
             m.gauge_set("frontend.accesses_per_request", f.stats().accesses_per_request());
         }
-        match &self.backend {
-            Backend::NonSecure => {}
-            Backend::Baseline { oram, .. } => m.absorb("oram", &oram.metrics()),
-            Backend::Sdimm(o) => m.absorb("oram", &o.metrics()),
+        if let Some(b) = &self.backend {
+            m.absorb("oram", &b.metrics());
         }
+        // Set without a backend too (as 0): every snapshot carries it.
         m.gauge_max("oram.stash_peak", self.stash_peak() as f64);
         m
     }
@@ -322,47 +296,16 @@ impl Machine {
     /// Attributes a channel-local line address (as seen by DRAM channel
     /// `channel`) back to the ORAM tree level whose bucket owns it, or
     /// `None` when the machine has no tree (NonSecure) or the address is
-    /// outside the tree. Each backend speaks a different channel-address
-    /// dialect, so the inversion is per-design:
-    ///
-    /// * baselines interleave the single tree's *global* lines across
-    ///   channels (`global = local * channels + channel`, the inverse of
-    ///   [`Machine::split_lines`]);
-    /// * Independent sends each SDIMM's private layout addresses to its
-    ///   own channel, and IndepSplit byte-stripes each group's layout
-    ///   addresses over the group's ways;
-    /// * Split byte-stripes one logical layout's addresses over its ways.
+    /// outside the tree. Each backend inverts its own channel-address
+    /// dialect ([`Protocol::level_of_channel_line`]).
     pub fn level_of_channel_line(&self, channel: usize, addr: u64) -> Option<u32> {
-        let line = LINE_BYTES as u64;
-        let unsplit = |channels: usize| ((addr / line) * channels as u64 + channel as u64) * line;
-        match &self.backend {
-            Backend::NonSecure => None,
-            Backend::Baseline { oram, channels } => oram.layout().level_of_line(unsplit(*channels)),
-            Backend::Sdimm(o) => o.level_of_channel_line(channel, addr),
-        }
+        self.backend.as_ref()?.level_of_channel_line(channel, addr)
     }
 
     /// Per-tree-level wear merged across the backend's ORAM instance(s)
     /// (empty for the non-secure machine).
     pub fn level_wear(&self) -> LevelWear {
-        match &self.backend {
-            Backend::NonSecure => LevelWear::default(),
-            Backend::Baseline { oram, .. } => oram.level_wear().clone(),
-            Backend::Sdimm(o) => o.level_wear(),
-        }
-    }
-
-    /// Maps a physical line address onto (channel, channel-local address)
-    /// for baseline machines: consecutive lines interleave across the
-    /// channels.
-    fn split_lines(lines: &[u64], channels: usize) -> Vec<(usize, Vec<u64>)> {
-        let mut per: Vec<Vec<u64>> = vec![Vec::new(); channels];
-        for &addr in lines {
-            let line = addr / LINE_BYTES as u64;
-            let ch = (line % channels as u64) as usize;
-            per[ch].push((line / channels as u64) * LINE_BYTES as u64);
-        }
-        per.into_iter().enumerate().filter(|(_, v)| !v.is_empty()).collect()
+        self.backend.as_ref().map(|b| b.level_wear()).unwrap_or_default()
     }
 
     /// Builds the request-trace chain for one LLC miss (or LLC
@@ -373,72 +316,24 @@ impl Machine {
     /// so accesses from different CPU requests overlap whenever their
     /// backends differ.
     pub fn request_traces(&mut self, addr: u64, is_write: bool) -> Vec<RequestTrace> {
+        let Some(oram) = &mut self.backend else {
+            // Non-secure: the one line, interleaved like the baselines'.
+            let (channel, local) = interleave(addr, self.executor.channel_count());
+            return vec![RequestTrace::new(vec![Phase::one(Activity::Dram {
+                channel,
+                reads: if is_write { vec![] } else { vec![local] },
+                writes: if is_write { vec![local] } else { vec![] },
+            })])];
+        };
         let op = if is_write { Op::Write } else { Op::Read };
-        match &mut self.backend {
-            Backend::NonSecure => {
-                let channels = self.executor.channel_count();
-                let line = addr / LINE_BYTES as u64;
-                let ch = (line % channels as u64) as usize;
-                let local = (line / channels as u64) * LINE_BYTES as u64;
-                vec![RequestTrace::new(vec![Phase::one(Activity::Dram {
-                    channel: ch,
-                    reads: if is_write { vec![] } else { vec![local] },
-                    writes: if is_write { vec![local] } else { vec![] },
-                })])]
-            }
-            Backend::Baseline { oram, channels } => {
-                let index = (addr / BLOCK_BYTES as u64) % self.cfg.data_blocks;
-                Self::plan(self.frontend.as_mut(), index, op)
-                    .into_iter()
-                    .map(|p| {
-                        let (_, plan) = oram.access(p.id, p.op, Some(&[]));
-                        Self::baseline_path_trace(&plan, *channels)
-                    })
-                    .collect()
-            }
-            Backend::Sdimm(oram) => {
-                let index = (addr / BLOCK_BYTES as u64) % self.cfg.data_blocks;
-                Self::plan(self.frontend.as_mut(), index, op)
-                    .into_iter()
-                    .map(|p| oram.access(p.id, p.op, Some(&[])).1)
-                    .collect()
-            }
-        }
-    }
-
-    /// The `accessORAM`s one CPU request on data block `index` needs: the
-    /// frontend's plan, or the demand access alone when the position map
-    /// is on chip (plain Path ORAM).
-    fn plan(frontend: Option<&mut Frontend>, index: u64, op: Op) -> Vec<PlannedAccess> {
-        match frontend {
+        let index = (addr / BLOCK_BYTES as u64) % self.cfg.data_blocks;
+        // The frontend's plan, or the demand access alone when the
+        // position map is on chip (plain Path ORAM).
+        let plan = match &mut self.frontend {
             Some(f) => f.plan_request(index, op),
             None => vec![PlannedAccess { id: BlockId(index), op, is_posmap: false }],
-        }
-    }
-
-    /// One whole-path `accessORAM` over the baseline main-memory
-    /// channels: path read (+decrypt) then path write-back, serialized
-    /// on the single ORAM controller. Shared by the plain-PathOram and
-    /// Freecursive backends.
-    fn baseline_path_trace(plan: &oram::plan::AccessPlan, channels: usize) -> RequestTrace {
-        let mut phases = Vec::new();
-        let mut read_phase = Phase::default();
-        for (ch, lines) in Self::split_lines(&plan.lines, channels) {
-            read_phase.par.push(Activity::Dram { channel: ch, reads: lines, writes: vec![] });
-        }
-        read_phase.par.push(Activity::Crypto { units: plan.lines.len() as u32 });
-        phases.push(read_phase);
-        let mut write_phase = Phase::default();
-        for (ch, lines) in Self::split_lines(&plan.lines, channels) {
-            write_phase.par.push(Activity::Dram { channel: ch, reads: vec![], writes: lines });
-        }
-        phases.push(write_phase);
-        let mut t = RequestTrace::new(phases);
-        // Data is ready after the path read; write-back drains
-        // behind it inside the serialized backend.
-        t.data_ready_phase = t.phases.len().saturating_sub(2);
-        t.backend = Some(0);
-        t
+        };
+        plan.into_iter().map(|p| oram.access(p.id, p.op, Some(&[])).1).collect()
     }
 }
 
@@ -452,6 +347,8 @@ fn bus_assignment(sdimms: usize, buses: usize) -> Vec<usize> {
 
 #[cfg(test)]
 mod tests {
+    use dram_sim::config::LINE_BYTES;
+
     use super::*;
 
     #[test]
@@ -576,6 +473,63 @@ mod tests {
         // Same PLB-warm address: both are single accesses of a full path.
         assert_eq!(rd % m.config().oram.lines_per_access() as u64, 0);
         assert_eq!(wr % m.config().oram.lines_per_access() as u64, 0);
+    }
+
+    /// The level `m` attributes to each DRAM line of every trace it
+    /// builds for a few dozen requests, one list per trace.
+    fn line_levels(m: &mut Machine) -> Vec<Vec<Option<u32>>> {
+        let mut per_trace = Vec::new();
+        for i in 0..40u64 {
+            for t in m.request_traces(i * 64 * 97, i % 4 == 0) {
+                let mut levels = Vec::new();
+                for a in t.iter_activities() {
+                    if let Activity::Dram { channel, reads, writes } = a {
+                        let lines = reads.iter().chain(writes);
+                        levels.extend(lines.map(|&addr| m.level_of_channel_line(*channel, addr)));
+                    }
+                }
+                per_trace.push(levels);
+            }
+        }
+        per_trace
+    }
+
+    #[test]
+    fn every_dram_line_maps_back_to_a_tree_level() {
+        let low_power = |kind| SystemConfig { low_power: true, ..SystemConfig::small(kind) };
+        for cfg in [
+            SystemConfig::small(MachineKind::PathOram { channels: 1 }),
+            SystemConfig::small(MachineKind::PathOram { channels: 2 }),
+            SystemConfig::small(MachineKind::Freecursive { channels: 1 }),
+            SystemConfig::small(MachineKind::Freecursive { channels: 2 }),
+            SystemConfig::small(MachineKind::Independent { sdimms: 2, channels: 1 }),
+            SystemConfig::small(MachineKind::Independent { sdimms: 4, channels: 2 }),
+            SystemConfig::small(MachineKind::Split { ways: 2, channels: 1 }),
+            SystemConfig::small(MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 }),
+            low_power(MachineKind::Independent { sdimms: 2, channels: 1 }),
+            low_power(MachineKind::Split { ways: 2, channels: 1 }),
+        ] {
+            let name = format!("{}, low power {}", cfg.kind.name(), cfg.low_power);
+            let (first, last) = (cfg.oram.cached_levels, cfg.oram.levels);
+            let mut m = Machine::new(cfg);
+            for levels in line_levels(&mut m) {
+                // A trace reads and writes back whole paths (an access,
+                // plus any forced drain), so every uncached level of its
+                // tree appears equally often.
+                let mut per_level = std::collections::BTreeMap::new();
+                for level in levels {
+                    let l = level.unwrap_or_else(|| panic!("{name}: a line maps to no level"));
+                    assert!((first..=last).contains(&l), "{name}: line at level {l}");
+                    *per_level.entry(l).or_insert(0) += 1;
+                }
+                let deepest = first + per_level.len() as u32 - 1;
+                assert!(per_level.keys().copied().eq(first..=deepest), "{name}: {per_level:?}");
+                let count = per_level[&first];
+                assert!(per_level.values().all(|&c| c == count), "{name}: {per_level:?}");
+            }
+        }
+        let mut m = Machine::new(SystemConfig::small(MachineKind::NonSecure { channels: 2 }));
+        assert!(line_levels(&mut m).concat().iter().all(Option::is_none));
     }
 
     #[test]

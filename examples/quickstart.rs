@@ -41,7 +41,6 @@ fn main() {
         "target skew (0 = perfectly uniform): {:.3}",
         sdimm::obliviousness::target_skew(&counts)
     );
-    println!("stats: {:?}", oram.stats());
     oram.check_invariants();
     println!("Path ORAM invariants verified on both SDIMMs.");
 }

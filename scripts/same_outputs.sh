@@ -30,12 +30,14 @@ git archive "$rev" | tar -x -C "$tmp/src"
 
 bins=(fig6 fig8 fig9 fig10 fig11 lowpower offdimm crossover hammer_report leakage_gate
   table1 table2 fig13 area stash coresident probe probe2 calibrate)
-bin_flags=()
-for b in "${bins[@]}"; do bin_flags+=(--bin "$b"); done
+# The example applications drive the protocols and `Machine` through
+# their public API.
+examples=(quickstart protocol_compare secure_kv attack_demo)
+bin_flags=(-p sdimm-bench -p sdimm-examples)
+for b in "${bins[@]}" "${examples[@]}"; do bin_flags+=(--bin "$b"); done
 echo "==> building $(git rev-parse --short=12 "$rev") (old) and this checkout (new)"
-(cd "$tmp/src" && cargo build --release --offline -q -p sdimm-bench "${bin_flags[@]}" \
-  --target-dir "$tmp/target")
-cargo build --release --offline -q -p sdimm-bench "${bin_flags[@]}" --target-dir target
+(cd "$tmp/src" && cargo build --release --offline -q "${bin_flags[@]}" --target-dir "$tmp/target")
+cargo build --release --offline -q "${bin_flags[@]}" --target-dir target
 old_bin="$tmp/target/release"
 new_bin="$PWD/target/release"
 
@@ -64,6 +66,10 @@ cases=(
   "probe|probe"
   "probe2|probe2"
   "calibrate|calibrate"
+  "quickstart|quickstart"
+  "protocol_compare|protocol_compare"
+  "secure_kv|secure_kv"
+  "attack_demo|attack_demo"
 )
 
 for case in "${cases[@]}"; do

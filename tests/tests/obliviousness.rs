@@ -115,7 +115,7 @@ fn leaf_choice_is_uniform() {
     let leaves = tree().leaf_count();
     for _ in 0..2_000 {
         oram.access(BlockId(5), Op::Read, None);
-        let leaf = oram.leaf_of(BlockId(5));
+        let leaf = oram.trees()[0].leaf_of(BlockId(5));
         counts[(leaf.0 * 4 / leaves) as usize] += 1;
     }
     let skew = target_skew(&counts);

@@ -114,10 +114,53 @@ impl BankQueue {
     }
 }
 
-/// The oldest ready candidate of each command class found by a scheduler
-/// pass, in FR-FCFS priority order — CAS, ACT, PRE — keyed by request id
-/// so the pass may visit banks in any order.
-type Picks = [Option<(RequestId, Decision)>; 3];
+/// What a scheduler pass over one queue has found so far: the oldest
+/// ready candidate of each command class, in FR-FCFS priority order —
+/// CAS, ACT, PRE — keyed by request id so the pass may visit banks in any
+/// order, and the blocked candidate with the smallest (ready cycle,
+/// class, id). That candidate's cycle is the pass's retry cycle, and if
+/// nothing changes before it, it is what the pass at that cycle issues:
+/// exactly the candidates ready at that cycle are ready then, and the
+/// pass takes the first class among them and that class's oldest.
+#[derive(Default)]
+struct Pass {
+    ready: [Option<(RequestId, Decision)>; 3],
+    next: Option<(Cycle, usize, RequestId, Decision)>,
+}
+
+impl Pass {
+    /// Offers candidate `d` of command class `class` (0 CAS, 1 ACT,
+    /// 2 PRE) for request `id`, legal from cycle `ready`.
+    fn offer(&mut self, now: Cycle, class: usize, ready: Cycle, id: RequestId, d: Decision) {
+        if ready > now {
+            if self.next.is_none_or(|(r, c, i, _)| (ready, class, id) < (r, c, i)) {
+                self.next = Some((ready, class, id, d));
+            }
+        } else if self.ready[class].is_none_or(|(old, _)| id < old) {
+            self.ready[class] = Some((id, d));
+        }
+    }
+
+    /// The command the pass issues now, if any candidate is ready.
+    fn issue(&self) -> Option<Decision> {
+        self.ready.iter().flatten().next().map(|&(_, d)| d)
+    }
+}
+
+/// The verdict an FR-FCFS pass that issued nothing leaves for the pass at
+/// its own retry cycle `at`: while no push, command, refresh flag or
+/// power change touches the channel, that pass sees the same candidates
+/// at the same ready cycles and issues `then`, and every earlier pass
+/// issues nothing and retries at `at` (see [`Pass`]).
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    write: bool,
+    at: Cycle,
+    then: Decision,
+    /// Arrival cycle of the queue head: past [`STARVATION_LIMIT`] the
+    /// head is judged alone first, so the verdict no longer holds.
+    head_arrival: Cycle,
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pending {
@@ -210,6 +253,10 @@ pub struct DramChannel {
     bus_last_write: Option<bool>,
     /// Earliest cycle at which scheduling could possibly make progress.
     next_wake: Cycle,
+    /// The last idle FR-FCFS pass's verdict, dropped on every change that
+    /// can move one; while it stands, passes read it instead of
+    /// rescanning the banks.
+    verdict: Option<Verdict>,
     /// Per-rank background-energy accounting mark.
     bg_mark: Vec<Cycle>,
     /// Per-rank count of queued entries (read + write) — an incremental
@@ -277,6 +324,7 @@ impl DramChannel {
             bus_last_rank: None,
             bus_last_write: None,
             next_wake: 0,
+            verdict: None,
             pending: BinaryHeap::new(),
             stats: ChannelStats::default(),
             energy: EnergyCounters::default(),
@@ -440,6 +488,7 @@ impl DramChannel {
         let q = if req.kind == RequestKind::Write { &mut self.write_q } else { &mut self.read_q };
         q.push(bidx, QEntry { req, row: coords.row }, open);
         self.next_wake = self.now;
+        self.verdict = None;
     }
 
     /// Pins `rank` in precharge power-down (the SDIMM low-power scheme).
@@ -449,6 +498,7 @@ impl DramChannel {
             self.pinned += 1;
         }
         self.next_wake = self.now;
+        self.verdict = None;
     }
 
     /// Releases a pinned rank and begins its wakeup immediately so tXP is
@@ -465,6 +515,7 @@ impl DramChannel {
     /// Exits power-down on `rank` now; the PowerUp command is logged only
     /// if the rank was down.
     fn power_up(&mut self, rank: usize) {
+        self.verdict = None;
         self.account_bg(rank);
         let was_down = matches!(self.ranks[rank].power_state(), PowerState::PowerDown { .. });
         let t = self.cfg.timing.clone();
@@ -715,6 +766,7 @@ impl DramChannel {
                         && self.rank_open_banks[i] == 0
                         && self.now >= self.ranks[i].ready_at()
                     {
+                        self.verdict = None;
                         self.account_bg(i);
                         self.ranks[i].enter_power_down(self.now);
                         self.log_cmd(i, DdrCmd::PowerDown);
@@ -781,8 +833,9 @@ impl DramChannel {
 
     /// Picks the best action over one queue under FR-FCFS (or FCFS);
     /// blocked candidates lower `best_retry`. Debug builds check every
-    /// verdict against the linear scan this pass replaced (`reference`).
-    fn scan_queue(&self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
+    /// verdict, a recorded one included, against the linear scan this
+    /// pass replaced (`reference`).
+    fn scan_queue(&mut self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
         #[cfg(debug_assertions)]
         let (reference, reference_retry) = {
             let mut retry = *best_retry;
@@ -807,10 +860,26 @@ impl DramChannel {
     /// open-row hit (a CAS candidate). Each busy bank is evaluated once,
     /// in the same loop that finds the head of the queue; the oldest ready
     /// CAS wins, else the oldest ready ACT, else the oldest ready PRE.
-    fn pick(&self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
+    /// A pass that issues nothing records its [`Verdict`], and the passes
+    /// up to its retry cycle read that instead of walking the banks again.
+    fn pick(&mut self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
+        if let Some(v) = self.verdict {
+            // While the verdict stands the queues are unchanged, so the
+            // drain decision picks the same queue, and no pass has woken
+            // past `at`: each wakes by the retry cycle it returned, and
+            // whatever wakes the channel sooner drops the verdict.
+            debug_assert!(v.write == write && self.now <= v.at, "stale verdict at {}", self.now);
+            if self.now.saturating_sub(v.head_arrival) <= STARVATION_LIMIT {
+                if self.now == v.at {
+                    return Some(v.then);
+                }
+                *best_retry = (*best_retry).min(v.at);
+                return None;
+            }
+        }
         let q = if write { &self.write_q } else { &self.read_q };
         let fcfs = self.cfg.scheduler == SchedulerPolicy::Fcfs;
-        let mut picks = Picks::default();
+        let mut pass = Pass::default();
         // (id, arrival, bank) of the queue head: request ids are issued
         // in arrival order, so the head is the smallest bank-head id.
         let mut head: Option<(RequestId, Cycle, usize)> = None;
@@ -820,7 +889,7 @@ impl DramChannel {
                 head = Some((e.req.id, e.req.arrival, bidx));
             }
             if !fcfs {
-                self.scan_bank(write, bidx, false, &mut picks, best_retry);
+                self.scan_bank(write, bidx, false, &mut pass);
             }
         }
         let (_, arrival, head_bank) = head?;
@@ -832,16 +901,29 @@ impl DramChannel {
         // head alone yields nothing the pass falls back to plain FR-FCFS.
         // The head-only judgement offers only candidates the full pass
         // already offered, at the same ready cycles, so judging it second
-        // leaves `best_retry` unchanged. FCFS always judges the head alone.
+        // leaves the retry cycle unchanged. FCFS always judges the head
+        // alone and records no verdict.
         if fcfs || self.now.saturating_sub(arrival) > STARVATION_LIMIT {
-            let mut starved = Picks::default();
-            self.scan_bank(write, head_bank, true, &mut starved, best_retry);
-            let decision = starved.into_iter().flatten().next().map(|(_, d)| d);
-            if fcfs || decision.is_some() {
-                return decision;
+            let mut starved = Pass::default();
+            self.scan_bank(write, head_bank, true, &mut starved);
+            if fcfs {
+                if let Some((at, ..)) = starved.next {
+                    *best_retry = (*best_retry).min(at);
+                }
+                return starved.issue();
+            }
+            if let Some(d) = starved.issue() {
+                return Some(d);
             }
         }
-        picks.into_iter().flatten().next().map(|(_, d)| d)
+        let decision = pass.issue();
+        if decision.is_none() {
+            if let Some((at, _, _, then)) = pass.next {
+                *best_retry = (*best_retry).min(at);
+                self.verdict = Some(Verdict { write, at, then, head_arrival: arrival });
+            }
+        }
+        decision
     }
 
     /// Evaluates one busy bank for [`pick`](Self::pick): its oldest
@@ -850,46 +932,28 @@ impl DramChannel {
     /// PRE (row conflict; an older entry still wanting the open row holds
     /// the PRE off). With `head_only` the bank's oldest entry alone is
     /// judged.
-    fn scan_bank(
-        &self,
-        write: bool,
-        bidx: usize,
-        head_only: bool,
-        picks: &mut Picks,
-        best_retry: &mut Cycle,
-    ) {
+    fn scan_bank(&self, write: bool, bidx: usize, head_only: bool, pass: &mut Pass) {
         let q = if write { &self.write_q } else { &self.read_q };
         let list = &q.banks[bidx];
         let head = &list[0];
         let (rank, bank, group) = self.bank_of[bidx];
         let b = self.ranks[rank].bank(bank);
-        let mut offer = |slot: &mut Option<(RequestId, Decision)>, ready: Cycle, id, d| {
-            if ready > self.now {
-                *best_retry = (*best_retry).min(ready);
-            } else if slot.is_none_or(|(old, _)| id < old) {
-                *slot = Some((id, d));
-            }
-        };
         match b.state() {
             RowState::Open(open) => {
                 let hit = if head_only { (head.row == open).then_some(0) } else { q.hit[bidx] };
                 if let Some(pos) = hit {
                     let ready = self.cas_ready(write, rank, group, b);
-                    offer(
-                        &mut picks[0],
-                        ready,
-                        list[pos].req.id,
-                        Decision::Cas { write, bidx, pos },
-                    );
+                    let d = Decision::Cas { write, bidx, pos };
+                    pass.offer(self.now, 0, ready, list[pos].req.id, d);
                 }
                 if head.row != open {
                     let d = Decision::Pre { rank, bank, conflict: true };
-                    offer(&mut picks[2], self.pre_ready(rank, b), head.req.id, d);
+                    pass.offer(self.now, 2, self.pre_ready(rank, b), head.req.id, d);
                 }
             }
             RowState::Idle if !self.refresh_pending[rank] => {
                 let d = Decision::Act { rank, bank, row: head.row };
-                offer(&mut picks[1], self.act_ready(rank, group, b), head.req.id, d);
+                pass.offer(self.now, 1, self.act_ready(rank, group, b), head.req.id, d);
             }
             RowState::Idle => {}
         }
@@ -922,13 +986,11 @@ impl DramChannel {
                 if !self.refresh_pending[i] && self.ranks[i].refresh_due(self.now) {
                     self.refresh_pending[i] = true;
                     self.refresh_owed += 1;
+                    self.verdict = None;
                 }
                 if self.refresh_pending[i] {
                     if let PowerState::PowerDown { .. } = self.ranks[i].power_state() {
-                        self.account_bg(i);
-                        let t = self.cfg.timing.clone();
-                        self.ranks[i].exit_power_down(self.now, &t);
-                        self.log_cmd(i, DdrCmd::PowerUp);
+                        self.power_up(i);
                     }
                     if self.rank_open_banks[i] == 0 {
                         if self.now >= self.ranks[i].ready_at() {
@@ -1016,6 +1078,7 @@ impl DramChannel {
             return false;
         }
         self.stall_since = None;
+        self.verdict = None;
         let t = self.cfg.timing.clone();
         match decision {
             Decision::Refresh { rank } => {
@@ -1488,6 +1551,69 @@ mod tests {
     fn addr_of(ch: &DramChannel, rank: usize, bank: usize, row: usize, col: usize) -> u64 {
         let mapper = AddressMapper::new(ch.config().topology.clone(), Interleave::RowRankBankCol);
         mapper.encode(Coords { rank, bank, row, col })
+    }
+
+    #[test]
+    fn row_hit_enqueued_inside_a_recorded_wait_issues_before_it() {
+        // A pass that issues nothing records what the pass at its retry
+        // cycle will do. A row hit pushed during that wait must drop the
+        // record and issue its RD ahead of the recorded cycle.
+        let mut ch = DramChannel::new(quiet_cfg());
+        let log = CmdLog::enabled();
+        ch.set_cmd_log(log.clone());
+        ch.enqueue_read(addr_of(&ch, 0, 0, 5, 0)).unwrap();
+        // Same bank, other row: after the first RD its PRE waits on tRAS.
+        ch.enqueue_read(addr_of(&ch, 0, 0, 9, 0)).unwrap();
+        let pre = Decision::Pre { rank: 0, bank: 0, conflict: true };
+        while ch.verdict.is_none_or(|v| v.then != pre) {
+            assert!(ch.now() < 1_000, "no wait on the conflicting PRE was recorded");
+            ch.tick(1);
+        }
+        let wait = ch.verdict.expect("recorded");
+        assert!(ch.now() < wait.at);
+        ch.enqueue_read(addr_of(&ch, 0, 0, 5, 1)).unwrap();
+        assert!(ch.verdict.is_none(), "a push drops the record");
+        assert_eq!(ch.run_until_idle(100_000).len(), 3);
+        let log = log.take();
+        let rds: Vec<Cycle> = log
+            .iter()
+            .filter(|r| matches!(r.cmd, DdrCmd::Rd { bank: 0, row: 5 }))
+            .map(|r| r.cycle)
+            .collect();
+        assert_eq!(rds.len(), 2);
+        assert!(rds[1] < wait.at, "the row hit's RD at {} waited for {}", rds[1], wait.at);
+        let pre_at = log.iter().find(|r| matches!(r.cmd, DdrCmd::Pre { bank: 0 })).unwrap().cycle;
+        assert!(pre_at >= wait.at && pre_at > rds[1], "the PRE at {pre_at} overtook the hit");
+    }
+
+    #[test]
+    fn refresh_deadline_inside_a_recorded_wait_holds_off_the_act() {
+        // An idle pass records an ACT due on rank 0 after tRRD; the rank's
+        // refresh deadline falls inside that wait. Flagging the refresh
+        // must drop the record: the rank takes no ACT until its REF.
+        let mut cfg = ChannelConfig::table2();
+        cfg.topology.ranks = 1;
+        let t_refi = cfg.timing.t_refi;
+        let mut ch = DramChannel::new(cfg);
+        let log = CmdLog::enabled();
+        ch.set_cmd_log(log.clone());
+        ch.tick(t_refi - 4);
+        ch.enqueue_read(addr_of(&ch, 0, 0, 5, 0)).unwrap();
+        ch.enqueue_read(addr_of(&ch, 0, 1, 5, 0)).unwrap();
+        ch.tick(2);
+        let wait = ch.verdict.expect("the second ACT waits on tRRD");
+        assert_eq!(wait.then, Decision::Act { rank: 0, bank: 1, row: 5 });
+        assert!(wait.at > t_refi, "the refresh deadline must fall inside the wait");
+        assert_eq!(ch.run_until_idle(100_000).len(), 2);
+        let log = log.take();
+        let refresh = log.iter().find(|r| r.cmd == DdrCmd::Refresh).expect("a REF").cycle;
+        for r in &log {
+            assert!(
+                !matches!(r.cmd, DdrCmd::Act { .. }) || !(t_refi..refresh).contains(&r.cycle),
+                "ACT at {} while the rank owed the REF issued at {refresh}",
+                r.cycle
+            );
+        }
     }
 
     #[test]

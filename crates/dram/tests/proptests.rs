@@ -1,7 +1,7 @@
 //! Property tests for the DRAM model: address-mapper bijectivity, timing
 //! monotonicity, conservation of requests through the channel, and
 //! split-invariance of the event-driven tick, with and without pinned
-//! ranks.
+//! ranks, and with requests trickled into the scheduler's waits.
 
 use dram_sim::address::{AddressMapper, Coords, Interleave};
 use dram_sim::channel::{DramChannel, STARVATION_LIMIT};
@@ -345,6 +345,80 @@ proptest! {
                 b.tick(*s);
                 done_b.extend(b.drain_completions());
             }
+        }
+        done_a.extend(a.run_until_idle(10_000_000));
+        done_b.extend(b.run_until_idle(10_000_000));
+
+        prop_assert!(a.is_idle());
+        let mut completed: Vec<_> = done_a.iter().map(|c| c.id).collect();
+        completed.sort_unstable();
+        prop_assert_eq!(completed, issued, "every request completes exactly once");
+        prop_assert_eq!(done_a, done_b);
+        prop_assert_eq!(a.stats(), b.stats());
+        prop_assert_eq!(a.energy_counters(), b.energy_counters());
+        prop_assert_eq!(log_a.take(), log_b.take());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Requests trickled into recorded waits: an idle scheduler pass
+    /// records the verdict of the pass at its retry cycle, and every push,
+    /// pin and release must drop it. Here requests arrive one at a time
+    /// between short ticks, so most land while the channel waits on such
+    /// a cycle, and so do random pins and releases (`force_rank_down` /
+    /// `wake_rank`) and refresh deadlines, due every 4 tRFC here — an
+    /// SDIMM internal channel on every standard. Every request completes
+    /// exactly once, and cutting
+    /// each gap into two ticks changes no command, completion, statistic
+    /// or energy counter. In debug builds every invocation, one served
+    /// from a recorded verdict included, is checked against the linear
+    /// reference scan.
+    #[test]
+    fn trickled_requests_are_conserved_and_split_invariant(
+        ops in proptest::collection::vec(
+            (0u64..200_000, any::<bool>(), 1u64..48, 0u64..48, 0usize..24),
+            40..160,
+        ),
+        spec_pick in 0usize..4,
+    ) {
+        let mut cfg = ChannelConfig::sdimm_internal_for(STANDARDS[spec_pick]);
+        cfg.refresh_enabled = true;
+        cfg.timing.t_refi = 4 * cfg.timing.t_rfc;
+        let ranks = cfg.topology.ranks;
+        let (log_a, log_b) = (CmdLog::enabled(), CmdLog::enabled());
+        let mut a = DramChannel::new(cfg.clone());
+        let mut b = DramChannel::new(cfg);
+        a.set_cmd_log(log_a.clone());
+        b.set_cmd_log(log_b.clone());
+
+        let (mut issued, mut done_a, mut done_b) = (Vec::new(), Vec::new(), Vec::new());
+        for &(line, write, gap, cut, pin) in &ops {
+            for ch in [&mut a, &mut b] {
+                match pin {
+                    0..4 => ch.force_rank_down(pin % ranks),
+                    4..8 => ch.wake_rank(pin % ranks),
+                    _ => {}
+                }
+            }
+            // Half the requests go to the lowest 1024 lines, row 0 of
+            // rank 0's first banks, so row hits arrive while conflicting
+            // PREs wait.
+            let addr = if line % 2 == 0 { line % 1024 * 64 } else { line * 64 };
+            let (ia, ib) = if write {
+                (a.enqueue_write(addr), b.enqueue_write(addr))
+            } else {
+                (a.enqueue_read(addr), b.enqueue_read(addr))
+            };
+            prop_assert_eq!(ia, ib);
+            issued.extend(ia);
+            a.tick(gap);
+            done_a.extend(a.drain_completions());
+            let cut = cut.min(gap);
+            b.tick(cut);
+            b.tick(gap - cut);
+            done_b.extend(b.drain_completions());
         }
         done_a.extend(a.run_until_idle(10_000_000));
         done_b.extend(b.run_until_idle(10_000_000));

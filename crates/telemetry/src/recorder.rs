@@ -308,11 +308,30 @@ mod tests {
         })
     }
 
-    /// Fresh per-test scratch directory (std-only, no tempdir dependency).
-    fn scratch(tag: &str) -> String {
+    /// A fresh per-test scratch directory (std-only, no tempdir
+    /// dependency). Dropping it removes the directory, unless the test is
+    /// failing: then its files stay behind to read.
+    struct Scratch(std::path::PathBuf);
+
+    impl std::fmt::Display for Scratch {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.0.display().fmt(f)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                // Best effort: a directory left behind fails nothing.
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+
+    fn scratch(tag: &str) -> Scratch {
         let dir = std::env::temp_dir().join(format!("sdimm-recorder-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create scratch dir");
-        dir.to_string_lossy().into_owned()
+        Scratch(dir)
     }
 
     #[test]
@@ -407,7 +426,8 @@ mod tests {
         cell.record_at(5, EventKind::Phase { request: 3, phase: 2, dur: 4 });
         cell.record_at(5, EventKind::Backend { request: 3, decision: BackendDecision::Acquire });
         drop(cell);
-        let prefix = format!("{}/slice", scratch("slice"));
+        let dir = scratch("slice");
+        let prefix = format!("{dir}/slice");
         let (_, path) = s.dump_to_files(&prefix, "stash bound breached", 9).unwrap().unwrap();
         let json = std::fs::read_to_string(path).unwrap();
         crate::json::validate(&json).expect("flight slice must be valid JSON");
@@ -418,7 +438,8 @@ mod tests {
 
     #[test]
     fn arm_dump_latches_once() {
-        let s = TraceSink::with_blackbox(&format!("{}/latch", scratch("latch")));
+        let dir = scratch("latch");
+        let s = TraceSink::with_blackbox(&format!("{dir}/latch"));
         let cell = s.cell(0, SharedCycle::new());
         assert!(cell.arm_dump());
         assert!(!cell.arm_dump());
@@ -457,7 +478,7 @@ mod tests {
             });
             assert!(outcome.is_err());
         }
-        let mut written: Vec<String> = std::fs::read_dir(&dir)
+        let mut written: Vec<String> = std::fs::read_dir(&dir.0)
             .unwrap()
             .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
@@ -489,7 +510,7 @@ mod tests {
             assert_eq!(outcome.is_err(), pid == 2);
         }
         assert!(s.is_empty(), "finished cells' rings are freed, not kept");
-        let written: Vec<String> = std::fs::read_dir(&dir)
+        let written: Vec<String> = std::fs::read_dir(&dir.0)
             .unwrap()
             .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
             .collect();

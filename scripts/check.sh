@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository CI gate: formatting, clippy, sdimm-lint, the full test suite,
-# then the audit and report gates, the ledger benchmark checks, and last
-# the wall-clock perf gate, in that order.
+# then the audit and report gates (the reference scheduler at figure
+# scale among them), the ledger benchmark checks, and last the
+# wall-clock perf gate, in that order.
 #
 # Usage: scripts/check.sh
 #
@@ -45,9 +46,10 @@ echo "audited_quick_fig6_wall_ms=$(( (fig6_t1 - fig6_t0) / 1000000 ))" \
 # The same run again must write the same Chrome trace byte for byte:
 # every cell keeps its own newest events, and the export reads cells in
 # pid order, whatever order the workers finished them in. The first
-# run's trace is the CI artifact; the second copy is deleted.
+# run's trace is the CI artifact; the second copy is deleted. Its stdout
+# is kept for the reference-scheduler step below.
 SDIMM_BENCH_SCALE=quick ./target/release/fig6 "${fig6_flags[@]}" \
-  --trace-json target/quick-fig6-2.trace.json > /dev/null
+  --trace-json target/quick-fig6-2.trace.json > target/quick-fig6.stdout
 cmp target/quick-fig6.trace.json target/quick-fig6-2.trace.json \
   || { echo "fig6 Chrome traces differ between runs — the trace is nondeterministic"; exit 1; }
 rm target/quick-fig6-2.trace.json
@@ -57,7 +59,27 @@ SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig6 -- \
   --audit --standard ddr4_2400 > /dev/null
 
 echo "==> audited quick-scale fig9 (every SDIMM protocol: DDR replay + ORAM oracle must be clean)"
-SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig9 -- --audit > /dev/null
+SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig9 -- --audit \
+  > target/quick-fig9.stdout
+
+echo "==> reference scheduler at figure scale (fig6 + fig9 with debug assertions: same stdout, same trace)"
+# The oracle profile is the release build with debug assertions and
+# overflow checks on, so every FR-FCFS decision of these runs, those
+# served from a recorded verdict included, is checked against the linear
+# reference scan. fig6 runs from a sibling directory with the same
+# relative output paths, so its stdout and Chrome trace must match the
+# release run's byte for byte.
+cargo build --profile oracle -q -p sdimm-bench --bin fig6 --bin fig9
+mkdir -p target/oracle-run/target
+(cd target/oracle-run && SDIMM_BENCH_SCALE=quick ../oracle/fig6 "${fig6_flags[@]}" \
+  --trace-json target/quick-fig6-2.trace.json > ../oracle-fig6.stdout)
+cmp target/quick-fig6.stdout target/oracle-fig6.stdout \
+  || { echo "fig6 stdout differs under debug assertions"; exit 1; }
+cmp target/quick-fig6.trace.json target/oracle-run/target/quick-fig6-2.trace.json \
+  || { echo "fig6 Chrome trace differs under debug assertions"; exit 1; }
+SDIMM_BENCH_SCALE=quick ./target/oracle/fig9 --audit > target/oracle-fig9.stdout
+cmp target/quick-fig9.stdout target/oracle-fig9.stdout \
+  || { echo "fig9 stdout differs under debug assertions"; exit 1; }
 
 echo "==> audited quick-scale fig8, fig10, fig11, lowpower and offdimm (every panel must be clean)"
 cargo build --release -q -p sdimm-bench --bin fig8 --bin fig10 --bin fig11 --bin lowpower --bin offdimm

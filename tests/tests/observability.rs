@@ -20,12 +20,31 @@ fn small_run(instruments: &Instruments) -> RunResult {
     run_with(&cfg, &trace, 200, 400, instruments, 0, Capture::default()).0
 }
 
-/// Fresh per-test scratch directory (std-only, no tempdir dependency).
-fn scratch(tag: &str) -> String {
+/// A fresh per-test scratch directory (std-only, no tempdir dependency).
+/// Dropping it removes the directory, unless the test is failing: then
+/// its files stay behind to read.
+struct Scratch(std::path::PathBuf);
+
+impl std::fmt::Display for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.display().fmt(f)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            // Best effort: a directory left behind fails nothing.
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+fn scratch(tag: &str) -> Scratch {
     let dir =
         std::env::temp_dir().join(format!("sdimm-observability-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.to_string_lossy().into_owned()
+    Scratch(dir)
 }
 
 #[test]
@@ -52,7 +71,8 @@ fn profiler_attributes_every_sampled_cycle_on_a_real_run() {
 
 #[test]
 fn flight_recorder_sees_all_event_families_with_monotonic_clock() {
-    let prefix = format!("{}/flight", scratch("families"));
+    let dir = scratch("families");
+    let prefix = format!("{dir}/flight");
     let instruments = Instruments::with_sink(TraceSink::with_blackbox(&prefix));
     small_run(&instruments);
 
@@ -111,7 +131,8 @@ fn injected_timing_violation_yields_ordered_blackbox_with_context() {
     let last_line = report.lines().rev().find(|l| l.contains("ddr")).expect("ddr lines");
     assert!(last_line.contains("RD"), "last DDR line is the violating read: {last_line}");
 
-    let prefix = format!("{}/case", scratch("blackbox"));
+    let dir = scratch("blackbox");
+    let prefix = format!("{dir}/case");
     let (txt, json) = recorder
         .dump_to_files(&prefix, &v.to_string(), 0)
         .expect("enabled recorder dumps")
@@ -148,7 +169,7 @@ fn stash_bound_breach_dumps_a_black_box_once() {
     });
     assert!(outcome.is_err());
 
-    let mut written: Vec<String> = std::fs::read_dir(&dir)
+    let mut written: Vec<String> = std::fs::read_dir(&dir.0)
         .expect("list the dump directory")
         .map(|f| f.expect("dir entry").file_name().to_string_lossy().into_owned())
         .collect();

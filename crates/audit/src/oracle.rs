@@ -1,36 +1,42 @@
-//! ORAM / protocol oracle: lockstep shadow-memory checking.
+//! ORAM oracle: lockstep shadow-memory checking of a machine's backend.
 //!
-//! The oracle drives an ORAM protocol with a deterministic request
-//! stream while maintaining the simplest possible model of the same
-//! memory — a plain `HashMap` from block id to bytes. After every
-//! `accessORAM` the protocol's answer is compared byte-for-byte against
-//! the map, and structural invariants are re-checked from outside:
+//! [`lockstep`] drives an `sdimm::Protocol` backend, behind its optional
+//! Freecursive frontend, with a deterministic request stream while
+//! keeping the simplest possible model of the same memory — a plain
+//! `HashMap` from block id to bytes. Each request is planned the way a
+//! simulated machine plans it (`Machine::request_traces`): the
+//! frontend's position-map accesses carry empty payloads, and the
+//! demand access carries real bytes, which are compared with the map.
+//! After every request the oracle re-checks from outside:
 //!
 //! * **read-your-writes**: a read returns exactly the last written
 //!   bytes (zero-filled for never-written blocks);
-//! * **PosMap coherence**: the access fetched the path of the leaf the
-//!   position map claimed for the block *before* the access, and every
-//!   fetched line lies on that path;
-//! * **stash bound**: occupancy returns under the configured limit once
-//!   background eviction has run (and never explodes);
-//! * **PMMAC counter monotonicity**: in sealed mode, no bucket's write
-//!   counter ever decreases (a decrease is a replay);
-//! * the ORAM's own `check_invariant` (no duplicates, every block on
-//!   its path) is exercised periodically.
+//! * **stash bound**: no tree's stash holds more than its configured
+//!   limit (the rule the runner's stash-breach black box applies);
+//! * **traffic model**: every trace moves a positive whole multiple of
+//!   one uncached access's `2(Z+1)(L+1−cached)` DRAM lines, and every
+//!   line maps back to an uncached tree level, each level equally often;
+//! * **PMMAC counter monotonicity**: on every sealed tree, no bucket's
+//!   write counter ever decreases (a decrease is a replay);
+//! * the trees' own Path ORAM invariant (no duplicates, every block on
+//!   its path), every [`INVARIANT_PERIOD`] requests and at the end.
 //!
-//! Every supported protocol uses the same [`ShadowMem`]; mismatch
-//! reports carry the protocol, step, block, and both byte strings.
+//! The backend is whatever the caller built: `--audit` builds each
+//! figure panel's machines with `sdimm_system::machine::build_oram`,
+//! the function `Machine::new` runs them on, from the panel's own
+//! configuration. Mismatch reports carry the machine, step, block, and
+//! what diverged.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
+use oram::freecursive::{Frontend, PlannedAccess};
 use oram::geometry::BucketIdx;
-use oram::plb::Plb;
-use oram::types::{BlockId, Op, OramConfig, BLOCK_BYTES};
-use oram::{FreecursiveOram, PathOram};
+use oram::types::{BlockId, Op, BLOCK_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdimm::{IndependentConfig, IndependentOram, Protocol, SplitConfig, SplitOram};
+use sdimm::trace::{Activity, RequestTrace};
+use sdimm::Protocol;
 
 /// The trivially-correct reference memory.
 #[derive(Debug, Default)]
@@ -70,64 +76,15 @@ impl ShadowMem {
     }
 }
 
-/// Which protocol configuration to drive (the five `accessORAM`
-/// implementations of the reproduction).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProtocolKind {
-    /// The plain Path ORAM backend. `sealed` additionally enables the
-    /// PMMAC sealed store and the counter-monotonicity check.
-    PathOram {
-        /// Run with encryption/MAC sealing enabled.
-        sealed: bool,
-    },
-    /// Freecursive frontend (recursive posmaps + PLB) over Path ORAM.
-    /// `tiny_plb` shrinks the PLB to force eviction write-back traffic.
-    Freecursive {
-        /// Use a 16-entry PLB instead of the Table II PLB.
-        tiny_plb: bool,
-    },
-    /// The Independent SDIMM protocol.
-    Independent {
-        /// SDIMM count (power of two).
-        sdimms: usize,
-    },
-    /// The Split SDIMM protocol.
-    Split {
-        /// Byte-striping ways.
-        ways: usize,
-    },
-    /// The combined Independent + Split protocol.
-    IndepSplit {
-        /// Independent groups.
-        groups: usize,
-        /// Split ways per group.
-        ways: usize,
-    },
-}
-
-impl fmt::Display for ProtocolKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolKind::PathOram { sealed: false } => write!(f, "path-oram"),
-            ProtocolKind::PathOram { sealed: true } => write!(f, "path-oram-sealed"),
-            ProtocolKind::Freecursive { tiny_plb: false } => write!(f, "freecursive"),
-            ProtocolKind::Freecursive { tiny_plb: true } => write!(f, "freecursive-tiny-plb"),
-            ProtocolKind::Independent { sdimms } => write!(f, "independent-{sdimms}"),
-            ProtocolKind::Split { ways } => write!(f, "split-{ways}"),
-            ProtocolKind::IndepSplit { groups, ways } => write!(f, "indep-split-{groups}x{ways}"),
-        }
-    }
-}
-
-/// A divergence between a protocol and the shadow memory (or a violated
+/// A divergence between a backend and the shadow memory (or a violated
 /// structural invariant observed from outside).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleMismatch {
-    /// Protocol under test.
+    /// Machine under test.
     pub protocol: String,
     /// Request index in the deterministic stream.
     pub step: usize,
-    /// Block the request targeted.
+    /// Data block the request targeted.
     pub block: u64,
     /// What diverged.
     pub detail: String,
@@ -144,7 +101,7 @@ impl std::error::Error for OracleMismatch {}
 /// Successful lockstep run statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OracleReport {
-    /// Protocol under test.
+    /// Machine under test.
     pub protocol: String,
     /// Requests driven.
     pub steps: usize,
@@ -154,13 +111,12 @@ pub struct OracleReport {
     pub stash_peak: usize,
 }
 
-/// How often the O(tree)-cost `check_invariant` hook runs.
-const INVARIANT_PERIOD: usize = 64;
+/// Data blocks the requests draw their ids from: few enough that reads
+/// keep hitting earlier writes.
+pub const ORACLE_BLOCKS: u64 = 512;
 
-/// Explosion guard for protocols that relieve stash pressure
-/// probabilistically (forced drains): the stash may exceed its nominal
-/// limit transiently but must stay within a small multiple of it.
-const STASH_BLOWUP: usize = 8;
+/// How often the O(tree)-cost `check_invariants` hook runs.
+pub const INVARIANT_PERIOD: usize = 64;
 
 fn pattern(id: u64, step: usize, len: usize) -> Vec<u8> {
     (0..len)
@@ -168,322 +124,171 @@ fn pattern(id: u64, step: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Drives `steps` deterministic requests through the protocol while
-/// checking every result against a [`ShadowMem`]. Returns the first
-/// divergence, or a report on success.
+/// Drives `steps` deterministic requests (half of them writes, ids from
+/// the first [`ORACLE_BLOCKS`] data blocks, or all of them when there
+/// are fewer) through `frontend`'s plans
+/// on `backend`, checking every request as the module doc lists, and
+/// returns the first divergence or a report on success. `name` labels
+/// both.
 ///
 /// # Panics
 ///
-/// Panics if the ORAM's *internal* `check_invariant` hook fires (those
-/// panics carry their own description), or if the configuration cannot
-/// be constructed.
-pub fn check_protocol(
-    kind: &ProtocolKind,
-    cfg: &OramConfig,
-    blocks: u64,
+/// Panics if a tree's own `check_invariant` fires (those panics carry
+/// their own description).
+pub fn lockstep(
+    name: &str,
+    mut frontend: Option<&mut Frontend>,
+    backend: &mut dyn Protocol,
     steps: usize,
     seed: u64,
 ) -> Result<OracleReport, OracleMismatch> {
-    match kind {
-        ProtocolKind::PathOram { sealed } => {
-            check_path_oram(kind, cfg, blocks, steps, seed, *sealed)
-        }
-        ProtocolKind::Freecursive { tiny_plb } => {
-            check_freecursive(kind, cfg, blocks, steps, seed, *tiny_plb)
-        }
-        ProtocolKind::Independent { sdimms } => {
-            let oram = IndependentOram::new(IndependentConfig::new(*sdimms, 1, cfg), blocks, seed);
-            check_request_trace_protocol(kind, cfg, blocks, steps, seed, oram)
-        }
-        ProtocolKind::Split { ways } => {
-            let scfg = SplitConfig::new(*ways, cfg);
-            let oram = SplitOram::new(scfg, blocks, seed);
-            check_request_trace_protocol(kind, cfg, blocks, steps, seed, oram)
-        }
-        ProtocolKind::IndepSplit { groups, ways } => {
-            let oram =
-                IndependentOram::new(IndependentConfig::new(*groups, *ways, cfg), blocks, seed);
-            check_request_trace_protocol(kind, cfg, blocks, steps, seed, oram)
-        }
-    }
-}
-
-/// Runs the oracle over every protocol configuration with a shared tree
-/// shape, returning the reports (or the first divergence).
-pub fn check_all_protocols(
-    cfg: &OramConfig,
-    blocks: u64,
-    steps: usize,
-    seed: u64,
-) -> Result<Vec<OracleReport>, OracleMismatch> {
-    let kinds = [
-        ProtocolKind::PathOram { sealed: false },
-        ProtocolKind::Freecursive { tiny_plb: false },
-        ProtocolKind::Independent { sdimms: 4 },
-        ProtocolKind::Split { ways: 4 },
-        ProtocolKind::IndepSplit { groups: 2, ways: 2 },
-    ];
-    kinds.iter().map(|k| check_protocol(k, cfg, blocks, steps, seed)).collect()
-}
-
-/// Deterministic (id, op) stream shared by all drivers.
-fn next_request(rng: &mut StdRng, blocks: u64, step: usize) -> (u64, Op, Vec<u8>, usize) {
-    let id = rng.gen_range(0..blocks);
-    let write = rng.gen_bool(0.5);
-    let op = if write { Op::Write } else { Op::Read };
-    (id, op, Vec::new(), step)
-}
-
-fn mismatch(kind: &ProtocolKind, step: usize, block: u64, detail: String) -> OracleMismatch {
-    OracleMismatch { protocol: kind.to_string(), step, block, detail }
-}
-
-fn bytes_differ(
-    kind: &ProtocolKind,
-    step: usize,
-    id: u64,
-    got: &[u8],
-    want: &[u8],
-) -> OracleMismatch {
-    mismatch(
-        kind,
-        step,
-        id,
-        format!(
-            "returned {} bytes {:02x?}…, shadow expects {} bytes {:02x?}…",
-            got.len(),
-            &got[..got.len().min(8)],
-            want.len(),
-            &want[..want.len().min(8)],
-        ),
-    )
-}
-
-fn check_path_oram(
-    kind: &ProtocolKind,
-    cfg: &OramConfig,
-    blocks: u64,
-    steps: usize,
-    seed: u64,
-    sealed: bool,
-) -> Result<OracleReport, OracleMismatch> {
-    let mut oram = PathOram::new(cfg.clone(), blocks, seed);
-    if sealed {
-        oram.enable_sealing([0x5D; 16]);
-    }
+    // Without a frontend the position map is on chip and the tree's ids
+    // are the data blocks themselves.
+    let data_blocks =
+        frontend.as_deref().map_or(backend.trees()[0].blocks(), |f| f.id_space().level_blocks(0));
+    let blocks = data_blocks.min(ORACLE_BLOCKS);
+    let stash_limit = backend.trees()[0].config().stash_limit;
     let mut shadow = ShadowMem::new(BLOCK_BYTES);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0DDC0FFE);
-    let mut counters: HashMap<BucketIdx, u64> = HashMap::new();
+    let mut counters: HashMap<(usize, BucketIdx), u64> = HashMap::new();
     let mut writes = 0;
 
     for step in 0..steps {
-        let (id, op, _, _) = next_request(&mut rng, blocks, step);
+        let id = rng.gen_range(0..blocks);
+        let op = if rng.gen_bool(0.5) { Op::Write } else { Op::Read };
         let data = pattern(id, step, BLOCK_BYTES);
-        let new_data = if op == Op::Write {
-            writes += 1;
-            Some(data.as_slice())
-        } else {
-            None
-        };
+        let new_data = (op == Op::Write).then_some(data.as_slice());
+        writes += usize::from(op == Op::Write);
+        let fail =
+            |detail: String| OracleMismatch { protocol: name.to_string(), step, block: id, detail };
 
-        // PosMap coherence: capture the claimed leaf before the access.
-        let claimed = oram.leaf_of(BlockId(id));
-        let (got, plan) = oram.access(BlockId(id), op, new_data);
+        let (got, traces) = serve(frontend.as_deref_mut(), backend, id, op, new_data);
+        for trace in &traces {
+            check_traffic(&*backend, trace).map_err(&fail)?;
+        }
         let want = shadow.apply(id, op, new_data);
         if got != want {
-            return Err(bytes_differ(kind, step, id, &got, &want));
-        }
-        if plan.leaf != claimed {
-            return Err(mismatch(
-                kind,
-                step,
-                id,
-                format!("fetched path of {} but the posmap claimed {claimed}", plan.leaf),
-            ));
-        }
-        let path = oram.layout().path_lines(plan.leaf);
-        if plan.lines != path {
-            return Err(mismatch(
-                kind,
-                step,
-                id,
-                format!(
-                    "fetched {} lines but the claimed path {} has {}",
-                    plan.lines.len(),
-                    plan.leaf,
-                    path.len()
-                ),
-            ));
+            return Err(fail(format!(
+                "returned {} bytes {:02x?}…, shadow expects {} bytes {:02x?}…",
+                got.len(),
+                &got[..got.len().min(8)],
+                want.len(),
+                &want[..want.len().min(8)],
+            )));
         }
 
-        // Stash bound: after relief the occupancy is under the limit.
-        while oram.needs_background_evict() {
-            oram.background_evict();
-        }
-        if oram.stash_len() > cfg.stash_limit {
-            return Err(mismatch(
-                kind,
-                step,
-                id,
-                format!(
-                    "stash at {} after background eviction (limit {})",
-                    oram.stash_len(),
-                    cfg.stash_limit
-                ),
-            ));
+        if backend.max_stash_len() > stash_limit {
+            return Err(fail(format!(
+                "stash at {} after the request (limit {stash_limit})",
+                backend.max_stash_len()
+            )));
         }
 
         // PMMAC counter monotonicity: a decreasing counter is a replay.
-        if let Some(tree) = oram.sealed() {
-            for idx in tree.indices().collect::<Vec<_>>() {
+        for (t, tree) in backend.trees().iter().enumerate() {
+            let Some(sealed) = tree.sealed() else { continue };
+            for idx in sealed.indices() {
                 // lint: panic-ok(invariant: listed index)
-                let counter = tree.raw(idx).expect("listed index").counter;
-                let prev = counters.insert(idx, counter).unwrap_or(0);
+                let counter = sealed.raw(idx).expect("listed index").counter;
+                let prev = counters.insert((t, idx), counter).unwrap_or(0);
                 if counter < prev {
-                    return Err(mismatch(
-                        kind,
-                        step,
-                        id,
-                        format!("bucket {idx:?} counter went backwards: {prev} → {counter}"),
-                    ));
+                    return Err(fail(format!(
+                        "tree {t} bucket {idx:?} counter went backwards: {prev} → {counter}"
+                    )));
                 }
             }
         }
 
         if step % INVARIANT_PERIOD == 0 {
-            oram.check_invariant();
+            backend.check_invariants();
         }
     }
-    oram.check_invariant();
-    Ok(OracleReport { protocol: kind.to_string(), steps, writes, stash_peak: oram.stash_peak() })
+    backend.check_invariants();
+    Ok(OracleReport { protocol: name.to_string(), steps, writes, stash_peak: backend.stash_peak() })
 }
 
-fn check_freecursive(
-    kind: &ProtocolKind,
-    cfg: &OramConfig,
-    blocks: u64,
-    steps: usize,
-    seed: u64,
-    tiny_plb: bool,
-) -> Result<OracleReport, OracleMismatch> {
-    let mut f = FreecursiveOram::new(cfg.clone(), blocks, seed);
-    if tiny_plb {
-        // Small and low-associativity: every few requests evict a dirty
-        // posmap block, exercising the write-back path.
-        f.set_plb(Plb::new(16, 4));
+/// Serves one CPU request on data block `index` as a machine plans it
+/// (`Machine::request_traces`): `frontend`'s plan, or the demand access
+/// alone without one, each access on `backend` in order. Position-map
+/// accesses carry empty payloads and the demand access carries
+/// `new_data`. Returns the demand access's bytes and every access's
+/// trace.
+///
+/// # Panics
+///
+/// Panics if `index` is outside the frontend's data blocks or the
+/// backend's id space.
+pub fn serve(
+    frontend: Option<&mut Frontend>,
+    backend: &mut dyn Protocol,
+    index: u64,
+    op: Op,
+    new_data: Option<&[u8]>,
+) -> (Vec<u8>, Vec<RequestTrace>) {
+    let plan = match frontend {
+        Some(f) => f.plan_request(index, op),
+        None => vec![PlannedAccess { id: BlockId(index), op, is_posmap: false }],
+    };
+    let mut got = Vec::new();
+    let mut traces = Vec::with_capacity(plan.len());
+    for p in plan {
+        let payload = if p.is_posmap { Some(&[][..]) } else { new_data };
+        let (bytes, trace) = backend.access(p.id, p.op, payload);
+        if !p.is_posmap {
+            got = bytes;
+        }
+        traces.push(trace);
     }
-    let mut shadow = ShadowMem::new(BLOCK_BYTES);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0DDC0FFE);
-    let mut writes = 0;
-
-    for step in 0..steps {
-        let (id, op, _, _) = next_request(&mut rng, blocks, step);
-        let data = pattern(id, step, BLOCK_BYTES);
-        let new_data = if op == Op::Write {
-            writes += 1;
-            Some(data.as_slice())
-        } else {
-            None
-        };
-        let (got, plans) = f.request(id, op, new_data);
-        let want = shadow.apply(id, op, new_data);
-        if got != want {
-            return Err(bytes_differ(kind, step, id, &got, &want));
-        }
-        for plan in &plans {
-            let path = f.backend().layout().path_lines(plan.leaf);
-            if plan.lines != path {
-                return Err(mismatch(
-                    kind,
-                    step,
-                    id,
-                    format!("plan fetched lines off the path of {}", plan.leaf),
-                ));
-            }
-        }
-        // `request` relieves stash pressure before returning.
-        if f.backend().stash_len() > cfg.stash_limit {
-            return Err(mismatch(
-                kind,
-                step,
-                id,
-                format!(
-                    "stash at {} after a fully-relieved request (limit {})",
-                    f.backend().stash_len(),
-                    cfg.stash_limit
-                ),
-            ));
-        }
-        if step % INVARIANT_PERIOD == 0 {
-            f.backend().check_invariant();
-        }
-    }
-    f.backend().check_invariant();
-    Ok(OracleReport {
-        protocol: kind.to_string(),
-        steps,
-        writes,
-        stash_peak: f.backend().stash_peak(),
-    })
+    (got, traces)
 }
 
-/// Shared driver for the three SDIMM protocols.
-fn check_request_trace_protocol<O: Protocol>(
-    kind: &ProtocolKind,
-    cfg: &OramConfig,
-    blocks: u64,
-    steps: usize,
-    seed: u64,
-    mut oram: O,
-) -> Result<OracleReport, OracleMismatch> {
-    let mut shadow = ShadowMem::new(BLOCK_BYTES);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0DDC0FFE);
-    let mut writes = 0;
-
-    for step in 0..steps {
-        let (id, op, _, _) = next_request(&mut rng, blocks, step);
-        let data = pattern(id, step, BLOCK_BYTES);
-        let new_data = if op == Op::Write {
-            writes += 1;
-            Some(data.as_slice())
-        } else {
-            None
-        };
-        let (got, _) = oram.access(BlockId(id), op, new_data);
-        let want = shadow.apply(id, op, new_data);
-        if got != want {
-            return Err(bytes_differ(kind, step, id, &got, &want));
-        }
-        // These protocols relieve stash pressure with probabilistic
-        // forced drains, so the bound here is an explosion guard rather
-        // than the hard limit.
-        if oram.stash_peak() > cfg.stash_limit * STASH_BLOWUP {
-            return Err(mismatch(
-                kind,
-                step,
-                id,
-                format!(
-                    "stash peak {} exceeded the {}× explosion guard (limit {})",
-                    oram.stash_peak(),
-                    STASH_BLOWUP,
-                    cfg.stash_limit
-                ),
-            ));
-        }
-        if step % INVARIANT_PERIOD == 0 {
-            oram.check_invariants();
+/// The traffic model, per trace: a positive whole multiple of one
+/// uncached access's lines, every line on an uncached level of tree 0's
+/// shape (all trees share it), and every such level equally often, as
+/// whole paths read and written back give.
+fn check_traffic(backend: &dyn Protocol, trace: &RequestTrace) -> Result<(), String> {
+    let tree = backend.trees()[0].config();
+    let per_access = tree.lines_per_access() as u64;
+    let lines = trace.dram_lines();
+    if lines == 0 || !lines.is_multiple_of(per_access) {
+        return Err(format!("trace moves {lines} DRAM lines, not a multiple of {per_access}"));
+    }
+    let mut per_level = BTreeMap::new();
+    for a in trace.iter_activities() {
+        let Activity::Dram { channel, reads, writes } = a else { continue };
+        for &addr in reads.iter().chain(writes) {
+            let Some(level) = backend.level_of_channel_line(*channel, addr) else {
+                return Err(format!("channel {channel} line {addr:#x} maps to no tree level"));
+            };
+            *per_level.entry(level).or_insert(0u64) += 1;
         }
     }
-    oram.check_invariants();
-    Ok(OracleReport { protocol: kind.to_string(), steps, writes, stash_peak: oram.stash_peak() })
+    let count = per_level.values().next().copied();
+    if !per_level.keys().copied().eq(tree.cached_levels..=tree.levels)
+        || per_level.values().any(|&c| Some(c) != count)
+    {
+        let (first, last) = (tree.cached_levels, tree.levels);
+        return Err(format!("lines per tree level {per_level:?}, not {first}..={last} evenly"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    use oram::path_oram::PathOram;
+    use oram::plb::Plb;
+    use oram::types::OramConfig;
+    use sdimm::{BaselineOram, IndependentConfig, IndependentOram, SplitConfig, SplitOram};
+
     use super::*;
 
     fn small_cfg() -> OramConfig {
-        OramConfig { levels: 8, stash_limit: 64, ..OramConfig::default() }
+        OramConfig { levels: 10, stash_limit: 64, ..OramConfig::default() }
+    }
+
+    /// A baseline backend over a fresh tree of `ORACLE_BLOCKS` blocks.
+    fn baseline(seed: u64) -> BaselineOram {
+        BaselineOram::new(PathOram::new(small_cfg(), ORACLE_BLOCKS, seed), 1)
     }
 
     #[test]
@@ -497,47 +302,78 @@ mod tests {
 
     #[test]
     fn path_oram_lockstep_holds() {
-        let rep =
-            check_protocol(&ProtocolKind::PathOram { sealed: false }, &small_cfg(), 256, 300, 1)
-                .expect("lockstep");
+        let rep = lockstep("path-oram", None, &mut baseline(1), 300, 1).expect("lockstep");
         assert_eq!(rep.steps, 300);
         assert!(rep.writes > 0);
     }
 
     #[test]
     fn sealed_path_oram_lockstep_holds_with_counter_check() {
-        let cfg = small_cfg();
-        let rep = check_protocol(&ProtocolKind::PathOram { sealed: true }, &cfg, 128, 150, 2)
-            .expect("lockstep");
-        assert_eq!(rep.protocol, "path-oram-sealed");
+        let mut tree = PathOram::new(small_cfg(), ORACLE_BLOCKS, 2);
+        tree.enable_sealing([0x5D; 16]);
+        let rep =
+            lockstep("sealed", None, &mut BaselineOram::new(tree, 1), 150, 2).expect("lockstep");
+        assert_eq!(rep.protocol, "sealed");
     }
 
     #[test]
     fn freecursive_lockstep_holds_including_tiny_plb() {
-        let cfg = OramConfig { levels: 10, stash_limit: 100, ..OramConfig::default() };
-        check_protocol(&ProtocolKind::Freecursive { tiny_plb: false }, &cfg, 1024, 200, 3)
-            .expect("lockstep");
-        check_protocol(&ProtocolKind::Freecursive { tiny_plb: true }, &cfg, 1024, 200, 4)
-            .expect("lockstep with PLB pressure");
+        for (seed, plb) in [(3, None), (4, Some(Plb::new(16, 4)))] {
+            let mut frontend = Frontend::new(1024);
+            if let Some(plb) = plb {
+                frontend.set_plb(plb);
+            }
+            let blocks = frontend.id_space().total_blocks();
+            let tree = PathOram::new(small_cfg(), blocks, seed);
+            let mut backend = BaselineOram::new(tree, 2);
+            lockstep("freecursive", Some(&mut frontend), &mut backend, 200, seed)
+                .expect("lockstep");
+        }
     }
 
     #[test]
     fn sdimm_protocols_lockstep_holds() {
         let cfg = small_cfg();
-        check_protocol(&ProtocolKind::Independent { sdimms: 4 }, &cfg, 256, 200, 5)
-            .expect("independent");
-        check_protocol(&ProtocolKind::Split { ways: 4 }, &cfg, 256, 200, 6).expect("split");
-        check_protocol(&ProtocolKind::IndepSplit { groups: 2, ways: 2 }, &cfg, 256, 200, 7)
-            .expect("indep-split");
+        let mut indep = IndependentOram::new(IndependentConfig::new(4, 1, &cfg), 512, 5);
+        lockstep("independent", None, &mut indep, 200, 5).expect("independent");
+        let mut split = SplitOram::new(SplitConfig::new(4, &cfg), 512, 6);
+        lockstep("split", None, &mut split, 200, 6).expect("split");
+        let mut combined = IndependentOram::new(IndependentConfig::new(2, 2, &cfg), 512, 7);
+        lockstep("indep-split", None, &mut combined, 200, 7).expect("indep-split");
+    }
+
+    /// A baseline that drops every payload: the fault the byte check
+    /// exists for, and one no timing number shows.
+    #[derive(Debug)]
+    struct Forgetful(BaselineOram);
+
+    impl Protocol for Forgetful {
+        fn access(&mut self, id: BlockId, op: Op, _: Option<&[u8]>) -> (Vec<u8>, RequestTrace) {
+            self.0.access(id, op, Some(&[]))
+        }
+
+        fn trees(&self) -> &[PathOram] {
+            self.0.trees()
+        }
+
+        fn trees_mut(&mut self) -> &mut [PathOram] {
+            self.0.trees_mut()
+        }
+
+        fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
+            self.0.metrics()
+        }
+
+        fn level_of_channel_line(&self, channel: usize, addr: u64) -> Option<u32> {
+            self.0.level_of_channel_line(channel, addr)
+        }
     }
 
     #[test]
     fn oracle_catches_a_lying_memory() {
-        // Sanity-check the checker itself: a shadow fed different bytes
-        // must diverge.
-        let mut shadow = ShadowMem::new(8);
-        shadow.apply(1, Op::Write, Some(&[1; 8]));
-        let got = vec![2u8; 8];
-        assert_ne!(got, shadow.apply(1, Op::Read, None));
+        let m = lockstep("forgetful", None, &mut Forgetful(baseline(8)), 300, 8)
+            .expect_err("a backend that drops payloads must diverge");
+        assert_eq!(m.protocol, "forgetful");
+        assert!(m.detail.contains("shadow expects"), "{m}");
     }
 }

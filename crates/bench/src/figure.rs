@@ -58,9 +58,9 @@ impl Figure {
     /// order.
     ///
     /// With `--audit`, replays every cell's DDR streams and runs one
-    /// oracle lockstep per distinct protocol of the panel. On a violation
-    /// it writes the requested outputs for every cell run so far and
-    /// exits 1.
+    /// oracle lockstep per distinct machine of the panel, on the backend
+    /// `make_cfg` configures for it. On a violation it writes the
+    /// requested outputs for every cell run so far and exits 1.
     ///
     /// # Panics
     ///
@@ -79,14 +79,14 @@ impl Figure {
             workloads,
             kinds,
             self.scale,
-            make_cfg,
+            &make_cfg,
             &self.instruments,
             first_pid,
             self.args.audit,
         );
         let start = self.panels.cells.len();
         self.panels.cells.extend(cells);
-        if self.args.audit && !audit::check_panel(&ddr, kinds) {
+        if self.args.audit && !audit::check_panel(&ddr, kinds, make_cfg) {
             self.write_outputs();
             eprintln!("audit: FAILED — see violations above");
             // Sanctioned exit: the audit gate failing must fail the run.

@@ -518,8 +518,7 @@ impl DramChannel {
         self.verdict = None;
         self.account_bg(rank);
         let was_down = matches!(self.ranks[rank].power_state(), PowerState::PowerDown { .. });
-        let t = self.cfg.timing.clone();
-        self.ranks[rank].exit_power_down(self.now, &t);
+        self.ranks[rank].exit_power_down(self.now, &self.cfg.timing);
         if was_down {
             self.log_cmd(rank, DdrCmd::PowerUp);
         }
@@ -1065,7 +1064,7 @@ impl DramChannel {
         }
         let decision = self.decide();
         if let Decision::Idle { retry_at } = decision {
-            // The hot no-issue path: skip the timing clone below.
+            // The hot no-issue path.
             self.next_wake = retry_at.max(self.now.saturating_add(1));
             // Blocked with work queued: start (or continue) a stall
             // interval. Cycles accrue in `settle_stall` as time actually
@@ -1079,12 +1078,13 @@ impl DramChannel {
         }
         self.stall_since = None;
         self.verdict = None;
-        let t = self.cfg.timing.clone();
+        // Each arm logs its command (`&mut self`) first, then borrows the
+        // timing next to the disjoint `ranks` it updates.
         match decision {
             Decision::Refresh { rank } => {
                 self.account_bg(rank);
                 self.log_cmd(rank, DdrCmd::Refresh);
-                self.ranks[rank].begin_refresh(self.now, &t);
+                self.ranks[rank].begin_refresh(self.now, &self.cfg.timing);
                 self.refresh_pending[rank] = false;
                 self.refresh_owed -= 1;
                 self.refresh_next =
@@ -1104,8 +1104,9 @@ impl DramChannel {
                 let group = bank / self.cfg.topology.banks_per_group();
                 self.account_bg(rank);
                 self.log_cmd(rank, DdrCmd::Act { bank, row });
-                self.ranks[rank].bank_mut(bank).activate(self.now, row, &t);
-                self.ranks[rank].record_activate(self.now, group, &t);
+                let t = &self.cfg.timing;
+                self.ranks[rank].bank_mut(bank).activate(self.now, row, t);
+                self.ranks[rank].record_activate(self.now, group, t);
                 self.rank_open_banks[rank] += 1;
                 let bidx = rank * self.cfg.topology.banks + bank;
                 self.read_q.set_open_row(bidx, Some(row));
@@ -1135,7 +1136,7 @@ impl DramChannel {
             Decision::Pre { rank, bank, conflict } => {
                 self.account_bg(rank);
                 self.log_cmd_as(rank, DdrCmd::Pre { bank }, |e| DdrEvent { conflict, ..e });
-                self.ranks[rank].bank_mut(bank).precharge(self.now, &t);
+                self.ranks[rank].bank_mut(bank).precharge(self.now, &self.cfg.timing);
                 self.rank_open_banks[rank] -= 1;
                 let bidx = rank * self.cfg.topology.banks + bank;
                 self.read_q.set_open_row(bidx, None);
@@ -1150,7 +1151,6 @@ impl DramChannel {
     }
 
     fn issue_cas(&mut self, write: bool, bidx: usize, pos: usize) {
-        let t = self.cfg.timing.clone();
         let q = if write { &mut self.write_q } else { &mut self.read_q };
         let e = q.remove_hit(bidx, pos);
         let (rank_idx, bank_idx, group) = self.bank_of[bidx];
@@ -1163,9 +1163,10 @@ impl DramChannel {
             self.stats.row_hits += 1;
         }
 
-        let data_latency = if write { t.cwl } else { t.cl };
+        let t_burst = self.cfg.timing.t_burst;
+        let data_latency = if write { self.cfg.timing.cwl } else { self.cfg.timing.cl };
         let data_start = self.now.saturating_add(data_latency);
-        let data_end = data_start.saturating_add(t.t_burst);
+        let data_end = data_start.saturating_add(t_burst);
 
         let cmd = if write {
             DdrCmd::Wr { bank: bank_idx, row: e.row }
@@ -1179,8 +1180,10 @@ impl DramChannel {
             ..ev
         });
 
+        // Logged: from here on only disjoint fields are touched.
+        let t = &self.cfg.timing;
         if write {
-            self.ranks[rank_idx].bank_mut(bank_idx).write(self.now, &t);
+            self.ranks[rank_idx].bank_mut(bank_idx).write(self.now, t);
             self.rank_next_read[rank_idx] =
                 self.rank_next_read[rank_idx].max(data_end.saturating_add(t.t_wtr));
             self.energy.writes += 1;
@@ -1188,15 +1191,15 @@ impl DramChannel {
                 w.on_write(rank_idx, bank_idx, e.row);
             }
         } else {
-            self.ranks[rank_idx].bank_mut(bank_idx).read(self.now, &t);
+            self.ranks[rank_idx].bank_mut(bank_idx).read(self.now, t);
             self.energy.reads += 1;
         }
-        self.ranks[rank_idx].record_cas(self.now, group, &t);
+        self.ranks[rank_idx].record_cas(self.now, group, t);
 
         self.bus_free_at = data_end;
         self.bus_last_rank = Some(rank_idx);
         self.bus_last_write = Some(write);
-        self.stats.data_bus_busy_cycles = self.stats.data_bus_busy_cycles.saturating_add(t.t_burst);
+        self.stats.data_bus_busy_cycles = self.stats.data_bus_busy_cycles.saturating_add(t_burst);
         self.energy.io_bits += (LINE_BYTES * 8) as u64;
 
         self.pending.push(Pending {

@@ -13,14 +13,12 @@
 //! extra write-back access. The paper measures ≈1.4 `accessORAM`s per
 //! last-level-cache miss with this arrangement.
 //!
-//! That walk lives in one place, [`Frontend`]: [`FreecursiveOram`] runs
-//! it over a single Path ORAM, and every simulated ORAM machine runs it
-//! over its own backend.
+//! That walk lives in one place, [`Frontend`], which plans the
+//! `accessORAM`s; every simulated ORAM machine runs its plans over its
+//! own backend (`sdimm::Protocol`).
 
-use crate::path_oram::PathOram;
-use crate::plan::{AccessPlan, PlanKind};
 use crate::plb::{Plb, PlbKey, PlbStats};
-use crate::types::{BlockId, Op, OramConfig, MAX_RECURSION, POSMAP_ENTRIES_PER_BLOCK};
+use crate::types::{BlockId, Op, MAX_RECURSION, POSMAP_ENTRIES_PER_BLOCK};
 
 /// Block-id space partitioning inside the unified tree: each recursion
 /// level owns a contiguous id region.
@@ -96,15 +94,13 @@ pub struct PlannedAccess {
 pub struct FreecursiveStats {
     /// CPU (LLC-miss) requests served.
     pub requests: u64,
-    /// Total `accessORAM` operations issued (demand + posmap + PLB
-    /// write-backs, plus background evictions where a backend runs them).
+    /// Total `accessORAM` operations planned (demand + posmap + PLB
+    /// write-backs).
     pub accesses: u64,
     /// Accesses issued only to fetch position-map blocks.
     pub posmap_accesses: u64,
     /// Write-back accesses for dirty PLB evictions.
     pub plb_writebacks: u64,
-    /// Background evictions triggered (zero for a bare [`Frontend`]).
-    pub background_evictions: u64,
 }
 
 impl FreecursiveStats {
@@ -121,8 +117,8 @@ impl FreecursiveStats {
 /// The CPU-side Freecursive frontend: PLB + recursion planner.
 ///
 /// It decides which `accessORAM`s each CPU request needs and leaves their
-/// execution to a backend: [`FreecursiveOram`]'s unified Path ORAM, or
-/// the distributed SDIMM backends, where the frontend stays on the CPU
+/// execution to a backend: the baselines' unified Path ORAM, or the
+/// distributed SDIMM backends, where the frontend stays on the CPU
 /// (§III-C: "the CPU manages the frontend of ORAM while SDIMMs accelerate
 /// the backend").
 #[derive(Debug)]
@@ -238,110 +234,45 @@ impl Frontend {
     }
 }
 
-/// A Freecursive ORAM: the [`Frontend`] over a unified-tree Path ORAM.
-#[derive(Debug)]
-pub struct FreecursiveOram {
-    frontend: Frontend,
-    backend: PathOram,
-    background_evictions: u64,
-}
-
-impl FreecursiveOram {
-    /// Builds a Freecursive ORAM for `data_blocks` logical data blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the unified tree cannot hold all levels at ≤50%
-    /// utilization under `cfg`.
-    pub fn new(cfg: OramConfig, data_blocks: u64, seed: u64) -> Self {
-        let frontend = Frontend::new(data_blocks);
-        let backend = PathOram::new(cfg, frontend.id_space().total_blocks(), seed);
-        FreecursiveOram { frontend, backend, background_evictions: 0 }
-    }
-
-    /// Replaces the default PLB (ablation studies sweep its size).
-    pub fn set_plb(&mut self, plb: Plb) {
-        self.frontend.set_plb(plb);
-    }
-
-    /// Data blocks addressable by the CPU.
-    pub fn data_blocks(&self) -> u64 {
-        self.frontend.id_space().level_blocks(0)
-    }
-
-    /// Frontend statistics, with background evictions counted as
-    /// accesses.
-    pub fn stats(&self) -> FreecursiveStats {
-        let mut stats = self.frontend.stats();
-        stats.background_evictions = self.background_evictions;
-        stats.accesses += self.background_evictions;
-        stats
-    }
-
-    /// PLB statistics.
-    pub fn plb_stats(&self) -> PlbStats {
-        self.frontend.plb_stats()
-    }
-
-    /// Immutable access to the backend (stash occupancy, tree checks).
-    pub fn backend(&self) -> &PathOram {
-        &self.backend
-    }
-
-    /// Serves one CPU request for data block `index` (an id within the
-    /// data level), returning the block contents and the list of access
-    /// plans executed, in issue order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not a valid data block.
-    pub fn request(
-        &mut self,
-        index: u64,
-        op: Op,
-        new_data: Option<&[u8]>,
-    ) -> (Vec<u8>, Vec<AccessPlan>) {
-        let planned = self.frontend.plan_request(index, op);
-        let mut plans = Vec::with_capacity(planned.len());
-        let mut data = Vec::new();
-        for p in planned {
-            match (p.is_posmap, p.op) {
-                (false, _) => {
-                    let (served, plan) = self.backend.access(p.id, p.op, new_data);
-                    data = served;
-                    plans.push(plan);
-                }
-                (true, Op::Read) => plans.push(self.backend.access(p.id, Op::Read, None).1),
-                (true, Op::Write) => {
-                    let (_, mut plan) = self.backend.access(p.id, Op::Write, Some(&[]));
-                    plan.kind = PlanKind::PlbWriteback;
-                    plans.push(plan);
-                }
-            }
-        }
-
-        // Stash-pressure relief.
-        while self.backend.needs_background_evict() {
-            plans.push(self.backend.background_evict());
-            self.background_evictions += 1;
-        }
-
-        (data, plans)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path_oram::PathOram;
+    use crate::types::OramConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn cfg() -> OramConfig {
-        OramConfig { levels: 10, stash_limit: 100, ..OramConfig::default() }
+    fn frontend() -> Frontend {
+        Frontend::new(8192)
     }
 
-    fn big_cfg() -> OramConfig {
-        OramConfig { levels: 13, stash_limit: 100, ..OramConfig::default() }
+    /// Serves one CPU request the way a machine does: `f`'s plan on one
+    /// unified tree, position-map accesses with empty payloads and the
+    /// demand access with `data`. Returns the demand access's bytes.
+    fn request(
+        f: &mut Frontend,
+        tree: &mut PathOram,
+        index: u64,
+        op: Op,
+        data: Option<&[u8]>,
+    ) -> Vec<u8> {
+        let mut got = Vec::new();
+        for p in f.plan_request(index, op) {
+            let (bytes, _) = tree.access(p.id, p.op, if p.is_posmap { Some(&[]) } else { data });
+            if !p.is_posmap {
+                got = bytes;
+            }
+        }
+        got
+    }
+
+    /// A frontend over `data_blocks` data blocks and a 10-level unified
+    /// tree holding them with their position maps.
+    fn unified(data_blocks: u64, seed: u64) -> (Frontend, PathOram) {
+        let f = Frontend::new(data_blocks);
+        let cfg = OramConfig { levels: 10, stash_limit: 100, ..OramConfig::default() };
+        let tree = PathOram::new(cfg, f.id_space().total_blocks(), seed);
+        (f, tree)
     }
 
     #[test]
@@ -364,86 +295,48 @@ mod tests {
 
     #[test]
     fn read_your_writes_through_recursion() {
-        let mut f = FreecursiveOram::new(cfg(), 2048, 11);
-        f.request(100, Op::Write, Some(&[0xCD; 32]));
-        let (got, _) = f.request(100, Op::Read, None);
-        assert_eq!(got, vec![0xCD; 32]);
+        let (mut f, mut tree) = unified(2048, 11);
+        request(&mut f, &mut tree, 100, Op::Write, Some(&[0xCD; 32]));
+        assert_eq!(request(&mut f, &mut tree, 100, Op::Read, None), vec![0xCD; 32]);
     }
 
     #[test]
     fn many_blocks_roundtrip() {
-        let mut f = FreecursiveOram::new(cfg(), 2048, 12);
+        // Position-map write-backs carry no payload, so they must never
+        // land on a data block's id.
+        let (mut f, mut tree) = unified(2048, 12);
         for i in (0..2048u64).step_by(97) {
-            f.request(i, Op::Write, Some(&[(i % 251) as u8; 8]));
+            request(&mut f, &mut tree, i, Op::Write, Some(&[(i % 251) as u8; 8]));
         }
         for i in (0..2048u64).step_by(97) {
-            let (got, _) = f.request(i, Op::Read, None);
+            let got = request(&mut f, &mut tree, i, Op::Read, None);
             assert_eq!(got, vec![(i % 251) as u8; 8], "block {i}");
         }
-        f.backend().check_invariant();
-    }
-
-    #[test]
-    fn cold_miss_walks_all_levels_warm_hit_walks_one() {
-        let mut f = FreecursiveOram::new(big_cfg(), 4096, 13);
-        let (_, cold_plans) = f.request(7, Op::Read, None);
-        // Cold: one access per memory level + the demand access.
-        assert!(cold_plans.len() > f.frontend.id_space().memory_levels());
-        let (_, warm_plans) = f.request(7, Op::Read, None);
-        assert_eq!(
-            warm_plans.iter().filter(|p| p.kind == PlanKind::Demand).count(),
-            1,
-            "warm request should only need the demand access"
-        );
-    }
-
-    #[test]
-    fn accesses_per_request_approaches_one_point_something() {
-        let mut f = FreecursiveOram::new(big_cfg(), 8192, 14);
-        let mut rng = StdRng::seed_from_u64(5);
-        // A workload with locality: addresses drawn from a few regions.
-        for _ in 0..600 {
-            let region = rng.gen_range(0..8u64) * 1024;
-            let idx = region + rng.gen_range(0..256u64);
-            f.request(idx, Op::Read, None);
-        }
-        let apr = f.stats().accesses_per_request();
-        assert!(apr > 1.0 && apr < 2.5, "expected ≈1.x accessORAMs per request, got {apr}");
+        tree.check_invariant();
     }
 
     #[test]
     fn plb_hit_rate_positive_with_locality() {
-        let mut f = FreecursiveOram::new(big_cfg(), 4096, 15);
+        let mut f = Frontend::new(4096);
         for i in 0..200u64 {
-            f.request(i % 64, Op::Read, None);
+            f.plan_request(i % 64, Op::Read);
         }
         assert!(f.plb_stats().hit_rate() > 0.5, "locality should hit the PLB");
     }
 
     #[test]
     fn invariant_holds_after_mixed_workload() {
-        let mut f = FreecursiveOram::new(cfg(), 2048, 16);
+        let (mut f, mut tree) = unified(2048, 16);
         let mut rng = StdRng::seed_from_u64(6);
         for step in 0..300 {
             let idx = rng.gen_range(0..2048);
             if rng.gen_bool(0.3) {
-                f.request(idx, Op::Write, Some(&[step as u8]));
+                request(&mut f, &mut tree, idx, Op::Write, Some(&[step as u8]));
             } else {
-                f.request(idx, Op::Read, None);
+                request(&mut f, &mut tree, idx, Op::Read, None);
             }
         }
-        f.backend().check_invariant();
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_request_rejected() {
-        let mut f = FreecursiveOram::new(cfg(), 1024, 17);
-        f.request(1024, Op::Read, None);
-    }
-
-    fn frontend() -> Frontend {
-        Frontend::new(8192)
+        tree.check_invariant();
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! `oram` — Path ORAM and Freecursive ORAM, the algorithmic substrate of
-//! the Secure DIMM reproduction.
+//! `oram` — Path ORAM and the Freecursive frontend, the algorithmic
+//! substrate of the Secure DIMM reproduction.
 //!
 //! The crate is split into a **functional layer** and a **traffic layer**:
 //!
 //! * Functionally, [`path_oram::PathOram`] stores real payload bytes in a
-//!   sparse binary tree with a stash and position map, and
-//!   [`freecursive::FreecursiveOram`] layers recursive position maps and a
-//!   PLB on top — so "read your writes" correctness and the Path ORAM
-//!   invariant are directly testable. [`integrity::SealedTree`] shows the
-//!   PMMAC encryption/MAC machinery end to end.
+//!   sparse binary tree with a stash and position map — so "read your
+//!   writes" correctness and the Path ORAM invariant are directly
+//!   testable — and [`freecursive::Frontend`] plans the recursive
+//!   position-map accesses and PLB write-backs each CPU request needs,
+//!   which every simulated machine executes on its own backend.
+//!   [`integrity::SealedTree`] shows the PMMAC encryption/MAC machinery
+//!   end to end.
 //! * For timing, each access also emits an [`plan::AccessPlan`] listing
 //!   the exact cache-line addresses read and written (via
 //!   [`layout::TreeLayout`], either the subtree-packed baseline layout or
@@ -51,7 +53,6 @@ pub mod stash;
 pub mod types;
 pub mod wear;
 
-pub use freecursive::FreecursiveOram;
 pub use path_oram::PathOram;
 pub use plan::AccessPlan;
 pub use types::{BlockId, Leaf, Op, OramConfig};

@@ -15,7 +15,7 @@ use crate::bucket::{BlockEntry, Bucket};
 use crate::geometry::{BucketIdx, Geometry};
 use crate::integrity::SealedTree;
 use crate::layout::TreeLayout;
-use crate::plan::{AccessPlan, PlanKind};
+use crate::plan::AccessPlan;
 use crate::posmap::FlatPosMap;
 use crate::stash::Stash;
 use crate::types::{BlockId, Leaf, Op, OramConfig, BLOCK_BYTES};
@@ -157,6 +157,11 @@ impl PathOram {
         &self.cfg
     }
 
+    /// Block ids the position map covers (`0..blocks()`).
+    pub fn blocks(&self) -> u64 {
+        self.blocks
+    }
+
     /// The layout in use.
     pub fn layout(&self) -> &TreeLayout {
         &self.layout
@@ -243,7 +248,7 @@ impl PathOram {
         assert!(id.0 < self.blocks, "block {id} out of range");
         // lint: declassify(Path ORAM invariant: the remap precedes the path read, so the old leaf is disclosed to memory exactly once per access and is independent of the block's future position)
         let (revealed_leaf, _new_leaf) = self.posmap.get_and_remap(id, &mut self.rng);
-        let (data, plan) = self.access_on_path(id, op, new_data, revealed_leaf, PlanKind::Demand);
+        let (data, plan) = self.access_on_path(id, op, new_data, revealed_leaf);
         self.stats.accesses += 1;
         (data, plan)
     }
@@ -284,12 +289,7 @@ impl PathOram {
         };
         self.evict_path(revealed_leaf);
         self.stats.accesses += 1;
-        let plan = AccessPlan {
-            leaf: revealed_leaf,
-            lines,
-            stash_after: self.stash.len(),
-            kind: PlanKind::Demand,
-        };
+        let plan = AccessPlan { leaf: revealed_leaf, lines, stash_after: self.stash.len() };
         (data, moved, plan)
     }
 
@@ -308,14 +308,13 @@ impl PathOram {
         op: Op,
         new_data: Option<&[u8]>,
         revealed_leaf: Leaf,
-        kind: PlanKind,
     ) -> (Vec<u8>, AccessPlan) {
         let lines = self.layout.path_lines(revealed_leaf);
         self.record_path_wear();
         self.fetch_path(revealed_leaf);
         let data = self.serve(id, op, new_data);
         self.evict_path(revealed_leaf);
-        let plan = AccessPlan { leaf: revealed_leaf, lines, stash_after: self.stash.len(), kind };
+        let plan = AccessPlan { leaf: revealed_leaf, lines, stash_after: self.stash.len() };
         (data, plan)
     }
 
@@ -456,12 +455,7 @@ impl PathOram {
         self.drain_path_into_stash(revealed_leaf, false, false);
         self.writeback_path(revealed_leaf, false);
         self.stats.background_evictions += 1;
-        AccessPlan {
-            leaf: revealed_leaf,
-            lines,
-            stash_after: self.stash.len(),
-            kind: PlanKind::BackgroundEvict,
-        }
+        AccessPlan { leaf: revealed_leaf, lines, stash_after: self.stash.len() }
     }
 
     /// Whether the stash exceeds its configured limit (the controller

@@ -7,17 +7,6 @@
 
 use crate::types::Leaf;
 
-/// Why an access plan was generated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanKind {
-    /// A demand access on behalf of a CPU request.
-    Demand,
-    /// A background-eviction (dummy) access draining the stash.
-    BackgroundEvict,
-    /// A dirty position-map block written back on PLB eviction.
-    PlbWriteback,
-}
-
 /// The line-granularity memory traffic of one `accessORAM` operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessPlan {
@@ -28,8 +17,6 @@ pub struct AccessPlan {
     pub lines: Vec<u64>,
     /// Stash occupancy after the access (overflow monitoring).
     pub stash_after: usize,
-    /// What triggered this access.
-    pub kind: PlanKind,
 }
 
 impl AccessPlan {
@@ -46,12 +33,7 @@ mod tests {
 
     #[test]
     fn total_counts_both_directions() {
-        let p = AccessPlan {
-            leaf: Leaf(0),
-            lines: vec![0, 64, 128],
-            stash_after: 1,
-            kind: PlanKind::Demand,
-        };
+        let p = AccessPlan { leaf: Leaf(0), lines: vec![0, 64, 128], stash_after: 1 };
         assert_eq!(p.total_lines(), 6);
     }
 }

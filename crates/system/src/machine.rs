@@ -153,7 +153,8 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Builds the machine for `cfg`.
+    /// Builds the machine for `cfg`: its frontend and backend from
+    /// [`build_oram`], then the executor's channels and external buses.
     ///
     /// # Panics
     ///
@@ -163,37 +164,14 @@ impl Machine {
         let kind = cfg.kind;
         let n_exec = kind.executor_channels();
         let ch_cfg = kind.channel_config_for(cfg.standard);
-        let frontend = match kind {
-            MachineKind::NonSecure { .. } | MachineKind::PathOram { .. } => None,
-            _ => Some(Frontend::new(cfg.data_blocks)),
-        };
-        // The frontend's unified id space also holds the posmap levels.
-        let blocks = frontend.as_ref().map_or(cfg.data_blocks, |f| f.id_space().total_blocks());
-
-        // Independent is the routed protocol with one SDIMM per group.
-        let routed = |groups, ways| -> Option<Box<dyn Protocol>> {
-            let mut icfg = IndependentConfig::new(groups, ways, &cfg.oram);
-            icfg.low_power = cfg.low_power;
-            Some(Box::new(IndependentOram::new(icfg, blocks, cfg.seed)))
-        };
+        let (frontend, backend) = build_oram(&cfg);
         // The SDIMM designs share `channels` external buses; the
         // baselines have none.
-        let bus_map = |channels| bus_assignment(n_exec, channels);
-        let (backend, buses): (Option<Box<dyn Protocol>>, _) = match kind {
-            MachineKind::NonSecure { .. } => (None, Vec::new()),
-            MachineKind::PathOram { channels } | MachineKind::Freecursive { channels } => {
-                let tree = PathOram::new(cfg.oram.clone(), blocks, cfg.seed);
-                (Some(Box::new(BaselineOram::new(tree, channels))), Vec::new())
-            }
-            MachineKind::Independent { sdimms, channels } => (routed(sdimms, 1), bus_map(channels)),
-            MachineKind::Split { ways, channels } => {
-                let mut scfg = SplitConfig::new(ways, &cfg.oram);
-                scfg.low_power = cfg.low_power;
-                (Some(Box::new(SplitOram::new(scfg, blocks, cfg.seed))), bus_map(channels))
-            }
-            MachineKind::IndepSplit { groups, ways, channels } => {
-                (routed(groups, ways), bus_map(channels))
-            }
+        let buses = match kind {
+            MachineKind::Independent { channels, .. }
+            | MachineKind::Split { channels, .. }
+            | MachineKind::IndepSplit { channels, .. } => bus_assignment(n_exec, channels),
+            _ => Vec::new(),
         };
         let executor = Executor::new(n_exec, ch_cfg, &buses);
 
@@ -337,6 +315,48 @@ impl Machine {
     }
 }
 
+/// Builds the functional half of the machine `cfg` describes: the
+/// CPU-side Freecursive frontend (`None` keeps the position map on chip,
+/// as PATHORAM does, or has none) and the ORAM backend (`None` is the
+/// non-secure machine). [`Machine::new`] runs its machines on these, and
+/// the shadow oracle (`sdimm_audit::oracle`) lockstep-checks the same
+/// pair built from a figure panel's own configuration.
+///
+/// # Panics
+///
+/// Panics if the configuration is internally inconsistent (e.g. more
+/// blocks than the tree holds).
+pub fn build_oram(cfg: &SystemConfig) -> (Option<Frontend>, Option<Box<dyn Protocol>>) {
+    let frontend = match cfg.kind {
+        MachineKind::NonSecure { .. } | MachineKind::PathOram { .. } => None,
+        _ => Some(Frontend::new(cfg.data_blocks)),
+    };
+    // The frontend's unified id space also holds the posmap levels.
+    let blocks = frontend.as_ref().map_or(cfg.data_blocks, |f| f.id_space().total_blocks());
+
+    // Independent is the routed protocol with one SDIMM per group.
+    let routed = |groups, ways| -> Box<dyn Protocol> {
+        let mut icfg = IndependentConfig::new(groups, ways, &cfg.oram);
+        icfg.low_power = cfg.low_power;
+        Box::new(IndependentOram::new(icfg, blocks, cfg.seed))
+    };
+    let backend: Option<Box<dyn Protocol>> = match cfg.kind {
+        MachineKind::NonSecure { .. } => None,
+        MachineKind::PathOram { channels } | MachineKind::Freecursive { channels } => {
+            let tree = PathOram::new(cfg.oram.clone(), blocks, cfg.seed);
+            Some(Box::new(BaselineOram::new(tree, channels)))
+        }
+        MachineKind::Independent { sdimms, .. } => Some(routed(sdimms, 1)),
+        MachineKind::Split { ways, .. } => {
+            let mut scfg = SplitConfig::new(ways, &cfg.oram);
+            scfg.low_power = cfg.low_power;
+            Some(Box::new(SplitOram::new(scfg, blocks, cfg.seed)))
+        }
+        MachineKind::IndepSplit { groups, ways, .. } => Some(routed(groups, ways)),
+    };
+    (frontend, backend)
+}
+
 /// Assigns `sdimms` SDIMMs to `buses` external buses round-robin by
 /// contiguous groups (2 DIMMs per channel, as in the evaluation).
 fn bus_assignment(sdimms: usize, buses: usize) -> Vec<usize> {
@@ -383,6 +403,12 @@ mod tests {
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].dram_lines(), 1);
         assert_eq!(parts[0].external_bytes(), 0);
+        // No tree: its line maps back to no level. The secure machines'
+        // lines are checked by the shadow oracle's traffic model.
+        let Some(Activity::Dram { channel, reads, .. }) = parts[0].iter_activities().next() else {
+            panic!("the non-secure trace is one DRAM activity");
+        };
+        assert_eq!(m.level_of_channel_line(*channel, reads[0]), None);
     }
 
     #[test]
@@ -473,63 +499,6 @@ mod tests {
         // Same PLB-warm address: both are single accesses of a full path.
         assert_eq!(rd % m.config().oram.lines_per_access() as u64, 0);
         assert_eq!(wr % m.config().oram.lines_per_access() as u64, 0);
-    }
-
-    /// The level `m` attributes to each DRAM line of every trace it
-    /// builds for a few dozen requests, one list per trace.
-    fn line_levels(m: &mut Machine) -> Vec<Vec<Option<u32>>> {
-        let mut per_trace = Vec::new();
-        for i in 0..40u64 {
-            for t in m.request_traces(i * 64 * 97, i % 4 == 0) {
-                let mut levels = Vec::new();
-                for a in t.iter_activities() {
-                    if let Activity::Dram { channel, reads, writes } = a {
-                        let lines = reads.iter().chain(writes);
-                        levels.extend(lines.map(|&addr| m.level_of_channel_line(*channel, addr)));
-                    }
-                }
-                per_trace.push(levels);
-            }
-        }
-        per_trace
-    }
-
-    #[test]
-    fn every_dram_line_maps_back_to_a_tree_level() {
-        let low_power = |kind| SystemConfig { low_power: true, ..SystemConfig::small(kind) };
-        for cfg in [
-            SystemConfig::small(MachineKind::PathOram { channels: 1 }),
-            SystemConfig::small(MachineKind::PathOram { channels: 2 }),
-            SystemConfig::small(MachineKind::Freecursive { channels: 1 }),
-            SystemConfig::small(MachineKind::Freecursive { channels: 2 }),
-            SystemConfig::small(MachineKind::Independent { sdimms: 2, channels: 1 }),
-            SystemConfig::small(MachineKind::Independent { sdimms: 4, channels: 2 }),
-            SystemConfig::small(MachineKind::Split { ways: 2, channels: 1 }),
-            SystemConfig::small(MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 }),
-            low_power(MachineKind::Independent { sdimms: 2, channels: 1 }),
-            low_power(MachineKind::Split { ways: 2, channels: 1 }),
-        ] {
-            let name = format!("{}, low power {}", cfg.kind.name(), cfg.low_power);
-            let (first, last) = (cfg.oram.cached_levels, cfg.oram.levels);
-            let mut m = Machine::new(cfg);
-            for levels in line_levels(&mut m) {
-                // A trace reads and writes back whole paths (an access,
-                // plus any forced drain), so every uncached level of its
-                // tree appears equally often.
-                let mut per_level = std::collections::BTreeMap::new();
-                for level in levels {
-                    let l = level.unwrap_or_else(|| panic!("{name}: a line maps to no level"));
-                    assert!((first..=last).contains(&l), "{name}: line at level {l}");
-                    *per_level.entry(l).or_insert(0) += 1;
-                }
-                let deepest = first + per_level.len() as u32 - 1;
-                assert!(per_level.keys().copied().eq(first..=deepest), "{name}: {per_level:?}");
-                let count = per_level[&first];
-                assert!(per_level.values().all(|&c| c == count), "{name}: {per_level:?}");
-            }
-        }
-        let mut m = Machine::new(SystemConfig::small(MachineKind::NonSecure { channels: 2 }));
-        assert!(line_levels(&mut m).concat().iter().all(Option::is_none));
     }
 
     #[test]

@@ -37,7 +37,8 @@ fig6_flags=(--audit --flight-recorder target/quick-fig6-flight
   --profile-folded target/quick-fig6.folded --metrics-json target/quick-fig6.metrics.json)
 fig6_t0=$(date +%s%N)
 SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig6 -- "${fig6_flags[@]}" \
-  --trace-json target/quick-fig6.trace.json > /dev/null
+  --trace-json target/quick-fig6.trace.json > /dev/null 2> target/quick-fig6.audit.txt \
+  || { cat target/quick-fig6.audit.txt >&2; exit 1; }
 fig6_t1=$(date +%s%N)
 # One-line wall-clock record for the audited run, kept as a CI artifact
 # so simulator-throughput trends are visible across commits.
@@ -46,8 +47,9 @@ echo "audited_quick_fig6_wall_ms=$(( (fig6_t1 - fig6_t0) / 1000000 ))" \
 # The same run again must write the same Chrome trace byte for byte:
 # every cell keeps its own newest events, and the export reads cells in
 # pid order, whatever order the workers finished them in. The first
-# run's trace is the CI artifact; the second copy is deleted. Its stdout
-# is kept for the reference-scheduler step below.
+# run's trace and its stderr (the `audit:` lines) are CI artifacts; the
+# second trace copy is deleted. Its stdout is kept for the
+# reference-scheduler step below.
 SDIMM_BENCH_SCALE=quick ./target/release/fig6 "${fig6_flags[@]}" \
   --trace-json target/quick-fig6-2.trace.json > target/quick-fig6.stdout
 cmp target/quick-fig6.trace.json target/quick-fig6-2.trace.json \
@@ -59,8 +61,12 @@ SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig6 -- \
   --audit --standard ddr4_2400 > /dev/null
 
 echo "==> audited quick-scale fig9 (every SDIMM protocol: DDR replay + ORAM oracle must be clean)"
-SDIMM_BENCH_SCALE=quick cargo run --release -q -p sdimm-bench --bin fig9 -- --audit \
-  > target/quick-fig9.stdout
+# Its stderr is exactly the `audit:` lines, kept as a CI artifact and
+# for the reference-scheduler step below.
+cargo build --release -q -p sdimm-bench --bin fig9
+SDIMM_BENCH_SCALE=quick ./target/release/fig9 --audit \
+  > target/quick-fig9.stdout 2> target/quick-fig9.audit.txt \
+  || { cat target/quick-fig9.audit.txt >&2; exit 1; }
 
 echo "==> reference scheduler at figure scale (fig6 + fig9 with debug assertions: same stdout, same trace)"
 # The oracle profile is the release build with debug assertions and
@@ -68,7 +74,7 @@ echo "==> reference scheduler at figure scale (fig6 + fig9 with debug assertions
 # served from a recorded verdict included, is checked against the linear
 # reference scan. fig6 runs from a sibling directory with the same
 # relative output paths, so its stdout and Chrome trace must match the
-# release run's byte for byte.
+# release run's byte for byte, as fig9's stdout and stderr must.
 cargo build --profile oracle -q -p sdimm-bench --bin fig6 --bin fig9
 mkdir -p target/oracle-run/target
 (cd target/oracle-run && SDIMM_BENCH_SCALE=quick ../oracle/fig6 "${fig6_flags[@]}" \
@@ -77,9 +83,12 @@ cmp target/quick-fig6.stdout target/oracle-fig6.stdout \
   || { echo "fig6 stdout differs under debug assertions"; exit 1; }
 cmp target/quick-fig6.trace.json target/oracle-run/target/quick-fig6-2.trace.json \
   || { echo "fig6 Chrome trace differs under debug assertions"; exit 1; }
-SDIMM_BENCH_SCALE=quick ./target/oracle/fig9 --audit > target/oracle-fig9.stdout
+SDIMM_BENCH_SCALE=quick ./target/oracle/fig9 --audit > target/oracle-fig9.stdout \
+  2> target/oracle-fig9.audit.txt || { cat target/oracle-fig9.audit.txt >&2; exit 1; }
 cmp target/quick-fig9.stdout target/oracle-fig9.stdout \
   || { echo "fig9 stdout differs under debug assertions"; exit 1; }
+cmp target/quick-fig9.audit.txt target/oracle-fig9.audit.txt \
+  || { echo "fig9 stderr differs under debug assertions"; exit 1; }
 
 echo "==> audited quick-scale fig8, fig10, fig11, lowpower and offdimm (every panel must be clean)"
 cargo build --release -q -p sdimm-bench --bin fig8 --bin fig10 --bin fig11 --bin lowpower --bin offdimm

@@ -12,9 +12,10 @@
 
 use dram_sim::channel::DramChannel;
 use dram_sim::config::{ChannelConfig, Cycle, SchedulerPolicy};
+use oram::freecursive::Frontend;
 use oram::layout::TreeLayout;
 use oram::plb::Plb;
-use oram::{BlockId, FreecursiveOram, Op, OramConfig, PathOram};
+use oram::{BlockId, Op, OramConfig, PathOram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdimm::transfer_queue::TransferQueue;
@@ -111,13 +112,12 @@ fn subtree_packing_raises_row_hits_and_finishes_paths_sooner() {
 
 #[test]
 fn a_larger_plb_never_costs_more_accesses_per_request() {
-    let cfg = OramConfig { levels: 14, ..OramConfig::default() };
     let rates = [64usize, 256, 1024].map(|entries| {
-        let mut f = FreecursiveOram::new(cfg.clone(), 8192, 31);
+        let mut f = Frontend::new(8192);
         f.set_plb(Plb::new(entries, 8));
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..200 {
-            f.request(rng.gen_range(0..8192u64), Op::Read, None);
+            f.plan_request(rng.gen_range(0..8192u64), Op::Read);
         }
         let rate = f.stats().accesses_per_request();
         println!("plb {entries:5} entries: {rate:.2} accesses per request");

@@ -1,15 +1,20 @@
 //! The differential correctness harness, end to end: every machine
 //! kind's DRAM command streams replay cleanly through the independent
-//! DDR3 auditor, every `accessORAM` protocol stays in lockstep with the
-//! shadow-memory oracle, and auditing never perturbs timing.
+//! DDR3 auditor, every machine's own ORAM backend stays in lockstep with
+//! the shadow-memory oracle, and auditing never perturbs timing.
 
 use dram_sim::config::Cycle;
-use oram::types::OramConfig;
+use oram::path_oram::PathOram;
+use oram::plb::Plb;
+use oram::types::{BlockId, Op, OramConfig, BLOCK_BYTES};
 use oram::wear::LevelWear;
 use proptest::prelude::*;
-use sdimm_audit::oracle::{check_all_protocols, check_protocol, ProtocolKind};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sdimm::BaselineOram;
+use sdimm_audit::oracle::{lockstep, OracleReport, ShadowMem, INVARIANT_PERIOD, ORACLE_BLOCKS};
 use sdimm_audit::DdrAuditor;
-use sdimm_system::machine::{MachineKind, SystemConfig};
+use sdimm_system::machine::{build_oram, MachineKind, SystemConfig};
 use sdimm_system::runner::{run, run_audited, run_with, Capture};
 use sdimm_telemetry::{CycleProfiler, Instruments, LiveProgress, TraceSink};
 use workloads::spec;
@@ -143,21 +148,64 @@ fn audited_run_matches_plain_run_exactly() {
     }
 }
 
+/// One lockstep of `steps` requests on the frontend and backend that
+/// `cfg`'s machine runs on, with `tune` applied to the frontend first.
+fn machine_lockstep(
+    cfg: &SystemConfig,
+    steps: usize,
+    seed: u64,
+    tune: impl FnOnce(&mut oram::freecursive::Frontend),
+) -> OracleReport {
+    let name = format!("{}, low power {}", cfg.kind.name(), cfg.low_power);
+    let (mut frontend, backend) = build_oram(cfg);
+    let mut backend = backend.unwrap_or_else(|| panic!("{name}: no backend"));
+    if let Some(f) = &mut frontend {
+        tune(f);
+    }
+    lockstep(&name, frontend.as_mut(), backend.as_mut(), steps, seed)
+        .unwrap_or_else(|m| panic!("{m}"))
+}
+
+/// Every machine kind with a backend, on 1 and 2 channels where the
+/// figures run both, plus the low-power rows the golden streams pin and
+/// two machines with fewer data blocks than the oracle draws from:
+/// byte-exact lockstep, the stash bound and the per-trace traffic model
+/// on each machine's own frontend and backend.
 #[test]
 fn oracle_holds_on_all_five_protocols() {
-    let cfg = OramConfig { levels: 9, stash_limit: 100, ..OramConfig::default() };
-    let reports = check_all_protocols(&cfg, 256, 250, 11).expect("all protocols in lockstep");
-    assert_eq!(reports.len(), 5);
-    for r in &reports {
-        assert_eq!(r.steps, 250);
-        assert!(r.writes > 0, "{}: stream should mix reads and writes", r.protocol);
+    let low_power = |kind| SystemConfig { low_power: true, ..SystemConfig::small(kind) };
+    let few_blocks = |kind| SystemConfig { data_blocks: 300, ..SystemConfig::small(kind) };
+    for cfg in [
+        SystemConfig::small(MachineKind::PathOram { channels: 1 }),
+        SystemConfig::small(MachineKind::PathOram { channels: 2 }),
+        SystemConfig::small(MachineKind::Freecursive { channels: 1 }),
+        SystemConfig::small(MachineKind::Freecursive { channels: 2 }),
+        SystemConfig::small(MachineKind::Independent { sdimms: 2, channels: 1 }),
+        SystemConfig::small(MachineKind::Independent { sdimms: 4, channels: 2 }),
+        SystemConfig::small(MachineKind::Split { ways: 2, channels: 1 }),
+        SystemConfig::small(MachineKind::Split { ways: 4, channels: 2 }),
+        SystemConfig::small(MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 }),
+        low_power(MachineKind::Independent { sdimms: 2, channels: 1 }),
+        low_power(MachineKind::Split { ways: 2, channels: 1 }),
+        low_power(MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 }),
+        few_blocks(MachineKind::PathOram { channels: 1 }),
+        few_blocks(MachineKind::Freecursive { channels: 1 }),
+    ] {
+        let rep = machine_lockstep(&cfg, 250, 11, |_| {});
+        assert_eq!(rep.steps, 250);
+        assert!(rep.writes > 0, "{}: stream should mix reads and writes", rep.protocol);
     }
+    let (frontend, backend) =
+        build_oram(&SystemConfig::small(MachineKind::NonSecure { channels: 2 }));
+    assert!(frontend.is_none() && backend.is_none(), "the non-secure machine has no ORAM");
 }
 
 #[test]
 fn oracle_holds_with_pmmac_sealing() {
     let cfg = OramConfig { levels: 8, stash_limit: 64, ..OramConfig::default() };
-    check_protocol(&ProtocolKind::PathOram { sealed: true }, &cfg, 128, 200, 13)
+    let mut tree = PathOram::new(cfg, ORACLE_BLOCKS, 13);
+    tree.enable_sealing([0x5D; 16]);
+    lockstep("sealed PATHORAM", None, &mut BaselineOram::new(tree, 1), 200, 13)
         .expect("sealed lockstep with monotone counters");
 }
 
@@ -165,32 +213,54 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Path ORAM under stash pressure: small Z and a deep tree force
-    /// frequent background evictions; byte-for-byte lockstep and the
-    /// post-eviction stash bound must survive any seed.
+    /// frequent background evictions. Byte-for-byte lockstep must survive
+    /// any seed, with the checks only a bare tree shows from outside:
+    /// each access fetched the path of the leaf the position map claimed
+    /// before it, its plan's lines are that path's, and the stash returns
+    /// under its limit once background eviction has run.
     #[test]
     fn oracle_lockstep_survives_stash_pressure(seed in 0u64..1 << 16, steps in 60usize..160) {
         let cfg = OramConfig { levels: 11, z: 2, stash_limit: 32, ..OramConfig::default() };
-        let rep = check_protocol(&ProtocolKind::PathOram { sealed: false }, &cfg, 256, steps, seed)
-            .expect("lockstep under pressure");
-        prop_assert_eq!(rep.steps, steps);
+        let mut oram = PathOram::new(cfg, 256, seed);
+        let mut shadow = ShadowMem::new(BLOCK_BYTES);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for step in 0..steps {
+            let id = BlockId(rng.gen_range(0..256));
+            let data = [step as u8; BLOCK_BYTES];
+            let (op, new_data) =
+                if rng.gen_bool(0.5) { (Op::Write, Some(&data[..])) } else { (Op::Read, None) };
+            let claimed = oram.leaf_of(id);
+            let (got, plan) = oram.access(id, op, new_data);
+            prop_assert_eq!(got, shadow.apply(id.0, op, new_data), "step {} {}", step, id);
+            prop_assert_eq!(plan.leaf, claimed, "step {}: fetched another leaf's path", step);
+            prop_assert_eq!(plan.lines, oram.layout().path_lines(claimed), "step {}", step);
+            while oram.needs_background_evict() {
+                oram.background_evict();
+            }
+            prop_assert!(oram.stash_len() <= 32, "step {}: stash {}", step, oram.stash_len());
+            if step % INVARIANT_PERIOD == 0 {
+                oram.check_invariant();
+            }
+        }
+        oram.check_invariant();
     }
 
     /// Freecursive with a tiny PLB: dirty-victim write-backs interleave
     /// with demand accesses constantly; data must stay byte-exact.
     #[test]
     fn oracle_lockstep_survives_plb_flushes(seed in 0u64..1 << 16) {
-        let cfg = OramConfig { levels: 10, stash_limit: 100, ..OramConfig::default() };
-        check_protocol(&ProtocolKind::Freecursive { tiny_plb: true }, &cfg, 1024, 120, seed)
-            .expect("lockstep under PLB eviction traffic");
+        let cfg = SystemConfig { seed, ..SystemConfig::small(MachineKind::Freecursive { channels: 1 }) };
+        machine_lockstep(&cfg, 120, seed, |f| f.set_plb(Plb::new(16, 4)));
     }
 
     /// Both SDIMM protocols match the shadow map under any seed.
     #[test]
     fn oracle_lockstep_holds_on_sdimm_protocols(seed in 0u64..1 << 16) {
-        let cfg = OramConfig { levels: 9, stash_limit: 100, ..OramConfig::default() };
-        check_protocol(&ProtocolKind::Independent { sdimms: 2 }, &cfg, 256, 120, seed)
-            .expect("independent lockstep");
-        check_protocol(&ProtocolKind::Split { ways: 2 }, &cfg, 256, 120, seed)
-            .expect("split lockstep");
+        for kind in [
+            MachineKind::Independent { sdimms: 2, channels: 1 },
+            MachineKind::Split { ways: 2, channels: 1 },
+        ] {
+            machine_lockstep(&SystemConfig { seed, ..SystemConfig::small(kind) }, 120, seed, |_| {});
+        }
     }
 }

@@ -1,14 +1,15 @@
 //! Cross-crate functional equivalence: the same logical workload must
-//! return identical data through every backend — baseline Path ORAM,
-//! Freecursive, and all three SDIMM protocols.
+//! return identical data through every machine's backend — the PATHORAM
+//! and FREECURSIVE baselines and all three SDIMM protocols.
 
 use oram::types::{BlockId, Op, OramConfig};
-use oram::{FreecursiveOram, PathOram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::split::{SplitConfig, SplitOram};
 use sdimm::Protocol;
+use sdimm_audit::oracle::serve;
+use sdimm_system::machine::{build_oram, MachineKind, SystemConfig};
 
 const BLOCKS: u64 = 512;
 
@@ -34,29 +35,18 @@ fn tree() -> OramConfig {
     OramConfig { levels: 10, ..OramConfig::default() }
 }
 
+/// The workload on `kind`'s frontend and backend, as its machine builds
+/// them over [`tree`] and [`BLOCKS`] data blocks.
+fn machine_reads(kind: MachineKind) -> Vec<(u64, Vec<u8>)> {
+    let cfg =
+        SystemConfig { oram: tree(), data_blocks: BLOCKS, seed: 9, ..SystemConfig::small(kind) };
+    let (mut frontend, backend) = build_oram(&cfg);
+    let mut backend = backend.expect("a secure machine has a backend");
+    workload(|id, op, data| serve(frontend.as_mut(), backend.as_mut(), id, op, data).0)
+}
+
 #[test]
 fn all_backends_agree_on_read_values() {
-    let baseline = {
-        let mut oram = PathOram::new(tree(), BLOCKS, 9);
-        workload(|id, op, data| oram.access(BlockId(id), op, data).0)
-    };
-    let freecursive = {
-        let mut oram = FreecursiveOram::new(tree(), BLOCKS, 9);
-        workload(|id, op, data| oram.request(id, op, data).0)
-    };
-    let independent = {
-        let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, 9);
-        workload(|id, op, data| oram.access(BlockId(id), op, data).0)
-    };
-    let split = {
-        let mut oram = SplitOram::new(SplitConfig::new(2, &tree()), BLOCKS, 9);
-        workload(|id, op, data| oram.access(BlockId(id), op, data).0)
-    };
-    let indep_split = {
-        let mut oram = IndependentOram::new(IndependentConfig::new(2, 2, &tree()), BLOCKS, 9);
-        workload(|id, op, data| oram.access(BlockId(id), op, data).0)
-    };
-
     // Reads of never-written blocks may surface as empty or zero-filled
     // depending on backend materialization; normalize both to "empty".
     let norm = |log: Vec<(u64, Vec<u8>)>| -> Vec<(u64, Vec<u8>)> {
@@ -67,11 +57,15 @@ fn all_backends_agree_on_read_values() {
             })
             .collect()
     };
-    let baseline = norm(baseline);
-    assert_eq!(baseline, norm(freecursive), "freecursive diverged");
-    assert_eq!(baseline, norm(independent), "independent diverged");
-    assert_eq!(baseline, norm(split), "split diverged");
-    assert_eq!(baseline, norm(indep_split), "indep-split diverged");
+    let baseline = norm(machine_reads(MachineKind::PathOram { channels: 1 }));
+    for kind in [
+        MachineKind::Freecursive { channels: 1 },
+        MachineKind::Independent { sdimms: 2, channels: 1 },
+        MachineKind::Split { ways: 2, channels: 1 },
+        MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 },
+    ] {
+        assert_eq!(baseline, norm(machine_reads(kind)), "{} diverged", kind.name());
+    }
 }
 
 #[test]

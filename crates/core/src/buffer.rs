@@ -21,6 +21,7 @@ use sdimm_crypto::session::{handshake, DeviceId, SealedMessage, SessionEndpoint}
 use sdimm_crypto::{CryptoError, Result};
 
 use crate::commands::SdimmCommand;
+use crate::independent::IndependentConfig;
 use crate::transfer_queue::TransferQueue;
 
 /// Payload of an `ACCESS` command: the request plus one block of data
@@ -281,12 +282,10 @@ pub struct WireSystem {
 impl WireSystem {
     /// Boot-time bring-up: authenticate every buffer (`SEND_PKEY` /
     /// `RECEIVE_SECRET` modeled by the handshake), create subtree ORAMs,
-    /// and initialize the global position map.
+    /// and initialize the global position map. Each SDIMM holds the
+    /// subtree the router gives a one-SDIMM group.
     pub fn boot(sdimms: usize, global: &OramConfig, blocks: u64, seed: u64) -> Self {
-        assert!(sdimms.is_power_of_two(), "SDIMM count must be a power of two");
-        let log = sdimms.trailing_zeros();
-        assert!(global.levels > log);
-        let subtree = OramConfig { levels: global.levels - log, ..global.clone() };
+        let subtree = IndependentConfig::new(sdimms, 1, global).subtree().clone();
         let mut rng = StdRng::seed_from_u64(seed);
 
         let mut sessions = Vec::with_capacity(sdimms);

@@ -25,7 +25,6 @@ use oram::path_oram::PathOram;
 use oram::plan::AccessPlan;
 use oram::types::{BlockId, Leaf, Op, OramConfig, BLOCK_BYTES};
 
-use crate::obliviousness::{Observable, Recorder};
 use crate::split::{stripe, striped_phases};
 use crate::trace::{Activity, Phase, RequestTrace};
 use crate::transfer_queue::TransferQueue;
@@ -96,7 +95,6 @@ pub struct IndependentOram {
     /// this is the Freecursive recursion; the frontend models its traffic).
     posmap: Vec<Leaf>,
     rng: StdRng,
-    recorder: Option<Recorder>,
 }
 
 impl IndependentOram {
@@ -132,7 +130,7 @@ impl IndependentOram {
         let queues = (0..cfg.groups).map(|_| TransferQueue::paper_default()).collect();
         let global_leaves = cfg.global_leaves();
         let posmap = (0..blocks).map(|_| Leaf(rng.gen_range(0..global_leaves))).collect();
-        IndependentOram { cfg, trees, queues, posmap, rng, recorder: None }
+        IndependentOram { cfg, trees, queues, posmap, rng }
     }
 
     /// The configuration.
@@ -162,18 +160,12 @@ impl IndependentOram {
         (group * k)..(group * k + k)
     }
 
-    fn record(&mut self, ev: Observable) {
-        if let Some(rec) = &mut self.recorder {
-            rec.push(ev);
-        }
-    }
-
     /// Independent's steps 1–5 on the one SDIMM of group `home`, whose
     /// path to `local_old` is `plan`: `ACCESS`, the path read, the
     /// write-back, then `PROBE`/`FETCH_RESULT`. Returns the phases, the
     /// data-ready phase and the phase whose completion frees the buffer.
     fn own_path_steps(
-        &mut self,
+        &self,
         home: usize,
         local_old: Leaf,
         plan: AccessPlan,
@@ -181,7 +173,6 @@ impl IndependentOram {
         // Step 1: encrypted ACCESS + one block (dummy on reads).
         let mut phases = Vec::new();
         phases.push(Phase::one(Activity::ExtTransfer { sdimm: home, bytes: 64 }));
-        self.record(Observable::LongCommand { sdimm: home });
 
         // Steps 2–4: path read, then write-back, as two phases: a bucket
         // is written only after it is read and decrypted, and bundling
@@ -192,7 +183,6 @@ impl IndependentOram {
                 read_phase.par.push(Activity::WakeRank { channel: home, rank });
             }
         }
-        let path_lines = plan.total_lines() as u64;
         read_phase.par.push(Activity::Dram {
             channel: home,
             reads: plan.lines.clone(),
@@ -208,7 +198,6 @@ impl IndependentOram {
         // The buffer accepts its next ACCESS once the write-back retires;
         // PROBE/FETCH_RESULT and the APPEND fan-out are CPU-side actions.
         let release = phases.len() - 1;
-        self.record(Observable::InternalPath { sdimm: home, lines: path_lines });
 
         // Step 5: PROBE then FETCH_RESULT — the response block (real data,
         // or a dummy when a write stayed local).
@@ -218,8 +207,6 @@ impl IndependentOram {
                 Activity::ExtTransfer { sdimm: home, bytes: 64 },
             ],
         });
-        self.record(Observable::ShortCommand { sdimm: home });
-        self.record(Observable::LongCommand { sdimm: home });
         let data_ready = phases.len() - 1;
         (phases, data_ready, release)
     }
@@ -243,13 +230,8 @@ impl Protocol for IndependentOram {
         let (mut phases, data_ready_phase, backend_release_phase) = if k == 1 {
             self.own_path_steps(home, local_old, plan)
         } else {
-            let (phases, data_ready) = striped_phases(
-                &plan,
-                self.members(home),
-                self.cfg.subtree(),
-                self.cfg.low_power,
-                &mut self.recorder,
-            );
+            let (phases, data_ready) =
+                striped_phases(&plan, self.members(home), self.cfg.subtree(), self.cfg.low_power);
             // The buffers are free after Split's last step, the write-back.
             let release = phases.len() - 1;
             (phases, data_ready, release)
@@ -260,7 +242,6 @@ impl Protocol for IndependentOram {
         let mut append = Phase::default();
         for sdimm in 0..self.cfg.sdimms() {
             append.par.push(Activity::ExtTransfer { sdimm, bytes: 64 / k as u64 });
-            self.record(Observable::LongCommand { sdimm });
         }
         phases.push(append);
 
@@ -279,8 +260,6 @@ impl Protocol for IndependentOram {
             let shares = stripe(&plan.lines, k, self.cfg.subtree().lines_per_bucket());
             let (mut reads, mut writes) = (Phase::default(), Phase::default());
             for (m, share) in self.members(dest).zip(shares) {
-                let lines = 2 * share.len() as u64;
-                self.record(Observable::InternalPath { sdimm: m, lines });
                 reads.par.push(Activity::Dram { channel: m, reads: share.clone(), writes: vec![] });
                 writes.par.push(Activity::Dram { channel: m, reads: vec![], writes: share });
             }
@@ -325,14 +304,6 @@ impl Protocol for IndependentOram {
     /// group's layout.
     fn level_of_channel_line(&self, ch: usize, addr: u64) -> Option<u32> {
         self.trees.get(ch / self.cfg.ways)?.layout().level_of_line(addr)
-    }
-
-    fn set_recorder(&mut self, rec: Recorder) {
-        self.recorder = Some(rec);
-    }
-
-    fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
     }
 }
 

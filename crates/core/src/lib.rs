@@ -26,7 +26,7 @@
 //!   `oram::freecursive::Frontend`.
 //! * [`transfer_queue`] — the §IV-C transfer queue with probabilistic
 //!   forced drain.
-//! * [`obliviousness`] — observable-trace recording and the
+//! * [`obliviousness`] — the attacker's view of a trace and the
 //!   indistinguishability (shape) checker backing §III-G.
 //! * [`trace`] — the timing contract ([`trace::RequestTrace`]) consumed
 //!   by the cycle-level executor in `sdimm-system`.
@@ -80,10 +80,11 @@ use oram::wear::LevelWear;
 /// group) and Indep-Split (a Split group per subtree).
 ///
 /// A backend supplies only what differs between designs: `access`, its
-/// trees, its metrics, its channel-address inverse and, when it has an
-/// external SDIMM bus, the recorder hooks. Stash occupancy, trace
-/// attachment, level wear and invariant checks are written once, here,
-/// over [`Protocol::trees`].
+/// trees, its metrics and its channel-address inverse. Stash occupancy,
+/// trace attachment, level wear and invariant checks are written once,
+/// here, over [`Protocol::trees`]. What an attacker sees of an access is
+/// not a hook either: [`obliviousness::observables`] projects it from
+/// the trace `access` returns.
 pub trait Protocol: std::fmt::Debug {
     /// Executes one `accessORAM(id, op, data)`, returning the block's
     /// contents and the timing trace.
@@ -106,17 +107,6 @@ pub trait Protocol: std::fmt::Debug {
     /// Attributes a line address seen by DRAM channel `channel` to the
     /// ORAM tree level whose bucket owns it.
     fn level_of_channel_line(&self, channel: usize, addr: u64) -> Option<u32>;
-
-    /// Attaches an obliviousness recorder to the external-bus tap. A
-    /// backend without an external SDIMM bus has nothing to record and
-    /// drops it.
-    fn set_recorder(&mut self, _rec: obliviousness::Recorder) {}
-
-    /// Takes the recorder back (with its captured trace), if one was
-    /// attached and kept.
-    fn take_recorder(&mut self) -> Option<obliviousness::Recorder> {
-        None
-    }
 
     /// Highest current stash occupancy across the trees (the value the
     /// per-tree stash bound applies to).

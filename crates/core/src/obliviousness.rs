@@ -1,4 +1,5 @@
-//! Observable-trace recording and indistinguishability checking (§III-G).
+//! The attacker's view of the protocols and its indistinguishability
+//! check (§III-G).
 //!
 //! The attacker of the threat model sees: every command and data transfer
 //! on the external DDR bus (encrypted payloads, but presence/size/target
@@ -8,20 +9,21 @@
 //! messages per access — with the only data-dependent component being the
 //! ORAM path addresses, which are uniformly random leaves.
 //!
-//! [`Recorder`] captures the observable stream; [`shape_of`] projects out
-//! everything the attacker could correlate with the logical request; the
-//! tests (and the `obliviousness` integration suite) assert that traces
-//! of *different* logical workloads have identical shapes and uniform
-//! leaf usage.
+//! [`observables`] projects that stream out of the [`RequestTrace`] an
+//! access returns, the trace the executor runs; [`Recorder`] collects
+//! it; [`shape_of`] projects out everything the attacker could correlate
+//! with the logical request; the tests (and the `obliviousness`
+//! integration suite) assert that traces of *different* logical
+//! workloads have identical shapes and uniform leaf usage.
 //!
 //! Shape equality is necessary but not sufficient: the event-driven
 //! engine and the FR-FCFS scheduler add queueing jitter a bus observer
-//! can time. A recorder can therefore carry a [`SharedCycle`] clock
-//! (published by the executor as simulated time advances) so every event
-//! is cycle-stamped; `crates/leakage` runs two-sample statistics over
-//! the stamped streams of paired workloads.
+//! can time. The `sdimm-system` runner therefore stamps each request's
+//! observables with the cycle it issued the request at, and
+//! `crates/leakage` runs two-sample statistics over the stamped streams
+//! of paired workloads.
 
-use sdimm_telemetry::SharedCycle;
+use crate::trace::{Activity, RequestTrace};
 
 /// One attacker-visible event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,9 +45,10 @@ pub enum Observable {
         /// Size in bytes.
         bytes: u64,
     },
-    /// A full ORAM path touched on one SDIMM's internal bus (the attacker
-    /// sees the addresses; we record the path length — the leaf itself is
-    /// checked separately for uniformity).
+    /// One DRAM activity on one SDIMM's internal bus: a path read, a
+    /// path write-back, or a share of either (the attacker sees the
+    /// addresses; we record the line count — the leaf itself is checked
+    /// separately for uniformity).
     InternalPath {
         /// SDIMM whose internal bus carried the path.
         sdimm: usize,
@@ -84,52 +87,53 @@ pub fn shape_of(ev: &Observable) -> Shape {
     }
 }
 
-/// Captures an observable event stream, optionally cycle-stamped.
+/// What the attacker sees of one executed trace: one event per bus or
+/// DRAM activity, in phase order; crypto work and power hints show
+/// nothing. Matched exhaustively, like [`shape_of`], so a new `Activity`
+/// does not compile until someone decides what the attacker sees of it.
+pub fn observables(trace: &RequestTrace) -> impl Iterator<Item = Observable> + '_ {
+    trace.iter_activities().filter_map(|act| match act {
+        Activity::ExtShort { sdimm } => Some(Observable::ShortCommand { sdimm: *sdimm }),
+        Activity::ExtTransfer { sdimm, bytes: _ } => {
+            Some(Observable::LongCommand { sdimm: *sdimm })
+        }
+        Activity::ExtMeta { sdimm, bytes } => {
+            Some(Observable::MetaTransfer { sdimm: *sdimm, bytes: *bytes })
+        }
+        Activity::Dram { channel, reads, writes } => Some(Observable::InternalPath {
+            sdimm: *channel,
+            lines: (reads.len() + writes.len()) as u64,
+        }),
+        Activity::Crypto { units: _ } | Activity::WakeRank { channel: _, rank: _ } => None,
+    })
+}
+
+/// An observable event stream, collected from the traces a protocol's
+/// accesses return.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     events: Vec<Observable>,
-    /// Simulated cycle at which each event was recorded; parallel to
-    /// `events`. All zeros when no clock is attached.
-    stamps: Vec<u64>,
-    clock: Option<SharedCycle>,
 }
 
 impl Recorder {
-    /// An empty recorder with no clock: every stamp is 0.
+    /// An empty recorder.
     pub fn new() -> Self {
         Recorder::default()
     }
 
-    /// An empty recorder stamping each event from `clock`.
-    pub fn with_clock(clock: SharedCycle) -> Self {
-        Recorder { clock: Some(clock), ..Recorder::default() }
+    /// Appends one event.
+    pub fn push(&mut self, ev: Observable) {
+        self.events.push(ev);
     }
 
-    /// Appends an event, stamped with the clock's current cycle (0
-    /// without a clock).
-    pub fn push(&mut self, ev: Observable) {
-        self.stamps.push(self.clock.as_ref().map(SharedCycle::now).unwrap_or(0));
-        self.events.push(ev);
+    /// Appends what the attacker sees of `trace` ([`observables`]).
+    pub fn observe(&mut self, trace: &RequestTrace) {
+        self.events.extend(observables(trace));
     }
 
     /// The captured events.
     pub fn events(&self) -> &[Observable] {
         &self.events
-    }
-
-    /// The per-event cycle stamps, parallel to [`events`](Self::events).
-    pub fn stamps(&self) -> &[u64] {
-        &self.stamps
-    }
-
-    /// The capture as `(cycle, event)` pairs, in record order.
-    pub fn timed_events(&self) -> Vec<(u64, Observable)> {
-        self.stamps.iter().copied().zip(self.events.iter().copied()).collect()
-    }
-
-    /// The shape sequence of the capture.
-    pub fn shapes(&self) -> Vec<Shape> {
-        self.events.iter().map(shape_of).collect()
     }
 
     /// Per-SDIMM counts of long commands (used to verify that APPEND
@@ -165,17 +169,12 @@ pub enum ShapeVerdict {
 /// Compares two captures for shape equality: the attacker's view of two
 /// equally long request sequences must match event-for-event.
 pub fn compare_shapes(a: &Recorder, b: &Recorder) -> ShapeVerdict {
-    let sa = a.shapes();
-    let sb = b.shapes();
-    let n = sa.len().max(sb.len());
-    for i in 0..n {
-        let x = sa.get(i).copied();
-        let y = sb.get(i).copied();
-        if x != y {
-            return ShapeVerdict::Distinguishable { position: i, a: x, b: y };
-        }
-    }
-    ShapeVerdict::Indistinguishable
+    let shape_at = |r: &Recorder, i: usize| r.events.get(i).map(shape_of);
+    let n = a.events.len().max(b.events.len());
+    let Some(position) = (0..n).find(|&i| shape_at(a, i) != shape_at(b, i)) else {
+        return ShapeVerdict::Indistinguishable;
+    };
+    ShapeVerdict::Distinguishable { position, a: shape_at(a, position), b: shape_at(b, position) }
 }
 
 /// Chi-squared-style uniformity score for SDIMM targeting: returns the
@@ -194,7 +193,68 @@ pub fn target_skew(counts: &[u64]) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use oram::types::{BlockId, Op, OramConfig};
+
     use super::*;
+    use crate::{IndependentConfig, IndependentOram, Phase, Protocol, SplitConfig, SplitOram};
+
+    #[test]
+    fn observables_follow_the_activities_in_phase_order() {
+        let trace = RequestTrace::new(vec![
+            Phase { par: vec![Activity::ExtShort { sdimm: 1 }, Activity::Crypto { units: 4 }] },
+            Phase {
+                par: vec![
+                    Activity::WakeRank { channel: 0, rank: 1 },
+                    Activity::Dram { channel: 0, reads: vec![0, 64, 128], writes: vec![192] },
+                    Activity::ExtMeta { sdimm: 0, bytes: 40 },
+                    Activity::ExtTransfer { sdimm: 1, bytes: 32 },
+                ],
+            },
+        ]);
+        let seen: Vec<_> = observables(&trace).collect();
+        assert_eq!(
+            seen,
+            [
+                Observable::ShortCommand { sdimm: 1 },
+                Observable::InternalPath { sdimm: 0, lines: 4 },
+                Observable::MetaTransfer { sdimm: 0, bytes: 40 },
+                Observable::LongCommand { sdimm: 1 },
+            ]
+        );
+    }
+
+    #[test]
+    fn bus_events_carry_every_external_byte() {
+        // Split, Independent and a low-power Indep-Split (whose traces
+        // carry wake hints): one long command per block transfer, and
+        // with the metadata transfers they carry every external byte.
+        let tree = OramConfig { levels: 9, ..OramConfig::tiny() };
+        let mut cfg = IndependentConfig::new(2, 2, &tree);
+        cfg.low_power = true;
+        let protocols: [Box<dyn Protocol>; 3] = [
+            Box::new(SplitOram::new(SplitConfig::new(2, &tree), 128, 3)),
+            Box::new(IndependentOram::new(IndependentConfig::new(2, 1, &tree), 128, 4)),
+            Box::new(IndependentOram::new(cfg, 128, 5)),
+        ];
+        for mut oram in protocols {
+            for i in 0..16 {
+                let (_, trace) = oram.access(BlockId(i), Op::Read, None);
+                let mut transfers = trace.iter_activities().filter_map(|a| match a {
+                    Activity::ExtTransfer { bytes, .. } => Some(*bytes),
+                    _ => None,
+                });
+                let shown: u64 = observables(&trace)
+                    .map(|ev| match ev {
+                        Observable::LongCommand { .. } => transfers.next().unwrap(),
+                        Observable::MetaTransfer { bytes, .. } => bytes,
+                        Observable::ShortCommand { .. } | Observable::InternalPath { .. } => 0,
+                    })
+                    .sum();
+                assert_eq!(shown, trace.external_bytes());
+                assert_eq!(transfers.next(), None, "a long command per transfer");
+            }
+        }
+    }
 
     #[test]
     fn shapes_erase_targets() {
@@ -251,39 +311,6 @@ mod tests {
     #[test]
     fn skew_high_for_hot_target() {
         assert!(target_skew(&[400, 0, 0, 0]) > 1.0);
-    }
-
-    #[test]
-    fn unclocked_recorder_stamps_zero() {
-        let mut r = Recorder::new();
-        r.push(Observable::ShortCommand { sdimm: 0 });
-        assert_eq!(r.stamps(), &[0]);
-    }
-
-    #[test]
-    fn clocked_recorder_stamps_published_cycles() {
-        let clock = SharedCycle::new();
-        let mut r = Recorder::with_clock(clock.clone());
-        clock.publish(40);
-        r.push(Observable::ShortCommand { sdimm: 0 });
-        clock.publish(96);
-        r.push(Observable::LongCommand { sdimm: 1 });
-        assert_eq!(r.stamps(), &[40, 96]);
-        assert_eq!(
-            r.timed_events(),
-            vec![
-                (40, Observable::ShortCommand { sdimm: 0 }),
-                (96, Observable::LongCommand { sdimm: 1 }),
-            ]
-        );
-    }
-
-    #[test]
-    fn shared_clock_is_shared_between_handles() {
-        let a = SharedCycle::new();
-        let b = a.clone();
-        a.publish(123);
-        assert_eq!(b.now(), 123);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use oram::path_oram::PathOram;
 use oram::plan::AccessPlan;
 use oram::types::{BlockId, Op, OramConfig};
 
-use crate::obliviousness::{Observable, Recorder};
 use crate::trace::{Activity, Phase, RequestTrace};
 use crate::Protocol;
 
@@ -73,14 +72,13 @@ impl SplitConfig {
 pub struct SplitOram {
     cfg: SplitConfig,
     logical: PathOram,
-    recorder: Option<Recorder>,
 }
 
 impl SplitOram {
     /// Creates a `cfg.ways`-way Split ORAM holding `blocks` blocks.
     pub fn new(cfg: SplitConfig, blocks: u64, seed: u64) -> Self {
         let logical = PathOram::new(cfg.tree.clone(), blocks, seed);
-        SplitOram { cfg, logical, recorder: None }
+        SplitOram { cfg, logical }
     }
 
     /// The configuration.
@@ -92,13 +90,8 @@ impl SplitOram {
 impl Protocol for SplitOram {
     fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace) {
         let (data, plan) = self.logical.access(id, op, new_data);
-        let (phases, data_ready_phase) = striped_phases(
-            &plan,
-            0..self.cfg.ways,
-            &self.cfg.tree,
-            self.cfg.low_power,
-            &mut self.recorder,
-        );
+        let (phases, data_ready_phase) =
+            striped_phases(&plan, 0..self.cfg.ways, &self.cfg.tree, self.cfg.low_power);
         let mut trace = RequestTrace::new(phases);
         trace.data_ready_phase = data_ready_phase;
         trace.backend = Some(0); // one logical backend spans all SDIMMs
@@ -119,14 +112,6 @@ impl Protocol for SplitOram {
         self.logical.metrics()
     }
 
-    fn set_recorder(&mut self, rec: Recorder) {
-        self.recorder = Some(rec);
-    }
-
-    fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
     /// Byte-striping hands every SDIMM a share of the *same* logical
     /// address stream, so the inversion goes through the single logical
     /// layout regardless of which channel carried the line.
@@ -137,31 +122,23 @@ impl Protocol for SplitOram {
 
 /// Split's steps 1–6 for one `accessORAM` whose logical path traffic is
 /// `plan`, with every bucket of `tree` byte-striped over the SDIMMs
-/// `members` (in way order). Records each step's observables as it
-/// builds it and returns the phases and the phase after which the
-/// requested block is on the CPU.
+/// `members` (in way order). Returns the phases and the phase after
+/// which the requested block is on the CPU.
 pub(crate) fn striped_phases(
     plan: &AccessPlan,
     members: Range<usize>,
     tree: &OramConfig,
     low_power: bool,
-    recorder: &mut Option<Recorder>,
 ) -> (Vec<Phase>, usize) {
     let k = members.len();
     let per_bucket = tree.lines_per_bucket();
     let lm = (tree.levels + 1 - tree.cached_levels) as u64;
-    let mut record = |ev| {
-        if let Some(rec) = recorder.as_mut() {
-            rec.push(ev);
-        }
-    };
     let mut phases = Vec::new();
 
     // Step 1: FETCH_DATA to all SDIMMs (short commands).
     let mut p1 = Phase::default();
     for m in members.clone() {
         p1.par.push(Activity::ExtShort { sdimm: m });
-        record(Observable::ShortCommand { sdimm: m });
     }
     phases.push(p1);
 
@@ -169,7 +146,6 @@ pub(crate) fn striped_phases(
     // local stash, concurrently; decryption overlaps.
     let mut p2 = Phase::default();
     for (m, share) in members.clone().zip(stripe_data_lines(&plan.lines, k, per_bucket)) {
-        record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
         if low_power {
             p2.par.push(Activity::WakeRank { channel: m, rank: 0 });
         }
@@ -186,10 +162,8 @@ pub(crate) fn striped_phases(
     let meta_bytes = lm * META_BYTES_PER_BUCKET / k as u64;
     let mut p3 = Phase::default();
     for (m, share) in members.clone().zip(stripe_meta_lines(&plan.lines, k, per_bucket)) {
-        record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
         p3.par.push(Activity::Dram { channel: m, reads: share, writes: Vec::new() });
-        p3.par.push(Activity::ExtTransfer { sdimm: m, bytes: meta_bytes });
-        record(Observable::MetaTransfer { sdimm: m, bytes: meta_bytes });
+        p3.par.push(Activity::ExtMeta { sdimm: m, bytes: meta_bytes });
     }
     phases.push(p3);
 
@@ -200,9 +174,7 @@ pub(crate) fn striped_phases(
     let mut p4 = Phase::default();
     for m in members.clone() {
         p4.par.push(Activity::ExtTransfer { sdimm: m, bytes: 64 / k as u64 });
-        record(Observable::LongCommand { sdimm: m });
-        p4.par.push(Activity::ExtTransfer { sdimm: m, bytes: list_bytes });
-        record(Observable::MetaTransfer { sdimm: m, bytes: list_bytes });
+        p4.par.push(Activity::ExtMeta { sdimm: m, bytes: list_bytes });
     }
     phases.push(p4);
     let data_ready_phase = phases.len() - 1;
@@ -210,7 +182,6 @@ pub(crate) fn striped_phases(
     // Step 6: concurrent local write-back with re-encryption/MAC.
     let mut p6 = Phase::default();
     for (m, share) in members.zip(stripe(&plan.lines, k, per_bucket)) {
-        record(Observable::InternalPath { sdimm: m, lines: share.len() as u64 });
         p6.par.push(Activity::Dram { channel: m, reads: Vec::new(), writes: share });
     }
     p6.par.push(Activity::Crypto { units: (plan.lines.len() / k.max(1)) as u32 });

@@ -23,9 +23,19 @@ pub enum Activity {
         /// Target SDIMM index.
         sdimm: usize,
     },
-    /// A command + data transfer on the external bus (direction does not
-    /// matter for occupancy).
+    /// A long command on the external bus: a command plus one block or
+    /// one block share (direction does not matter for occupancy).
     ExtTransfer {
+        /// Target/source SDIMM index.
+        sdimm: usize,
+        /// Payload size in bytes.
+        bytes: u64,
+    },
+    /// A metadata transfer on the external bus (Split's metadata shares
+    /// and eviction lists). It occupies the bus exactly like an
+    /// [`ExtTransfer`](Activity::ExtTransfer); the attacker tells the
+    /// two apart by their size.
+    ExtMeta {
         /// Target/source SDIMM index.
         sdimm: usize,
         /// Payload size in bytes.
@@ -91,7 +101,7 @@ impl Phase {
         for act in &self.par {
             let (rank, frame) = match act {
                 Activity::Dram { channel, .. } => (4, ("dram", Some(*channel))),
-                Activity::ExtTransfer { .. } => (3, ("ext_bus", None)),
+                Activity::ExtTransfer { .. } | Activity::ExtMeta { .. } => (3, ("ext_bus", None)),
                 Activity::Crypto { .. } => (2, ("crypto", None)),
                 Activity::ExtShort { .. } => (1, ("ext_cmd", None)),
                 Activity::WakeRank { .. } => (1, ("power", None)),
@@ -142,7 +152,7 @@ impl RequestTrace {
     pub fn external_bytes(&self) -> u64 {
         self.iter_activities()
             .map(|a| match a {
-                Activity::ExtTransfer { bytes, .. } => *bytes,
+                Activity::ExtTransfer { bytes, .. } | Activity::ExtMeta { bytes, .. } => *bytes,
                 _ => 0,
             })
             .sum()

@@ -529,11 +529,6 @@ impl DramChannel {
         self.ranks[rank].power_state()
     }
 
-    /// Total cycles `rank` has spent powered down.
-    pub fn rank_powerdown_cycles(&self, rank: usize) -> Cycle {
-        self.ranks[rank].powerdown_cycles(self.now)
-    }
-
     /// Takes all completions that have finished by `now`.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         let mut out = Vec::new();

@@ -13,9 +13,11 @@
 //! * the per-channel DRAM command stream ([`dram_sim::cmdlog::CmdRecord`]),
 //!   which every machine exposes (for SDIMM protocols this is the
 //!   on-DIMM bus; for baselines, main memory);
-//! * the external-bus [`sdimm::obliviousness::Observable`] stream,
-//!   cycle-stamped from the executor's [`sdimm_telemetry::SharedCycle`]
-//!   clock (only the SDIMM protocols have an external command bus).
+//! * the [`sdimm::obliviousness::Observable`] stream: the external-bus
+//!   messages and internal DRAM activities of every executed trace,
+//!   projected by [`sdimm::obliviousness::observables`] and stamped with
+//!   the cycle the runner issued the request at (only the SDIMM
+//!   protocols have an external command bus).
 //!
 //! [`features`] reduces each capture to windowed features: inter-arrival
 //! gap samples, command-type mix (aggregate and per time window),

@@ -289,7 +289,7 @@ impl PathOram {
         };
         self.evict_path(revealed_leaf);
         self.stats.accesses += 1;
-        let plan = AccessPlan { leaf: revealed_leaf, lines, stash_after: self.stash.len() };
+        let plan = AccessPlan { leaf: revealed_leaf, lines };
         (data, moved, plan)
     }
 
@@ -314,7 +314,7 @@ impl PathOram {
         self.fetch_path(revealed_leaf);
         let data = self.serve(id, op, new_data);
         self.evict_path(revealed_leaf);
-        let plan = AccessPlan { leaf: revealed_leaf, lines, stash_after: self.stash.len() };
+        let plan = AccessPlan { leaf: revealed_leaf, lines };
         (data, plan)
     }
 
@@ -455,7 +455,7 @@ impl PathOram {
         self.drain_path_into_stash(revealed_leaf, false, false);
         self.writeback_path(revealed_leaf, false);
         self.stats.background_evictions += 1;
-        AccessPlan { leaf: revealed_leaf, lines, stash_after: self.stash.len() }
+        AccessPlan { leaf: revealed_leaf, lines }
     }
 
     /// Whether the stash exceeds its configured limit (the controller

@@ -15,8 +15,6 @@ pub struct AccessPlan {
     /// Line addresses of the path, root → leaf, skipping cached levels:
     /// each is read, then written back re-encrypted.
     pub lines: Vec<u64>,
-    /// Stash occupancy after the access (overflow monitoring).
-    pub stash_after: usize,
 }
 
 impl AccessPlan {
@@ -33,7 +31,7 @@ mod tests {
 
     #[test]
     fn total_counts_both_directions() {
-        let p = AccessPlan { leaf: Leaf(0), lines: vec![0, 64, 128], stash_after: 1 };
+        let p = AccessPlan { leaf: Leaf(0), lines: vec![0, 64, 128] };
         assert_eq!(p.total_lines(), 6);
     }
 }

@@ -140,9 +140,8 @@ pub struct Executor {
     /// Cycle the next profiler sample is due.
     sample_due: Cycle,
     /// Shared simulated clock published every tick so out-of-band
-    /// observers (stash ticks, the obliviousness recorder's cycle
-    /// stamps) read the executor's `now` without holding a reference
-    /// to it.
+    /// observers (the stashes' occupancy ticks) read the executor's
+    /// `now` without holding a reference to it.
     clock: SharedCycle,
 }
 
@@ -200,9 +199,9 @@ impl Executor {
     }
 
     /// The executor's shared simulated clock: updated to `now` as time
-    /// advances. Clone it into any observer that needs cycle stamps (a
-    /// cell's [`CellTrace`], the obliviousness
-    /// [`Recorder`](sdimm::obliviousness::Recorder)).
+    /// advances. A cell's [`CellTrace`] holds a clone, and stamps the
+    /// events of layers without a clock of their own (the stashes'
+    /// occupancy ticks) with it.
     pub fn shared_clock(&self) -> SharedCycle {
         self.clock.clone()
     }
@@ -319,6 +318,11 @@ impl Executor {
         self.channels.len()
     }
 
+    /// Whether there is an external SDIMM bus (the baselines have none).
+    pub fn has_bus(&self) -> bool {
+        !self.buses.is_empty()
+    }
+
     /// Total bytes moved over the external buses.
     pub fn bus_bytes(&self) -> u64 {
         self.buses.iter().map(Bus::data_bytes).sum()
@@ -401,7 +405,7 @@ impl Executor {
                         self.exec_stats.ext_commands += 1;
                     }
                 }
-                Activity::ExtTransfer { sdimm, bytes } => {
+                Activity::ExtTransfer { sdimm, bytes } | Activity::ExtMeta { sdimm, bytes } => {
                     let bus = self.bus_of.get(*sdimm).copied().unwrap_or(0);
                     if let Some(b) = self.buses.get_mut(bus) {
                         let busy_before = b.data_busy_cycles();

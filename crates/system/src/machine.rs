@@ -196,25 +196,6 @@ impl Machine {
         self.backend.as_ref().map_or(0, |b| b.max_stash_len())
     }
 
-    /// Attaches a cycle-stamping observable recorder to the backend's
-    /// external-bus tap, fed from the executor's shared clock. Only the
-    /// SDIMM protocols emit [`sdimm::obliviousness::Observable`] events
-    /// (the baselines have no external SDIMM bus), so this is a no-op
-    /// for NonSecure/PathOram/Freecursive machines.
-    pub fn set_observable_recorder(&mut self) {
-        if let Some(b) = &mut self.backend {
-            b.set_recorder(sdimm::obliviousness::Recorder::with_clock(
-                self.executor.shared_clock(),
-            ));
-        }
-    }
-
-    /// Takes the observable recorder back from the backend, when one was
-    /// attached and the backend has an external bus to observe.
-    pub fn take_observable_recorder(&mut self) -> Option<sdimm::obliviousness::Recorder> {
-        self.backend.as_mut()?.take_recorder()
-    }
-
     /// Attaches a cell's trace handle to the executor (phase
     /// completions, backend decisions, in-flight changes, per-channel DDR
     /// commands) and to every backend stash (occupancy ticks).

@@ -14,6 +14,7 @@ use dram_sim::address::Coords;
 use dram_sim::config::Cycle;
 use dram_sim::power::EnergyBreakdown;
 use dram_sim::wear::{RowWear, WearSnapshot};
+use sdimm::obliviousness::{observables, Observable};
 use sdimm_telemetry::{
     imbalance, CellTrace, Instruments, LatencyHistogram, MetricsRegistry, TraceSink,
 };
@@ -132,8 +133,8 @@ pub struct Capture {
     /// Every DRAM command each channel issues ([`Captured::streams`]):
     /// the replay auditor's input and the on-DIMM attacker vantage.
     pub cmds: bool,
-    /// The cycle-stamped external-bus observable stream
-    /// ([`Captured::observables`]): the off-DIMM attacker vantage.
+    /// The cycle-stamped observable stream ([`Captured::observables`]):
+    /// the bus attacker's vantage on the SDIMM protocols.
     pub observables: bool,
     /// Per-row wear tracking on every channel, reporting the given
     /// number of hottest rows ([`Captured::wear`] and the fields after it).
@@ -153,10 +154,10 @@ pub struct Captured {
     /// the first command each channel ever issued (replaying a stream
     /// that starts mid-flight would check against unknown bank state).
     pub streams: Vec<Vec<dram_sim::cmdlog::CmdRecord>>,
-    /// The external-bus observable stream, stamped from the executor's
-    /// shared clock. Empty for machines without an external SDIMM bus
-    /// (NonSecure, PathOram, Freecursive).
-    pub observables: Vec<(Cycle, sdimm::obliviousness::Observable)>,
+    /// What the attacker sees of every executed trace ([`observables`]),
+    /// stamped with the cycle its request issued at. Empty for machines
+    /// without an external SDIMM bus (NonSecure, PathOram, Freecursive).
+    pub observables: Vec<(Cycle, Observable)>,
     /// Per-channel wear snapshots (measured window only).
     pub wear: Vec<WearSnapshot>,
     /// Per-tree-level wear merged across the backend's ORAM instances.
@@ -284,9 +285,8 @@ pub fn run_with(
         machine.enable_wear();
     }
     let cmd_logs = if capture.cmds { machine.executor.attach_cmd_logs() } else { Vec::new() };
-    if capture.observables {
-        machine.set_observable_recorder();
-    }
+    let observe = capture.observables && machine.executor.has_bus();
+    let mut observed: Vec<(Cycle, Observable)> = Vec::new();
     // The cell records into its own ring under its own pid, stamped from
     // this machine's clock; the events reach the sink when the machine
     // and `cell` drop at the end of the run.
@@ -384,6 +384,9 @@ pub fn run_with(
             let mut parts: std::collections::VecDeque<_> =
                 machine.request_traces(r.addr, r.is_write).into();
             dram_lines += parts.iter().map(|t| t.dram_lines()).sum::<u64>();
+            if observe {
+                observed.extend(parts.iter().flat_map(observables).map(|ev| (now, ev)));
+            }
             // lint: panic-ok(invariant: at least the demand access)
             let first = parts.pop_front().expect("at least the demand access");
             let id = machine.executor.submit(first);
@@ -394,6 +397,9 @@ pub fn run_with(
                 let mut wparts: std::collections::VecDeque<_> =
                     machine.request_traces(victim, true).into();
                 dram_lines += wparts.iter().map(|t| t.dram_lines()).sum::<u64>();
+                if observe {
+                    observed.extend(wparts.iter().flat_map(observables).map(|ev| (now, ev)));
+                }
                 // lint: panic-ok(invariant: non-empty)
                 let wfirst = wparts.pop_front().expect("non-empty");
                 let wid = machine.executor.submit(wfirst);
@@ -491,10 +497,7 @@ pub fn run_with(
     let mut captured = Captured {
         channel_cfg: cfg.kind.channel_config_for(cfg.standard),
         streams: cmd_logs.iter().map(|l| l.take()).collect(),
-        observables: machine
-            .take_observable_recorder()
-            .map(|r| r.timed_events())
-            .unwrap_or_default(),
+        observables: observed,
         wear: Vec::new(),
         level_wear: oram::wear::LevelWear::default(),
         hot_rows: Vec::new(),

@@ -38,9 +38,9 @@ use crate::json::escape;
 use crate::recorder::{BlackBox, Event, EventKind};
 
 /// A shared simulated-cycle clock: the executor publishes its `now` each
-/// tick, and observers (stash ticks, the obliviousness recorder's cycle
-/// stamps) read it without holding a reference to the executor. Purely
-/// simulated time — never a wall clock — so stamped streams are
+/// tick, and observers without a clock of their own (the stashes'
+/// occupancy ticks) read it without holding a reference to the executor.
+/// Purely simulated time — never a wall clock — so stamped streams are
 /// bit-reproducible across runs.
 #[derive(Debug, Clone, Default)]
 pub struct SharedCycle(Arc<AtomicU64>);

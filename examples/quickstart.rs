@@ -12,18 +12,20 @@ fn main() {
     // A 2^10-leaf global tree partitioned across two Secure DIMMs.
     let tree = OramConfig { levels: 10, ..OramConfig::default() };
     let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree), 1024, 42);
-    oram.set_recorder(Recorder::new());
+    // What an attacker on the buses sees of every access.
+    let mut view = Recorder::new();
 
     // Write a few secrets.
     println!("writing 8 blocks through the Independent protocol...");
     for i in 0..8u64 {
         let payload = format!("secret value #{i}");
-        oram.access(BlockId(i), Op::Write, Some(payload.as_bytes()));
+        view.observe(&oram.access(BlockId(i), Op::Write, Some(payload.as_bytes())).1);
     }
 
     // Read them back — every access rerandomizes the block's location.
     for i in 0..8u64 {
         let (data, trace) = oram.access(BlockId(i), Op::Read, None);
+        view.observe(&trace);
         println!(
             "block {i}: {:<18} | {:>3} DRAM lines on-DIMM, {:>3} bytes off-DIMM",
             String::from_utf8_lossy(&data),
@@ -34,8 +36,7 @@ fn main() {
 
     // The attacker's view: per-SDIMM long-command counts must be uniform
     // (every access APPENDs to every SDIMM) and path lengths constant.
-    let rec = oram.take_recorder().expect("recorder attached");
-    let counts = rec.long_counts(2);
+    let counts = view.long_counts(2);
     println!("\nattacker-visible long commands per SDIMM: {counts:?}");
     println!(
         "target skew (0 = perfectly uniform): {:.3}",

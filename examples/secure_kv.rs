@@ -6,7 +6,10 @@
 //! so an observer cannot tell a hot key from a cold one, a read from a
 //! write, or even whether two operations touched the same key.
 //!
-//! Run with: `cargo run -p sdimm-examples --bin secure_kv`
+//! Run with: `cargo run -p sdimm-examples --bin secure_kv` (exits 1 if
+//! a hot-key workload and a key scan look different on the bus).
+
+use std::process::ExitCode;
 
 use oram::types::{BlockId, Op, OramConfig};
 use sdimm::obliviousness::{compare_shapes, Recorder, ShapeVerdict};
@@ -20,12 +23,15 @@ const VALUE_MAX: usize = 55;
 struct ObliviousKv {
     oram: SplitOram,
     slots: u64,
+    /// What an attacker on the buses saw of every access so far.
+    view: Recorder,
 }
 
 impl ObliviousKv {
     fn new(slots: u64) -> Self {
         let tree = OramConfig { levels: 11, ..OramConfig::default() };
-        ObliviousKv { oram: SplitOram::new(SplitConfig::new(2, &tree), slots, 7), slots }
+        let oram = SplitOram::new(SplitConfig::new(2, &tree), slots, 7);
+        ObliviousKv { oram, slots, view: Recorder::new() }
     }
 
     fn slot_of(&self, key: &str) -> BlockId {
@@ -44,11 +50,13 @@ impl ObliviousKv {
         block[..8].copy_from_slice(&self.slot_of(key).0.to_le_bytes());
         block[8] = value.len() as u8;
         block[9..9 + value.len()].copy_from_slice(value.as_bytes());
-        self.oram.access(self.slot_of(key), Op::Write, Some(&block));
+        let (_, trace) = self.oram.access(self.slot_of(key), Op::Write, Some(&block));
+        self.view.observe(&trace);
     }
 
     fn get(&mut self, key: &str) -> Option<String> {
-        let (block, _) = self.oram.access(self.slot_of(key), Op::Read, None);
+        let (block, trace) = self.oram.access(self.slot_of(key), Op::Read, None);
+        self.view.observe(&trace);
         if block.len() < 9 || block.iter().all(|&b| b == 0) {
             return None;
         }
@@ -57,7 +65,7 @@ impl ObliviousKv {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut kv = ObliviousKv::new(2048);
 
     println!("populating the oblivious KV store...");
@@ -76,11 +84,11 @@ fn main() {
     let shape_of = |keys: &[&str]| {
         let mut kv = ObliviousKv::new(2048);
         kv.put("seed", "x");
-        kv.oram.set_recorder(Recorder::new());
+        kv.view = Recorder::new();
         for k in keys {
             kv.get(k);
         }
-        kv.oram.take_recorder().expect("attached")
+        kv.view
     };
     let hot = shape_of(&["alice/balance"; 16]);
     let scan = shape_of(&[
@@ -89,8 +97,12 @@ fn main() {
     ]);
     match compare_shapes(&hot, &scan) {
         ShapeVerdict::Indistinguishable => {
-            println!("\n16 hot-key reads and a 16-key scan are indistinguishable on the bus.")
+            println!("\n16 hot-key reads and a 16-key scan are indistinguishable on the bus.");
+            ExitCode::SUCCESS
         }
-        v => println!("\nUNEXPECTED LEAK: {v:?}"),
+        v => {
+            eprintln!("\nUNEXPECTED LEAK: {v:?}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -145,6 +145,13 @@ cmp target/leakage-report.json target/leakage-report-2.json \
 cmp target/leakage-gate.stderr target/leakage-gate-2.stderr \
   || { echo "leakage_gate stderr differs between runs — its progress lines are unordered"; exit 1; }
 
+echo "==> example applications (quickstart; secure_kv exits 1 if its two workloads' shapes differ)"
+# Both are deterministic and drive the protocols through their public
+# API, the attacker's view included.
+cargo build --release -q -p sdimm-examples --bin quickstart --bin secure_kv
+./target/release/quickstart > /dev/null
+./target/release/secure_kv > /dev/null
+
 echo "==> ledger benchmark package builds standalone, the way BENCHMARK.json runs it"
 # The steps below build the sdimm-bench copy of the same main.rs; this
 # builds the standalone package against its committed Cargo.lock, and

@@ -1,6 +1,8 @@
 //! Indistinguishability tests (§III-G): the attacker-visible event
 //! stream must depend only on the *number* of accesses, never on which
-//! blocks were touched, the operation mix, or the access pattern.
+//! blocks were touched, the operation mix, or the access pattern. Every
+//! stream here is projected from the traces the accesses return, as the
+//! runner projects it from the traces it executes.
 
 use oram::types::{BlockId, Op, OramConfig};
 use rand::rngs::StdRng;
@@ -9,6 +11,10 @@ use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::obliviousness::{compare_shapes, target_skew, Recorder, ShapeVerdict};
 use sdimm::split::{SplitConfig, SplitOram};
 use sdimm::Protocol;
+use sdimm_system::machine::{MachineKind, SystemConfig};
+use sdimm_system::runner::{run_with, Capture};
+use sdimm_telemetry::Instruments;
+use workloads::leakage::{pairs, required_blocks};
 
 const BLOCKS: u64 = 512;
 const N: usize = 64;
@@ -27,17 +33,23 @@ fn contrast_patterns() -> (Pattern, Pattern) {
     (a, b)
 }
 
+/// What the attacker sees of `pattern` run on `oram`, every access
+/// carrying `data`.
+fn observe(mut oram: impl Protocol, pattern: &[(u64, Op)], data: Option<&[u8]>) -> Recorder {
+    let mut rec = Recorder::new();
+    for &(id, op) in pattern {
+        rec.observe(&oram.access(BlockId(id), op, data).1);
+    }
+    rec
+}
+
 #[test]
 fn independent_shapes_are_indistinguishable() {
     let run = |pattern: &[(u64, Op)], seed: u64| {
-        let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, seed);
+        let oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, seed);
         // Drain randomness must be shape-neutral too: it is part of the
         // observable stream, so both runs use the same protocol RNG seed.
-        oram.set_recorder(Recorder::new());
-        for (id, op) in pattern {
-            oram.access(BlockId(*id), *op, Some(&[1u8; 8]));
-        }
-        oram.take_recorder().expect("attached")
+        observe(oram, pattern, Some(&[1u8; 8]))
     };
     let (a, b) = contrast_patterns();
     let ra = run(&a, 55);
@@ -52,12 +64,8 @@ fn independent_shapes_are_indistinguishable() {
 #[test]
 fn split_shapes_are_indistinguishable() {
     let run = |pattern: &[(u64, Op)]| {
-        let mut oram = SplitOram::new(SplitConfig::new(2, &tree()), BLOCKS, 70);
-        oram.set_recorder(Recorder::new());
-        for (id, op) in pattern {
-            oram.access(BlockId(*id), *op, Some(&[2u8; 8]));
-        }
-        oram.take_recorder().expect("attached")
+        let oram = SplitOram::new(SplitConfig::new(2, &tree()), BLOCKS, 70);
+        observe(oram, pattern, Some(&[2u8; 8]))
     };
     let (a, b) = contrast_patterns();
     assert_eq!(compare_shapes(&run(&a), &run(&b)), ShapeVerdict::Indistinguishable);
@@ -66,12 +74,8 @@ fn split_shapes_are_indistinguishable() {
 #[test]
 fn indep_split_shapes_are_indistinguishable() {
     let run = |pattern: &[(u64, Op)]| {
-        let mut oram = IndependentOram::new(IndependentConfig::new(2, 2, &tree()), BLOCKS, 80);
-        oram.set_recorder(Recorder::new());
-        for (id, op) in pattern {
-            oram.access(BlockId(*id), *op, Some(&[3u8; 8]));
-        }
-        oram.take_recorder().expect("attached")
+        let oram = IndependentOram::new(IndependentConfig::new(2, 2, &tree()), BLOCKS, 80);
+        observe(oram, pattern, Some(&[3u8; 8]))
     };
     let (a, b) = contrast_patterns();
     assert_eq!(compare_shapes(&run(&a), &run(&b)), ShapeVerdict::Indistinguishable);
@@ -82,12 +86,9 @@ fn reads_and_writes_are_indistinguishable() {
     // ACCESS always carries one block (dummy on reads), so op type must
     // not alter the shape.
     let run = |op: Op| {
-        let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, 91);
-        oram.set_recorder(Recorder::new());
-        for i in 0..N as u64 {
-            oram.access(BlockId(i % BLOCKS), op, Some(&[4u8; 8]));
-        }
-        oram.take_recorder().expect("attached")
+        let oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, 91);
+        let pattern: Pattern = (0..N as u64).map(|i| (i % BLOCKS, op)).collect();
+        observe(oram, &pattern, Some(&[4u8; 8]))
     };
     assert_eq!(compare_shapes(&run(Op::Read), &run(Op::Write)), ShapeVerdict::Indistinguishable);
 }
@@ -96,12 +97,8 @@ fn reads_and_writes_are_indistinguishable() {
 fn sdimm_targeting_is_uniform_even_for_hot_block() {
     // A single hot block keeps remapping to random SDIMMs; long-command
     // counts must stay balanced (the APPEND fan-out guarantees it).
-    let mut oram = IndependentOram::new(IndependentConfig::new(4, 1, &tree()), BLOCKS, 13);
-    oram.set_recorder(Recorder::new());
-    for _ in 0..400 {
-        oram.access(BlockId(3), Op::Read, None);
-    }
-    let rec = oram.take_recorder().expect("attached");
+    let oram = IndependentOram::new(IndependentConfig::new(4, 1, &tree()), BLOCKS, 13);
+    let rec = observe(oram, &[(3, Op::Read); 400], None);
     let skew = target_skew(&rec.long_counts(4));
     assert!(skew < 0.25, "hot-block workload skewed SDIMM targeting: {skew}");
 }
@@ -127,13 +124,10 @@ fn different_length_workloads_are_distinguishable_only_by_length() {
     // Sanity for the checker itself: N accesses vs N+1 accesses differ,
     // and the first difference is at the end (a pure length leak).
     let run = |n: usize| {
-        let mut oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, 23);
-        oram.set_recorder(Recorder::new());
+        let oram = IndependentOram::new(IndependentConfig::new(2, 1, &tree()), BLOCKS, 23);
         let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..n {
-            oram.access(BlockId(rng.gen_range(0..BLOCKS)), Op::Read, None);
-        }
-        oram.take_recorder().expect("attached")
+        let pattern: Pattern = (0..n).map(|_| (rng.gen_range(0..BLOCKS), Op::Read)).collect();
+        observe(oram, &pattern, None)
     };
     let ra = run(16);
     let rb = run(17);
@@ -142,6 +136,45 @@ fn different_length_workloads_are_distinguishable_only_by_length() {
             assert!(position >= ra.events().len().min(rb.events().len()) - 1);
         }
         ShapeVerdict::Indistinguishable => panic!("length difference must be visible"),
+    }
+}
+
+#[test]
+fn runner_captures_indistinguishable_streams_on_every_machine() {
+    // The leakage gate's pairs, on every machine kind: the runner's
+    // capture is what the statistical gate reads, so its shape must hold
+    // across each pair, and it must be empty without an external SDIMM
+    // bus (the second field).
+    let (warmup, measure) = (200, 400);
+    let kinds = [
+        (MachineKind::NonSecure { channels: 1 }, false),
+        (MachineKind::PathOram { channels: 1 }, false),
+        (MachineKind::Freecursive { channels: 1 }, false),
+        (MachineKind::Independent { sdimms: 2, channels: 1 }, true),
+        (MachineKind::Split { ways: 2, channels: 1 }, true),
+        (MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 }, true),
+    ];
+    let capture = Capture { observables: true, ..Capture::default() };
+    for (kind, sdimm_bus) in kinds {
+        let cfg = SystemConfig::small(kind);
+        assert!(cfg.data_blocks >= required_blocks(warmup, measure));
+        for pair in pairs(warmup, measure) {
+            let what = format!("{} × {}", kind.name(), pair.name);
+            let [a, b] = [&pair.a, &pair.b].map(|trace| {
+                let instruments = Instruments::disabled();
+                let (_, cap) = run_with(&cfg, trace, warmup, measure, &instruments, 0, capture);
+                assert!(cap.observables.windows(2).all(|w| w[0].0 <= w[1].0), "{what}: stamps");
+                let mut rec = Recorder::new();
+                cap.observables.iter().for_each(|&(_, ev)| rec.push(ev));
+                rec
+            });
+            if sdimm_bus {
+                assert!(!a.events().is_empty(), "{what}: nothing captured");
+                assert_eq!(compare_shapes(&a, &b), ShapeVerdict::Indistinguishable, "{what}");
+            } else {
+                assert!(a.events().is_empty() && b.events().is_empty(), "{what}: no SDIMM bus");
+            }
+        }
     }
 }
 
